@@ -7,8 +7,6 @@ import sys
 
 from .errors import DephasimError, ParseError, ZeroNormError
 from .sweep import (
-    MODE_QUBIT_SWEEP,
-    MODE_QUTRIT_CRITERION,
     SweepConfig,
     compare_windows,
     read_csv,
@@ -90,11 +88,10 @@ _CONFIG_KEYS = {
     "gamma_t_max": float,
     "samples": int,
     "output": str,
-    "mode": str,
 }
 
 
-def _merge_config(args: argparse.Namespace, mode: str) -> SweepConfig:
+def _merge_config(args: argparse.Namespace) -> SweepConfig:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
@@ -105,14 +102,11 @@ def _merge_config(args: argparse.Namespace, mode: str) -> SweepConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    if merged.get("mode", mode) != mode:
-        raise _UsageError(f"config mode {merged['mode']!r} conflicts with the {mode!r} command")
     if "initial_state" not in merged:
         raise _UsageError("an initial state is required (flag --initial-state or config file)")
     kwargs = {
         "initial_state": merged["initial_state"],
         "output_path": merged.get("output"),
-        "mode": mode,
     }
     for key in ("omega_ratio", "gamma_t_max", "samples"):
         if key in merged:
@@ -124,7 +118,7 @@ def _merge_config(args: argparse.Namespace, mode: str) -> SweepConfig:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merge_config(args, MODE_QUBIT_SWEEP)
+    config = _merge_config(args)
     if config.output_path is None:
         raise _UsageError("an output path is required (flag --output or config file)")
     result = run_sweep(config, workers=max(1, args.workers))
@@ -137,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_qutrit(args: argparse.Namespace) -> int:
-    config = _merge_config(args, MODE_QUTRIT_CRITERION)
+    config = _merge_config(args)
     if config.output_path is None:
         raise _UsageError("an output path is required (flag --output or config file)")
     report = run_qutrit_scan(config)

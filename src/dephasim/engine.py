@@ -13,7 +13,9 @@ degenerate Jz blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +26,8 @@ from .errors import (
     NotXFormError,
     UnsupportedDimensionError,
 )
-from .linalg import matrix_exponential, tensor_product
+from .linalg import matrix_exponential
 from .states import DensityMatrix
-
-# Single-party operators in the basis order |1>, |0> (and |1>, |0>, |-1>).
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
@@ -43,12 +42,14 @@ class ModelParams:
     T: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if self.T < 0:
-            raise ValueError(f"action time must be nonnegative, got {self.T!r}")
-        if self.omega1 < 0:
-            raise ValueError(f"drive ratio must be nonnegative, got {self.omega1!r}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"action time T must be finite and nonnegative, got {self.T!r}")
+        if not (math.isfinite(self.omega1) and self.omega1 >= 0):
+            raise ValueError(
+                f"drive ratio omega1 must be finite and nonnegative, got {self.omega1!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,42 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def _check_pair_dims(dims: tuple[int, int]) -> int:
-    if dims not in ((2, 2), (3, 3)):
-        raise UnsupportedDimensionError(f"supported pairs are (2, 2) and (3, 3), got {dims}")
-    return dims[0]
+class _PairTable(NamedTuple):
+    """What collective dephasing needs to know about one supported pair."""
+
+    levels: np.ndarray  # diagonal of collective Jz, lexicographic basis order
+    fixed_mask: np.ndarray  # True where |m><m'| has m == m', the entries dephasing keeps
+    dephasing: np.ndarray  # gamma = 1 dephasing generator on column-stacked matrices
+
+
+def _pair_table(jz_single: list[float]) -> _PairTable:
+    levels = np.add.outer(jz_single, jz_single).ravel()
+    jz = np.diag(levels)
+    jz_sq = jz @ jz
+    eye = np.eye(len(levels))
+    # (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 is diagonal, -(m - m')^2 / 2 on |m><m'|.
+    # It is built in Kronecker form rather than with np.diag because the signs
+    # of its zeros (-0.0 where a negative level meets a zero) are part of the
+    # bit-exact generator that every propagator is computed from.
+    dephasing = np.kron(jz.T, jz) - 0.5 * np.kron(eye, jz_sq) - 0.5 * np.kron(jz_sq.T, eye)
+    return _PairTable(levels, levels[:, None] == levels[None, :], dephasing)
+
+
+# Single-party Jz in the basis order |1>, |0> (and |1>, |0>, |-1>); see collective_jz.
+_PAIRS = {(2, 2): _pair_table([0.5, -0.5]), (3, 3): _pair_table([1.0, 0.0, -1.0])}
+
+# -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
+_SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+_DRIVE_COMMUTATOR = -1j * (np.kron(np.eye(4), _SX1) - np.kron(_SX1.T, np.eye(4)))
+
+
+def _pair(dims: tuple[int, int]) -> _PairTable:
+    try:
+        return _PAIRS[dims]
+    except (KeyError, TypeError):
+        raise UnsupportedDimensionError(
+            f"supported pairs are (2, 2) and (3, 3), got {dims}"
+        ) from None
 
 
 def collective_jz(dims: tuple[int, int]) -> np.ndarray:
@@ -117,13 +150,7 @@ def collective_jz(dims: tuple[int, int]) -> np.ndarray:
     qutrits use the spin-1 projector form |1><1| - |-1><-1| per party
     (spectrum 2, 1, 1, 0, 0, 0, -1, -1, -2).
     """
-    d = _check_pair_dims(dims)
-    if d == 2:
-        jz_single = np.diag([0.5, -0.5])
-    else:
-        jz_single = np.diag([1.0, 0.0, -1.0])
-    eye = np.eye(d)
-    return tensor_product(jz_single, eye) + tensor_product(eye, jz_single)
+    return np.diag(_pair(dims).levels)
 
 
 def build_liouvillian(
@@ -134,21 +161,13 @@ def build_liouvillian(
     The drive term is -i/2 * Omega_1 [sx_1, rho] with Omega_1 = omega1 * gamma;
     the dephasing term is gamma/2 * (2 Jz rho Jz - Jz^2 rho - rho Jz^2).
     """
-    d = _check_pair_dims(dims)
-    if drive_on and d != 2:
+    pair = _pair(dims)
+    if drive_on and dims != (2, 2):
         raise DriveNotSupportedError("the local drive is only available for qubit pairs")
-    dim = d * d
-    jz = collective_jz(dims)
-    jz_sq = jz @ jz
-    eye = np.eye(dim)
-    gen = params.gamma * (
-        np.kron(jz.T, jz) - 0.5 * np.kron(eye, jz_sq) - 0.5 * np.kron(jz_sq.T, eye)
-    )
-    gen = gen.astype(complex)
+    gen = params.gamma * pair.dephasing
     if drive_on:
-        h = 0.5 * params.omega1 * params.gamma * tensor_product(_SIGMA_X, np.eye(2))
-        gen = gen + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
-    return Superoperator(gen, dim)
+        gen = gen + 0.5 * params.omega1 * params.gamma * _DRIVE_COMMUTATOR
+    return Superoperator(gen, len(pair.levels))
 
 
 def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:
@@ -170,9 +189,7 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     qutrits it keeps the 3x3 m=0 block, the two 2x2 m=+-1 blocks, and the
     m=+-2 diagonal entries.
     """
-    levels = np.diag(collective_jz(rho.dims))
-    mask = levels[:, None] == levels[None, :]
-    return DensityMatrix(rho.matrix * mask, rho.dims)
+    return DensityMatrix(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
 
 
 def stationary_state(rho0: DensityMatrix, params: ModelParams) -> DensityMatrix:

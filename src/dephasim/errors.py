@@ -9,10 +9,6 @@ class DimensionMismatchError(DephasimError):
     """Matrix shape or subsystem dimensions are inconsistent with the operation."""
 
 
-class NonHermitianError(DephasimError):
-    """Input matrix violates the Hermiticity precondition of a spectral routine."""
-
-
 class UnsupportedDimensionError(DephasimError):
     """Requested subsystem dimension is outside the supported set {2, 3}."""
 

@@ -5,30 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, NonHermitianError
-
-# Every operator handled here is O(1) in norm, so tolerances are absolute.
-HERMITICITY_TOL = 1e-10
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product; the first factor carries the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order plus the matching eigenvector columns.
-
-    Raises NonHermitianError when max|h - h^dagger| exceeds HERMITICITY_TOL.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    defect = float(np.max(np.abs(h - h.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianError(f"matrix is not Hermitian: max|h - h^dag| = {defect:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(h)
-    return eigvals[::-1].copy(), eigvecs[:, ::-1].copy()
+from .errors import DimensionMismatchError
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -17,9 +18,6 @@ from .measures import (
     qutrit_sufficient_entangled,
 )
 from .states import DensityMatrix, parse_ket_expression, pure_density
-
-MODE_QUBIT_SWEEP = "qubit-sweep"
-MODE_QUTRIT_CRITERION = "qutrit-criterion"
 
 # Concurrence below this is indistinguishable from propagator noise.
 ENTANGLEMENT_THRESHOLD = 1e-9
@@ -39,17 +37,16 @@ class SweepConfig:
     gamma_t_max: float = 4.0
     samples: int = 2000
     output_path: str | None = None
-    mode: str = MODE_QUBIT_SWEEP
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
-        if not self.gamma_t_max > 0:
-            raise ValueError(f"gamma_t_max must be positive, got {self.gamma_t_max!r}")
-        if self.omega_ratio < 0:
-            raise ValueError(f"omega_ratio must be nonnegative, got {self.omega_ratio!r}")
-        if self.mode not in (MODE_QUBIT_SWEEP, MODE_QUTRIT_CRITERION):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.gamma_t_max) and self.gamma_t_max > 0):
+            raise ValueError(f"gamma_t_max must be finite and positive, got {self.gamma_t_max!r}")
+        if not (math.isfinite(self.omega_ratio) and self.omega_ratio >= 0):
+            raise ValueError(
+                f"omega_ratio must be finite and nonnegative, got {self.omega_ratio!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     process pool; results are reassembled in index order, which makes the
     output identical for every worker count.
     """
-    if config.mode != MODE_QUBIT_SWEEP:
-        raise ValueError(f"run_sweep needs mode {MODE_QUBIT_SWEEP!r}, got {config.mode!r}")
     rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
 
@@ -219,26 +214,41 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_csv(path: str) -> SweepResult:
-    """Parse a file produced by write_csv back into a SweepResult."""
+    """Parse a file produced by write_csv back into a SweepResult.
+
+    Raises ValueError naming the path, and the line where there is one, when
+    the file is not in that format.
+    """
     rows = []
     transitions = []
     maxima = []
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(handle, start=1) if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: missing header {CSV_HEADER!r}")
-    for line in lines[1:]:
-        if line.startswith("#"):
-            parts = line.split()
-            if "transition" in parts:
-                transitions.append(float(parts[parts.index("=") + 1]))
-            elif "maximum" in parts:
-                values = [float(parts[i + 1]) for i, tok in enumerate(parts) if tok == "="]
-                maxima.append(tuple(values))
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
+    for lineno, line in lines[1:]:
+        try:
+            if line.startswith("#"):
+                parts = line.split()
+                if "transition" in parts:
+                    transitions.append(float(parts[parts.index("=") + 1]))
+                elif "maximum" in parts:
+                    values = [float(parts[i + 1]) for i, tok in enumerate(parts) if tok == "="]
+                    maxima.append(tuple(values))
+                continue
+            cells = line.split(",")
+            if len(cells) != 3:
+                raise ValueError(f"expected 3 cells, got {len(cells)}")
+            rows.append([float(cell) for cell in cells])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
     data = np.asarray(rows, dtype=float)
-    return SweepResult(data[:, 0], data[:, 1], data[:, 2], transitions, maxima)
+    try:
+        return SweepResult(data[:, 0], data[:, 1], data[:, 2], transitions, maxima)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_qutrit_scan(config: SweepConfig) -> CriterionReport:
@@ -247,10 +257,6 @@ def run_qutrit_scan(config: SweepConfig) -> CriterionReport:
     When `config.output_path` is set, the report is written there as
     `key = value` lines.
     """
-    if config.mode != MODE_QUTRIT_CRITERION:
-        raise ValueError(
-            f"run_qutrit_scan needs mode {MODE_QUTRIT_CRITERION!r}, got {config.mode!r}"
-        )
     rho0 = pure_density(parse_ket_expression(config.initial_state, (3, 3)))
     report = qutrit_sufficient_entangled(dephasing_fixed_point(rho0))
     if config.output_path is not None:
@@ -261,7 +267,7 @@ def run_qutrit_scan(config: SweepConfig) -> CriterionReport:
 def write_criterion_report(report: CriterionReport, initial_state: str, path: str) -> None:
     """Write a CriterionReport as flat `key = value` text."""
     lines = [
-        f"mode = {MODE_QUTRIT_CRITERION}",
+        "mode = qutrit-criterion",
         f"initial_state = {initial_state}",
         f"xi = {_fmt(report.xi)}",
         f"zeta = {_fmt(report.zeta)}",

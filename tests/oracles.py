@@ -5,19 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def tensor_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quadruple-index definition of the tensor product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i1 in range(ra):
-        for j1 in range(ca):
-            for i2 in range(rb):
-                for j2 in range(cb):
-                    out[i1 * rb + i2, j1 * cb + j2] = a[i1, j1] * b[i2, j2]
-    return out
-
-
 def partial_trace_oracle(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
     """Explicit index-sum definition of the partial trace."""
     d1, d2 = dims
@@ -44,6 +31,30 @@ def taylor_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:
         term = term @ m / k
         out = out + term
     return out
+
+
+def kronecker_liouvillian(
+    dims: tuple[int, int], omega1: float, gamma: float, drive_on: bool
+) -> np.ndarray:
+    """Column-stacked generator assembled term by term from Kronecker products.
+
+    Collective Jz is rebuilt from the single-party operators, then
+    gamma * (Jz^T kron Jz - (1 kron Jz^2)/2 - (Jz^2^T kron 1)/2), plus, for
+    qubits with the drive on, -i (1 kron H - H^T kron 1) with
+    H = omega1 * gamma * sx_1 / 2.
+    """
+    d = dims[0]
+    jz_single = np.diag([0.5, -0.5]) if d == 2 else np.diag([1.0, 0.0, -1.0])
+    eye_d = np.eye(d)
+    jz = np.kron(jz_single, eye_d) + np.kron(eye_d, jz_single)
+    jz_sq = jz @ jz
+    eye = np.eye(d * d)
+    gen = gamma * (np.kron(jz.T, jz) - 0.5 * np.kron(eye, jz_sq) - 0.5 * np.kron(jz_sq.T, eye))
+    gen = gen.astype(complex)
+    if drive_on:
+        h = 0.5 * omega1 * gamma * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        gen = gen + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +147,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
 
 
 def random_xform_entries(rng: np.random.Generator):

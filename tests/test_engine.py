@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasim import (
     DriveNotSupportedError,
@@ -16,7 +18,7 @@ from dephasim import (
     stationary_state,
     validate,
 )
-from oracles import random_density, rk4_stationary, taylor_expm
+from oracles import kronecker_liouvillian, random_density, rk4_stationary, taylor_expm
 
 
 def bell(which: str):
@@ -43,6 +45,34 @@ def test_collective_jz_qutrits():
 def test_collective_jz_rejects_unsupported_dims():
     with pytest.raises(UnsupportedDimensionError):
         collective_jz((4, 4))
+
+
+@pytest.mark.parametrize("field", ["omega1", "gamma", "T"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_model_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+        ModelParams(**{"omega1": 1.0, field: value})
+
+
+# Bounded so that every generator entry, at most 8 * gamma or omega1 * gamma / 2
+# in magnitude, stays finite; subnormal values are included.
+@settings(deadline=None)
+@given(
+    omega1=st.floats(min_value=0.0, max_value=1e100),
+    gamma=st.floats(min_value=0.0, max_value=1e100, exclude_min=True),
+)
+@example(omega1=31.25, gamma=1.0)
+@example(omega1=1.0 / 3.0, gamma=0.1)
+@example(omega1=0.0, gamma=2.7)
+@example(omega1=1.5e-323, gamma=3.0)  # subnormal drive: rounding follows the factor order
+def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1, gamma):
+    params = ModelParams(omega1=omega1, gamma=gamma)
+    for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
+        got = build_liouvillian(dims, params, drive_on=drive).matrix
+        want = kronecker_liouvillian(dims, omega1, gamma, drive)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def test_liouvillian_preserves_trace():
@@ -158,6 +188,17 @@ def test_qutrit_fixed_point_block_structure():
                 assert projected[i, j] == 0.0
             else:
                 assert projected[i, j] == rho.matrix[i, j]
+
+
+@given(dims=st.sampled_from([(2, 2), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed):
+    rho = validate(random_density(np.random.default_rng(seed), dims[0] * dims[1]), dims)
+    projected = dephasing_fixed_point(rho)
+    levels = np.diag(collective_jz(dims))
+    same_level = levels[:, None] == levels[None, :]
+    assert np.array_equal(projected.matrix[same_level], rho.matrix[same_level])
+    assert not np.any(projected.matrix[~same_level])
+    assert np.array_equal(dephasing_fixed_point(projected).matrix, projected.matrix)
 
 
 def test_stationary_state_at_zero_action_time():

@@ -15,7 +15,6 @@ from dephasim import (
     pure_density,
     qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
-    tensor_product,
     validate,
     von_neumann_entropy,
 )
@@ -66,7 +65,7 @@ def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(41)
     for _ in range(20):
         rho = random_density(rng, 4, rank=int(rng.integers(1, 5)))
-        u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         c0 = concurrence(validate(rho, (2, 2)))
         c1 = concurrence(validate(rotated, (2, 2)))
@@ -97,7 +96,7 @@ def test_entropy_values():
 
 def test_mutual_information_product_state():
     rng = np.random.default_rng(43)
-    rho = tensor_product(random_density(rng, 2), random_density(rng, 2))
+    rho = np.kron(random_density(rng, 2), random_density(rng, 2))
     assert mutual_information(validate(rho, (2, 2))) <= 1e-10
 
 

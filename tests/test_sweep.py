@@ -173,22 +173,18 @@ def test_run_sweep_worker_counts_agree():
 
 def test_run_qutrit_scan_reports(tmp_path):
     path = tmp_path / "report.txt"
-    config = SweepConfig(
-        initial_state="(|1,1> + |-1,-1>)/sqrt(2)",
-        mode="qutrit-criterion",
-        output_path=str(path),
-    )
+    config = SweepConfig(initial_state="(|1,1> + |-1,-1>)/sqrt(2)", output_path=str(path))
     report = run_qutrit_scan(config)
     assert not report.sufficient_entangled  # the only coherence is destroyed
     text = path.read_text()
     assert "sufficient_entangled = false" in text
 
-    entangled = SweepConfig(initial_state="(|1,0> + |0,1>)/sqrt(2)", mode="qutrit-criterion")
+    entangled = SweepConfig(initial_state="(|1,0> + |0,1>)/sqrt(2)")
     report = run_qutrit_scan(entangled)
     assert report.sufficient_entangled
     assert abs(report.min_pt_eigenvalue + 0.5) <= 1e-12
 
-    product = SweepConfig(initial_state="|0,0>", mode="qutrit-criterion")
+    product = SweepConfig(initial_state="|0,0>")
     assert not run_qutrit_scan(product).sufficient_entangled
 
 
@@ -197,8 +193,32 @@ def test_sweep_config_validation():
         SweepConfig(initial_state="|00>", samples=1)
     with pytest.raises(ValueError):
         SweepConfig(initial_state="|00>", gamma_t_max=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(initial_state="|00>", mode="nope")
+
+
+@pytest.mark.parametrize("field", ["omega_ratio", "gamma_t_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"{field} must be finite"):
+        SweepConfig(initial_state="|00>", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("", None),  # header only
+        ("0,1,2\n0.5,1\n", 3),  # short row
+        ("0,1,2\n0.5,1,2,3\n", 3),  # long row
+        ("0,1,x\n", 2),  # non-numeric cell
+        ("0,1,2\n# transition gamma_T\n", 3),  # comment without a value
+    ],
+)
+def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text("gamma_T,concurrence,mutual_information\n" + body)
+    where = f"{path}:{lineno}:" if lineno else f"{path}:"
+    with pytest.raises(ValueError) as info:
+        read_csv(str(path))
+    assert str(info.value).startswith(where)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +294,33 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for flag in ("--omega-ratio", "--gamma-t-max"):
+        for value in ("nan", "inf", "-inf"):
+            argv = ["sweep", "--initial-state", "|00>", f"{flag}={value}", "--output", out]
+            assert main(argv) == 1
+            field = flag[2:].replace("-", "_")
+            assert f"dephasim: {field} must be finite" in capsys.readouterr().err
+
+
+def test_cli_compare_rejects_malformed_csv(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_csv(run_sweep(SweepConfig("|00>", omega_ratio=0.0, samples=10)), str(good))
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("gamma_T,concurrence,mutual_information\n")
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("gamma_T,concurrence,mutual_information\n0,1,2\n0.5,1\n")
+    for bad, where in ((header_only, f"{header_only}:"), (short_row, f"{short_row}:3:")):
+        assert main(["compare", "--a", str(good), "--b", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"dephasim: {where}")
+
+
+def test_cli_config_file_rejects_mode_key(tmp_path, capsys):
+    config_path = tmp_path / "qutrit.cfg"
+    config_path.write_text("initial_state = |0,0>\nmode = qutrit-criterion\n")
+    argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
+    assert main(argv) == 1
+    assert "unknown config key 'mode'" in capsys.readouterr().err

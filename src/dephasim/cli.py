@@ -52,19 +52,15 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--gamma-t-max", type=float, help="upper bound of the scaled time grid")
     sweep.add_argument("--samples", type=int, help="number of uniform grid samples")
     sweep.add_argument("--output", help="CSV output path")
-    sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
 
     qutrit = sub.add_parser("qutrit", help="evaluate the two-qutrit stationary criterion")
     qutrit.add_argument("--config", help="key = value config file; flags override its entries")
     qutrit.add_argument("--initial-state", help=_KET_HELP)
     qutrit.add_argument("--output", help="report output path")
 
-    compare = sub.add_parser("compare", help="compare entangled windows of two sweep CSVs")
+    compare = sub.add_parser("compare", help="compare entangled windows (C > 1e-9) of two CSVs")
     compare.add_argument("--a", required=True, help="first sweep CSV")
     compare.add_argument("--b", required=True, help="second sweep CSV")
-    compare.add_argument(
-        "--threshold", type=float, default=1e-9, help="entanglement threshold (default 1e-9)"
-    )
     return parser
 
 
@@ -82,6 +78,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+# Config-file keys, which are also the flag destinations, and their types.
 _CONFIG_KEYS = {
     "initial_state": str,
     "omega_ratio": float,
@@ -98,21 +95,15 @@ def _merge_config(args: argparse.Namespace) -> SweepConfig:
             if key not in _CONFIG_KEYS:
                 raise _UsageError(f"unknown config key {key!r}")
             merged[key] = _CONFIG_KEYS[key](value)
-    for key in ("initial_state", "omega_ratio", "gamma_t_max", "samples", "output"):
+    for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
     if "initial_state" not in merged:
         raise _UsageError("an initial state is required (flag --initial-state or config file)")
-    kwargs = {
-        "initial_state": merged["initial_state"],
-        "output_path": merged.get("output"),
-    }
-    for key in ("omega_ratio", "gamma_t_max", "samples"):
-        if key in merged:
-            kwargs[key] = merged[key]
+    merged["output_path"] = merged.pop("output", None)
     try:
-        return SweepConfig(**kwargs)
+        return SweepConfig(**merged)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -121,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     if config.output_path is None:
         raise _UsageError("an output path is required (flag --output or config file)")
-    result = run_sweep(config, workers=max(1, args.workers))
+    result = run_sweep(config)
     write_csv(result, config.output_path)
     print(
         f"wrote {config.output_path} ({config.samples} samples, "
@@ -144,7 +135,7 @@ def _cmd_qutrit(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare_windows(read_csv(args.a), read_csv(args.b), threshold=args.threshold)
+    report = compare_windows(read_csv(args.a), read_csv(args.b))
     print(f"grid points: {report.samples}")
     print(f"entangled in {args.a}: {report.a_entangled}")
     print(f"entangled in {args.b}: {report.b_entangled}")
@@ -166,10 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_compare(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except _UsageError as exc:
-        print(f"dephasim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ZeroNormError, ValueError) as exc:
+    except (_UsageError, ParseError, ZeroNormError, ValueError) as exc:
         print(f"dephasim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

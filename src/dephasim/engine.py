@@ -8,7 +8,8 @@ The generator of the dynamics is
 with Jz the collective z-spin operator of the pair. Because Jz is diagonal,
 every matrix element |m><m'| decays at rate gamma*(m - m')^2 / 2, so the
 infinite-time limit of the drive-free channel is the projector onto the
-degenerate Jz blocks.
+degenerate Jz blocks. Times are scaled by gamma, so the code sets gamma = 1
+and omega1 = Omega_1/gamma.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ _XFORM_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Drive ratio omega1 = Omega_1/gamma, decay rate gamma, scaled action time T = gamma*T."""
+    """Drive ratio omega1 = Omega_1/gamma and scaled action time T = gamma*T.
+
+    Time is measured in units of 1/gamma, so the decay rate is 1 throughout.
+    """
 
     omega1: float
-    gamma: float = 1.0
     T: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError(f"action time T must be finite and nonnegative, got {self.T!r}")
         if not (math.isfinite(self.omega1) and self.omega1 >= 0):
@@ -69,7 +70,7 @@ class Superoperator:
         # <<I| L = 0 is trace preservation for the vectorized generator.
         vec_id = np.eye(self.dim, dtype=complex).reshape(-1, order="F")
         residual = float(np.max(np.abs(vec_id.conj() @ m)))
-        if residual > TRACE_PRESERVATION_TOL:
+        if not residual <= TRACE_PRESERVATION_TOL:
             raise DephasimError(f"generator is not trace-preserving: residual {residual:.3e}")
 
 
@@ -85,12 +86,13 @@ class StationaryXForm:
 
     def __post_init__(self):
         total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > 1e-10:
+        # Each check is written so that a NaN fails it.
+        if not abs(total - 1.0) <= 1e-10:
             raise NotXFormError(f"populations sum to {total!r}, not 1")
         least = min(self.a, self.b, self.c, self.d)
-        if least < -1e-9:
+        if not least >= -1e-9:
             raise NotXFormError(f"negative population {least!r}")
-        if abs(self.f) ** 2 > self.b * self.c + 1e-9:
+        if not abs(self.f) ** 2 <= self.b * self.c + 1e-9:
             raise NotXFormError(
                 f"coherence |f|^2 = {abs(self.f)**2!r} exceeds b*c = {self.b * self.c!r}"
             )
@@ -158,15 +160,15 @@ def build_liouvillian(
 ) -> Superoperator:
     """Vectorized generator of collective dephasing, optionally with the party-1 drive.
 
-    The drive term is -i/2 * Omega_1 [sx_1, rho] with Omega_1 = omega1 * gamma;
-    the dephasing term is gamma/2 * (2 Jz rho Jz - Jz^2 rho - rho Jz^2).
+    In units of 1/gamma the drive term is -i/2 * omega1 [sx_1, rho] and the
+    dephasing term is (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2.
     """
     pair = _pair(dims)
     if drive_on and dims != (2, 2):
         raise DriveNotSupportedError("the local drive is only available for qubit pairs")
-    gen = params.gamma * pair.dephasing
+    gen = pair.dephasing
     if drive_on:
-        gen = gen + 0.5 * params.omega1 * params.gamma * _DRIVE_COMMUTATOR
+        gen = gen + 0.5 * params.omega1 * _DRIVE_COMMUTATOR
     return Superoperator(gen, len(pair.levels))
 
 
@@ -197,7 +199,7 @@ def stationary_state(rho0: DensityMatrix, params: ModelParams) -> DensityMatrix:
     if rho0.dims != (2, 2):
         raise UnsupportedDimensionError(f"driven stationary states need qubit dims, got {rho0.dims}")
     generator = build_liouvillian((2, 2), params, drive_on=True)
-    driven = evolve(rho0, generator, params.T / params.gamma)
+    driven = evolve(rho0, generator, params.T)
     return dephasing_fixed_point(driven)
 
 
@@ -217,7 +219,7 @@ def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho_s.dims}")
     m = rho_s.matrix
     residual = float(np.max(np.abs(m[~_X_MASK])))
-    if residual > _XFORM_RESIDUAL_TOL:
+    if not residual <= _XFORM_RESIDUAL_TOL:
         raise NotXFormError(f"off-form residual {residual:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
     return StationaryXForm(
         a=float(m[0, 0].real),

@@ -45,7 +45,7 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amp)
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ZeroNormError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
 
 
@@ -64,14 +64,15 @@ class DensityMatrix:
                 f"matrix shape {m.shape} does not match subsystem dims {self.dims}"
             )
         object.__setattr__(self, "matrix", m)
+        # Each check is written so that a NaN fails it.
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:
             raise NotHermitianError("matrix is not Hermitian", herm_defect)
         trace_defect = abs(complex(np.trace(m)) - 1.0)
-        if trace_defect > TRACE_TOL:
+        if not trace_defect <= TRACE_TOL:
             raise TraceNotOneError("trace differs from one", trace_defect)
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < POSITIVITY_FLOOR:
+        if not min_eig >= POSITIVITY_FLOOR:
             raise NotPositiveError("matrix has a negative eigenvalue", abs(min_eig))
 
     @property

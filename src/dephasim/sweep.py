@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -68,7 +67,7 @@ class SweepResult:
         )
         if len(gt) != len(self.concurrence) or len(gt) != len(self.mutual_information):
             raise ValueError("row columns must have equal length")
-        if np.any(np.diff(gt) <= 0):
+        if not np.all(np.diff(gt) > 0):  # written so that a NaN fails it
             raise ValueError("gamma_t values must be strictly increasing")
         for _, c_value, _ in self.maxima:
             if not c_value > 0:
@@ -89,71 +88,51 @@ class WindowOverlapReport:
     overlap_gamma_t: list[float]
 
 
-def _stationary_measures(rho0: DensityMatrix, omega_ratio: float, gamma_t: float):
+def _stationary_xform(rho0: DensityMatrix, omega_ratio: float, gamma_t: float):
     params = ModelParams(omega1=omega_ratio, T=float(gamma_t))
-    x = extract_xform(stationary_state(rho0, params))
-    return concurrence_xform(x), mutual_information_xform(x)
-
-
-def _measure_chunk(rho0_matrix: np.ndarray, omega_ratio: float, gamma_ts: np.ndarray):
-    # Module-level so the worker pool can pickle it; rebuilds the validated
-    # state inside each worker to keep the per-sample computation identical
-    # for every worker count.
-    rho0 = DensityMatrix(np.asarray(rho0_matrix), (2, 2))
-    out = np.empty((len(gamma_ts), 2))
-    for k, gamma_t in enumerate(gamma_ts):
-        out[k] = _stationary_measures(rho0, omega_ratio, gamma_t)
-    return out
+    return extract_xform(stationary_state(rho0, params))
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Sweep gamma_T over a uniform grid and detect transitions and maxima.
 
-    Grid points are independent, so with workers > 1 they are evaluated by a
-    process pool; results are reassembled in index order, which makes the
-    output identical for every worker count.
+    The sweep runs in this process; `workers` is accepted for callers that
+    pass 1, and any other value raises ValueError.
     """
+    if workers != 1:
+        raise ValueError(f"run_sweep is serial; workers must be 1, got {workers!r}")
     rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
-
-    if workers <= 1:
-        values = _measure_chunk(rho0.matrix, config.omega_ratio, grid)
-    else:
-        chunks = np.array_split(grid, workers)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_measure_chunk, rho0.matrix, config.omega_ratio, chunk)
-                for chunk in chunks
-                if len(chunk)
-            ]
-            values = np.concatenate([f.result() for f in futures])
-
-    result = SweepResult(grid, values[:, 0], values[:, 1])
+    concurrence, mutual_information = [], []
+    for gamma_t in grid:
+        x = _stationary_xform(rho0, config.omega_ratio, gamma_t)
+        concurrence.append(concurrence_xform(x))
+        mutual_information.append(mutual_information_xform(x))
+    result = SweepResult(grid, concurrence, mutual_information)
     transitions = detect_transitions(
-        result, lambda gt: _stationary_measures(rho0, config.omega_ratio, gt)[0]
+        result, lambda gt: concurrence_xform(_stationary_xform(rho0, config.omega_ratio, gt))
     )
     maxima = detect_local_maxima(result)
     return replace(result, transitions=transitions, maxima=maxima)
 
 
 def detect_transitions(
-    result: SweepResult,
-    concurrence_of: Callable[[float], float],
-    threshold: float = ENTANGLEMENT_THRESHOLD,
+    result: SweepResult, concurrence_of: Callable[[float], float]
 ) -> list[float]:
     """Entangled/separable crossing points, bisection-refined on the exact map.
 
-    Each grid cell where the concurrence crosses the threshold is refined by
-    bisecting `concurrence_of` until the bracket is below 1e-9 in gamma_T.
+    Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
+    refined by bisecting `concurrence_of` until the bracket is below 1e-9 in
+    gamma_T.
     """
-    entangled = result.concurrence > threshold
+    entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
     transitions = []
     for i in np.flatnonzero(entangled[:-1] != entangled[1:]):
         lo, hi = float(result.gamma_t[i]), float(result.gamma_t[i + 1])
         lo_entangled = bool(entangled[i])
         while hi - lo > _REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if (concurrence_of(mid) > threshold) == lo_entangled:
+            if (concurrence_of(mid) > ENTANGLEMENT_THRESHOLD) == lo_entangled:
                 lo = mid
             else:
                 hi = mid
@@ -173,16 +152,17 @@ def detect_local_maxima(result: SweepResult) -> list[tuple[float, float, float]]
     return maxima
 
 
-def compare_windows(
-    a: SweepResult, b: SweepResult, threshold: float = ENTANGLEMENT_THRESHOLD
-) -> WindowOverlapReport:
-    """Count grid points where both sweeps are simultaneously entangled."""
+def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
+    """Count grid points where both sweeps are simultaneously entangled.
+
+    A point is entangled when its concurrence exceeds ENTANGLEMENT_THRESHOLD.
+    """
     if len(a.gamma_t) != len(b.gamma_t) or not np.allclose(
         a.gamma_t, b.gamma_t, rtol=0.0, atol=1e-9
     ):
         raise GridMismatchError("sweeps do not share the same gamma_T grid")
-    a_on = a.concurrence > threshold
-    b_on = b.concurrence > threshold
+    a_on = a.concurrence > ENTANGLEMENT_THRESHOLD
+    b_on = b.concurrence > ENTANGLEMENT_THRESHOLD
     both = a_on & b_on
     return WindowOverlapReport(
         samples=len(a.gamma_t),

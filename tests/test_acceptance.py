@@ -237,14 +237,11 @@ def test_criterion_8_qutrit_criterion_soundness():
 def test_criterion_9_byte_identical_determinism(tmp_path):
     crit = Criterion("9 byte-identical sweep determinism", 240.0)
     paths = []
-    for label, workers in (("serial-1", 1), ("serial-2", 1), ("workers-3", 3)):
-        result = run_sweep(ROBUST_SWEEP, workers=workers)
+    for label in ("serial-1", "serial-2"):
         path = tmp_path / f"{label}.csv"
-        write_csv(result, str(path))
+        write_csv(run_sweep(ROBUST_SWEEP), str(path))
         paths.append(path)
-    first = paths[0].read_bytes()
-    crit.check("two serial runs identical", first == paths[1].read_bytes())
-    crit.check("worker pool identical", first == paths[2].read_bytes())
+    crit.check("two serial runs identical", paths[0].read_bytes() == paths[1].read_bytes())
     crit.finish()
 
 

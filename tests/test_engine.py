@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from dephasim import (
     DriveNotSupportedError,
+    DephasimError,
     ModelParams,
     NotXFormError,
+    StationaryXForm,
+    Superoperator,
     UnsupportedDimensionError,
     build_liouvillian,
     collective_jz,
@@ -47,32 +50,34 @@ def test_collective_jz_rejects_unsupported_dims():
         collective_jz((4, 4))
 
 
-@pytest.mark.parametrize("field", ["omega1", "gamma", "T"])
+@pytest.mark.parametrize("field", ["omega1", "T"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_model_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
         ModelParams(**{"omega1": 1.0, field: value})
 
 
-# Bounded so that every generator entry, at most 8 * gamma or omega1 * gamma / 2
-# in magnitude, stays finite; subnormal values are included.
+# Bounded so that every generator entry, at most 8 or omega1 / 2 in magnitude,
+# stays finite; subnormal values are included.
 @settings(deadline=None)
-@given(
-    omega1=st.floats(min_value=0.0, max_value=1e100),
-    gamma=st.floats(min_value=0.0, max_value=1e100, exclude_min=True),
-)
-@example(omega1=31.25, gamma=1.0)
-@example(omega1=1.0 / 3.0, gamma=0.1)
-@example(omega1=0.0, gamma=2.7)
-@example(omega1=1.5e-323, gamma=3.0)  # subnormal drive: rounding follows the factor order
-def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1, gamma):
-    params = ModelParams(omega1=omega1, gamma=gamma)
+@given(omega1=st.floats(min_value=0.0, max_value=1e100))
+@example(omega1=31.25)
+@example(omega1=1.0 / 3.0)
+@example(omega1=0.0)
+@example(omega1=1.5e-323)  # subnormal drive: rounding follows the factor order
+def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
+    params = ModelParams(omega1=omega1)
     for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
         got = build_liouvillian(dims, params, drive_on=drive).matrix
-        want = kronecker_liouvillian(dims, omega1, gamma, drive)
+        want = kronecker_liouvillian(dims, omega1, 1.0, drive)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
         assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def test_superoperator_rejects_nan_generator():
+    with pytest.raises(DephasimError, match="not trace-preserving"):
+        Superoperator(np.full((16, 16), np.nan), 4)
 
 
 def test_liouvillian_preserves_trace():
@@ -224,6 +229,12 @@ def test_extract_xform_values():
     assert abs(x.f + 0.5) <= 1e-12
     mixed = extract_xform(validate(np.diag([0.0, 0.0, 0.0, 1.0]), (2, 2)))
     assert mixed.d == 1.0 and mixed.f == 0.0
+
+
+@pytest.mark.parametrize("a, f", [(float("nan"), 0j), (0.0, complex(float("nan"), 0.0))])
+def test_stationary_xform_rejects_nan(a, f):
+    with pytest.raises(NotXFormError):
+        StationaryXForm(a, 0.5, 0.5, 0.0, f)
 
 
 def test_extract_xform_rejects_off_form_weight():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dephasim import (
     LabelError,
     NotHermitianError,
     NotPositiveError,
     ParseError,
+    StateValidationError,
+    StateVector,
     TraceNotOneError,
     ZeroNormError,
     parse_ket_expression,
@@ -92,6 +96,38 @@ def test_parser_is_total_on_random_garbage():
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-10
 
 
+# Basis labels in lexicographic order, so a label's position is its amplitude index.
+_LABELS = {
+    (2, 2): ["11", "10", "01", "00"],
+    (3, 3): [f"{a},{b}" for a in ("1", "0", "-1") for b in ("1", "0", "-1")],
+}
+
+
+@given(dims=st.sampled_from(list(_LABELS)), data=st.data())
+def test_parse_round_trips_printed_real_states(dims, data):
+    labels = _LABELS[dims]
+    terms = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(labels) - 1), st.floats(-10.0, 10.0)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    expected = np.zeros(len(labels))
+    for index, coefficient in terms:
+        expected[index] += coefficient
+    norm = np.linalg.norm(expected)
+    assume(norm > 1e-3)
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c):.17f}*|{labels[i]}>" for i, c in terms)
+    psi = parse_ket_expression(text, dims)
+    assert np.max(np.abs(psi.amplitudes - expected / norm)) <= 1e-12
+
+
+def test_state_vector_rejects_nan():
+    with pytest.raises(ZeroNormError):
+        StateVector(np.array([np.nan, 0.0, 0.0, 0.0]), (2, 2))
+
+
 def test_pure_density_singlet_block():
     rho = pure_density(parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2)))
     m = rho.matrix
@@ -137,6 +173,11 @@ def test_validate_rejects_non_hermitian():
     m[0, 1] = 1e-3
     with pytest.raises(NotHermitianError):
         validate(m, (2, 2))
+
+
+def test_validate_rejects_nan():
+    with pytest.raises(StateValidationError):
+        validate(np.diag([np.nan, 0.5, 0.5, 0.0]), (2, 2))
 
 
 def test_parse_pure_validate_round_trip():

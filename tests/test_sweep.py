@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,15 +162,23 @@ def test_detect_local_maxima_stable_under_grid_refinement():
         assert abs(g_coarse - g_fine) <= coarse_step
 
 
-def test_run_sweep_worker_counts_agree():
-    config = SweepConfig(
-        initial_state="(|11> + |00>)/sqrt(2)", omega_ratio=31.25, gamma_t_max=0.25, samples=60
+def test_transitions_stable_under_grid_refinement():
+    # The 2n - 1 grid holds every point of the n grid, so both brackets close
+    # on the same crossing, each to within the 1e-9 bisection width.
+    coarse = SweepConfig(
+        initial_state="(|11> + |00>)/sqrt(2)", omega_ratio=31.25, gamma_t_max=0.3, samples=151
     )
-    serial = run_sweep(config, workers=1)
-    parallel = run_sweep(config, workers=3)
-    assert np.array_equal(serial.concurrence, parallel.concurrence)
-    assert np.array_equal(serial.mutual_information, parallel.mutual_information)
-    assert serial.transitions == parallel.transitions
+    want = run_sweep(coarse).transitions
+    got = run_sweep(replace(coarse, samples=301)).transitions
+    assert want and len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+
+
+def test_run_sweep_rejects_other_worker_counts():
+    config = SweepConfig(initial_state="|00>", omega_ratio=0.0, samples=10)
+    for workers in (0, 2, 3):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_sweep(config, workers=workers)
 
 
 def test_run_qutrit_scan_reports(tmp_path):
@@ -210,6 +220,7 @@ def test_sweep_config_rejects_non_finite(field, value):
         ("0,1,2\n0.5,1,2,3\n", 3),  # long row
         ("0,1,x\n", 2),  # non-numeric cell
         ("0,1,2\n# transition gamma_T\n", 3),  # comment without a value
+        ("0,1,2\nnan,1,2\n", None),  # grid value that is not a number
     ],
 )
 def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
@@ -294,6 +305,20 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+def test_cli_rejects_removed_options(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--initial-state", "|00>", "--output", out, "--workers", "2"]) == 1
+    assert main(["compare", "--a", out, "--b", out, "--threshold", "0.1"]) == 1
+    assert capsys.readouterr().err.count("unrecognized arguments") == 2
+
+
+def test_cli_overflowing_drive_is_a_numerical_error(tmp_path, capsys):
+    argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--samples", "3"]
+    argv += ["--gamma-t-max", "1", "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("dephasim: ")
 
 
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):

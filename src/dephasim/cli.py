@@ -92,7 +92,7 @@ def _merge_config(args: argparse.Namespace) -> SweepConfig:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_KEYS or not hasattr(args, key):
                 raise _UsageError(f"unknown config key {key!r}")
             merged[key] = _CONFIG_KEYS[key](value)
     for key in _CONFIG_KEYS:
@@ -101,7 +101,9 @@ def _merge_config(args: argparse.Namespace) -> SweepConfig:
             merged[key] = flag_value
     if "initial_state" not in merged:
         raise _UsageError("an initial state is required (flag --initial-state or config file)")
-    merged["output_path"] = merged.pop("output", None)
+    if "output" not in merged:
+        raise _UsageError("an output path is required (flag --output or config file)")
+    merged["output_path"] = merged.pop("output")
     try:
         return SweepConfig(**merged)
     except ValueError as exc:
@@ -110,8 +112,6 @@ def _merge_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    if config.output_path is None:
-        raise _UsageError("an output path is required (flag --output or config file)")
     result = run_sweep(config)
     write_csv(result, config.output_path)
     print(
@@ -123,8 +123,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_qutrit(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    if config.output_path is None:
-        raise _UsageError("an output path is required (flag --output or config file)")
     report = run_qutrit_scan(config)
     verdict = "entangled" if report.sufficient_entangled else "not detected"
     print(

@@ -23,12 +23,11 @@ import numpy as np
 from .errors import (
     DephasimError,
     DimensionMismatchError,
-    DriveNotSupportedError,
     NotXFormError,
     UnsupportedDimensionError,
 )
 from .linalg import matrix_exponential
-from .states import DensityMatrix
+from .states import POSITIVITY_FLOOR, TRACE_TOL, DensityMatrix, _trusted
 
 TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
@@ -87,12 +86,12 @@ class StationaryXForm:
     def __post_init__(self):
         total = self.a + self.b + self.c + self.d
         # Each check is written so that a NaN fails it.
-        if not abs(total - 1.0) <= 1e-10:
+        if not abs(total - 1.0) <= TRACE_TOL:
             raise NotXFormError(f"populations sum to {total!r}, not 1")
         least = min(self.a, self.b, self.c, self.d)
-        if not least >= -1e-9:
+        if not least >= POSITIVITY_FLOOR:
             raise NotXFormError(f"negative population {least!r}")
-        if not abs(self.f) ** 2 <= self.b * self.c + 1e-9:
+        if not abs(self.f) ** 2 <= self.b * self.c - POSITIVITY_FLOOR:
             raise NotXFormError(
                 f"coherence |f|^2 = {abs(self.f)**2!r} exceeds b*c = {self.b * self.c!r}"
             )
@@ -125,6 +124,7 @@ def _pair_table(jz_single: list[float]) -> _PairTable:
     # of its zeros (-0.0 where a negative level meets a zero) are part of the
     # bit-exact generator that every propagator is computed from.
     dephasing = np.kron(jz.T, jz) - 0.5 * np.kron(eye, jz_sq) - 0.5 * np.kron(jz_sq.T, eye)
+    dephasing = dephasing.astype(complex)
     return _PairTable(levels, levels[:, None] == levels[None, :], dephasing)
 
 
@@ -165,11 +165,12 @@ def build_liouvillian(
     """
     pair = _pair(dims)
     if drive_on and dims != (2, 2):
-        raise DriveNotSupportedError("the local drive is only available for qubit pairs")
-    gen = pair.dephasing
+        raise UnsupportedDimensionError(f"the local drive needs qubit dims, got {dims}")
+    gen = pair.dephasing.copy()
     if drive_on:
-        gen = gen + 0.5 * params.omega1 * _DRIVE_COMMUTATOR
-    return Superoperator(gen, len(pair.levels))
+        gen += 0.5 * params.omega1 * _DRIVE_COMMUTATOR
+    # <<I| annihilates both tables exactly, so the sum is trace-preserving as built.
+    return _trusted(Superoperator, matrix=gen, dim=len(pair.levels))
 
 
 def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:
@@ -191,14 +192,13 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     qutrits it keeps the 3x3 m=0 block, the two 2x2 m=+-1 blocks, and the
     m=+-2 diagonal entries.
     """
-    return DensityMatrix(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
+    # A pinching of a valid state is a valid state, so the result is not re-checked.
+    return _trusted(DensityMatrix, matrix=rho.matrix * _pair(rho.dims).fixed_mask, dims=rho.dims)
 
 
 def stationary_state(rho0: DensityMatrix, params: ModelParams) -> DensityMatrix:
     """Stationary state after driving for the scaled time T and dephasing forever."""
-    if rho0.dims != (2, 2):
-        raise UnsupportedDimensionError(f"driven stationary states need qubit dims, got {rho0.dims}")
-    generator = build_liouvillian((2, 2), params, drive_on=True)
+    generator = build_liouvillian(rho0.dims, params, drive_on=True)
     driven = evolve(rho0, generator, params.T)
     return dephasing_fixed_point(driven)
 

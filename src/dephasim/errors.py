@@ -10,11 +10,7 @@ class DimensionMismatchError(DephasimError):
 
 
 class UnsupportedDimensionError(DephasimError):
-    """Requested subsystem dimension is outside the supported set {2, 3}."""
-
-
-class DriveNotSupportedError(DephasimError):
-    """The local drive is only implemented for qubit pairs."""
+    """The operation is not available for these subsystem dimensions."""
 
 
 class ParseError(DephasimError):

@@ -23,7 +23,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # Looser than the Hermiticity tolerance so propagator rounding never trips it.
 POSITIVITY_FLOOR = -1e-9
-NORM_TOL = 1e-10
 
 # Single-subsystem level labels, highest angular-momentum projection first.
 _ALPHABETS = {2: {"1": 0, "0": 1}, 3: {"1": 0, "0": 1, "-1": 2}}
@@ -45,7 +44,8 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amp)
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
+        # |psi|^2 is the trace of |psi><psi|, so it shares the trace tolerance.
+        if not abs(norm_sq - 1.0) <= TRACE_TOL:
             raise ZeroNormError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
 
 
@@ -82,7 +82,14 @@ class DensityMatrix:
 
 def validate(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the matrix on success."""
-    return DensityMatrix(np.asarray(matrix, dtype=complex), dims)
+    return DensityMatrix(matrix, dims)
+
+
+def _trusted(cls, **fields):
+    """Build a frozen dataclass from fields that hold its invariants by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
@@ -163,6 +170,12 @@ def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
     return alpha1[parts[0]] * d2 + alpha2[parts[1]]
 
 
+def _finite(value: float, pos: int) -> float:
+    if not math.isfinite(value):
+        raise ParseError("coefficient does not fit a float", pos)
+    return value
+
+
 class _Value(NamedTuple):
     """Intermediate parse value: a plain scalar or scalar * ket combination."""
 
@@ -229,7 +242,7 @@ class _KetParser:
             if total.is_vector():
                 total = _Value(1.0, total.materialize() + nxt.materialize())
             else:
-                total = _Value(total.scalar + nxt.scalar, None)
+                total = _Value(_finite(total.scalar + nxt.scalar, op.pos), None)
         return total
 
     def signed_term(self) -> _Value:
@@ -254,7 +267,7 @@ class _KetParser:
                 divisor = self.scalar_factor()
                 if divisor == 0:
                     raise ParseError("division by zero", tok.pos)
-                value = _Value(value.scalar / divisor, value.vector)
+                value = _Value(_finite(value.scalar / divisor, tok.pos), value.vector)
             elif tok.kind in self._FACTOR_START:
                 # adjacency acts as multiplication, e.g. "0.5|11>"
                 value = self._multiply(value, self.factor(), tok.pos)
@@ -266,7 +279,7 @@ class _KetParser:
         if left.is_vector() and right.is_vector():
             raise ParseError("cannot multiply two kets", pos)
         vector = left.vector if left.is_vector() else right.vector
-        return _Value(left.scalar * right.scalar, vector)
+        return _Value(_finite(left.scalar * right.scalar, pos), vector)
 
     def factor(self) -> _Value:
         tok = self.peek()
@@ -290,7 +303,7 @@ class _KetParser:
     def scalar_factor(self) -> float:
         tok = self.take()
         if tok.kind == "number":
-            return float(tok.text)
+            return _finite(float(tok.text), tok.pos)
         if tok.kind == "sqrt":
             if self.peek().kind != "lparen":
                 raise ParseError("expected '(' after sqrt", self.peek().pos)
@@ -302,7 +315,7 @@ class _KetParser:
             if self.peek().kind != "rparen":
                 raise ParseError("unclosed '(' after sqrt", tok.pos)
             self.take()
-            return math.sqrt(float(arg.text))
+            return math.sqrt(_finite(float(arg.text), arg.pos))
         raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
 
 

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim import (
-    DriveNotSupportedError,
     DephasimError,
     ModelParams,
     NotXFormError,
@@ -66,13 +65,18 @@ def test_model_params_reject_non_finite(field, value):
 @example(omega1=0.0)
 @example(omega1=1.5e-323)  # subnormal drive: rounding follows the factor order
 def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
+    # build_liouvillian skips the Superoperator trace check, so this pins that
+    # <<I| L is exactly zero for every build: the generator is trace-preserving.
     params = ModelParams(omega1=omega1)
     for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
         got = build_liouvillian(dims, params, drive_on=drive).matrix
         want = kronecker_liouvillian(dims, omega1, 1.0, drive)
+        assert got.dtype == np.complex128
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
         assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        vec_id = np.eye(dims[0] * dims[1]).reshape(-1, order="F")
+        assert not np.any(vec_id @ got)
 
 
 def test_superoperator_rejects_nan_generator():
@@ -89,8 +93,10 @@ def test_liouvillian_preserves_trace():
 
 
 def test_liouvillian_rejects_qutrit_drive():
-    with pytest.raises(DriveNotSupportedError):
+    with pytest.raises(UnsupportedDimensionError):
         build_liouvillian((3, 3), ModelParams(omega1=1.0), drive_on=True)
+    with pytest.raises(UnsupportedDimensionError):
+        stationary_state(validate(np.eye(9) / 9, (3, 3)), ModelParams(omega1=1.0, T=0.5))
 
 
 def test_drive_off_equals_zero_intensity_drive():
@@ -195,10 +201,18 @@ def test_qutrit_fixed_point_block_structure():
                 assert projected[i, j] == rho.matrix[i, j]
 
 
-@given(dims=st.sampled_from([(2, 2), (3, 3)]), seed=st.integers(0, 2**32 - 1))
-def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed):
-    rho = validate(random_density(np.random.default_rng(seed), dims[0] * dims[1]), dims)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 9),
+)
+def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
+    dim = dims[0] * dims[1]
+    # rank below dim draws states whose least eigenvalue is 0
+    rho = validate(random_density(np.random.default_rng(seed), dim, min(rank, dim)), dims)
     projected = dephasing_fixed_point(rho)
+    # dephasing_fixed_point skips validation; the projection must still pass it
+    validate(projected.matrix, dims)
     levels = np.diag(collective_jz(dims))
     same_level = levels[:, None] == levels[None, :]
     assert np.array_equal(projected.matrix[same_level], rho.matrix[same_level])

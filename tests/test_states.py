@@ -84,6 +84,21 @@ def test_parse_rejects_garbage():
             parse_ket_expression(text, (2, 2))
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("9" * 400 + "|10>", 0),  # the numeral itself does not fit a float
+        ("sqrt(" + "9" * 400 + ")|10>", 5),
+        ("1" + "0" * 300 + "*" + "1" + "0" * 300 + "|10>", 301),  # the product overflows at '*'
+    ],
+    ids=["numeral", "sqrt-numeral", "product"],
+)
+def test_parse_rejects_overflowing_coefficients(text, position):
+    with pytest.raises(ParseError, match="does not fit a float") as excinfo:
+        parse_ket_expression(text, (2, 2))
+    assert excinfo.value.position == position
+
+
 def test_parser_is_total_on_random_garbage():
     rng = np.random.default_rng(21)
     pool = list("()|><+-*/sqrt 0123456789.,")

@@ -349,3 +349,13 @@ def test_cli_config_file_rejects_mode_key(tmp_path, capsys):
     argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
     assert main(argv) == 1
     assert "unknown config key 'mode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["omega_ratio", "gamma_t_max", "samples"])
+def test_cli_qutrit_config_file_rejects_sweep_only_keys(tmp_path, capsys, key):
+    # qutrit has no flag for the sweep-only keys, so its config file may not set them
+    config_path = tmp_path / "qutrit.cfg"
+    config_path.write_text(f"initial_state = |0,0>\n{key} = 2\n")
+    argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
+    assert main(argv) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from .errors import (
     DephasimError,
     DimensionMismatchError,
     NotXFormError,
+    TraceNotOneError,
     UnsupportedDimensionError,
 )
 from .linalg import matrix_exponential
@@ -182,7 +183,19 @@ def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMa
             f"state dim {rho0.dim} does not match generator dim {generator.dim}"
         )
     propagator = matrix_exponential(generator.matrix * t)
-    return DensityMatrix(_unvec(propagator @ _vec(rho0.matrix), generator.dim), rho0.dims)
+    out = _unvec(propagator @ _vec(rho0.matrix), generator.dim)
+    try:
+        return DensityMatrix(out, rho0.dims)
+    except TraceNotOneError:
+        # exp(L t) preserves trace exactly (<<I| L = 0), but scaling and squaring
+        # drifts as ||L t|| grows (Al-Mohy & Higham 2009), shrinking or growing
+        # the slow modes by a common factor. Restore a real unit trace only
+        # here, where the state was rejected, and check it all again.
+        out = (out + out.conj().T) / 2
+        trace = np.trace(out).real
+        if not trace > 0:
+            raise
+        return DensityMatrix(out / trace, rho0.dims)
 
 
 def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a general square complex matrix via scaling and squaring."""
+    """exp(m) of a general square complex matrix via scaling and squaring.
+
+    scipy is imported here, not at module load: only propagation needs it,
+    so processes that never propagate (qutrit, compare) never load it.
+    """
+    import scipy.linalg
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")

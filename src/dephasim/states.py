@@ -24,6 +24,10 @@ TRACE_TOL = 1e-10
 # Looser than the Hermiticity tolerance so propagator rounding never trips it.
 POSITIVITY_FLOOR = -1e-9
 
+# Amplitudes whose squares sum without underflow or overflow; outside this
+# range the parser rescales by the largest amplitude before normalizing.
+_SAFE_AMPLITUDES = (1e-150, 1e150)
+
 # Single-subsystem level labels, highest angular-momentum projection first.
 _ALPHABETS = {2: {"1": 0, "0": 1}, 3: {"1": 0, "0": 1, "-1": 2}}
 
@@ -177,16 +181,25 @@ def _finite(value: float, pos: int) -> float:
 
 
 class _Value(NamedTuple):
-    """Intermediate parse value: a plain scalar or scalar * ket combination."""
+    """Intermediate parse value: a plain scalar or scalar * ket combination.
+
+    `peak` holds, per amplitude, the largest ket term summed into `vector`, so
+    `abs(scalar) * peak` is the scale against which that amplitude counts as
+    cancelled.
+    """
 
     scalar: complex
     vector: np.ndarray | None
+    peak: np.ndarray | None = None
 
     def is_vector(self) -> bool:
         return self.vector is not None
 
     def materialize(self) -> np.ndarray:
         return self.scalar * self.vector
+
+    def scale(self) -> np.ndarray:
+        return abs(self.scalar) * self.peak
 
 
 class _KetParser:
@@ -221,14 +234,14 @@ class _KetParser:
         self.i += 1
         return tok
 
-    def parse(self) -> np.ndarray:
+    def parse(self) -> _Value:
         value = self.sum()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
         if not value.is_vector():
             raise ParseError("expression contains no ket", 0)
-        return value.materialize()
+        return value
 
     def sum(self) -> _Value:
         total = self.signed_term()
@@ -236,11 +249,15 @@ class _KetParser:
             op = self.take()
             nxt = self.term()
             if op.kind == "minus":
-                nxt = _Value(-nxt.scalar, nxt.vector)
+                nxt = nxt._replace(scalar=-nxt.scalar)
             if total.is_vector() != nxt.is_vector():
                 raise ParseError("cannot add a ket term and a bare number", op.pos)
             if total.is_vector():
-                total = _Value(1.0, total.materialize() + nxt.materialize())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vector = total.materialize() + nxt.materialize()
+                if not np.all(np.isfinite(vector)):
+                    raise ParseError("coefficient does not fit a float", op.pos)
+                total = _Value(1.0, vector, np.maximum(total.scale(), nxt.scale()))
             else:
                 total = _Value(_finite(total.scalar + nxt.scalar, op.pos), None)
         return total
@@ -251,7 +268,7 @@ class _KetParser:
             if self.take().kind == "minus":
                 sign = -1.0
         value = self.term()
-        return _Value(sign * value.scalar, value.vector)
+        return value._replace(scalar=sign * value.scalar)
 
     def term(self) -> _Value:
         value = self.factor()
@@ -267,7 +284,7 @@ class _KetParser:
                 divisor = self.scalar_factor()
                 if divisor == 0:
                     raise ParseError("division by zero", tok.pos)
-                value = _Value(_finite(value.scalar / divisor, tok.pos), value.vector)
+                value = value._replace(scalar=_finite(value.scalar / divisor, tok.pos))
             elif tok.kind in self._FACTOR_START:
                 # adjacency acts as multiplication, e.g. "0.5|11>"
                 value = self._multiply(value, self.factor(), tok.pos)
@@ -278,8 +295,8 @@ class _KetParser:
     def _multiply(left: _Value, right: _Value, pos: int) -> _Value:
         if left.is_vector() and right.is_vector():
             raise ParseError("cannot multiply two kets", pos)
-        vector = left.vector if left.is_vector() else right.vector
-        return _Value(_finite(left.scalar * right.scalar, pos), vector)
+        ket = left if left.is_vector() else right
+        return ket._replace(scalar=_finite(left.scalar * right.scalar, pos))
 
     def factor(self) -> _Value:
         tok = self.peek()
@@ -290,7 +307,7 @@ class _KetParser:
             d1, d2 = self.dims
             vec = np.zeros(d1 * d2, dtype=complex)
             vec[_ket_index(tok.text, self.dims, tok.pos)] = 1.0
-            return _Value(1.0, vec)
+            return _Value(1.0, vec, np.abs(vec))
         if tok.kind == "lparen":
             self.take()
             inner = self.sum()
@@ -330,8 +347,15 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> StateVector:
     d1, d2 = dims
     if d1 not in _ALPHABETS or d2 not in _ALPHABETS:
         raise ValueError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
-    vec = _KetParser(_tokenize(text), dims).parse()
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
+    value = _KetParser(_tokenize(text), dims).parse()
+    vec = value.materialize()
+    # An amplitude cancels when it is rounding noise against the largest ket
+    # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
+    if not np.any(np.abs(vec) > 1e-12 * value.scale()):
         raise ZeroNormError(f"all amplitudes cancel in {text!r}")
-    return StateVector(vec / norm, dims)
+    largest = float(np.max(np.abs(vec)))
+    if not _SAFE_AMPLITUDES[0] < largest < _SAFE_AMPLITUDES[1]:
+        # The norm's sum of squares would underflow or overflow. The parser's
+        # amplitudes are real, and real division stays finite for subnormals.
+        vec = vec.real / largest
+    return StateVector(vec / float(np.linalg.norm(vec)), dims)

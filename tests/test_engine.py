@@ -9,6 +9,7 @@ from dephasim import (
     NotXFormError,
     StationaryXForm,
     Superoperator,
+    TraceNotOneError,
     UnsupportedDimensionError,
     build_liouvillian,
     collective_jz,
@@ -234,6 +235,35 @@ def test_stationary_state_matches_rk4_oracle():
         ours = stationary_state(rho0, ModelParams(omega1=31.25, T=gamma_t)).matrix
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "ket, driven_limit",
+    [
+        ("(|10> - |01>)/sqrt(2)", np.eye(4) / 4),
+        ("(|11> + |00>)/sqrt(2)", np.eye(4) / 4),
+        ("|11>", np.diag([0.5, 0.0, 0.5, 0.0])),  # the drive never flips qubit 2
+    ],
+    ids=["robust", "fragile", "11"],
+)
+def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
+    # Up to ||L T|| ~ 1e10, where scaling and squaring drifts the trace of
+    # exp(L T) rho0 by up to 1.5e-7 before evolve restores it.
+    rho0 = pure_density(parse_ket_expression(ket, (2, 2)))
+    for omega1 in (0.0, 31.25, 100.0, 1e3, 1e4):
+        # Without the drive only the dephasing fixed point of rho0 is left.
+        limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
+        for t in (1e2, 1e3, 1e4, 1e5, 1e6):
+            rho = stationary_state(rho0, ModelParams(omega1=omega1, T=t))
+            assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
+
+
+def test_long_pulse_with_a_vanished_trace_stays_an_error():
+    # At omega1 * T = 1e20 exp(L T) rho0 rounds to zero: there is no trace to
+    # restore, so evolve re-raises instead of dividing by zero.
+    rho0 = pure_density(parse_ket_expression("|11>", (2, 2)))
+    with pytest.raises(TraceNotOneError):
+        stationary_state(rho0, ModelParams(omega1=1e8, T=1e12))
 
 
 def test_extract_xform_values():

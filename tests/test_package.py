@@ -1,5 +1,94 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import dephasim
+from dephasim.cli import main
+from dephasim.sweep import CSV_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the CLI in a fresh interpreter exactly as `python -m dephasim.cli` does
+# (or, with no arguments, only imports the package), then prints the exit code
+# and whether scipy was loaded as the last line of stdout.
+_PROBE = """
+import runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("dephasim.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import dephasim
+print(code, "scipy" in sys.modules)
+"""
+
+
+def _fresh(args, cwd):
+    """Exit code, scipy-loaded flag and stdout of one cold dephasim process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    *output, last = proc.stdout.splitlines()
+    code, loaded = last.split()
+    return int(code), loaded == "True", "\n".join(output)
 
 
 def test_every_public_name_resolves():
     assert [name for name in dephasim.__all__ if not hasattr(dephasim, name)] == []
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    assert _fresh([], tmp_path) == (0, False, "")
+
+
+def test_cold_qutrit_leaves_scipy_unloaded(tmp_path):
+    report = tmp_path / "report.txt"
+    code, loaded, _ = _fresh(
+        ["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(report)],
+        tmp_path,
+    )
+    assert (code, loaded) == (0, False)
+    assert "sufficient_entangled = true" in report.read_text()
+
+
+def test_cold_compare_leaves_scipy_unloaded(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n")
+    b.write_text(f"{CSV_HEADER}\n0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n")
+    code, loaded, out = _fresh(["compare", "--a", str(a), "--b", str(b)], tmp_path)
+    assert (code, loaded) == (0, False)
+    assert "simultaneously entangled: 1" in out
+
+
+def test_cold_sweep_with_malformed_ket_leaves_scipy_unloaded(tmp_path):
+    out = tmp_path / "never.csv"
+    code, loaded, _ = _fresh(
+        ["sweep", "--initial-state", "(|10> - |01>", "--omega-ratio", "31.25",
+         "--gamma-t-max", "1", "--samples", "3", "--output", str(out)],
+        tmp_path,
+    )
+    assert (code, loaded) == (1, False)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
+def test_cold_sweep_loads_scipy_and_matches_in_process_bytes(tmp_path, ket):
+    args = ["sweep", "--initial-state", ket, "--omega-ratio", "31.25",
+            "--gamma-t-max", "4", "--samples", "3", "--output"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    code, loaded, _ = _fresh(args + [str(cold)], tmp_path)
+    assert (code, loaded) == (0, True)
+    assert main(args + [str(warm)]) == 0
+    assert cold.read_bytes() == warm.read_bytes()

@@ -78,6 +78,38 @@ def test_parse_zero_norm():
         parse_ket_expression("|10> - |10>", (2, 2))
 
 
+_BIG = "1" + "0" * 200  # 1e200: its square overflows a float
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_BIG + "|10>", [0, 1, 0, 0]),
+        (_BIG + "|10> + " + _BIG + "|01>", [0, 1, 1, 0]),
+        ("0.0000000000001|10>", [0, 1, 0, 0]),
+        ("0." + "0" * 320 + "1|10>", [0, 1, 0, 0]),  # subnormal: its square underflows
+    ],
+    ids=["1e200", "1e200-pair", "1e-13", "subnormal"],
+)
+def test_parse_normalizes_extreme_amplitudes(text, expected):
+    psi = parse_ket_expression(text, (2, 2))
+    assert np.max(np.abs(psi.amplitudes - np.array(expected) / np.linalg.norm(expected))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "text", ["0.1|10> + 0.2|10> - 0.3|10>", "0.0000000000001*(|10> - |10>)", "0|10>"]
+)
+def test_parse_cancellation_is_relative_to_the_summed_terms(text):
+    with pytest.raises(ZeroNormError):
+        parse_ket_expression(text, (2, 2))
+
+
+def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
+    # Each amplitude is judged against the terms summed into it, not the largest term.
+    psi = parse_ket_expression(_BIG + "|10> - " + _BIG + "|10> + |01>", (2, 2))
+    assert np.array_equal(psi.amplitudes, [0, 0, 1, 0])
+
+
 def test_parse_rejects_garbage():
     for text in ("", "0.5", "|10> |01>", "|10> + 2", "foo", "|10", "1/0*|10>", "(|10>))"):
         with pytest.raises((ParseError, ZeroNormError)):
@@ -90,8 +122,9 @@ def test_parse_rejects_garbage():
         ("9" * 400 + "|10>", 0),  # the numeral itself does not fit a float
         ("sqrt(" + "9" * 400 + ")|10>", 5),
         ("1" + "0" * 300 + "*" + "1" + "0" * 300 + "|10>", 301),  # the product overflows at '*'
+        ("9" * 308 + "|10> + " + "9" * 308 + "|10>", 313),  # the ket sum overflows at '+'
     ],
-    ids=["numeral", "sqrt-numeral", "product"],
+    ids=["numeral", "sqrt-numeral", "product", "ket-sum"],
 )
 def test_parse_rejects_overflowing_coefficients(text, position):
     with pytest.raises(ParseError, match="does not fit a float") as excinfo:

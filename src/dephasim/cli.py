@@ -88,7 +88,7 @@ _CONFIG_KEYS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> SweepConfig:
+def _merge_config(args: argparse.Namespace) -> dict[str, object]:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
@@ -104,14 +104,12 @@ def _merge_config(args: argparse.Namespace) -> SweepConfig:
     if "output" not in merged:
         raise _UsageError("an output path is required (flag --output or config file)")
     merged["output_path"] = merged.pop("output")
-    try:
-        return SweepConfig(**merged)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return merged
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+    # main reports SweepConfig's ValueError as a usage error.
+    config = SweepConfig(**_merge_config(args))
     result = run_sweep(config)
     write_csv(result, config.output_path)
     print(
@@ -123,10 +121,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_qutrit(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    report = run_qutrit_scan(config)
+    report = run_qutrit_scan(config["initial_state"], config["output_path"])
     verdict = "entangled" if report.sufficient_entangled else "not detected"
     print(
-        f"wrote {config.output_path} (stationary state {verdict}, "
+        f"wrote {config['output_path']} (stationary state {verdict}, "
         f"min PT eigenvalue {report.min_pt_eigenvalue:.6g})"
     )
     return EXIT_OK

@@ -34,6 +34,11 @@ TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Drive ratio omega1 = Omega_1/gamma and scaled action time T = gamma*T.
@@ -45,12 +50,8 @@ class ModelParams:
     T: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise ValueError(f"action time T must be finite and nonnegative, got {self.T!r}")
-        if not (math.isfinite(self.omega1) and self.omega1 >= 0):
-            raise ValueError(
-                f"drive ratio omega1 must be finite and nonnegative, got {self.omega1!r}"
-            )
+        _require_nonnegative("action time T", self.T)
+        _require_nonnegative("drive ratio omega1", self.omega1)
 
 
 @dataclass(frozen=True)
@@ -58,20 +59,23 @@ class Superoperator:
     """Generator (or propagator) acting on column-vectorized density matrices."""
 
     matrix: np.ndarray
-    dim: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise DimensionMismatchError(
-                f"superoperator shape {m.shape} does not match dim {self.dim}"
-            )
+        side = math.isqrt(len(m)) if m.ndim == 2 else 0
+        if side == 0 or m.shape != (side**2, side**2):
+            raise DimensionMismatchError(f"superoperator shape {m.shape} is not n^2 x n^2")
         object.__setattr__(self, "matrix", m)
         # <<I| L = 0 is trace preservation for the vectorized generator.
         vec_id = np.eye(self.dim, dtype=complex).reshape(-1, order="F")
         residual = float(np.max(np.abs(vec_id.conj() @ m)))
         if not residual <= TRACE_PRESERVATION_TOL:
             raise DephasimError(f"generator is not trace-preserving: residual {residual:.3e}")
+
+    @property
+    def dim(self) -> int:
+        """Side of the density matrices the superoperator acts on."""
+        return math.isqrt(self.matrix.shape[0])
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,6 @@ class StationaryXForm:
             raise NotXFormError(
                 f"coherence |f|^2 = {abs(self.f)**2!r} exceeds b*c = {self.b * self.c!r}"
             )
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    # Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
-    return rho.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
 
 
 class _PairTable(NamedTuple):
@@ -156,34 +151,36 @@ def collective_jz(dims: tuple[int, int]) -> np.ndarray:
     return np.diag(_pair(dims).levels)
 
 
-def build_liouvillian(
-    dims: tuple[int, int], params: ModelParams, drive_on: bool = False
-) -> Superoperator:
-    """Vectorized generator of collective dephasing, optionally with the party-1 drive.
+def build_liouvillian(dims: tuple[int, int], omega1: float | None = None) -> Superoperator:
+    """Vectorized generator of collective dephasing, plus the party-1 drive when omega1 is given.
 
     In units of 1/gamma the drive term is -i/2 * omega1 [sx_1, rho] and the
-    dephasing term is (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2.
+    dephasing term is (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2. omega1=None
+    leaves the drive out; omega1=0.0 adds it with zero intensity.
     """
     pair = _pair(dims)
-    if drive_on and dims != (2, 2):
-        raise UnsupportedDimensionError(f"the local drive needs qubit dims, got {dims}")
     gen = pair.dephasing.copy()
-    if drive_on:
-        gen += 0.5 * params.omega1 * _DRIVE_COMMUTATOR
+    if omega1 is not None:
+        if dims != (2, 2):
+            raise UnsupportedDimensionError(f"the local drive needs qubit dims, got {dims}")
+        _require_nonnegative("drive ratio omega1", omega1)
+        gen += 0.5 * omega1 * _DRIVE_COMMUTATOR
     # <<I| annihilates both tables exactly, so the sum is trace-preserving as built.
-    return _trusted(Superoperator, matrix=gen, dim=len(pair.levels))
+    return _trusted(Superoperator, matrix=gen)
 
 
 def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:
     """Propagate exactly: unvec(exp(L t) vec(rho0))."""
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    _require_nonnegative("time", t)
     if rho0.dim != generator.dim:
         raise DimensionMismatchError(
             f"state dim {rho0.dim} does not match generator dim {generator.dim}"
         )
-    propagator = matrix_exponential(generator.matrix * t)
-    out = _unvec(propagator @ _vec(rho0.matrix), generator.dim)
+    # An exponential that overflows (omega1 * t ~ 1e20) fails the state check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagator = matrix_exponential(generator.matrix * t)
+        vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
+        out = vec.reshape(rho0.matrix.shape, order="F")
     try:
         return DensityMatrix(out, rho0.dims)
     except TraceNotOneError:
@@ -211,15 +208,9 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
 
 def stationary_state(rho0: DensityMatrix, params: ModelParams) -> DensityMatrix:
     """Stationary state after driving for the scaled time T and dephasing forever."""
-    generator = build_liouvillian(rho0.dims, params, drive_on=True)
+    generator = build_liouvillian(rho0.dims, params.omega1)
     driven = evolve(rho0, generator, params.T)
     return dephasing_fixed_point(driven)
-
-
-# Positions allowed to be nonzero in the stationary form (diagonal + central coherence).
-_X_MASK = np.zeros((4, 4), dtype=bool)
-_X_MASK[np.arange(4), np.arange(4)] = True
-_X_MASK[1, 2] = _X_MASK[2, 1] = True
 
 
 def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
@@ -231,7 +222,8 @@ def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
     if rho_s.dims != (2, 2):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho_s.dims}")
     m = rho_s.matrix
-    residual = float(np.max(np.abs(m[~_X_MASK])))
+    # The X-form is what collective dephasing keeps of a qubit pair.
+    residual = float(np.max(np.abs(m[~_pair((2, 2)).fixed_mask])))
     if not residual <= _XFORM_RESIDUAL_TOL:
         raise NotXFormError(f"off-form residual {residual:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
     return StationaryXForm(

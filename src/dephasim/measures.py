@@ -144,9 +144,10 @@ def mutual_information_xform(x: StationaryXForm) -> float:
     return float(value)
 
 
-def min_pt_eigenvalue(rho: DensityMatrix, sub: int = 2) -> float:
+def min_pt_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, sub, rho.dims))[0])
+    # The two partial transposes are transposes of each other: one spectrum.
+    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, 2, rho.dims))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,5 +224,5 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
         pt_block_plus_negative=plus_negative,
         pt_block_minus_negative=minus_negative,
         sufficient_entangled=cubic_negative or plus_negative or minus_negative,
-        min_pt_eigenvalue=min_pt_eigenvalue(rho, sub=2),
+        min_pt_eigenvalue=min_pt_eigenvalue(rho),
     )

@@ -180,6 +180,14 @@ def _finite(value: float, pos: int) -> float:
     return value
 
 
+def _numeral(tok: _Token) -> float:
+    value = float(tok.text)
+    # A nonzero numeral that underflows to 0.0 does not fit, like one that overflows.
+    if value == 0 and tok.text.strip("0."):
+        raise ParseError("coefficient does not fit a float", tok.pos)
+    return _finite(value, tok.pos)
+
+
 class _Value(NamedTuple):
     """Intermediate parse value: a plain scalar or scalar * ket combination.
 
@@ -320,7 +328,7 @@ class _KetParser:
     def scalar_factor(self) -> float:
         tok = self.take()
         if tok.kind == "number":
-            return _finite(float(tok.text), tok.pos)
+            return _numeral(tok)
         if tok.kind == "sqrt":
             if self.peek().kind != "lparen":
                 raise ParseError("expected '(' after sqrt", self.peek().pos)
@@ -332,7 +340,7 @@ class _KetParser:
             if self.peek().kind != "rparen":
                 raise ParseError("unclosed '(' after sqrt", tok.pos)
             self.take()
-            return math.sqrt(_finite(float(arg.text), arg.pos))
+            return math.sqrt(_numeral(arg))
         raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
 
 

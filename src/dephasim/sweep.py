@@ -29,7 +29,7 @@ CSV_HEADER = "gamma_T,concurrence,mutual_information"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Inputs of one sweep or criterion run."""
+    """Inputs of one sweep."""
 
     initial_state: str
     omega_ratio: float = 31.25
@@ -231,16 +231,15 @@ def read_csv(path: str) -> SweepResult:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def run_qutrit_scan(config: SweepConfig) -> CriterionReport:
+def run_qutrit_scan(initial_state: str, output_path: str | None = None) -> CriterionReport:
     """Dephase the initial two-qutrit state and evaluate the entanglement criterion.
 
-    When `config.output_path` is set, the report is written there as
-    `key = value` lines.
+    When `output_path` is set, the report is written there as `key = value` lines.
     """
-    rho0 = pure_density(parse_ket_expression(config.initial_state, (3, 3)))
+    rho0 = pure_density(parse_ket_expression(initial_state, (3, 3)))
     report = qutrit_sufficient_entangled(dephasing_fixed_point(rho0))
-    if config.output_path is not None:
-        write_criterion_report(report, config.initial_state, config.output_path)
+    if output_path is not None:
+        write_criterion_report(report, initial_state, output_path)
     return report
 
 

@@ -107,7 +107,7 @@ def test_criterion_1_bell_state_classification():
 def test_criterion_2_analytic_dephasing_decay():
     crit = Criterion("2 analytic dephasing decay", 1.0)
     rho0 = pure_density(parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2)))
-    generator = build_liouvillian((2, 2), ModelParams(omega1=0.0))
+    generator = build_liouvillian((2, 2))
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
         coherence = abs(evolve(rho0, generator, gamma_t).matrix[0, 3])
         crit.check(

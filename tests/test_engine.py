@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from dephasim import (
     DephasimError,
+    DimensionMismatchError,
     ModelParams,
+    NotHermitianError,
     NotXFormError,
     StationaryXForm,
     Superoperator,
@@ -57,6 +59,12 @@ def test_model_params_reject_non_finite(field, value):
         ModelParams(**{"omega1": 1.0, field: value})
 
 
+@pytest.mark.parametrize("omega1", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_liouvillian_rejects_bad_drive(omega1):
+    with pytest.raises(ValueError, match=r"\bomega1 must be finite and nonnegative"):
+        build_liouvillian((2, 2), omega1)
+
+
 # Bounded so that every generator entry, at most 8 or omega1 / 2 in magnitude,
 # stays finite; subnormal values are included.
 @settings(deadline=None)
@@ -68,9 +76,8 @@ def test_model_params_reject_non_finite(field, value):
 def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
     # build_liouvillian skips the Superoperator trace check, so this pins that
     # <<I| L is exactly zero for every build: the generator is trace-preserving.
-    params = ModelParams(omega1=omega1)
     for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
-        got = build_liouvillian(dims, params, drive_on=drive).matrix
+        got = build_liouvillian(dims, omega1 if drive else None).matrix
         want = kronecker_liouvillian(dims, omega1, 1.0, drive)
         assert got.dtype == np.complex128
         assert np.array_equal(got, want)
@@ -82,33 +89,41 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
 
 def test_superoperator_rejects_nan_generator():
     with pytest.raises(DephasimError, match="not trace-preserving"):
-        Superoperator(np.full((16, 16), np.nan), 4)
+        Superoperator(np.full((16, 16), np.nan))
+
+
+@pytest.mark.parametrize(
+    "shape", [(15, 15), (16, 8), (16,), (0, 0)], ids=["15x15", "16x8", "vector", "empty"]
+)
+def test_superoperator_rejects_non_square_of_square_shapes(shape):
+    with pytest.raises(DimensionMismatchError, match="is not n\\^2 x n\\^2"):
+        Superoperator(np.zeros(shape))
 
 
 def test_liouvillian_preserves_trace():
     # the generator annihilates <<I| from the left for every supported build
-    for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
-        gen = build_liouvillian(dims, ModelParams(omega1=31.25), drive_on=drive)
+    for dims, omega1 in (((2, 2), None), ((2, 2), 31.25), ((3, 3), None)):
+        gen = build_liouvillian(dims, omega1)
         vec_id = np.eye(gen.dim).reshape(-1, order="F")
         assert np.max(np.abs(vec_id @ gen.matrix)) <= 1e-12
 
 
 def test_liouvillian_rejects_qutrit_drive():
     with pytest.raises(UnsupportedDimensionError):
-        build_liouvillian((3, 3), ModelParams(omega1=1.0), drive_on=True)
+        build_liouvillian((3, 3), 1.0)
     with pytest.raises(UnsupportedDimensionError):
         stationary_state(validate(np.eye(9) / 9, (3, 3)), ModelParams(omega1=1.0, T=0.5))
 
 
 def test_drive_off_equals_zero_intensity_drive():
-    off = build_liouvillian((2, 2), ModelParams(omega1=0.0), drive_on=False)
-    on = build_liouvillian((2, 2), ModelParams(omega1=0.0), drive_on=True)
+    off = build_liouvillian((2, 2))
+    on = build_liouvillian((2, 2), 0.0)
     assert np.array_equal(off.matrix, on.matrix)
 
 
 def test_dephasing_rate_of_outer_coherence():
     # |11><00| connects total-spin projections +1 and -1, so it decays at 2*gamma
-    gen = build_liouvillian((2, 2), ModelParams(omega1=0.0))
+    gen = build_liouvillian((2, 2))
     rho0 = bell("psi+")
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
         rho_t = evolve(rho0, gen, gamma_t)
@@ -116,7 +131,7 @@ def test_dephasing_rate_of_outer_coherence():
 
 
 def test_propagator_matches_taylor_series_path():
-    gen = build_liouvillian((2, 2), ModelParams(omega1=3.0), drive_on=True)
+    gen = build_liouvillian((2, 2), 3.0)
     rho0 = bell("psi+")
     t = 0.7
     via_series = taylor_expm(gen.matrix * t) @ rho0.matrix.reshape(-1, order="F")
@@ -125,20 +140,20 @@ def test_propagator_matches_taylor_series_path():
 
 
 def test_singlet_is_fixed_point():
-    gen = build_liouvillian((2, 2), ModelParams(omega1=0.0))
+    gen = build_liouvillian((2, 2))
     rho = bell("phi-")
     assert np.max(np.abs(gen.matrix @ rho.matrix.reshape(-1, order="F"))) <= 1e-12
     assert np.array_equal(dephasing_fixed_point(rho).matrix, rho.matrix)
 
 
 def test_evolve_identity_at_zero_time():
-    gen = build_liouvillian((2, 2), ModelParams(omega1=31.25), drive_on=True)
+    gen = build_liouvillian((2, 2), 31.25)
     rho = bell("phi+")
     assert np.array_equal(evolve(rho, gen, 0.0).matrix, rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
-    gen = build_liouvillian((2, 2), ModelParams(omega1=0.0))
+    gen = build_liouvillian((2, 2))
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
     for t in (0.3, 2.0, 7.0):
         assert np.max(np.abs(evolve(rho, gen, t).matrix - rho.matrix)) <= 1e-12
@@ -146,7 +161,7 @@ def test_diagonal_states_are_invariant():
 
 def test_semigroup_property():
     rng = np.random.default_rng(31)
-    gen = build_liouvillian((2, 2), ModelParams(omega1=31.25), drive_on=True)
+    gen = build_liouvillian((2, 2), 31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
         two_step = evolve(evolve(rho, gen, t1), gen, t2).matrix
@@ -156,7 +171,7 @@ def test_semigroup_property():
 
 def test_purity_non_increasing_without_drive():
     rng = np.random.default_rng(32)
-    gen = build_liouvillian((2, 2), ModelParams(omega1=0.0))
+    gen = build_liouvillian((2, 2))
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
     purities = [
         np.trace((m := evolve(rho, gen, t).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
@@ -167,7 +182,7 @@ def test_purity_non_increasing_without_drive():
 def test_fixed_point_matches_long_time_limit():
     rng = np.random.default_rng(33)
     for dims in ((2, 2), (3, 3)):
-        gen = build_liouvillian(dims, ModelParams(omega1=0.0))
+        gen = build_liouvillian(dims)
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
         longtime = evolve(rho, gen, 50.0)
@@ -264,6 +279,15 @@ def test_long_pulse_with_a_vanished_trace_stays_an_error():
     rho0 = pure_density(parse_ket_expression("|11>", (2, 2)))
     with pytest.raises(TraceNotOneError):
         stationary_state(rho0, ModelParams(omega1=1e8, T=1e12))
+
+
+def test_overflowing_propagator_is_a_typed_error_without_warnings():
+    # At omega1 * T = 1e20 scaling and squaring overflows to inf and NaN; the
+    # suite turns numpy's RuntimeWarnings into errors, so this also pins that
+    # none is emitted before the state check rejects the result.
+    rho0 = pure_density(parse_ket_expression("|10>", (2, 2)))
+    with pytest.raises(NotHermitianError):
+        stationary_state(rho0, ModelParams(omega1=1e10, T=1e10))
 
 
 def test_extract_xform_values():

@@ -92,3 +92,21 @@ def test_cold_sweep_loads_scipy_and_matches_in_process_bytes(tmp_path, ket):
     assert (code, loaded) == (0, True)
     assert main(args + [str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
+
+
+def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
+    # A fresh process uses Python's default warning filters, so any numpy
+    # RuntimeWarning would reach stderr ahead of the typed error.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dephasim.cli", "sweep", "--initial-state", "|10>",
+         "--omega-ratio", "1e10", "--gamma-t-max", "1e10", "--samples", "3",
+         "--output", str(tmp_path / "x.csv")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("dephasim: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

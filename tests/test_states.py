@@ -123,10 +123,14 @@ def test_parse_rejects_garbage():
         ("sqrt(" + "9" * 400 + ")|10>", 5),
         ("1" + "0" * 300 + "*" + "1" + "0" * 300 + "|10>", 301),  # the product overflows at '*'
         ("9" * 308 + "|10> + " + "9" * 308 + "|10>", 313),  # the ket sum overflows at '+'
+        ("0." + "0" * 400 + "1|10>", 0),  # a nonzero numeral that underflows to 0.0
+        ("sqrt(0." + "0" * 400 + "1)|10>", 5),
+        ("|11> + 0." + "0" * 400 + "1|10>", 7),
     ],
-    ids=["numeral", "sqrt-numeral", "product", "ket-sum"],
+    ids=["numeral", "sqrt-numeral", "product", "ket-sum",
+         "underflow-numeral", "underflow-sqrt-numeral", "underflow-second-term"],
 )
-def test_parse_rejects_overflowing_coefficients(text, position):
+def test_parse_rejects_unrepresentable_coefficients(text, position):
     with pytest.raises(ParseError, match="does not fit a float") as excinfo:
         parse_ket_expression(text, (2, 2))
     assert excinfo.value.position == position

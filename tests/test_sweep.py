@@ -183,19 +183,16 @@ def test_run_sweep_rejects_other_worker_counts():
 
 def test_run_qutrit_scan_reports(tmp_path):
     path = tmp_path / "report.txt"
-    config = SweepConfig(initial_state="(|1,1> + |-1,-1>)/sqrt(2)", output_path=str(path))
-    report = run_qutrit_scan(config)
+    report = run_qutrit_scan("(|1,1> + |-1,-1>)/sqrt(2)", str(path))
     assert not report.sufficient_entangled  # the only coherence is destroyed
     text = path.read_text()
     assert "sufficient_entangled = false" in text
 
-    entangled = SweepConfig(initial_state="(|1,0> + |0,1>)/sqrt(2)")
-    report = run_qutrit_scan(entangled)
+    report = run_qutrit_scan("(|1,0> + |0,1>)/sqrt(2)")
     assert report.sufficient_entangled
     assert abs(report.min_pt_eigenvalue + 0.5) <= 1e-12
 
-    product = SweepConfig(initial_state="|0,0>")
-    assert not run_qutrit_scan(product).sufficient_entangled
+    assert not run_qutrit_scan("|0,0>").sufficient_entangled
 
 
 def test_sweep_config_validation():

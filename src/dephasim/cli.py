@@ -10,6 +10,7 @@ from .sweep import (
     SweepConfig,
     compare_windows,
     read_csv,
+    read_text_lines,
     run_qutrit_scan,
     run_sweep,
     write_csv,
@@ -64,17 +65,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Map each key of a config file to its line number and raw value."""
+    entries: dict[str, tuple[int, str]] = {}
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = (lineno, value.strip())
     return entries
 
 
@@ -91,10 +92,13 @@ _CONFIG_KEYS = {
 def _merge_config(args: argparse.Namespace) -> dict[str, object]:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
+        for key, (lineno, value) in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS or not hasattr(args, key):
                 raise _UsageError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](value)
+            try:
+                merged[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise _UsageError(f"{args.config}:{lineno}: {key}: {exc}") from None
     for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:

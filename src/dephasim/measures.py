@@ -53,34 +53,19 @@ def _require_dims(rho: DensityMatrix, dims: tuple[int, int], what: str) -> np.nd
     return rho.matrix
 
 
-# Eigenvalues of a positive product below this are eigensolver noise on exact
-# zeros; square roots would amplify that noise to ~1e-8, so floor them first.
-_SQRT_NOISE_FLOOR = 1e-14
-
-
-def _sqrt_clipped(eigvals: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.where(eigvals < _SQRT_NOISE_FLOOR, 0.0, eigvals))
-
-
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(h)
-    return (eigvecs * _sqrt_clipped(eigvals)) @ eigvecs.conj().T
-
-
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state.
 
-    The usual non-Hermitian product rho * flip(rho) is evaluated through the
-    Hermitian matrix sqrt(rho) flip(rho) sqrt(rho), which shares its spectrum,
-    so every spectral call stays on a Hermitian positive matrix.
+    With rho = R R^dagger (R = V sqrt(w) from one Hermitian eigensolve), the
+    Wootters roots, the square roots of the spectrum of rho * flip(rho), are
+    the singular values of R^T (sigma_y x sigma_y) R. No square root of a
+    computed eigenvalue is taken, so small roots keep their full precision.
     """
     m = _require_dims(rho, (2, 2), "concurrence")
-    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    root = _psd_sqrt(m)
-    core = root @ flipped @ root
-    core = (core + core.conj().T) / 2
-    lam = _sqrt_clipped(np.linalg.eigvalsh(core))
-    value = lam[3] - lam[2] - lam[1] - lam[0]
+    eigvals, eigvecs = np.linalg.eigh(m)
+    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+    lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
+    value = lam[0] - lam[1] - lam[2] - lam[3]
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -210,8 +195,9 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     p1, p0, pm = m[0, 0].real, m[4, 4].real, m[8, 8].real
     xi_squares = float(p1**2 + p0**2 + pm**2)
 
-    block_min = float(np.linalg.eigvalsh(_central_pt_block(m))[0])
-    cubic_negative = block_min < -_STRICT_MARGIN
+    # From the eigenvalues, not the signs of (xi, zeta, eta): eta is rounding
+    # noise when the block has a double zero eigenvalue (dephased |a,a>).
+    cubic_negative = bool(np.linalg.eigvalsh(_central_pt_block(m))[0] < -_STRICT_MARGIN)
     plus_negative = bool(abs(m[2, 4]) ** 2 > m[1, 1].real * m[5, 5].real + _STRICT_MARGIN)
     minus_negative = bool(abs(m[4, 6]) ** 2 > m[3, 3].real * m[7, 7].real + _STRICT_MARGIN)
 

@@ -193,6 +193,15 @@ def write_csv(result: SweepResult, path: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def read_text_lines(path: str) -> list[str]:
+    """Lines of a UTF-8 text file; one that does not decode raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_csv(path: str) -> SweepResult:
     """Parse a file produced by write_csv back into a SweepResult.
 
@@ -202,8 +211,8 @@ def read_csv(path: str) -> SweepResult:
     rows = []
     transitions = []
     maxima = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(handle, start=1) if line.strip()]
+    numbered = enumerate(read_text_lines(path), start=1)
+    lines = [(n, line.rstrip("\n")) for n, line in numbered if line.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: missing header {CSV_HEADER!r}")
     for lineno, line in lines[1:]:

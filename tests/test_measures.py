@@ -109,23 +109,12 @@ def test_concurrence_xform_closed_form_values():
     assert concurrence_xform(StationaryXForm(0.25, 0.25, 0.25, 0.25, 0.0)) == 0.0
 
 
-def resolved_by_general_form(x: StationaryXForm) -> bool:
-    """False when concurrence() zeroes a Wootters root of x that is not zero.
-
-    The roots are sqrt(a d) (twice) and sqrt(b c) +- |f|. concurrence() treats
-    eigenvalues of rho * flip(rho) below 1e-14 as eigensolver noise, so a
-    root in (1e-11, 1e-7) is dropped and the general form is off by up to
-    twice that root.
-    """
-    outer, inner = np.sqrt(x.a * x.d), np.sqrt(x.b * x.c)
-    roots = (outer, inner + abs(x.f), abs(inner - abs(x.f)))
-    return not any(1e-11 < root < 1e-7 for root in roots)
-
-
+# A Wootters root of sqrt(a d) = 3.3e-8: its square sits below the noise
+# floor of an eigenvalue-then-square-root evaluation, which drops it.
+@example(x=StationaryXForm(1 / 3, 1 / 3, 1 / 3, 3.3e-15, 1 / 3))
 @with_edges
 @given(x=xforms())
 def test_concurrence_xform_matches_general_form(x):
-    assume(resolved_by_general_form(x))
     general = concurrence(validate(embed_xform(x), (2, 2)))
     assert abs(concurrence_xform(x) - general) <= 1e-10
 
@@ -227,6 +216,75 @@ def test_cubic_is_characteristic_polynomial_of_pt_block():
             assert abs(char_poly - cubic) <= 1e-10
 
 
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def dephased_pure_states(draw):
+    parts = np.array(draw(st.lists(unit_floats, min_size=18, max_size=18)))
+    psi = parts[:9] + 1j * parts[9:]
+    assume(np.linalg.norm(psi) > 0.1)
+    psi /= np.linalg.norm(psi)
+    return dephasing_fixed_point(validate(np.outer(psi, psi.conj()), (3, 3))).matrix
+
+
+@st.composite
+def mixed_states(draw):
+    rank = draw(st.integers(1, 9))
+    parts = np.array(draw(st.lists(unit_floats, min_size=18 * rank, max_size=18 * rank)))
+    g = (parts[: 9 * rank] + 1j * parts[9 * rank :]).reshape(9, rank)
+    rho = g @ g.conj().T
+    assume(np.trace(rho).real > 0.1)
+    return rho / np.trace(rho).real
+
+
+def dephased_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    return dephasing_fixed_point(validate(np.outer(psi, psi.conj()), (3, 3))).matrix
+
+
+@st.composite
+def dephased_product_states(draw):
+    """Dephased a (x) b: separable, with a rank-one central block (two zero eigenvalues)."""
+    parts = np.array(draw(st.lists(unit_floats, min_size=12, max_size=12)))
+    a, b = parts[:3] + 1j * parts[3:6], parts[6:9] + 1j * parts[9:]
+    assume(min(np.linalg.norm(a), np.linalg.norm(b)) > 0.1)
+    return dephased_product(a, b)
+
+
+def rank_one_central_mixture() -> np.ndarray:
+    """PPT state with populations 1/9 and phased coherences 1/9 whose central
+    partial-transpose block (1/9) v v^dagger has the double eigenvalue 0."""
+    alpha, gamma = 0.7, -1.9
+    m = np.eye(9, dtype=complex) / 9.0
+    for (i, j), phase in (((1, 3), alpha), ((2, 6), alpha + gamma), ((5, 7), gamma)):
+        m[i, j] = np.exp(1j * phase) / 9.0
+        m[j, i] = np.conj(m[i, j])
+    return m
+
+
+def central_population_state(p1: float) -> np.ndarray:
+    """diag on |1,1>, |0,0>, |-1,-1> with the first population set to p1."""
+    m = np.zeros((9, 9), dtype=complex)
+    m[0, 0], m[4, 4], m[8, 8] = p1, 0.5, 0.5 - p1
+    return m
+
+
+@example(matrix=pure_density(parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3))).matrix)
+@example(matrix=pure_density(parse_ket_expression("|0,0>", (3, 3))).matrix)
+@example(matrix=central_population_state(-5e-10))
+@example(matrix=dephased_product(np.array([0.6, 0.64, 0.48]), np.array([0.6, 0.64, 0.48])))
+@example(matrix=rank_one_central_mixture())
+@given(matrix=st.one_of(dephased_pure_states(), mixed_states(), dephased_product_states()))
+def test_cubic_sign_verdict_matches_block_eigensolver(matrix):
+    block_min = np.linalg.eigvalsh(central_block_oracle(matrix))[0]
+    # An eigensolver is accurate to ~1e-16 times the block norm, including at
+    # a double zero eigenvalue; only a draw this close to the margin may differ.
+    assume(abs(block_min + 1e-12) > 1e-13)
+    report = qutrit_sufficient_entangled(validate(matrix, (3, 3)))
+    assert report.cubic_has_negative_root == (block_min < -1e-12)
+
+
 def test_criterion_maximally_mixed_not_detected():
     report = qutrit_sufficient_entangled(validate(np.eye(9) / 9, (3, 3)))
     assert not report.sufficient_entangled
@@ -261,6 +319,20 @@ def test_criterion_coherence_blocks_fire_separately():
 
 def test_criterion_product_state_not_detected():
     report = qutrit_sufficient_entangled(pure_density(parse_ket_expression("|0,0>", (3, 3))))
+    assert not report.sufficient_entangled
+
+
+def test_criterion_dephased_products_not_detected():
+    # Their central block has two zero eigenvalues, where the determinant eta
+    # is pure rounding noise; the verdict must not depend on its sign.
+    rng = np.random.default_rng(49)
+    amplitudes = [np.array([0.6, 0.64, 0.48])]
+    amplitudes += [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(200)]
+    for a in amplitudes:
+        report = qutrit_sufficient_entangled(validate(dephased_product(a, a), (3, 3)))
+        assert not report.cubic_has_negative_root
+        assert not report.sufficient_entangled
+    report = qutrit_sufficient_entangled(validate(rank_one_central_mixture(), (3, 3)))
     assert not report.sufficient_entangled
 
 

@@ -356,3 +356,33 @@ def test_cli_qutrit_config_file_rejects_sweep_only_keys(tmp_path, capsys, key):
     argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
     assert main(argv) == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("samples", "x", "invalid literal for int() with base 10: 'x'"),
+        ("samples", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("omega_ratio", "fast", "could not convert string to float: 'fast'"),
+    ],
+)
+def test_cli_config_value_of_wrong_type_names_file_and_line(tmp_path, capsys, key, value, reason):
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(f"initial_state = |00>\n# typed values follow\n{key} = {value}\n")
+    argv = ["sweep", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"dephasim: {config_path}:3: {key}: {reason}\n"
+
+
+def test_cli_undecodable_inputs_name_their_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_csv(run_sweep(SweepConfig("|00>", omega_ratio=0.0, samples=10)), str(good))
+    latin1_csv = tmp_path / "latin1.csv"
+    latin1_csv.write_bytes(good.read_bytes() + "# r\xe9sum\xe9\n".encode("latin-1"))
+    assert main(["compare", "--a", str(good), "--b", str(latin1_csv)]) == 1
+    assert capsys.readouterr().err.startswith(f"dephasim: {latin1_csv}: 'utf-8' codec can't decode")
+    latin1_cfg = tmp_path / "sweep.cfg"
+    latin1_cfg.write_bytes("# r\xe9sum\xe9\ninitial_state = |00>\n".encode("latin-1"))
+    argv = ["sweep", "--config", str(latin1_cfg), "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"dephasim: {latin1_cfg}: 'utf-8' codec can't decode")

@@ -87,9 +87,12 @@ _CONFIG_KEYS = {
     "samples": int,
     "output": str,
 }
+# The keys whose range SweepConfig checks.
+_RANGED_KEYS = ("omega_ratio", "gamma_t_max", "samples")
 
 
 def _merge_config(args: argparse.Namespace) -> dict[str, object]:
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         for key, (lineno, value) in _load_config_file(args.config).items():
@@ -97,12 +100,13 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
                 raise _UsageError(f"unknown config key {key!r}")
             try:
                 merged[key] = _CONFIG_KEYS[key](value)
+                if key in _RANGED_KEYS and flags[key] is None:
+                    # Range-check the value alone, beside SweepConfig's valid
+                    # defaults, so that its error can name this line.
+                    SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
                 raise _UsageError(f"{args.config}:{lineno}: {key}: {exc}") from None
-    for key in _CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     if "initial_state" not in merged:
         raise _UsageError("an initial state is required (flag --initial-state or config file)")
     if "output" not in merged:

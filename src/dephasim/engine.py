@@ -40,21 +40,6 @@ def _require_nonnegative(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Drive ratio omega1 = Omega_1/gamma and scaled action time T = gamma*T.
-
-    Time is measured in units of 1/gamma, so the decay rate is 1 throughout.
-    """
-
-    omega1: float
-    T: float = 0.0
-
-    def __post_init__(self):
-        _require_nonnegative("action time T", self.T)
-        _require_nonnegative("drive ratio omega1", self.omega1)
-
-
-@dataclass(frozen=True)
 class Superoperator:
     """Generator (or propagator) acting on column-vectorized density matrices."""
 
@@ -206,11 +191,9 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     return _trusted(DensityMatrix, matrix=rho.matrix * _pair(rho.dims).fixed_mask, dims=rho.dims)
 
 
-def stationary_state(rho0: DensityMatrix, params: ModelParams) -> DensityMatrix:
-    """Stationary state after driving for the scaled time T and dephasing forever."""
-    generator = build_liouvillian(rho0.dims, params.omega1)
-    driven = evolve(rho0, generator, params.T)
-    return dephasing_fixed_point(driven)
+def stationary_state(rho0: DensityMatrix, generator: Superoperator, T: float) -> DensityMatrix:
+    """Drive rho0 with `generator` for the scaled time T = gamma*T, then dephase forever."""
+    return dephasing_fixed_point(evolve(rho0, generator, T))
 
 
 def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:

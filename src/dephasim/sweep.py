@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import ModelParams, dephasing_fixed_point, extract_xform, stationary_state
+from .engine import build_liouvillian, dephasing_fixed_point, extract_xform, stationary_state
 from .errors import GridMismatchError
 from .measures import (
     CriterionReport,
@@ -16,7 +16,7 @@ from .measures import (
     mutual_information_xform,
     qutrit_sufficient_entangled,
 )
-from .states import DensityMatrix, parse_ket_expression, pure_density
+from .states import parse_ket_expression, pure_density
 
 # Concurrence below this is indistinguishable from propagator noise.
 ENTANGLEMENT_THRESHOLD = 1e-9
@@ -88,11 +88,6 @@ class WindowOverlapReport:
     overlap_gamma_t: list[float]
 
 
-def _stationary_xform(rho0: DensityMatrix, omega_ratio: float, gamma_t: float):
-    params = ModelParams(omega1=omega_ratio, T=float(gamma_t))
-    return extract_xform(stationary_state(rho0, params))
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Sweep gamma_T over a uniform grid and detect transitions and maxima.
 
@@ -102,15 +97,17 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if workers != 1:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {workers!r}")
     rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
+    # One generator serves every grid point and bisection step of the sweep.
+    generator = build_liouvillian((2, 2), config.omega_ratio)
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
     concurrence, mutual_information = [], []
     for gamma_t in grid:
-        x = _stationary_xform(rho0, config.omega_ratio, gamma_t)
+        x = extract_xform(stationary_state(rho0, generator, gamma_t))
         concurrence.append(concurrence_xform(x))
         mutual_information.append(mutual_information_xform(x))
     result = SweepResult(grid, concurrence, mutual_information)
     transitions = detect_transitions(
-        result, lambda gt: concurrence_xform(_stationary_xform(rho0, config.omega_ratio, gt))
+        result, lambda gt: concurrence_xform(extract_xform(stationary_state(rho0, generator, gt)))
     )
     maxima = detect_local_maxima(result)
     return replace(result, transitions=transitions, maxima=maxima)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dephasim import (
-    ModelParams,
     SweepConfig,
     StationaryXForm,
     build_liouvillian,
@@ -55,8 +54,8 @@ def sweep_cached(config, workers=1):
 
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
     rho0 = pure_density(parse_ket_expression(text, (2, 2)))
-    params = ModelParams(omega1=omega_ratio, T=gamma_t)
-    return concurrence_xform(extract_xform(stationary_state(rho0, params)))
+    generator = build_liouvillian((2, 2), omega_ratio)
+    return concurrence_xform(extract_xform(stationary_state(rho0, generator, gamma_t)))
 
 
 class Criterion:
@@ -121,9 +120,10 @@ def test_criterion_3_propagator_cross_validation():
     rho0 = pure_density(parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2)))
     grid = np.linspace(0.0, 2.0, 50)
     reference = rk4_stationary_grid(rho0.matrix, OMEGA_RATIO, grid)
+    generator = build_liouvillian((2, 2), OMEGA_RATIO)
     worst = 0.0
     for k, gamma_t in enumerate(grid):
-        ours = stationary_state(rho0, ModelParams(omega1=OMEGA_RATIO, T=float(gamma_t))).matrix
+        ours = stationary_state(rho0, generator, float(gamma_t)).matrix
         worst = max(worst, float(np.max(np.abs(ours - reference[k]))))
     crit.check(f"max-norm {worst:.2e}", worst <= 1e-6)
     crit.finish()

@@ -24,6 +24,7 @@ def test_tracer_binds_every_target_and_counts_each_propagation():
         run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     grid, refine = t.counts["sweep.grid_evals"], t.counts["sweep.refine_evals"]
     assert t.calls["engine.stationary_state"] == grid + refine
+    assert t.calls["engine.build_liouvillian"] == 1  # one generator per sweep
     assert grid == 50
     assert refine > 0
     assert dephasim.engine.stationary_state is original

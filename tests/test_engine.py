@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dephasim import (
     DephasimError,
     DimensionMismatchError,
-    ModelParams,
     NotHermitianError,
     NotXFormError,
     StationaryXForm,
@@ -52,11 +51,19 @@ def test_collective_jz_rejects_unsupported_dims():
         collective_jz((4, 4))
 
 
-@pytest.mark.parametrize("field", ["omega1", "T"])
+# The model's parameters are the generator's omega1 and stationary_state's T;
+# the T cases are in test_stationary_state_rejects_bad_time below.
+@pytest.mark.parametrize("field", ["omega1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_model_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
-        ModelParams(**{"omega1": 1.0, field: value})
+        stationary_state(bell("phi-"), build_liouvillian((2, 2), value), 1.0)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_stationary_state_rejects_bad_time(T):
+    with pytest.raises(ValueError, match=r"\btime must be finite and nonnegative"):
+        stationary_state(bell("phi-"), build_liouvillian((2, 2), 1.0), T)
 
 
 @pytest.mark.parametrize("omega1", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -111,8 +118,9 @@ def test_liouvillian_preserves_trace():
 def test_liouvillian_rejects_qutrit_drive():
     with pytest.raises(UnsupportedDimensionError):
         build_liouvillian((3, 3), 1.0)
-    with pytest.raises(UnsupportedDimensionError):
-        stationary_state(validate(np.eye(9) / 9, (3, 3)), ModelParams(omega1=1.0, T=0.5))
+    # a driven generator exists only for qubits, and it does not fit a qutrit state
+    with pytest.raises(DimensionMismatchError):
+        stationary_state(validate(np.eye(9) / 9, (3, 3)), build_liouvillian((2, 2), 1.0), 0.5)
 
 
 def test_drive_off_equals_zero_intensity_drive():
@@ -237,17 +245,17 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-"), ModelParams(omega1=31.25, T=0.0))
+    robust = stationary_state(bell("phi-"), build_liouvillian((2, 2), 31.25), 0.0)
     x = extract_xform(robust)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+"), ModelParams(omega1=31.25, T=0.0))
+    fragile = stationary_state(bell("psi+"), build_liouvillian((2, 2), 31.25), 0.0)
     assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0, ModelParams(omega1=31.25, T=gamma_t)).matrix
+        ours = stationary_state(rho0, build_liouvillian((2, 2), 31.25), gamma_t).matrix
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -269,7 +277,7 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
         for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0, ModelParams(omega1=omega1, T=t))
+            rho = stationary_state(rho0, build_liouvillian((2, 2), omega1), t)
             assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
 
 
@@ -278,7 +286,7 @@ def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # restore, so evolve re-raises instead of dividing by zero.
     rho0 = pure_density(parse_ket_expression("|11>", (2, 2)))
     with pytest.raises(TraceNotOneError):
-        stationary_state(rho0, ModelParams(omega1=1e8, T=1e12))
+        stationary_state(rho0, build_liouvillian((2, 2), 1e8), 1e12)
 
 
 def test_overflowing_propagator_is_a_typed_error_without_warnings():
@@ -287,7 +295,7 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
     # none is emitted before the state check rejects the result.
     rho0 = pure_density(parse_ket_expression("|10>", (2, 2)))
     with pytest.raises(NotHermitianError):
-        stationary_state(rho0, ModelParams(omega1=1e10, T=1e10))
+        stationary_state(rho0, build_liouvillian((2, 2), 1e10), 1e10)
 
 
 def test_extract_xform_values():
@@ -314,5 +322,5 @@ def test_stationary_states_are_always_x_form():
     rng = np.random.default_rng(35)
     rho0 = bell("phi-")
     for _ in range(20):
-        params = ModelParams(omega1=float(rng.uniform(0, 40)), T=float(rng.uniform(0, 3)))
-        extract_xform(stationary_state(rho0, params))  # must not raise
+        generator = build_liouvillian((2, 2), float(rng.uniform(0, 40)))
+        extract_xform(stationary_state(rho0, generator, float(rng.uniform(0, 3))))  # must not raise

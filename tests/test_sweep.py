@@ -7,12 +7,19 @@ from dephasim import (
     GridMismatchError,
     SweepConfig,
     SweepResult,
+    build_liouvillian,
     compare_windows,
+    concurrence_xform,
     detect_local_maxima,
     detect_transitions,
+    extract_xform,
+    mutual_information_xform,
+    parse_ket_expression,
+    pure_density,
     read_csv,
     run_qutrit_scan,
     run_sweep,
+    stationary_state,
     write_csv,
 )
 from dephasim.cli import main
@@ -138,18 +145,30 @@ def test_run_sweep_small_grid_features():
 
 
 def test_refined_transitions_sit_on_the_curve_zero():
-    from dephasim import ModelParams, extract_xform, stationary_state, pure_density
-    from dephasim import concurrence_xform, parse_ket_expression
-
     config = SweepConfig(
         initial_state="(|10> - |01>)/sqrt(2)", omega_ratio=31.25, gamma_t_max=0.3, samples=151
     )
     result = run_sweep(config)
     rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
     for transition in result.transitions:
-        params = ModelParams(omega1=config.omega_ratio, T=transition)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0, params)))
+        generator = build_liouvillian((2, 2), config.omega_ratio)
+        c_value = concurrence_xform(extract_xform(stationary_state(rho0, generator, transition)))
         assert abs(c_value) <= 1e-6
+
+
+@pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
+def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
+    # run_sweep builds its generator once; building it anew for every point
+    # must give the same bits.
+    config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=200)
+    result = run_sweep(config)
+    rho0 = pure_density(parse_ket_expression(ket, (2, 2)))
+    rows = []
+    for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
+        generator = build_liouvillian((2, 2), config.omega_ratio)
+        x = extract_xform(stationary_state(rho0, generator, gamma_t))
+        rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
+    assert np.array_equal(np.array(list(result.rows())), np.array(rows))
 
 
 def test_detect_local_maxima_stable_under_grid_refinement():
@@ -372,6 +391,26 @@ def test_cli_config_value_of_wrong_type_names_file_and_line(tmp_path, capsys, ke
     argv = ["sweep", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"dephasim: {config_path}:3: {key}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("samples", "1", "samples must be at least 2, got 1"),
+        ("gamma_t_max", "-1", "gamma_t_max must be finite and positive, got -1.0"),
+        ("omega_ratio", "nan", "omega_ratio must be finite and nonnegative, got nan"),
+    ],
+)
+def test_cli_config_value_out_of_range_names_file_and_line(tmp_path, capsys, key, value, reason):
+    config_path = tmp_path / "c.cfg"
+    config_path.write_text(f"initial_state = |00>\n{key} = {value}\n")
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--config", str(config_path), "--output", out]) == 1
+    assert capsys.readouterr().err == f"dephasim: {config_path}:2: {key}: {reason}\n"
+    # the same value from a flag keeps the plain message
+    flag = f"--{key.replace('_', '-')}={value}"
+    assert main(["sweep", "--initial-state", "|00>", flag, "--output", out]) == 1
+    assert capsys.readouterr().err == f"dephasim: {reason}\n"
 
 
 def test_cli_undecodable_inputs_name_their_file(tmp_path, capsys):

@@ -100,9 +100,10 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
                 raise _UsageError(f"unknown config key {key!r}")
             try:
                 merged[key] = _CONFIG_KEYS[key](value)
-                if key in _RANGED_KEYS and flags[key] is None:
+                if key in _RANGED_KEYS:
                     # Range-check the value alone, beside SweepConfig's valid
-                    # defaults, so that its error can name this line.
+                    # defaults, so that its error names this line even when a
+                    # flag overrides it.
                     SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
                 raise _UsageError(f"{args.config}:{lineno}: {key}: {exc}") from None

@@ -112,44 +112,28 @@ class _Token(NamedTuple):
     pos: int
 
 
-_PUNCT = {"+": "plus", "-": "minus", "*": "star", "/": "slash", "(": "lparen", ")": "rparen"}
-_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
-_WORD_RE = re.compile(r"[A-Za-z]+")
+# One alternative per token class, tried in order; `other` catches every
+# character the grammar has no use for. A ket token's text is its label.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+\.\d*|\.\d+|\d+)|\|(?P<ket>[^>]*)>|(?P<word>[A-Za-z]+)"
+    r"|(?P<op>[-+*/()])|(?P<space>\s+)|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch == "|":
-            end = text.find(">", i + 1)
-            if end < 0:
-                raise ParseError("unterminated ket (missing '>')", i)
-            tokens.append(_Token("ket", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            tokens.append(_Token("number", m.group(0), i))
-            i = m.end()
-            continue
-        if ch.isalpha():
-            word = _WORD_RE.match(text, i).group(0)
-            if word != "sqrt":
-                raise ParseError(f"unknown word {word!r}", i)
-            tokens.append(_Token("sqrt", word, i))
-            i += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(m.lastgroup), m.start()
+        if kind == "other":
+            if value == "|":
+                raise ParseError("unterminated ket (missing '>')", pos)
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "word" and value != "sqrt":
+            raise ParseError(f"unknown word {value!r}", pos)
+        if kind != "space":
+            tokens.append(_Token(value if kind in ("op", "word") else kind, value, pos))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -227,7 +211,7 @@ class _KetParser:
     naturally.
     """
 
-    _FACTOR_START = ("number", "sqrt", "ket", "lparen")
+    _FACTOR_START = ("number", "sqrt", "ket", "(")
 
     def __init__(self, tokens: list[_Token], dims: tuple[int, int]):
         self.tokens = tokens
@@ -242,6 +226,13 @@ class _KetParser:
         self.i += 1
         return tok
 
+    def expect(self, kind: str, message: str, pos: int | None = None) -> _Token:
+        """Take the next token if it is a `kind`; else raise at `pos`, or at that token."""
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(message, tok.pos if pos is None else pos)
+        return self.take()
+
     def parse(self) -> _Value:
         value = self.sum()
         tok = self.peek()
@@ -252,11 +243,14 @@ class _KetParser:
         return value
 
     def sum(self) -> _Value:
-        total = self.signed_term()
-        while self.peek().kind in ("plus", "minus"):
+        sign = self.take().kind if self.peek().kind in ("+", "-") else "+"
+        total = self.term()
+        if sign == "-":
+            total = total._replace(scalar=-total.scalar)
+        while self.peek().kind in ("+", "-"):
             op = self.take()
             nxt = self.term()
-            if op.kind == "minus":
+            if op.kind == "-":
                 nxt = nxt._replace(scalar=-nxt.scalar)
             if total.is_vector() != nxt.is_vector():
                 raise ParseError("cannot add a ket term and a bare number", op.pos)
@@ -270,24 +264,16 @@ class _KetParser:
                 total = _Value(_finite(total.scalar + nxt.scalar, op.pos), None)
         return total
 
-    def signed_term(self) -> _Value:
-        sign = 1.0
-        if self.peek().kind in ("plus", "minus"):
-            if self.take().kind == "minus":
-                sign = -1.0
-        value = self.term()
-        return value._replace(scalar=sign * value.scalar)
-
     def term(self) -> _Value:
         value = self.factor()
         while True:
             tok = self.peek()
-            if tok.kind == "star":
+            if tok.kind == "*":
                 self.take()
                 if self.peek().kind not in self._FACTOR_START:
                     raise ParseError("expected a factor after '*'", self.peek().pos)
                 value = self._multiply(value, self.factor(), tok.pos)
-            elif tok.kind == "slash":
+            elif tok.kind == "/":
                 self.take()
                 divisor = self.scalar_factor()
                 if divisor == 0:
@@ -316,12 +302,10 @@ class _KetParser:
             vec = np.zeros(d1 * d2, dtype=complex)
             vec[_ket_index(tok.text, self.dims, tok.pos)] = 1.0
             return _Value(1.0, vec, np.abs(vec))
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             self.take()
             inner = self.sum()
-            if self.peek().kind != "rparen":
-                raise ParseError("unclosed '('", tok.pos)
-            self.take()
+            self.expect(")", "unclosed '('", tok.pos)
             return inner
         raise ParseError(f"expected a number, sqrt(...), ket or '(', found {tok.text!r}", tok.pos)
 
@@ -330,16 +314,9 @@ class _KetParser:
         if tok.kind == "number":
             return _numeral(tok)
         if tok.kind == "sqrt":
-            if self.peek().kind != "lparen":
-                raise ParseError("expected '(' after sqrt", self.peek().pos)
-            self.take()
-            arg = self.peek()
-            if arg.kind != "number":
-                raise ParseError("expected a number inside sqrt(...)", arg.pos)
-            self.take()
-            if self.peek().kind != "rparen":
-                raise ParseError("unclosed '(' after sqrt", tok.pos)
-            self.take()
+            self.expect("(", "expected '(' after sqrt")
+            arg = self.expect("number", "expected a number inside sqrt(...)")
+            self.expect(")", "unclosed '(' after sqrt", tok.pos)
             return math.sqrt(_numeral(arg))
         raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
 

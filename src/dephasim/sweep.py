@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -99,16 +99,18 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian((2, 2), config.omega_ratio)
+
+    def xform_at(gamma_t):
+        return extract_xform(stationary_state(rho0, generator, gamma_t))
+
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
     concurrence, mutual_information = [], []
     for gamma_t in grid:
-        x = extract_xform(stationary_state(rho0, generator, gamma_t))
+        x = xform_at(gamma_t)
         concurrence.append(concurrence_xform(x))
         mutual_information.append(mutual_information_xform(x))
     result = SweepResult(grid, concurrence, mutual_information)
-    transitions = detect_transitions(
-        result, lambda gt: concurrence_xform(extract_xform(stationary_state(rho0, generator, gt)))
-    )
+    transitions = detect_transitions(result, lambda gt: concurrence_xform(xform_at(gt)))
     maxima = detect_local_maxima(result)
     return replace(result, transitions=transitions, maxima=maxima)
 
@@ -140,13 +142,11 @@ def detect_transitions(
 def detect_local_maxima(result: SweepResult) -> list[tuple[float, float, float]]:
     """Interior grid points where the concurrence strictly exceeds both neighbors."""
     c = result.concurrence
-    maxima = []
-    for i in range(1, len(c) - 1):
-        if c[i] > c[i - 1] and c[i] > c[i + 1]:
-            maxima.append(
-                (float(result.gamma_t[i]), float(c[i]), float(result.mutual_information[i]))
-            )
-    return maxima
+    peaks = np.flatnonzero((c[1:-1] > c[:-2]) & (c[1:-1] > c[2:])) + 1
+    return [
+        (float(result.gamma_t[i]), float(c[i]), float(result.mutual_information[i]))
+        for i in peaks
+    ]
 
 
 def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
@@ -251,18 +251,10 @@ def run_qutrit_scan(initial_state: str, output_path: str | None = None) -> Crite
 
 def write_criterion_report(report: CriterionReport, initial_state: str, path: str) -> None:
     """Write a CriterionReport as flat `key = value` text."""
-    lines = [
-        "mode = qutrit-criterion",
-        f"initial_state = {initial_state}",
-        f"xi = {_fmt(report.xi)}",
-        f"zeta = {_fmt(report.zeta)}",
-        f"eta = {_fmt(report.eta)}",
-        f"xi_population_squares = {_fmt(report.xi_population_squares)}",
-        f"cubic_has_negative_root = {str(report.cubic_has_negative_root).lower()}",
-        f"pt_block_plus_negative = {str(report.pt_block_plus_negative).lower()}",
-        f"pt_block_minus_negative = {str(report.pt_block_minus_negative).lower()}",
-        f"sufficient_entangled = {str(report.sufficient_entangled).lower()}",
-        f"min_pt_eigenvalue = {_fmt(report.min_pt_eigenvalue)}",
-    ]
+    lines = ["mode = qutrit-criterion", f"initial_state = {initial_state}"]
+    # CriterionReport's declared field order is the file's line order.
+    for name, value in asdict(report).items():
+        text = str(value).lower() if isinstance(value, bool) else _fmt(value)
+        lines.append(f"{name} = {text}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -136,9 +136,33 @@ def test_parse_rejects_unrepresentable_coefficients(text, position):
     assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("\u00b2|10>", "unexpected character '\u00b2'", 0),  # superscript two: a digit, not a decimal
+        ("|10> + \u00e9", "unexpected character '\u00e9'", 7),  # a letter outside A-Z
+        ("sqrt\u00e9|10>", "unexpected character '\u00e9'", 4),
+    ],
+    ids=["superscript-digit", "accented-letter", "letter-after-sqrt"],
+)
+def test_parse_rejects_non_ascii_characters_at_their_position(text, message, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse_ket_expression(text, (2, 2))
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
+
+
+def test_parse_reads_any_decimal_digit():
+    # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit, so it is a coefficient
+    psi = parse_ket_expression("\u0663|10>", (2, 2))
+    assert np.array_equal(psi.amplitudes, parse_ket_expression("|10>", (2, 2)).amplitudes)
+
+
 def test_parser_is_total_on_random_garbage():
     rng = np.random.default_rng(21)
-    pool = list("()|><+-*/sqrt 0123456789.,")
+    # ASCII grammar characters plus a superscript digit, a non-Latin digit, a
+    # fullwidth digit, non-ASCII letters and Unicode spaces
+    pool = list("()|><+-*/sqrt 0123456789.,") + list("\u00b2\u0663\uff11\u00e9\u00aa\u03a9\u00a0\u3000")
     for _ in range(400):
         text = "".join(rng.choice(pool, size=rng.integers(1, 24)))
         try:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephasim import (
     GridMismatchError,
@@ -59,6 +63,20 @@ def test_detect_local_maxima_single_bump():
     gamma_t, c_value, mi_value = maxima[0]
     assert abs(gamma_t - 0.5) <= 0.01
     assert c_value > 0 and mi_value > 0
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 50])
+def test_detect_local_maxima_matches_a_loop(samples):
+    # Small integer levels give plateaus and ties, which are not maxima.
+    rng = np.random.default_rng(samples)
+    c = rng.integers(0, 4, size=samples).astype(float) + 1.0
+    result = SweepResult(np.arange(samples, dtype=float), c, 2.0 * c)
+    want = [
+        (float(i), c[i], 2.0 * c[i])
+        for i in range(1, samples - 1)
+        if c[i] > c[i - 1] and c[i] > c[i + 1]
+    ]
+    assert detect_local_maxima(result) == want
 
 
 def test_compare_windows_self_overlap():
@@ -214,6 +232,42 @@ def test_run_qutrit_scan_reports(tmp_path):
     assert not run_qutrit_scan("|0,0>").sufficient_entangled
 
 
+_REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
+
+
+@pytest.mark.parametrize(
+    "ket, body",
+    [
+        (
+            "(|1,0> + |0,1>)/sqrt(2)",
+            "xi = 0\nzeta = -0.25\neta = 0\nxi_population_squares = 0\n"
+            "cubic_has_negative_root = true\npt_block_plus_negative = false\n"
+            "pt_block_minus_negative = false\nsufficient_entangled = true\n"
+            "min_pt_eigenvalue = -0.5\n",
+        ),
+        (
+            "(|1,1> + |-1,-1>)/sqrt(2)",
+            "xi = 1\nzeta = 0.25\neta = 0\nxi_population_squares = 0.5\n"
+            "cubic_has_negative_root = false\npt_block_plus_negative = false\n"
+            "pt_block_minus_negative = false\nsufficient_entangled = false\n"
+            "min_pt_eigenvalue = 0\n",
+        ),
+        (
+            "0.3|1,-1> - 0.7|0,0> + 0.2|-1,1>",
+            "xi = 0.790322580645\nzeta = -0.00936524453694\neta = 0.00740156423081\n"
+            "xi_population_squares = 0.624609781478\ncubic_has_negative_root = true\n"
+            "pt_block_plus_negative = true\npt_block_minus_negative = true\n"
+            "sufficient_entangled = true\nmin_pt_eigenvalue = -0.338709677419\n",
+        ),
+    ],
+    ids=["coherent-pair", "dephased-pair", "three-term"],
+)
+def test_qutrit_report_bytes(tmp_path, ket, body):
+    path = tmp_path / "report.txt"
+    run_qutrit_scan(ket, str(path))
+    assert path.read_bytes() == (_REPORT_HEAD.format(ket) + body).encode("utf-8")
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(initial_state="|00>", samples=1)
@@ -283,6 +337,18 @@ def test_cli_config_file_with_flag_override(tmp_path):
     )
     assert main(["sweep", "--config", str(config_path), "--samples", "80"]) == 0
     assert len(read_csv(str(out)).gamma_t) == 80
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from([["sweep", "--samples", "3"], ["qutrit"]]), ket=st.text())
+def test_cli_is_total_on_any_initial_state(tmp_path_factory, command, ket):
+    out = str(tmp_path_factory.getbasetemp() / "any_ket.out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*command, f"--initial-state={ket}", "--output", out])
+    assert code in (0, 1, 2, 3)
+    err = stderr.getvalue()
+    assert err == "" or (err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n"))
 
 
 def test_cli_exit_codes(tmp_path):
@@ -378,34 +444,42 @@ def test_cli_qutrit_config_file_rejects_sweep_only_keys(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "key, value, reason",
+    "key, value, reason, flags",
     [
-        ("samples", "x", "invalid literal for int() with base 10: 'x'"),
-        ("samples", "1.5", "invalid literal for int() with base 10: '1.5'"),
-        ("omega_ratio", "fast", "could not convert string to float: 'fast'"),
+        ("samples", "x", "invalid literal for int() with base 10: 'x'", []),
+        ("samples", "1.5", "invalid literal for int() with base 10: '1.5'", []),
+        ("omega_ratio", "fast", "could not convert string to float: 'fast'", []),
+        # a flag that overrides the value does not excuse it
+        ("samples", "x", "invalid literal for int() with base 10: 'x'", ["--samples", "5"]),
     ],
 )
-def test_cli_config_value_of_wrong_type_names_file_and_line(tmp_path, capsys, key, value, reason):
+def test_cli_config_value_of_wrong_type_names_file_and_line(
+    tmp_path, capsys, key, value, reason, flags
+):
     config_path = tmp_path / "sweep.cfg"
     config_path.write_text(f"initial_state = |00>\n# typed values follow\n{key} = {value}\n")
-    argv = ["sweep", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]
+    argv = ["sweep", "--config", str(config_path), "--output", str(tmp_path / "x.csv"), *flags]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"dephasim: {config_path}:3: {key}: {reason}\n"
 
 
 @pytest.mark.parametrize(
-    "key, value, reason",
+    "key, value, reason, flags",
     [
-        ("samples", "1", "samples must be at least 2, got 1"),
-        ("gamma_t_max", "-1", "gamma_t_max must be finite and positive, got -1.0"),
-        ("omega_ratio", "nan", "omega_ratio must be finite and nonnegative, got nan"),
+        ("samples", "1", "samples must be at least 2, got 1", []),
+        ("gamma_t_max", "-1", "gamma_t_max must be finite and positive, got -1.0", []),
+        ("omega_ratio", "nan", "omega_ratio must be finite and nonnegative, got nan", []),
+        # a flag that overrides the value does not excuse it
+        ("samples", "1", "samples must be at least 2, got 1", ["--samples", "5"]),
     ],
 )
-def test_cli_config_value_out_of_range_names_file_and_line(tmp_path, capsys, key, value, reason):
+def test_cli_config_value_out_of_range_names_file_and_line(
+    tmp_path, capsys, key, value, reason, flags
+):
     config_path = tmp_path / "c.cfg"
     config_path.write_text(f"initial_state = |00>\n{key} = {value}\n")
     out = str(tmp_path / "x.csv")
-    assert main(["sweep", "--config", str(config_path), "--output", out]) == 1
+    assert main(["sweep", "--config", str(config_path), "--output", out, *flags]) == 1
     assert capsys.readouterr().err == f"dephasim: {config_path}:2: {key}: {reason}\n"
     # the same value from a flag keeps the plain message
     flag = f"--{key.replace('_', '-')}={value}"

@@ -13,6 +13,7 @@ from .sweep import (
     read_text_lines,
     run_qutrit_scan,
     run_sweep,
+    write_criterion_report,
     write_csv,
 )
 
@@ -21,19 +22,35 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-_KET_HELP = (
-    'initial state as a ket expression, e.g. "(|10> - |01>)/sqrt(2)"; '
-    'qutrit levels are comma-separated: "(|1,1> + |-1,-1>)/sqrt(2)"'
-)
-
-
-class _UsageError(Exception):
-    pass
+# Each config key, which is also a flag's destination, with its type and help.
+_OPTIONS = {
+    "initial_state": (
+        str,
+        'initial state as a ket expression, e.g. "(|10> - |01>)/sqrt(2)"; qutrit levels '
+        'are comma-separated: "(|1,1> + |-1,-1>)/sqrt(2)"; a ket that starts with "-" '
+        'needs the = form: --initial-state="-|10>"',
+    ),
+    "omega_ratio": (float, "drive intensity over decay rate"),
+    "gamma_t_max": (float, "upper bound of the scaled time grid"),
+    "samples": (int, "number of uniform grid samples"),
+    "output": (str, "output path: the sweep CSV or the qutrit report"),
+}
+_QUTRIT_KEYS = ("initial_state", "output")
+# The keys whose range SweepConfig checks.
+_RANGED_KEYS = ("omega_ratio", "gamma_t_max", "samples")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse drops a "--" value, so --flag=-- arrives as an empty list.
+        for name, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 def _build_parser() -> _Parser:
@@ -45,21 +62,20 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="sweep gamma_T and write a CSV of (C, I) samples")
-    sweep.add_argument("--config", help="key = value config file; flags override its entries")
-    sweep.add_argument("--initial-state", help=_KET_HELP)
-    sweep.add_argument("--omega-ratio", type=float, help="drive intensity over decay rate")
-    sweep.add_argument("--gamma-t-max", type=float, help="upper bound of the scaled time grid")
-    sweep.add_argument("--samples", type=int, help="number of uniform grid samples")
-    sweep.add_argument("--output", help="CSV output path")
-
-    qutrit = sub.add_parser("qutrit", help="evaluate the two-qutrit stationary criterion")
-    qutrit.add_argument("--config", help="key = value config file; flags override its entries")
-    qutrit.add_argument("--initial-state", help=_KET_HELP)
-    qutrit.add_argument("--output", help="report output path")
+    commands = (
+        ("sweep", "sweep gamma_T and write a CSV of (C, I) samples", _cmd_sweep, tuple(_OPTIONS)),
+        ("qutrit", "evaluate the two-qutrit stationary criterion", _cmd_qutrit, _QUTRIT_KEYS),
+    )
+    for name, text, run, keys in commands:
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(run=run, keys=keys)
+        command.add_argument("--config", help="key = value config file; flags override its entries")
+        for key in keys:
+            kind, key_help = _OPTIONS[key]
+            command.add_argument("--" + key.replace("_", "-"), type=kind, help=key_help)
 
     compare = sub.add_parser("compare", help="compare entangled windows (C > 1e-9) of two CSVs")
+    compare.set_defaults(run=_cmd_compare)
     compare.add_argument("--a", required=True, help="first sweep CSV")
     compare.add_argument("--b", required=True, help="second sweep CSV")
     return parser
@@ -73,45 +89,32 @@ def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
         entries[key.strip()] = (lineno, value.strip())
     return entries
 
 
-# Config-file keys, which are also the flag destinations, and their types.
-_CONFIG_KEYS = {
-    "initial_state": str,
-    "omega_ratio": float,
-    "gamma_t_max": float,
-    "samples": int,
-    "output": str,
-}
-# The keys whose range SweepConfig checks.
-_RANGED_KEYS = ("omega_ratio", "gamma_t_max", "samples")
-
-
 def _merge_config(args: argparse.Namespace) -> dict[str, object]:
-    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     merged: dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         for key, (lineno, value) in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS or not hasattr(args, key):
-                raise _UsageError(f"unknown config key {key!r}")
+            if key not in args.keys:
+                raise ValueError(f"unknown config key {key!r}")
             try:
-                merged[key] = _CONFIG_KEYS[key](value)
+                merged[key] = _OPTIONS[key][0](value)
                 if key in _RANGED_KEYS:
                     # Range-check the value alone, beside SweepConfig's valid
                     # defaults, so that its error names this line even when a
                     # flag overrides it.
                     SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
-                raise _UsageError(f"{args.config}:{lineno}: {key}: {exc}") from None
-    merged.update((key, value) for key, value in flags.items() if value is not None)
+                raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from None
+    merged.update((key, getattr(args, key)) for key in args.keys if getattr(args, key) is not None)
     if "initial_state" not in merged:
-        raise _UsageError("an initial state is required (flag --initial-state or config file)")
+        raise ValueError("an initial state is required (flag --initial-state or config file)")
     if "output" not in merged:
-        raise _UsageError("an output path is required (flag --output or config file)")
+        raise ValueError("an output path is required (flag --output or config file)")
     merged["output_path"] = merged.pop("output")
     return merged
 
@@ -130,7 +133,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_qutrit(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    report = run_qutrit_scan(config["initial_state"], config["output_path"])
+    report = run_qutrit_scan(config["initial_state"])
+    write_criterion_report(report, config["initial_state"], config["output_path"])
     verdict = "entangled" if report.sufficient_entangled else "not detected"
     print(
         f"wrote {config['output_path']} (stationary state {verdict}, "
@@ -152,17 +156,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "qutrit":
-            return _cmd_qutrit(args)
-        return _cmd_compare(args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (_UsageError, ParseError, ZeroNormError, ValueError) as exc:
+    except (ParseError, ZeroNormError, ValueError) as exc:
         print(f"dephasim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import matrix_exponential
-from .states import POSITIVITY_FLOOR, TRACE_TOL, DensityMatrix, _trusted
+from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _trusted
 
 TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
@@ -109,8 +109,8 @@ def _pair_table(jz_single: list[float]) -> _PairTable:
     return _PairTable(levels, levels[:, None] == levels[None, :], dephasing)
 
 
-# Single-party Jz in the basis order |1>, |0> (and |1>, |0>, |-1>); see collective_jz.
-_PAIRS = {(2, 2): _pair_table([0.5, -0.5]), (3, 3): _pair_table([1.0, 0.0, -1.0])}
+# One table per pair of equal parties, from the single-party Jz in basis order; see collective_jz.
+_PAIRS = {(d, d): _pair_table(list(jz.values())) for d, jz in _LEVELS.items()}
 
 # -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
 _SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))

@@ -28,8 +28,9 @@ POSITIVITY_FLOOR = -1e-9
 # range the parser rescales by the largest amplitude before normalizing.
 _SAFE_AMPLITUDES = (1e-150, 1e150)
 
-# Single-subsystem level labels, highest angular-momentum projection first.
-_ALPHABETS = {2: {"1": 0, "0": 1}, 3: {"1": 0, "0": 1, "-1": 2}}
+# Single-party level labels and their Jz eigenvalues, in basis order (highest
+# projection first): the parser's alphabet and the dephasing generator's spectrum.
+_LEVELS = {2: {"1": 0.5, "0": -0.5}, 3: {"1": 1.0, "0": 0.0, "-1": -1.0}}
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
     d1, d2 = dims
-    alpha1, alpha2 = _ALPHABETS[d1], _ALPHABETS[d2]
+    alpha1, alpha2 = list(_LEVELS[d1]), list(_LEVELS[d2])
     raw = label.strip()
     if "," in raw:
         parts = [p.strip() for p in raw.split(",")]
@@ -155,7 +156,7 @@ def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
         parts = [compact[0], compact[1]]
     if parts[0] not in alpha1 or parts[1] not in alpha2:
         raise LabelError(f"ket label {label!r} is outside the {d1}x{d2} level alphabet", pos)
-    return alpha1[parts[0]] * d2 + alpha2[parts[1]]
+    return alpha1.index(parts[0]) * d2 + alpha2.index(parts[1])
 
 
 def _finite(value: float, pos: int) -> float:
@@ -330,7 +331,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> StateVector:
     expression whose amplitudes cancel raises ZeroNormError.
     """
     d1, d2 = dims
-    if d1 not in _ALPHABETS or d2 not in _ALPHABETS:
+    if d1 not in _LEVELS or d2 not in _LEVELS:
         raise ValueError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
     value = _KetParser(_tokenize(text), dims).parse()
     vec = value.materialize()

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .engine import build_liouvillian, dephasing_fixed_point, extract_xform, stationary_state
+from .engine import (
+    _require_nonnegative,
+    build_liouvillian,
+    dephasing_fixed_point,
+    extract_xform,
+    stationary_state,
+)
 from .errors import GridMismatchError
 from .measures import (
     CriterionReport,
@@ -42,10 +49,7 @@ class SweepConfig:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         if not (math.isfinite(self.gamma_t_max) and self.gamma_t_max > 0):
             raise ValueError(f"gamma_t_max must be finite and positive, got {self.gamma_t_max!r}")
-        if not (math.isfinite(self.omega_ratio) and self.omega_ratio >= 0):
-            raise ValueError(
-                f"omega_ratio must be finite and nonnegative, got {self.omega_ratio!r}"
-            )
+        _require_nonnegative("omega_ratio", self.omega_ratio)
 
 
 @dataclass(frozen=True)
@@ -237,21 +241,17 @@ def read_csv(path: str) -> SweepResult:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def run_qutrit_scan(initial_state: str, output_path: str | None = None) -> CriterionReport:
-    """Dephase the initial two-qutrit state and evaluate the entanglement criterion.
-
-    When `output_path` is set, the report is written there as `key = value` lines.
-    """
+def run_qutrit_scan(initial_state: str) -> CriterionReport:
+    """Dephase the initial two-qutrit state and evaluate the entanglement criterion."""
     rho0 = pure_density(parse_ket_expression(initial_state, (3, 3)))
-    report = qutrit_sufficient_entangled(dephasing_fixed_point(rho0))
-    if output_path is not None:
-        write_criterion_report(report, initial_state, output_path)
-    return report
+    return qutrit_sufficient_entangled(dephasing_fixed_point(rho0))
 
 
 def write_criterion_report(report: CriterionReport, initial_state: str, path: str) -> None:
     """Write a CriterionReport as flat `key = value` text."""
-    lines = ["mode = qutrit-criterion", f"initial_state = {initial_state}"]
+    # Whitespace carries no meaning in a ket; one space per run keeps it on its line.
+    ket = re.sub(r"\s+", " ", initial_state)
+    lines = ["mode = qutrit-criterion", f"initial_state = {ket}"]
     # CriterionReport's declared field order is the file's line order.
     for name, value in asdict(report).items():
         text = str(value).lower() if isinstance(value, bool) else _fmt(value)

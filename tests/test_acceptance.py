@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_criterion_5_fragile_sweep_and_disjoint_windows():
     overlap = compare_windows(robust, fragile).overlap_count
     crit.check(f"simultaneous entanglement points ({overlap})", overlap == 0)
     crit.finish()
+
+
+# SHA-256 of each paper sweep's CSV; perfbench/run.py checks the same values.
+PAPER_GOLDEN = {
+    "robust": "a2c5c653396bf4f94ca16874f0b64721df4611dd0d7d79a35156446d130289a4",
+    "fragile": "e49df3425804e4172932794550723e7d9f2257d8d3ed3765e69af76e7376dfcf",
+}
+
+
+@pytest.mark.parametrize("label, config", [("robust", ROBUST_SWEEP), ("fragile", FRAGILE_SWEEP)])
+def test_paper_sweeps_write_the_golden_bytes(tmp_path, label, config):
+    path = tmp_path / f"{label}.csv"
+    write_csv(sweep_cached(config), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GOLDEN[label]
 
 
 def test_criterion_6_closed_form_equivalences():

@@ -313,6 +313,17 @@ def test_stationary_xform_rejects_nan(a, f):
         StationaryXForm(a, 0.5, 0.5, 0.0, f)
 
 
+def test_stationary_xform_rejects_negative_population():
+    with pytest.raises(NotXFormError, match="negative population -0.1"):
+        StationaryXForm(-0.1, 0.6, 0.5, 0.0, 0j)
+
+
+def test_extract_xform_rejects_qutrit_states():
+    rho = pure_density(parse_ket_expression("|0,0>", (3, 3)))
+    with pytest.raises(DimensionMismatchError, match="two-qubit notion"):
+        extract_xform(rho)
+
+
 def test_extract_xform_rejects_off_form_weight():
     with pytest.raises(NotXFormError):
         extract_xform(bell("psi+"))  # carries the |11><00| coherence

@@ -71,6 +71,13 @@ def test_parse_label_errors():
         parse_ket_expression("|12>", (2, 2))
     with pytest.raises(LabelError):
         parse_ket_expression("|1>", (2, 2))
+    with pytest.raises(LabelError, match="must name exactly two subsystems"):
+        parse_ket_expression("|1,0,1>", (3, 3))
+
+
+def test_parse_rejects_unsupported_dims():
+    with pytest.raises(ValueError, match=r"unsupported subsystem dims \(2, 4\)"):
+        parse_ket_expression("|10>", (2, 4))
 
 
 def test_parse_zero_norm():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim import (
@@ -24,6 +24,7 @@ from dephasim import (
     run_qutrit_scan,
     run_sweep,
     stationary_state,
+    write_criterion_report,
     write_csv,
 )
 from dephasim.cli import main
@@ -220,7 +221,9 @@ def test_run_sweep_rejects_other_worker_counts():
 
 def test_run_qutrit_scan_reports(tmp_path):
     path = tmp_path / "report.txt"
-    report = run_qutrit_scan("(|1,1> + |-1,-1>)/sqrt(2)", str(path))
+    ket = "(|1,1> + |-1,-1>)/sqrt(2)"
+    report = run_qutrit_scan(ket)
+    write_criterion_report(report, ket, str(path))
     assert not report.sufficient_entangled  # the only coherence is destroyed
     text = path.read_text()
     assert "sufficient_entangled = false" in text
@@ -264,7 +267,7 @@ _REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
 )
 def test_qutrit_report_bytes(tmp_path, ket, body):
     path = tmp_path / "report.txt"
-    run_qutrit_scan(ket, str(path))
+    write_criterion_report(run_qutrit_scan(ket), ket, str(path))
     assert path.read_bytes() == (_REPORT_HEAD.format(ket) + body).encode("utf-8")
 
 
@@ -291,6 +294,8 @@ def test_sweep_config_rejects_non_finite(field, value):
         ("0,1,x\n", 2),  # non-numeric cell
         ("0,1,2\n# transition gamma_T\n", 3),  # comment without a value
         ("0,1,2\nnan,1,2\n", None),  # grid value that is not a number
+        # a maximum outside every entangled window
+        ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 0 mutual_information = 2\n", None),
     ],
 )
 def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
@@ -300,6 +305,22 @@ def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
     with pytest.raises(ValueError) as info:
         read_csv(str(path))
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("text", ["", "0,1,2\n", "\ngamma_T,concurrence\n0,1,2\n"])
+def test_read_csv_requires_the_header_first(tmp_path, text):
+    path = tmp_path / "headless.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{path}: missing header"):
+        read_csv(str(path))
+
+
+def test_qutrit_report_keeps_a_multiline_ket_on_one_line(tmp_path):
+    path = tmp_path / "report.txt"
+    assert main(["qutrit", "--initial-state", "|0,0> +\n|1,1>", "--output", str(path)]) == 0
+    lines = path.read_text().split("\n")
+    assert len(lines) == 12 and lines[-1] == ""  # 11 lines, each ending in a newline
+    assert lines[1] == "initial_state = |0,0> + |1,1>"
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +362,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 @settings(max_examples=200, deadline=None)
 @given(command=st.sampled_from([["sweep", "--samples", "3"], ["qutrit"]]), ket=st.text())
+@example(command=["sweep", "--samples", "3"], ket="--")  # argparse drops a "--" value
 def test_cli_is_total_on_any_initial_state(tmp_path_factory, command, ket):
     out = str(tmp_path_factory.getbasetemp() / "any_ket.out")
     stderr = io.StringIO()
@@ -349,6 +371,58 @@ def test_cli_is_total_on_any_initial_state(tmp_path_factory, command, ket):
     assert code in (0, 1, 2, 3)
     err = stderr.getvalue()
     assert err == "" or (err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+def test_cli_reads_a_ket_that_starts_with_a_minus_sign(tmp_path):
+    # -|10> and |10> differ by a global phase, so they give the same stationary states.
+    base = ["sweep", "--samples", "5", "--gamma-t-max", "0.5"]
+    want, flag, from_file = (tmp_path / name for name in ("want.csv", "flag.csv", "file.csv"))
+    assert main(base + ["--initial-state", "|10>", "--output", str(want)]) == 0
+    assert main(base + ["--initial-state=-|10>", "--output", str(flag)]) == 0
+    config_path = tmp_path / "minus.cfg"
+    config_path.write_text("initial_state = -|10>\n")
+    assert main(base + ["--config", str(config_path), "--output", str(from_file)]) == 0
+    assert flag.read_bytes() == want.read_bytes() == from_file.read_bytes()
+
+
+def test_cli_help_exits_0_and_shows_the_minus_sign_form(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option, so no flag is wrapped
+    assert main(["--help"]) == 0
+    assert "{sweep,qutrit,compare}" in capsys.readouterr().out
+    for command in ("sweep", "qutrit"):
+        assert main([command, "--help"]) == 0
+        assert '--initial-state="-|10>"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("initial_state = |00>\nsamples 5\n", ["--output", "x.csv"],
+         "{config}:2: expected 'key = value', got 'samples 5'"),
+        ("initial_state = |00>\n", [], "an output path is required (flag --output or config file)"),
+        ("output = x.csv\n", [],
+         "an initial state is required (flag --initial-state or config file)"),
+    ],
+    ids=["line-without-equals", "no-output", "no-initial-state"],
+)
+def test_cli_config_usage_faults(tmp_path, capsys, config, flags, message):
+    config_path = tmp_path / "c.cfg"
+    config_path.write_text(config)
+    assert main(["sweep", "--config", str(config_path), *flags]) == 1
+    assert capsys.readouterr().err == f"dephasim: {message.format(config=config_path)}\n"
+
+
+@pytest.mark.parametrize("overlap", [0, 1, 20, 21])
+def test_cli_compare_lists_at_most_20_overlap_points(tmp_path, capsys, overlap):
+    grid = np.linspace(0.0, 1.0, 30)
+    both_on = np.arange(30) < overlap
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(SweepResult(grid, np.ones(30), np.ones(30)), str(a_path))
+    write_csv(SweepResult(grid, both_on * 0.5, np.ones(30)), str(b_path))
+    assert main(["compare", "--a", str(a_path), "--b", str(b_path)]) == 0
+    listed = [line for line in capsys.readouterr().out.splitlines() if "overlap at" in line]
+    want = [f"  overlap at gamma_T = {g:.12g}" for g in grid[both_on]] if overlap <= 20 else []
+    assert listed == want
 
 
 def test_cli_exit_codes(tmp_path):

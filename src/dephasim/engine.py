@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import matrix_exponential
-from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _trusted
+from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix
 
 TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
@@ -150,8 +150,7 @@ def build_liouvillian(dims: tuple[int, int], omega1: float | None = None) -> Sup
             raise UnsupportedDimensionError(f"the local drive needs qubit dims, got {dims}")
         _require_nonnegative("drive ratio omega1", omega1)
         gen += 0.5 * omega1 * _DRIVE_COMMUTATOR
-    # <<I| annihilates both tables exactly, so the sum is trace-preserving as built.
-    return _trusted(Superoperator, matrix=gen)
+    return Superoperator(gen)
 
 
 def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:
@@ -188,7 +187,9 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     m=+-2 diagonal entries.
     """
     # A pinching of a valid state is a valid state, so the result is not re-checked.
-    return _trusted(DensityMatrix, matrix=rho.matrix * _pair(rho.dims).fixed_mask, dims=rho.dims)
+    fixed = object.__new__(DensityMatrix)
+    fixed.__dict__.update(matrix=rho.matrix * _pair(rho.dims).fixed_mask, dims=rho.dims)
+    return fixed
 
 
 def stationary_state(rho0: DensityMatrix, generator: Superoperator, T: float) -> DensityMatrix:

@@ -21,10 +21,6 @@ class ParseError(DephasimError):
         self.position = position
 
 
-class LabelError(ParseError):
-    """Ket label outside the subsystem alphabet."""
-
-
 class ZeroNormError(DephasimError):
     """All amplitudes cancelled; the expression has zero norm."""
 

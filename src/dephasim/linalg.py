@@ -21,35 +21,31 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
-    """Reduced matrix of subsystem `keep` (1 or 2) of a bipartite operator."""
+def _bipartite(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The (d1, d2, d1, d2) view of a bipartite operator whose shape matches `dims`."""
     rho = np.asarray(rho, dtype=complex)
     d1, d2 = dims
     if rho.shape != (d1 * d2, d1 * d2):
         raise DimensionMismatchError(
             f"operator shape {rho.shape} does not match subsystem dims {dims}"
         )
+    return rho.reshape(d1, d2, d1, d2)
+
+
+def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
+    """Reduced matrix of subsystem `keep` (1 or 2) of a bipartite operator."""
+    blocks = _bipartite(rho, dims)
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    blocks = rho.reshape(d1, d2, d1, d2)
     if keep == 1:
         return np.einsum("ijkj->ik", blocks)
     return np.einsum("ijil->jl", blocks)
 
 
-def partial_transpose(rho: np.ndarray, sub: int, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose of one tensor factor (1 or 2) of a bipartite operator."""
-    rho = np.asarray(rho, dtype=complex)
+def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose of party 2's factor of a bipartite operator.
+
+    Party 1's partial transpose is the full transpose of this one, with the same spectrum.
+    """
     d1, d2 = dims
-    if rho.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatchError(
-            f"operator shape {rho.shape} does not match subsystem dims {dims}"
-        )
-    if sub not in (1, 2):
-        raise ValueError(f"sub must be 1 or 2, got {sub!r}")
-    blocks = rho.reshape(d1, d2, d1, d2)
-    if sub == 1:
-        blocks = blocks.transpose(2, 1, 0, 3)
-    else:
-        blocks = blocks.transpose(0, 3, 2, 1)
-    return blocks.reshape(d1 * d2, d1 * d2).copy()
+    return _bipartite(rho, dims).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2).copy()

@@ -132,7 +132,7 @@ def mutual_information_xform(x: StationaryXForm) -> float:
 def min_pt_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
     # The two partial transposes are transposes of each other: one spectrum.
-    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, 2, rho.dims))[0])
+    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    LabelError,
     NotHermitianError,
     NotPositiveError,
     ParseError,
@@ -90,13 +89,6 @@ def validate(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     return DensityMatrix(matrix, dims)
 
 
-def _trusted(cls, **fields):
-    """Build a frozen dataclass from fields that hold its invariants by construction."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def pure_density(psi: StateVector) -> DensityMatrix:
     """Rank-one projector |psi><psi|."""
     amp = psi.amplitudes
@@ -145,17 +137,17 @@ def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
     if "," in raw:
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 2:
-            raise LabelError(f"ket label {label!r} must name exactly two subsystems", pos)
+            raise ParseError(f"ket label {label!r} must name exactly two subsystems", pos)
     else:
         compact = raw.replace(" ", "")
         if len(compact) != 2:
-            raise LabelError(
+            raise ParseError(
                 f"ket label {label!r} needs two levels (use a comma for multi-character levels)",
                 pos,
             )
         parts = [compact[0], compact[1]]
     if parts[0] not in alpha1 or parts[1] not in alpha2:
-        raise LabelError(f"ket label {label!r} is outside the {d1}x{d2} level alphabet", pos)
+        raise ParseError(f"ket label {label!r} is outside the {d1}x{d2} level alphabet", pos)
     return alpha1.index(parts[0]) * d2 + alpha2.index(parts[1])
 
 

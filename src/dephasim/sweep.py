@@ -220,11 +220,13 @@ def read_csv(path: str) -> SweepResult:
         try:
             if line.startswith("#"):
                 parts = line.split()
-                if "transition" in parts:
-                    transitions.append(float(parts[parts.index("=") + 1]))
-                elif "maximum" in parts:
-                    values = [float(parts[i + 1]) for i, tok in enumerate(parts) if tok == "="]
-                    maxima.append(tuple(values))
+                for kind, n, found in (("transition", 1, transitions), ("maximum", 3, maxima)):
+                    if kind in parts:
+                        values = [float(parts[i + 1]) for i, tok in enumerate(parts) if tok == "="]
+                        if len(values) != n:
+                            raise ValueError(f"expected {n} values, got {len(values)}")
+                        found.append(values[0] if n == 1 else tuple(values))
+                        break
                 continue
             cells = line.split(",")
             if len(cells) != 3:

@@ -180,7 +180,7 @@ CENTRAL_INDICES = [0, 4, 8]  # |1,1>, |0,0>, |-1,-1>
 
 
 def central_block_oracle(matrix: np.ndarray) -> np.ndarray:
-    pt = partial_transpose(matrix, 2, (3, 3))
+    pt = partial_transpose(matrix, (3, 3))
     return pt[np.ix_(CENTRAL_INDICES, CENTRAL_INDICES)]
 
 

@@ -4,7 +4,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dephasim import (
-    LabelError,
+    DensityMatrix,
+    DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
     ParseError,
@@ -65,13 +66,13 @@ def test_parse_unclosed_parenthesis():
 
 
 def test_parse_label_errors():
-    with pytest.raises(LabelError):
+    with pytest.raises(ParseError, match="is outside the 3x3 level alphabet"):
         parse_ket_expression("|2,0>", (3, 3))
-    with pytest.raises(LabelError):
+    with pytest.raises(ParseError, match="is outside the 2x2 level alphabet"):
         parse_ket_expression("|12>", (2, 2))
-    with pytest.raises(LabelError):
+    with pytest.raises(ParseError, match="needs two levels"):
         parse_ket_expression("|1>", (2, 2))
-    with pytest.raises(LabelError, match="must name exactly two subsystems"):
+    with pytest.raises(ParseError, match="must name exactly two subsystems"):
         parse_ket_expression("|1,0,1>", (3, 3))
 
 
@@ -209,6 +210,21 @@ def test_parse_round_trips_printed_real_states(dims, data):
 def test_state_vector_rejects_nan():
     with pytest.raises(ZeroNormError):
         StateVector(np.array([np.nan, 0.0, 0.0, 0.0]), (2, 2))
+
+
+def test_state_vector_rejects_the_wrong_amplitude_count():
+    with pytest.raises(
+        DimensionMismatchError, match=r"amplitude count \(3,\) does not match dims \(2, 2\)"
+    ):
+        StateVector(np.ones(3) / np.sqrt(3), (2, 2))
+
+
+def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
+    with pytest.raises(
+        DimensionMismatchError,
+        match=r"matrix shape \(4, 4\) does not match subsystem dims \(3, 3\)",
+    ):
+        DensityMatrix(np.eye(4) / 4, (3, 3))
 
 
 def test_pure_density_singlet_block():

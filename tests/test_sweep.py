@@ -293,6 +293,9 @@ def test_sweep_config_rejects_non_finite(field, value):
         ("0,1,2\n0.5,1,2,3\n", 3),  # long row
         ("0,1,x\n", 2),  # non-numeric cell
         ("0,1,2\n# transition gamma_T\n", 3),  # comment without a value
+        ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5\n", 4),  # maximum with one value
+        # maximum with four values
+        ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 1 mutual_information = 2 x = 3\n", 4),
         ("0,1,2\nnan,1,2\n", None),  # grid value that is not a number
         # a maximum outside every entangled window
         ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 0 mutual_information = 2\n", None),
@@ -305,6 +308,11 @@ def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
     with pytest.raises(ValueError) as info:
         read_csv(str(path))
     assert str(info.value).startswith(where)
+
+
+def test_sweep_result_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="row columns must have equal length"):
+        SweepResult(np.arange(3.0), np.zeros(3), np.zeros(2))
 
 
 @pytest.mark.parametrize("text", ["", "0,1,2\n", "\ngamma_T,concurrence\n0,1,2\n"])

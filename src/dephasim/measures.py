@@ -24,6 +24,8 @@ _ENTROPY_EIG_FLOOR = 1e-12
 # Margin for the strict inequalities of the qutrit criterion; boundary states
 # are PPT-undecidable at floating precision and reported as not-sufficient.
 _STRICT_MARGIN = 1e-12
+# Mutual information is nonnegative: a value between this floor and 0 is rounding.
+_MI_ROUNDING_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def mutual_information(rho: DensityMatrix) -> float:
         + _entropy_of_matrix(partial_trace(rho.matrix, 2, rho.dims))
         - _entropy_of_matrix(rho.matrix)
     )
-    if -1e-10 < value < 0.0:
+    if _MI_ROUNDING_FLOOR < value < 0.0:
         value = 0.0
     return value
 
@@ -124,7 +126,7 @@ def mutual_information_xform(x: StationaryXForm) -> float:
         + _plog2(beta_plus)
         + _plog2(beta_minus)
     )
-    if -1e-10 < value < 0.0:
+    if _MI_ROUNDING_FLOOR < value < 0.0:
         value = 0.0
     return float(value)
 

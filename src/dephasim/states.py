@@ -1,4 +1,4 @@
-"""Validated quantum-state types and the ket-expression parser used by the CLI."""
+"""The validated density-matrix type and the ket-expression parser used by the CLI."""
 
 from __future__ import annotations
 
@@ -30,27 +30,6 @@ _SAFE_AMPLITUDES = (1e-150, 1e150)
 # Single-party level labels and their Jz eigenvalues, in basis order (highest
 # projection first): the parser's alphabet and the dephasing generator's spectrum.
 _LEVELS = {2: {"1": 0.5, "0": -0.5}, 3: {"1": 1.0, "0": 0.0, "-1": -1.0}}
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of a bipartite system, amplitudes in lexicographic basis order."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        d1, d2 = self.dims
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (d1 * d2,):
-            raise DimensionMismatchError(
-                f"amplitude count {amp.shape} does not match dims {self.dims}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        # |psi|^2 is the trace of |psi><psi|, so it shares the trace tolerance.
-        if not abs(norm_sq - 1.0) <= TRACE_TOL:
-            raise ZeroNormError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -87,12 +66,6 @@ class DensityMatrix:
 def validate(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the matrix on success."""
     return DensityMatrix(matrix, dims)
-
-
-def pure_density(psi: StateVector) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    amp = psi.amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()), psi.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +287,8 @@ class _KetParser:
         raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
 
 
-def parse_ket_expression(text: str, dims: tuple[int, int]) -> StateVector:
-    """Parse a linear combination of kets and return the normalized state.
+def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
+    """Parse a linear combination of kets; return the projector onto its normalized state.
 
     Examples of accepted input: ``(|10> - |01>)/sqrt(2)``, ``0.5*|11> + 0.5|00>
     + 1/sqrt(2)*|10>``, ``|0,0>`` (qutrit levels are comma-separated because
@@ -336,4 +309,5 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> StateVector:
         # The norm's sum of squares would underflow or overflow. The parser's
         # amplitudes are real, and real division stays finite for subnormals.
         vec = vec.real / largest
-    return StateVector(vec / float(np.linalg.norm(vec)), dims)
+    amp = np.asarray(vec / float(np.linalg.norm(vec)), dtype=complex)
+    return DensityMatrix(np.outer(amp, amp.conj()), dims)

@@ -23,7 +23,7 @@ from .measures import (
     mutual_information_xform,
     qutrit_sufficient_entangled,
 )
-from .states import parse_ket_expression, pure_density
+from .states import parse_ket_expression
 
 # Concurrence below this is indistinguishable from propagator noise.
 ENTANGLEMENT_THRESHOLD = 1e-9
@@ -100,7 +100,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """
     if workers != 1:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {workers!r}")
-    rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
+    rho0 = parse_ket_expression(config.initial_state, (2, 2))
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian((2, 2), config.omega_ratio)
 
@@ -222,7 +222,7 @@ def read_csv(path: str) -> SweepResult:
                 parts = line.split()
                 for kind, n, found in (("transition", 1, transitions), ("maximum", 3, maxima)):
                     if kind in parts:
-                        values = [float(parts[i + 1]) for i, tok in enumerate(parts) if tok == "="]
+                        values = [float(parts[i + 1]) for i, tok in enumerate(parts[:-1]) if tok == "="]
                         if len(values) != n:
                             raise ValueError(f"expected {n} values, got {len(values)}")
                         found.append(values[0] if n == 1 else tuple(values))
@@ -232,7 +232,7 @@ def read_csv(path: str) -> SweepResult:
             if len(cells) != 3:
                 raise ValueError(f"expected 3 cells, got {len(cells)}")
             rows.append([float(cell) for cell in cells])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
@@ -245,7 +245,7 @@ def read_csv(path: str) -> SweepResult:
 
 def run_qutrit_scan(initial_state: str) -> CriterionReport:
     """Dephase the initial two-qutrit state and evaluate the entanglement criterion."""
-    rho0 = pure_density(parse_ket_expression(initial_state, (3, 3)))
+    rho0 = parse_ket_expression(initial_state, (3, 3))
     return qutrit_sufficient_entangled(dephasing_fixed_point(rho0))
 
 

@@ -22,7 +22,6 @@ from dephasim import (
     mutual_information,
     mutual_information_xform,
     parse_ket_expression,
-    pure_density,
     qutrit_sufficient_entangled,
     run_sweep,
     stationary_state,
@@ -54,7 +53,7 @@ def sweep_cached(config, workers=1):
 
 
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
-    rho0 = pure_density(parse_ket_expression(text, (2, 2)))
+    rho0 = parse_ket_expression(text, (2, 2))
     generator = build_liouvillian((2, 2), omega_ratio)
     return concurrence_xform(extract_xform(stationary_state(rho0, generator, gamma_t)))
 
@@ -106,7 +105,7 @@ def test_criterion_1_bell_state_classification():
 
 def test_criterion_2_analytic_dephasing_decay():
     crit = Criterion("2 analytic dephasing decay", 1.0)
-    rho0 = pure_density(parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2)))
+    rho0 = parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2))
     generator = build_liouvillian((2, 2))
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
         coherence = abs(evolve(rho0, generator, gamma_t).matrix[0, 3])
@@ -118,7 +117,7 @@ def test_criterion_2_analytic_dephasing_decay():
 
 def test_criterion_3_propagator_cross_validation():
     crit = Criterion("3 propagator vs fixed-step integrator", 30.0)
-    rho0 = pure_density(parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2)))
+    rho0 = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     grid = np.linspace(0.0, 2.0, 50)
     reference = rk4_stationary_grid(rho0.matrix, OMEGA_RATIO, grid)
     generator = build_liouvillian((2, 2), OMEGA_RATIO)

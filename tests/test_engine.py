@@ -17,7 +17,6 @@ from dephasim import (
     dephasing_fixed_point,
     evolve,
     extract_xform,
-    pure_density,
     parse_ket_expression,
     stationary_state,
     validate,
@@ -32,7 +31,7 @@ def bell(which: str):
         "psi+": "(|11> + |00>)/sqrt(2)",
         "psi-": "(|11> - |00>)/sqrt(2)",
     }[which]
-    return pure_density(parse_ket_expression(text, (2, 2)))
+    return parse_ket_expression(text, (2, 2))
 
 
 def test_collective_jz_qubits():
@@ -272,7 +271,7 @@ def test_stationary_state_matches_rk4_oracle():
 def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
     # Up to ||L T|| ~ 1e10, where scaling and squaring drifts the trace of
     # exp(L T) rho0 by up to 1.5e-7 before evolve restores it.
-    rho0 = pure_density(parse_ket_expression(ket, (2, 2)))
+    rho0 = parse_ket_expression(ket, (2, 2))
     for omega1 in (0.0, 31.25, 100.0, 1e3, 1e4):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
@@ -284,7 +283,7 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
 def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # At omega1 * T = 1e20 exp(L T) rho0 rounds to zero: there is no trace to
     # restore, so evolve re-raises instead of dividing by zero.
-    rho0 = pure_density(parse_ket_expression("|11>", (2, 2)))
+    rho0 = parse_ket_expression("|11>", (2, 2))
     with pytest.raises(TraceNotOneError):
         stationary_state(rho0, build_liouvillian((2, 2), 1e8), 1e12)
 
@@ -293,7 +292,7 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
     # At omega1 * T = 1e20 scaling and squaring overflows to inf and NaN; the
     # suite turns numpy's RuntimeWarnings into errors, so this also pins that
     # none is emitted before the state check rejects the result.
-    rho0 = pure_density(parse_ket_expression("|10>", (2, 2)))
+    rho0 = parse_ket_expression("|10>", (2, 2))
     with pytest.raises(NotHermitianError):
         stationary_state(rho0, build_liouvillian((2, 2), 1e10), 1e10)
 
@@ -319,7 +318,7 @@ def test_stationary_xform_rejects_negative_population():
 
 
 def test_extract_xform_rejects_qutrit_states():
-    rho = pure_density(parse_ket_expression("|0,0>", (3, 3)))
+    rho = parse_ket_expression("|0,0>", (3, 3))
     with pytest.raises(DimensionMismatchError, match="two-qubit notion"):
         extract_xform(rho)
 

@@ -14,7 +14,6 @@ from dephasim import (
     mutual_information_xform,
     parse_ket_expression,
     partial_transpose,
-    pure_density,
     qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
     validate,
@@ -38,7 +37,7 @@ def embed_xform(x: StationaryXForm) -> np.ndarray:
 
 
 def werner(p: float) -> np.ndarray:
-    singlet = pure_density(parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2))).matrix
+    singlet = parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2)).matrix
     return p * singlet + (1 - p) * np.eye(4) / 4
 
 
@@ -73,7 +72,7 @@ def with_edges(test):
 
 def test_concurrence_of_bell_states_is_one():
     for text in BELL_EXPRESSIONS:
-        rho = pure_density(parse_ket_expression(text, (2, 2)))
+        rho = parse_ket_expression(text, (2, 2))
         assert abs(concurrence(rho) - 1.0) <= 1e-9
 
 
@@ -120,7 +119,7 @@ def test_concurrence_xform_matches_general_form(x):
 
 
 def test_entropy_values():
-    pure = pure_density(parse_ket_expression(BELL_EXPRESSIONS[2], (2, 2)))
+    pure = parse_ket_expression(BELL_EXPRESSIONS[2], (2, 2))
     assert von_neumann_entropy(pure) <= 1e-10
     assert abs(von_neumann_entropy(validate(np.eye(4) / 4, (2, 2))) - 2.0) <= 1e-12
     rho = validate(np.diag([0.5, 0.25, 0.25, 0.0]), (2, 2))
@@ -135,7 +134,7 @@ def test_mutual_information_product_state():
 
 def test_mutual_information_of_bell_states():
     for text in BELL_EXPRESSIONS:
-        rho = pure_density(parse_ket_expression(text, (2, 2)))
+        rho = parse_ket_expression(text, (2, 2))
         assert abs(mutual_information(rho) - 2.0) <= 1e-9
 
 
@@ -166,9 +165,9 @@ def test_min_pt_eigenvalue_separable_mixture():
 
 
 def test_min_pt_eigenvalue_entangled_states():
-    singlet = pure_density(parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2)))
+    singlet = parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2))
     assert abs(min_pt_eigenvalue(singlet) + 0.5) <= 1e-12
-    qutrit_pair = pure_density(parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3)))
+    qutrit_pair = parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3))
     assert abs(min_pt_eigenvalue(qutrit_pair) + 1.0 / 3.0) <= 1e-12
 
 
@@ -194,7 +193,7 @@ def test_cubic_coefficients_maximally_mixed():
 def test_cubic_coefficients_maximally_entangled_projector():
     # central partial-transpose block of sum_i |ii> / sqrt(3) is (1/3) * identity,
     # so the cubic is (x - 1/3)^3
-    rho = pure_density(parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3)))
+    rho = parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3))
     xi, zeta, eta = qutrit_cubic_coefficients(rho)
     assert abs(xi - 1.0) <= 1e-12
     assert abs(zeta - 1.0 / 3.0) <= 1e-12
@@ -270,8 +269,8 @@ def central_population_state(p1: float) -> np.ndarray:
     return m
 
 
-@example(matrix=pure_density(parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3))).matrix)
-@example(matrix=pure_density(parse_ket_expression("|0,0>", (3, 3))).matrix)
+@example(matrix=parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3)).matrix)
+@example(matrix=parse_ket_expression("|0,0>", (3, 3)).matrix)
 @example(matrix=central_population_state(-5e-10))
 @example(matrix=dephased_product(np.array([0.6, 0.64, 0.48]), np.array([0.6, 0.64, 0.48])))
 @example(matrix=rank_one_central_mixture())
@@ -292,7 +291,7 @@ def test_criterion_maximally_mixed_not_detected():
 
 
 def test_criterion_detects_central_sector_entanglement():
-    rho = pure_density(parse_ket_expression("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3)))
+    rho = parse_ket_expression("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3))
     report = qutrit_sufficient_entangled(rho)
     assert report.cubic_has_negative_root
     assert report.sufficient_entangled
@@ -300,7 +299,7 @@ def test_criterion_detects_central_sector_entanglement():
 
 
 def test_criterion_detects_single_excitation_entanglement():
-    rho = pure_density(parse_ket_expression("(|1,0> + |0,1>)/sqrt(2)", (3, 3)))
+    rho = parse_ket_expression("(|1,0> + |0,1>)/sqrt(2)", (3, 3))
     report = qutrit_sufficient_entangled(rho)
     assert report.cubic_has_negative_root
     assert report.sufficient_entangled
@@ -308,17 +307,17 @@ def test_criterion_detects_single_excitation_entanglement():
 
 
 def test_criterion_coherence_blocks_fire_separately():
-    plus = pure_density(parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3)))
+    plus = parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3))
     report = qutrit_sufficient_entangled(plus)
     assert report.pt_block_plus_negative and not report.cubic_has_negative_root
     assert report.sufficient_entangled
-    minus = pure_density(parse_ket_expression("(|0,0> + |-1,1>)/sqrt(2)", (3, 3)))
+    minus = parse_ket_expression("(|0,0> + |-1,1>)/sqrt(2)", (3, 3))
     report = qutrit_sufficient_entangled(minus)
     assert report.pt_block_minus_negative and report.sufficient_entangled
 
 
 def test_criterion_product_state_not_detected():
-    report = qutrit_sufficient_entangled(pure_density(parse_ket_expression("|0,0>", (3, 3))))
+    report = qutrit_sufficient_entangled(parse_ket_expression("|0,0>", (3, 3)))
     assert not report.sufficient_entangled
 
 

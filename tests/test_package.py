@@ -49,6 +49,15 @@ def test_every_public_name_resolves():
     assert [name for name in dephasim.__all__ if not hasattr(dephasim, name)] == []
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    assert (tmp_path / "report.txt").is_file()
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     assert _fresh([], tmp_path) == (0, False, "")
 

@@ -10,53 +10,55 @@ from dephasim import (
     NotPositiveError,
     ParseError,
     StateValidationError,
-    StateVector,
     TraceNotOneError,
     ZeroNormError,
     parse_ket_expression,
-    pure_density,
     validate,
 )
-from oracles import random_pure
+
+
+def _projector(amplitudes):
+    amp = np.asarray(amplitudes, dtype=complex)
+    return np.outer(amp, amp.conj())
 
 
 def test_parse_bell_singlet():
     psi = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     expected = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-12
 
 
 def test_parse_qutrit_basis_state():
     psi = parse_ket_expression("|0,0>", (3, 3))
     expected = np.zeros(9)
     expected[4] = 1.0
-    assert np.array_equal(psi.amplitudes, expected)
+    assert np.array_equal(psi.matrix, _projector(expected))
 
 
 def test_parse_qutrit_negative_labels():
     psi = parse_ket_expression("|1,-1>", (3, 3))
-    assert psi.amplitudes[2] == 1.0
+    assert psi.matrix[2, 2] == 1.0
     psi = parse_ket_expression("|-1,1>", (3, 3))
-    assert psi.amplitudes[6] == 1.0
+    assert psi.matrix[6, 6] == 1.0
 
 
 def test_parse_coefficient_forms():
     psi = parse_ket_expression("0.5*|11> + 1/sqrt(2)*|10> + 0.5|00>", (2, 2))
     expected = np.array([0.5, 1.0 / np.sqrt(2), 0.0, 0.5])
-    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-12
     psi2 = parse_ket_expression("sqrt(2)/2 * |11> + sqrt(2)/2*|00>", (2, 2))
-    assert np.max(np.abs(psi2.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2))) <= 1e-12
+    assert np.max(np.abs(psi2.matrix - _projector(np.array([1, 0, 0, 1]) / np.sqrt(2)))) <= 1e-12
 
 
 def test_parse_normalizes_unnormalized_input():
     psi = parse_ket_expression("|11> + |00>", (2, 2))
-    assert np.max(np.abs(psi.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2))) <= 1e-12
+    assert np.max(np.abs(psi.matrix - _projector(np.array([1, 0, 0, 1]) / np.sqrt(2)))) <= 1e-12
 
 
 def test_parse_is_whitespace_insensitive():
     a = parse_ket_expression("( |10>   -|01> ) / sqrt( 2 )", (2, 2))
     b = parse_ket_expression("(|10>-|01>)/sqrt(2)", (2, 2))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_parse_unclosed_parenthesis():
@@ -101,7 +103,8 @@ _BIG = "1" + "0" * 200  # 1e200: its square overflows a float
 )
 def test_parse_normalizes_extreme_amplitudes(text, expected):
     psi = parse_ket_expression(text, (2, 2))
-    assert np.max(np.abs(psi.amplitudes - np.array(expected) / np.linalg.norm(expected))) <= 1e-15
+    expected = np.array(expected) / np.linalg.norm(expected)
+    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -115,7 +118,7 @@ def test_parse_cancellation_is_relative_to_the_summed_terms(text):
 def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
     # Each amplitude is judged against the terms summed into it, not the largest term.
     psi = parse_ket_expression(_BIG + "|10> - " + _BIG + "|10> + |01>", (2, 2))
-    assert np.array_equal(psi.amplitudes, [0, 0, 1, 0])
+    assert np.array_equal(psi.matrix, _projector([0, 0, 1, 0]))
 
 
 def test_parse_rejects_garbage():
@@ -163,7 +166,7 @@ def test_parse_rejects_non_ascii_characters_at_their_position(text, message, pos
 def test_parse_reads_any_decimal_digit():
     # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit, so it is a coefficient
     psi = parse_ket_expression("\u0663|10>", (2, 2))
-    assert np.array_equal(psi.amplitudes, parse_ket_expression("|10>", (2, 2)).amplitudes)
+    assert np.array_equal(psi.matrix, parse_ket_expression("|10>", (2, 2)).matrix)
 
 
 def test_parser_is_total_on_random_garbage():
@@ -177,7 +180,7 @@ def test_parser_is_total_on_random_garbage():
             psi = parse_ket_expression(text, (2, 2))
         except (ParseError, ZeroNormError):
             continue
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-10
+        assert abs(np.trace(psi.matrix) - 1.0) <= 1e-10
 
 
 # Basis labels in lexicographic order, so a label's position is its amplitude index.
@@ -204,19 +207,7 @@ def test_parse_round_trips_printed_real_states(dims, data):
     assume(norm > 1e-3)
     text = " ".join(f"{'-' if c < 0 else '+'} {abs(c):.17f}*|{labels[i]}>" for i, c in terms)
     psi = parse_ket_expression(text, dims)
-    assert np.max(np.abs(psi.amplitudes - expected / norm)) <= 1e-12
-
-
-def test_state_vector_rejects_nan():
-    with pytest.raises(ZeroNormError):
-        StateVector(np.array([np.nan, 0.0, 0.0, 0.0]), (2, 2))
-
-
-def test_state_vector_rejects_the_wrong_amplitude_count():
-    with pytest.raises(
-        DimensionMismatchError, match=r"amplitude count \(3,\) does not match dims \(2, 2\)"
-    ):
-        StateVector(np.ones(3) / np.sqrt(3), (2, 2))
+    assert np.max(np.abs(psi.matrix - _projector(expected / norm))) <= 1e-12
 
 
 def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
@@ -227,29 +218,17 @@ def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
         DensityMatrix(np.eye(4) / 4, (3, 3))
 
 
-def test_pure_density_singlet_block():
-    rho = pure_density(parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2)))
+def test_parse_singlet_is_its_projector_block():
+    rho = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     m = rho.matrix
     assert abs(m[1, 1] - 0.5) <= 1e-12 and abs(m[2, 2] - 0.5) <= 1e-12
     assert abs(m[1, 2] + 0.5) <= 1e-12 and abs(m[2, 1] + 0.5) <= 1e-12
     assert abs(m[0, 0]) <= 1e-12 and abs(m[3, 3]) <= 1e-12
 
 
-def test_pure_density_basis_projector():
-    rho = pure_density(parse_ket_expression("|00>", (2, 2)))
+def test_parse_basis_ket_is_its_diagonal_projector():
+    rho = parse_ket_expression("|00>", (2, 2))
     assert np.array_equal(rho.matrix, np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
-
-
-def test_pure_density_purity():
-    rng = np.random.default_rng(22)
-    from dephasim import StateVector
-
-    for dims in ((2, 2), (3, 3)):
-        psi = StateVector(random_pure(rng, dims[0] * dims[1]), dims)
-        rho = pure_density(psi)
-        purity = np.trace(rho.matrix @ rho.matrix).real
-        assert abs(purity - 1.0) <= 1e-12
-        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
 
 
 def test_validate_accepts_maximally_mixed():
@@ -290,5 +269,5 @@ def test_parse_pure_validate_round_trip():
         ("(|1,0> + |0,1>)/sqrt(2)", (3, 3)),
     ]
     for text, dims in expressions:
-        rho = pure_density(parse_ket_expression(text, dims))
+        rho = parse_ket_expression(text, dims)
         validate(rho.matrix, dims)

@@ -19,7 +19,6 @@ from dephasim import (
     extract_xform,
     mutual_information_xform,
     parse_ket_expression,
-    pure_density,
     read_csv,
     run_qutrit_scan,
     run_sweep,
@@ -168,7 +167,7 @@ def test_refined_transitions_sit_on_the_curve_zero():
         initial_state="(|10> - |01>)/sqrt(2)", omega_ratio=31.25, gamma_t_max=0.3, samples=151
     )
     result = run_sweep(config)
-    rho0 = pure_density(parse_ket_expression(config.initial_state, (2, 2)))
+    rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
         generator = build_liouvillian((2, 2), config.omega_ratio)
         c_value = concurrence_xform(extract_xform(stationary_state(rho0, generator, transition)))
@@ -181,7 +180,7 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
     # must give the same bits.
     config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=200)
     result = run_sweep(config)
-    rho0 = pure_density(parse_ket_expression(ket, (2, 2)))
+    rho0 = parse_ket_expression(ket, (2, 2))
     rows = []
     for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
         generator = build_liouvillian((2, 2), config.omega_ratio)
@@ -308,6 +307,23 @@ def test_read_csv_rejects_malformed_files(tmp_path, body, lineno):
     with pytest.raises(ValueError) as info:
         read_csv(str(path))
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1,2\n# transition gamma_T =\n", "3: expected 1 values, got 0"),
+        ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 1 mutual_information =\n",
+         "4: expected 3 values, got 2"),
+    ],
+    ids=["transition", "maximum"],
+)
+def test_read_csv_names_an_equals_sign_without_a_value(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("gamma_T,concurrence,mutual_information\n" + body)
+    with pytest.raises(ValueError) as info:
+        read_csv(str(path))
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_sweep_result_rejects_columns_of_unequal_length():
@@ -469,6 +485,17 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "command, ket",
+    [("sweep", "|10> - |10>"), ("qutrit", "|0,0> - |0,0>")],
+)
+def test_cli_reports_a_cancelled_ket(tmp_path, capsys, command, ket):
+    out = tmp_path / "out"
+    assert main([command, "--initial-state", ket, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"dephasim: all amplitudes cancel in {ket!r}\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_removed_options(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DephasimError, ParseError, ZeroNormError
+from .errors import DephasimError
 from .sweep import (
     SweepConfig,
     compare_windows,
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (ParseError, ZeroNormError, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"dephasim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

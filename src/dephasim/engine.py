@@ -20,13 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DephasimError,
-    DimensionMismatchError,
-    NotXFormError,
-    TraceNotOneError,
-    UnsupportedDimensionError,
-)
+from .errors import DephasimError, DimensionMismatchError, TraceNotOneError
 from .linalg import matrix_exponential
 from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix
 
@@ -77,12 +71,12 @@ class StationaryXForm:
         total = self.a + self.b + self.c + self.d
         # Each check is written so that a NaN fails it.
         if not abs(total - 1.0) <= TRACE_TOL:
-            raise NotXFormError(f"populations sum to {total!r}, not 1")
+            raise DephasimError(f"populations sum to {total!r}, not 1")
         least = min(self.a, self.b, self.c, self.d)
         if not least >= POSITIVITY_FLOOR:
-            raise NotXFormError(f"negative population {least!r}")
+            raise DephasimError(f"negative population {least!r}")
         if not abs(self.f) ** 2 <= self.b * self.c - POSITIVITY_FLOOR:
-            raise NotXFormError(
+            raise DephasimError(
                 f"coherence |f|^2 = {abs(self.f)**2!r} exceeds b*c = {self.b * self.c!r}"
             )
 
@@ -121,9 +115,7 @@ def _pair(dims: tuple[int, int]) -> _PairTable:
     try:
         return _PAIRS[dims]
     except (KeyError, TypeError):
-        raise UnsupportedDimensionError(
-            f"supported pairs are (2, 2) and (3, 3), got {dims}"
-        ) from None
+        raise DimensionMismatchError(f"supported pairs are (2, 2) and (3, 3), got {dims}") from None
 
 
 def collective_jz(dims: tuple[int, int]) -> np.ndarray:
@@ -147,7 +139,7 @@ def build_liouvillian(dims: tuple[int, int], omega1: float | None = None) -> Sup
     gen = pair.dephasing.copy()
     if omega1 is not None:
         if dims != (2, 2):
-            raise UnsupportedDimensionError(f"the local drive needs qubit dims, got {dims}")
+            raise DimensionMismatchError(f"the local drive needs qubit dims, got {dims}")
         _require_nonnegative("drive ratio omega1", omega1)
         gen += 0.5 * omega1 * _DRIVE_COMMUTATOR
     return Superoperator(gen)
@@ -200,7 +192,7 @@ def stationary_state(rho0: DensityMatrix, generator: Superoperator, T: float) ->
 def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
     """Read (a, b, c, d, f) off a stationary-form two-qubit matrix.
 
-    Raises NotXFormError when any element outside the diagonal and the central
+    Raises DephasimError when any element outside the diagonal and the central
     coherence pair exceeds 1e-8 in magnitude.
     """
     if rho_s.dims != (2, 2):
@@ -209,7 +201,7 @@ def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
     # The X-form is what collective dephasing keeps of a qubit pair.
     residual = float(np.max(np.abs(m[~_pair((2, 2)).fixed_mask])))
     if not residual <= _XFORM_RESIDUAL_TOL:
-        raise NotXFormError(f"off-form residual {residual:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
+        raise DephasimError(f"off-form residual {residual:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
     return StationaryXForm(
         a=float(m[0, 0].real),
         b=float(m[1, 1].real),

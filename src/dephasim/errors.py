@@ -1,19 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A fault in the caller's input is also a ValueError, and the CLI exits 1 on
+it; any other DephasimError is a numerical failure and exits 2.
+"""
 
 
 class DephasimError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatchError(DephasimError):
-    """Matrix shape or subsystem dimensions are inconsistent with the operation."""
+class DimensionMismatchError(DephasimError, ValueError):
+    """Matrix shape or subsystem dimensions do not fit, or are not supported by, the operation."""
 
 
-class UnsupportedDimensionError(DephasimError):
-    """The operation is not available for these subsystem dimensions."""
-
-
-class ParseError(DephasimError):
+class ParseError(DephasimError, ValueError):
     """Malformed ket expression. Carries the offending character position."""
 
     def __init__(self, message: str, position: int):
@@ -21,33 +21,16 @@ class ParseError(DephasimError):
         self.position = position
 
 
-class ZeroNormError(DephasimError):
+class ZeroNormError(DephasimError, ValueError):
     """All amplitudes cancelled; the expression has zero norm."""
 
 
 class StateValidationError(DephasimError):
-    """A density-matrix invariant is violated. Carries the violation magnitude."""
+    """A density-matrix invariant is violated; the message prints the violation magnitude."""
 
     def __init__(self, message: str, magnitude: float):
         super().__init__(f"{message} (magnitude {magnitude:.3e})")
-        self.magnitude = magnitude
-
-
-class NotHermitianError(StateValidationError):
-    """Matrix is not Hermitian within tolerance."""
 
 
 class TraceNotOneError(StateValidationError):
     """Trace differs from one beyond tolerance."""
-
-
-class NotPositiveError(StateValidationError):
-    """Minimum eigenvalue is below the positivity floor."""
-
-
-class NotXFormError(DephasimError):
-    """Matrix carries weight outside the diagonal-plus-central-coherence positions."""
-
-
-class GridMismatchError(DephasimError):
-    """Two sweeps do not share the same sample grid."""

@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
     ParseError,
+    StateValidationError,
     TraceNotOneError,
     ZeroNormError,
 )
@@ -50,13 +49,13 @@ class DensityMatrix:
         # Each check is written so that a NaN fails it.
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if not herm_defect <= HERMITICITY_TOL:
-            raise NotHermitianError("matrix is not Hermitian", herm_defect)
+            raise StateValidationError("matrix is not Hermitian", herm_defect)
         trace_defect = abs(complex(np.trace(m)) - 1.0)
         if not trace_defect <= TRACE_TOL:
             raise TraceNotOneError("trace differs from one", trace_defect)
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= POSITIVITY_FLOOR:
-            raise NotPositiveError("matrix has a negative eigenvalue", abs(min_eig))
+            raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
 
     @property
     def dim(self) -> int:
@@ -297,7 +296,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     """
     d1, d2 = dims
     if d1 not in _LEVELS or d2 not in _LEVELS:
-        raise ValueError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
+        raise DimensionMismatchError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
     value = _KetParser(_tokenize(text), dims).parse()
     vec = value.materialize()
     # An amplitude cancels when it is rounding noise against the largest ket

@@ -16,7 +16,7 @@ from .engine import (
     extract_xform,
     stationary_state,
 )
-from .errors import GridMismatchError
+from .errors import DephasimError
 from .measures import (
     CriterionReport,
     concurrence_xform,
@@ -161,7 +161,7 @@ def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
     if len(a.gamma_t) != len(b.gamma_t) or not np.allclose(
         a.gamma_t, b.gamma_t, rtol=0.0, atol=1e-9
     ):
-        raise GridMismatchError("sweeps do not share the same gamma_T grid")
+        raise DephasimError("sweeps do not share the same gamma_T grid")
     a_on = a.concurrence > ENTANGLEMENT_THRESHOLD
     b_on = b.concurrence > ENTANGLEMENT_THRESHOLD
     both = a_on & b_on
@@ -203,6 +203,13 @@ def read_text_lines(path: str) -> list[str]:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_csv(path: str) -> SweepResult:
     """Parse a file produced by write_csv back into a SweepResult.
 
@@ -222,7 +229,7 @@ def read_csv(path: str) -> SweepResult:
                 parts = line.split()
                 for kind, n, found in (("transition", 1, transitions), ("maximum", 3, maxima)):
                     if kind in parts:
-                        values = [float(parts[i + 1]) for i, tok in enumerate(parts[:-1]) if tok == "="]
+                        values = [_finite(parts[i + 1]) for i, tok in enumerate(parts[:-1]) if tok == "="]
                         if len(values) != n:
                             raise ValueError(f"expected {n} values, got {len(values)}")
                         found.append(values[0] if n == 1 else tuple(values))
@@ -231,7 +238,7 @@ def read_csv(path: str) -> SweepResult:
             cells = line.split(",")
             if len(cells) != 3:
                 raise ValueError(f"expected 3 cells, got {len(cells)}")
-            rows.append([float(cell) for cell in cells])
+            rows.append([_finite(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:

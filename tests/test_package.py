@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(code, {})
     assert (tmp_path / "report.txt").is_file()
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("dephasim ")]
+    assert [argv[1] for argv in commands] == ["sweep", "sweep", "compare", "qutrit"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        if "--output" in argv:
+            assert (tmp_path / argv[argv.index("--output") + 1]).is_file()
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

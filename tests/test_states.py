@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from dephasim import (
     DensityMatrix,
     DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
     ParseError,
     StateValidationError,
     TraceNotOneError,
@@ -237,7 +235,7 @@ def test_validate_accepts_maximally_mixed():
 
 
 def test_validate_rejects_negative_eigenvalue():
-    with pytest.raises(NotPositiveError):
+    with pytest.raises(StateValidationError, match="negative eigenvalue"):
         validate(np.diag([1.2, -0.2, 0.0, 0.0]), (2, 2))
 
 
@@ -249,7 +247,7 @@ def test_validate_rejects_wrong_trace():
 def test_validate_rejects_non_hermitian():
     m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     m[0, 1] = 1e-3
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(StateValidationError, match="not Hermitian"):
         validate(m, (2, 2))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim import (
-    GridMismatchError,
+    DephasimError,
     SweepConfig,
     SweepResult,
     build_liouvillian,
@@ -26,6 +27,7 @@ from dephasim import (
     write_criterion_report,
     write_csv,
 )
+from dephasim import cli, errors
 from dephasim.cli import main
 
 
@@ -97,7 +99,7 @@ def test_compare_windows_disjoint_profiles():
 def test_compare_windows_rejects_grid_mismatch():
     a = synthetic_result(lambda g: 1.0, samples=101)
     b = synthetic_result(lambda g: 1.0, samples=100)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(DephasimError, match="do not share the same gamma_T grid"):
         compare_windows(a, b)
 
 
@@ -295,7 +297,11 @@ def test_sweep_config_rejects_non_finite(field, value):
         ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5\n", 4),  # maximum with one value
         # maximum with four values
         ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 1 mutual_information = 2 x = 3\n", 4),
-        ("0,1,2\nnan,1,2\n", None),  # grid value that is not a number
+        ("0,1,2\nnan,1,2\n", 3),  # grid value that is not a number
+        ("0,1,2\ninf,1,2\n", 3),  # grid value that is not finite
+        ("0,1,2\n0.5,-inf,2\n", 3),  # non-finite concurrence
+        ("0,1,2\n0.5,1,nan\n", 3),  # non-finite mutual information
+        ("0,1,2\n# transition gamma_T = inf\n", 3),  # non-finite transition
         # a maximum outside every entangled window
         ("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 0 mutual_information = 2\n", None),
     ],
@@ -512,6 +518,17 @@ def test_cli_overflowing_drive_is_a_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("dephasim: ")
 
 
+def test_cli_sample_count_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    # 10**18 samples exceed the address space, so the grid fails at once
+    # without taking memory; never try a count that could be allocated.
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--initial-state", "|10>", "--samples", str(10**18), "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dephasim: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     for flag in ("--omega-ratio", "--gamma-t-max"):
@@ -532,6 +549,10 @@ def test_cli_compare_rejects_malformed_csv(tmp_path, capsys):
     for bad, where in ((header_only, f"{header_only}:"), (short_row, f"{short_row}:3:")):
         assert main(["compare", "--a", str(good), "--b", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"dephasim: {where}")
+    nan_row = tmp_path / "nan_row.csv"
+    nan_row.write_text("gamma_T,concurrence,mutual_information\n0,nan,0.1\n")
+    assert main(["compare", "--a", str(good), "--b", str(nan_row)]) == 1
+    assert capsys.readouterr().err == f"dephasim: {nan_row}:2: non-finite value 'nan'\n"
 
 
 def test_cli_config_file_rejects_mode_key(tmp_path, capsys):
@@ -608,3 +629,21 @@ def test_cli_undecodable_inputs_name_their_file(tmp_path, capsys):
     argv = ["sweep", "--config", str(latin1_cfg), "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"dephasim: {latin1_cfg}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for _, cls in inspect.getmembers(errors, inspect.isclass)], ids=lambda c: c.__name__
+)
+def test_cli_exit_code_follows_from_the_error_class(tmp_path, capsys, monkeypatch, cls):
+    # ParseError and StateValidationError also take a position or a magnitude.
+    takes_two = issubclass(cls, (errors.ParseError, errors.StateValidationError))
+    args = ("boom", 0) if takes_two else ("boom",)
+
+    def scan(initial_state):
+        raise cls(*args)
+
+    monkeypatch.setattr(cli, "run_qutrit_scan", scan)
+    code = main(["qutrit", "--initial-state", "|0,0>", "--output", str(tmp_path / "r.txt")])
+    assert code == (1 if issubclass(cls, ValueError) else 2)
+    err = capsys.readouterr().err
+    assert err.startswith("dephasim: ") and err.count("\n") == 1

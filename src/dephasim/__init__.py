@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     ParseError,
     StateValidationError,
-    TraceNotOneError,
     ZeroNormError,
 )
 from .linalg import matrix_exponential, partial_trace, partial_transpose
@@ -58,7 +57,6 @@ __all__ = [
     "Superoperator",
     "SweepConfig",
     "SweepResult",
-    "TraceNotOneError",
     "WindowOverlapReport",
     "ZeroNormError",
     "build_liouvillian",

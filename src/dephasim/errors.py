@@ -30,7 +30,3 @@ class StateValidationError(DephasimError):
 
     def __init__(self, message: str, magnitude: float):
         super().__init__(f"{message} (magnitude {magnitude:.3e})")
-
-
-class TraceNotOneError(StateValidationError):
-    """Trace differs from one beyond tolerance."""

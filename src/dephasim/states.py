@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatchError,
     ParseError,
     StateValidationError,
-    TraceNotOneError,
     ZeroNormError,
 )
 
@@ -52,7 +51,7 @@ class DensityMatrix:
             raise StateValidationError("matrix is not Hermitian", herm_defect)
         trace_defect = abs(complex(np.trace(m)) - 1.0)
         if not trace_defect <= TRACE_TOL:
-            raise TraceNotOneError("trace differs from one", trace_defect)
+            raise StateValidationError("trace differs from one", trace_defect)
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= POSITIVITY_FLOOR:
             raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
@@ -45,6 +46,10 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        try:
+            operator.index(self.samples)
+        except TypeError:
+            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         if not (math.isfinite(self.gamma_t_max) and self.gamma_t_max > 0):

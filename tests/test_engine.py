@@ -9,7 +9,6 @@ from dephasim import (
     StateValidationError,
     StationaryXForm,
     Superoperator,
-    TraceNotOneError,
     build_liouvillian,
     collective_jz,
     dephasing_fixed_point,
@@ -78,8 +77,8 @@ def test_liouvillian_rejects_bad_drive(omega1):
 @example(omega1=0.0)
 @example(omega1=1.5e-323)  # subnormal drive: rounding follows the factor order
 def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
-    # build_liouvillian skips the Superoperator trace check, so this pins that
-    # <<I| L is exactly zero for every build: the generator is trace-preserving.
+    # Superoperator accepts <<I| L up to 1e-12, so this pins that it is exactly
+    # zero for every build: the generator is trace-preserving.
     for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
         got = build_liouvillian(dims, omega1 if drive else None).matrix
         want = kronecker_liouvillian(dims, omega1, 1.0, drive)
@@ -268,7 +267,7 @@ def test_stationary_state_matches_rk4_oracle():
 )
 def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
     # Up to ||L T|| ~ 1e10, where scaling and squaring drifts the trace of
-    # exp(L T) rho0 by up to 1.5e-7 before evolve restores it.
+    # exp(L T) rho0 by up to 1.5e-7 before evolve rescales it.
     rho0 = parse_ket_expression(ket, (2, 2))
     for omega1 in (0.0, 31.25, 100.0, 1e3, 1e4):
         # Without the drive only the dephasing fixed point of rho0 is left.
@@ -279,10 +278,10 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
 
 
 def test_long_pulse_with_a_vanished_trace_stays_an_error():
-    # At omega1 * T = 1e20 exp(L T) rho0 rounds to zero: there is no trace to
-    # restore, so evolve re-raises instead of dividing by zero.
+    # At omega1 * T = 1e20 exp(L T) rho0 rounds to zero: there is no positive
+    # trace to rescale, so evolve re-raises instead of dividing by zero.
     rho0 = parse_ket_expression("|11>", (2, 2))
-    with pytest.raises(TraceNotOneError):
+    with pytest.raises(StateValidationError, match="trace differs from one"):
         stationary_state(rho0, build_liouvillian((2, 2), 1e8), 1e12)
 
 

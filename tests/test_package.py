@@ -1,4 +1,7 @@
+import builtins
+import inspect
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dephasim
+from dephasim import errors
 from dephasim.cli import main
 from dephasim.sweep import CSV_HEADER
 
@@ -57,6 +61,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(code, {})
     assert (tmp_path / "report.txt").is_file()
+
+
+def test_readme_exit_codes_name_exactly_the_error_classes():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    named = {name for name in re.findall(r"\b\w+Error\b", section) if not hasattr(builtins, name)}
+    defined = {
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if cls.__module__ == errors.__name__
+    }
+    assert named == defined
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch):

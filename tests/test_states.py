@@ -8,7 +8,6 @@ from dephasim import (
     DimensionMismatchError,
     ParseError,
     StateValidationError,
-    TraceNotOneError,
     ZeroNormError,
     parse_ket_expression,
     validate,
@@ -240,7 +239,7 @@ def test_validate_rejects_negative_eigenvalue():
 
 
 def test_validate_rejects_wrong_trace():
-    with pytest.raises(TraceNotOneError):
+    with pytest.raises(StateValidationError, match="trace differs from one"):
         validate(np.diag([0.6, 0.6, 0.0, 0.0]), (2, 2))
 
 

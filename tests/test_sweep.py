@@ -286,6 +286,12 @@ def test_sweep_config_rejects_non_finite(field, value):
         SweepConfig(initial_state="|00>", **{field: value})
 
 
+@pytest.mark.parametrize("samples", [3.0, 2e3, "5"])
+def test_sweep_config_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match=rf"samples must be an integer, got {samples!r}"):
+        SweepConfig(initial_state="|00>", samples=samples)
+
+
 @pytest.mark.parametrize(
     "body, lineno",
     [

@@ -2,19 +2,21 @@
 
 The generator of the dynamics is
 
-    d(rho)/dt = -i/2 * omega1 * [sx_1, rho] * (drive on)
+    d(rho)/dt = -i/2 * omega1 * [sx_1, rho]
                 + gamma/2 * (2 Jz rho Jz - Jz^2 rho - rho Jz^2)
 
 with Jz the collective z-spin operator of the pair. Because Jz is diagonal,
 every matrix element |m><m'| decays at rate gamma*(m - m')^2 / 2, so the
 infinite-time limit of the drive-free channel is the projector onto the
-degenerate Jz blocks. Times are scaled by gamma, so the code sets gamma = 1
-and omega1 = Omega_1/gamma.
+degenerate Jz blocks. Only the driven qubit pair is propagated; a qutrit
+pair needs only that projector. Times are scaled by gamma, so the code sets
+gamma = 1 and omega1 = Omega_1/gamma.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +31,7 @@ _XFORM_RESIDUAL_TOL = 1e-8
 
 
 def _require_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
@@ -86,25 +88,25 @@ class _PairTable(NamedTuple):
 
     levels: np.ndarray  # diagonal of collective Jz, lexicographic basis order
     fixed_mask: np.ndarray  # True where |m><m'| has m == m', the entries dephasing keeps
-    dephasing: np.ndarray  # gamma = 1 dephasing generator on column-stacked matrices
 
 
 def _pair_table(jz_single: list[float]) -> _PairTable:
     levels = np.add.outer(jz_single, jz_single).ravel()
-    jz = np.diag(levels)
-    jz_sq = jz @ jz
-    eye = np.eye(len(levels))
-    # (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 is diagonal, -(m - m')^2 / 2 on |m><m'|.
-    # It is built in Kronecker form rather than with np.diag because the signs
-    # of its zeros (-0.0 where a negative level meets a zero) are part of the
-    # bit-exact generator that every propagator is computed from.
-    dephasing = np.kron(jz.T, jz) - 0.5 * np.kron(eye, jz_sq) - 0.5 * np.kron(jz_sq.T, eye)
-    dephasing = dephasing.astype(complex)
-    return _PairTable(levels, levels[:, None] == levels[None, :], dephasing)
+    return _PairTable(levels, levels[:, None] == levels[None, :])
 
 
 # One table per pair of equal parties, from the single-party Jz in basis order; see collective_jz.
 _PAIRS = {(d, d): _pair_table(list(jz.values())) for d, jz in _LEVELS.items()}
+
+# (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
+# diagonal, -(m - m')^2 / 2 on |m><m'|. It is built in Kronecker form rather than
+# with np.diag because the signs of its zeros (-0.0 where a negative level meets
+# a zero) are part of the bit-exact generator that every propagator is computed from.
+_JZ = np.diag(_PAIRS[(2, 2)].levels)
+_JZ_SQ = _JZ @ _JZ
+_DEPHASING = (
+    np.kron(_JZ.T, _JZ) - 0.5 * np.kron(np.eye(4), _JZ_SQ) - 0.5 * np.kron(_JZ_SQ.T, np.eye(4))
+).astype(complex)
 
 # -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
 _SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
@@ -128,21 +130,15 @@ def collective_jz(dims: tuple[int, int]) -> np.ndarray:
     return np.diag(_pair(dims).levels)
 
 
-def build_liouvillian(dims: tuple[int, int], omega1: float | None = None) -> Superoperator:
-    """Vectorized generator of collective dephasing, plus the party-1 drive when omega1 is given.
+def build_liouvillian(omega1: float) -> Superoperator:
+    """Vectorized generator of the qubit pair: collective dephasing plus the party-1 drive.
 
     In units of 1/gamma the drive term is -i/2 * omega1 [sx_1, rho] and the
-    dephasing term is (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2. omega1=None
-    leaves the drive out; omega1=0.0 adds it with zero intensity.
+    dephasing term is (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2; omega1=0.0
+    gives pure collective dephasing.
     """
-    pair = _pair(dims)
-    gen = pair.dephasing.copy()
-    if omega1 is not None:
-        if dims != (2, 2):
-            raise DimensionMismatchError(f"the local drive needs qubit dims, got {dims}")
-        _require_nonnegative("drive ratio omega1", omega1)
-        gen += 0.5 * omega1 * _DRIVE_COMMUTATOR
-    return Superoperator(gen)
+    _require_nonnegative("drive ratio omega1", omega1)
+    return Superoperator(_DEPHASING + 0.5 * omega1 * _DRIVE_COMMUTATOR)
 
 
 def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import asdict, dataclass, field, replace
@@ -52,8 +53,9 @@ class SweepConfig:
             raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
-        if not (math.isfinite(self.gamma_t_max) and self.gamma_t_max > 0):
-            raise ValueError(f"gamma_t_max must be finite and positive, got {self.gamma_t_max!r}")
+        t_max = self.gamma_t_max
+        if not (isinstance(t_max, numbers.Real) and math.isfinite(t_max) and t_max > 0):
+            raise ValueError(f"gamma_t_max must be finite and positive, got {t_max!r}")
         _require_nonnegative("omega_ratio", self.omega_ratio)
 
 
@@ -68,12 +70,12 @@ class SweepResult:
     maxima: list[tuple[float, float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        gt = np.asarray(self.gamma_t, dtype=float)
-        object.__setattr__(self, "gamma_t", gt)
-        object.__setattr__(self, "concurrence", np.asarray(self.concurrence, dtype=float))
-        object.__setattr__(
-            self, "mutual_information", np.asarray(self.mutual_information, dtype=float)
-        )
+        for name in ("gamma_t", "concurrence", "mutual_information"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
+            object.__setattr__(self, name, column)
+        gt = self.gamma_t
         if len(gt) != len(self.concurrence) or len(gt) != len(self.mutual_information):
             raise ValueError("row columns must have equal length")
         if not np.all(np.diff(gt) > 0):  # written so that a NaN fails it
@@ -107,7 +109,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {workers!r}")
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     # One generator serves every grid point and bisection step of the sweep.
-    generator = build_liouvillian((2, 2), config.omega_ratio)
+    generator = build_liouvillian(config.omega_ratio)
 
     def xform_at(gamma_t):
         return extract_xform(stationary_state(rho0, generator, gamma_t))

@@ -54,7 +54,7 @@ def sweep_cached(config, workers=1):
 
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
     rho0 = parse_ket_expression(text, (2, 2))
-    generator = build_liouvillian((2, 2), omega_ratio)
+    generator = build_liouvillian(omega_ratio)
     return concurrence_xform(extract_xform(stationary_state(rho0, generator, gamma_t)))
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_bell_state_classification():
 def test_criterion_2_analytic_dephasing_decay():
     crit = Criterion("2 analytic dephasing decay", 1.0)
     rho0 = parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2))
-    generator = build_liouvillian((2, 2))
+    generator = build_liouvillian(0.0)
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
         coherence = abs(evolve(rho0, generator, gamma_t).matrix[0, 3])
         crit.check(
@@ -120,7 +120,7 @@ def test_criterion_3_propagator_cross_validation():
     rho0 = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     grid = np.linspace(0.0, 2.0, 50)
     reference = rk4_stationary_grid(rho0.matrix, OMEGA_RATIO, grid)
-    generator = build_liouvillian((2, 2), OMEGA_RATIO)
+    generator = build_liouvillian(OMEGA_RATIO)
     worst = 0.0
     for k, gamma_t in enumerate(grid):
         ours = stationary_state(rho0, generator, float(gamma_t)).matrix

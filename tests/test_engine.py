@@ -53,19 +53,19 @@ def test_collective_jz_rejects_unsupported_dims():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_model_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
-        stationary_state(bell("phi-"), build_liouvillian((2, 2), value), 1.0)
+        stationary_state(bell("phi-"), build_liouvillian(value), 1.0)
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_stationary_state_rejects_bad_time(T):
     with pytest.raises(ValueError, match=r"\btime must be finite and nonnegative"):
-        stationary_state(bell("phi-"), build_liouvillian((2, 2), 1.0), T)
+        stationary_state(bell("phi-"), build_liouvillian(1.0), T)
 
 
 @pytest.mark.parametrize("omega1", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_liouvillian_rejects_bad_drive(omega1):
     with pytest.raises(ValueError, match=r"\bomega1 must be finite and nonnegative"):
-        build_liouvillian((2, 2), omega1)
+        build_liouvillian(omega1)
 
 
 # Bounded so that every generator entry, at most 8 or omega1 / 2 in magnitude,
@@ -78,16 +78,15 @@ def test_liouvillian_rejects_bad_drive(omega1):
 @example(omega1=1.5e-323)  # subnormal drive: rounding follows the factor order
 def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
     # Superoperator accepts <<I| L up to 1e-12, so this pins that it is exactly
-    # zero for every build: the generator is trace-preserving.
-    for dims, drive in (((2, 2), False), ((2, 2), True), ((3, 3), False)):
-        got = build_liouvillian(dims, omega1 if drive else None).matrix
-        want = kronecker_liouvillian(dims, omega1, 1.0, drive)
-        assert got.dtype == np.complex128
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-        vec_id = np.eye(dims[0] * dims[1]).reshape(-1, order="F")
-        assert not np.any(vec_id @ got)
+    # zero for every drive: the generator is trace-preserving.
+    got = build_liouvillian(omega1).matrix
+    want = kronecker_liouvillian((2, 2), omega1, 1.0, True)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    vec_id = np.eye(4).reshape(-1, order="F")
+    assert not np.any(vec_id @ got)
 
 
 def test_superoperator_rejects_nan_generator():
@@ -104,30 +103,28 @@ def test_superoperator_rejects_non_square_of_square_shapes(shape):
 
 
 def test_liouvillian_preserves_trace():
-    # the generator annihilates <<I| from the left for every supported build
-    for dims, omega1 in (((2, 2), None), ((2, 2), 31.25), ((3, 3), None)):
-        gen = build_liouvillian(dims, omega1)
+    # the generator annihilates <<I| from the left, with and without the drive
+    for omega1 in (0.0, 31.25):
+        gen = build_liouvillian(omega1)
         vec_id = np.eye(gen.dim).reshape(-1, order="F")
         assert np.max(np.abs(vec_id @ gen.matrix)) <= 1e-12
 
 
 def test_liouvillian_rejects_qutrit_drive():
+    # the driven generator exists only for qubits, and it does not fit a qutrit state
     with pytest.raises(DimensionMismatchError):
-        build_liouvillian((3, 3), 1.0)
-    # a driven generator exists only for qubits, and it does not fit a qutrit state
-    with pytest.raises(DimensionMismatchError):
-        stationary_state(validate(np.eye(9) / 9, (3, 3)), build_liouvillian((2, 2), 1.0), 0.5)
+        stationary_state(validate(np.eye(9) / 9, (3, 3)), build_liouvillian(1.0), 0.5)
 
 
 def test_drive_off_equals_zero_intensity_drive():
-    off = build_liouvillian((2, 2))
-    on = build_liouvillian((2, 2), 0.0)
-    assert np.array_equal(off.matrix, on.matrix)
+    # equal in value to the drive-free reference; only the signs of some zeros differ
+    off = kronecker_liouvillian((2, 2), 0.0, 1.0, False)
+    assert np.array_equal(build_liouvillian(0.0).matrix, off)
 
 
 def test_dephasing_rate_of_outer_coherence():
     # |11><00| connects total-spin projections +1 and -1, so it decays at 2*gamma
-    gen = build_liouvillian((2, 2))
+    gen = build_liouvillian(0.0)
     rho0 = bell("psi+")
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
         rho_t = evolve(rho0, gen, gamma_t)
@@ -135,7 +132,7 @@ def test_dephasing_rate_of_outer_coherence():
 
 
 def test_propagator_matches_taylor_series_path():
-    gen = build_liouvillian((2, 2), 3.0)
+    gen = build_liouvillian(3.0)
     rho0 = bell("psi+")
     t = 0.7
     via_series = taylor_expm(gen.matrix * t) @ rho0.matrix.reshape(-1, order="F")
@@ -144,20 +141,20 @@ def test_propagator_matches_taylor_series_path():
 
 
 def test_singlet_is_fixed_point():
-    gen = build_liouvillian((2, 2))
+    gen = build_liouvillian(0.0)
     rho = bell("phi-")
     assert np.max(np.abs(gen.matrix @ rho.matrix.reshape(-1, order="F"))) <= 1e-12
     assert np.array_equal(dephasing_fixed_point(rho).matrix, rho.matrix)
 
 
 def test_evolve_identity_at_zero_time():
-    gen = build_liouvillian((2, 2), 31.25)
+    gen = build_liouvillian(31.25)
     rho = bell("phi+")
     assert np.array_equal(evolve(rho, gen, 0.0).matrix, rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
-    gen = build_liouvillian((2, 2))
+    gen = build_liouvillian(0.0)
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
     for t in (0.3, 2.0, 7.0):
         assert np.max(np.abs(evolve(rho, gen, t).matrix - rho.matrix)) <= 1e-12
@@ -165,7 +162,7 @@ def test_diagonal_states_are_invariant():
 
 def test_semigroup_property():
     rng = np.random.default_rng(31)
-    gen = build_liouvillian((2, 2), 31.25)
+    gen = build_liouvillian(31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
         two_step = evolve(evolve(rho, gen, t1), gen, t2).matrix
@@ -175,7 +172,7 @@ def test_semigroup_property():
 
 def test_purity_non_increasing_without_drive():
     rng = np.random.default_rng(32)
-    gen = build_liouvillian((2, 2))
+    gen = build_liouvillian(0.0)
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
     purities = [
         np.trace((m := evolve(rho, gen, t).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
@@ -185,8 +182,8 @@ def test_purity_non_increasing_without_drive():
 
 def test_fixed_point_matches_long_time_limit():
     rng = np.random.default_rng(33)
-    for dims in ((2, 2), (3, 3)):
-        gen = build_liouvillian(dims)
+    qutrit_gen = Superoperator(kronecker_liouvillian((3, 3), 0.0, 1.0, False))
+    for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
         longtime = evolve(rho, gen, 50.0)
@@ -241,17 +238,17 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-"), build_liouvillian((2, 2), 31.25), 0.0)
+    robust = stationary_state(bell("phi-"), build_liouvillian(31.25), 0.0)
     x = extract_xform(robust)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+"), build_liouvillian((2, 2), 31.25), 0.0)
+    fragile = stationary_state(bell("psi+"), build_liouvillian(31.25), 0.0)
     assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0, build_liouvillian((2, 2), 31.25), gamma_t).matrix
+        ours = stationary_state(rho0, build_liouvillian(31.25), gamma_t).matrix
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -273,7 +270,7 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
         for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0, build_liouvillian((2, 2), omega1), t)
+            rho = stationary_state(rho0, build_liouvillian(omega1), t)
             assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
 
 
@@ -282,7 +279,7 @@ def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # trace to rescale, so evolve re-raises instead of dividing by zero.
     rho0 = parse_ket_expression("|11>", (2, 2))
     with pytest.raises(StateValidationError, match="trace differs from one"):
-        stationary_state(rho0, build_liouvillian((2, 2), 1e8), 1e12)
+        stationary_state(rho0, build_liouvillian(1e8), 1e12)
 
 
 def test_overflowing_propagator_is_a_typed_error_without_warnings():
@@ -291,7 +288,7 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
     # none is emitted before the state check rejects the result.
     rho0 = parse_ket_expression("|10>", (2, 2))
     with pytest.raises(StateValidationError, match="not Hermitian"):
-        stationary_state(rho0, build_liouvillian((2, 2), 1e10), 1e10)
+        stationary_state(rho0, build_liouvillian(1e10), 1e10)
 
 
 def test_extract_xform_values():
@@ -329,5 +326,5 @@ def test_stationary_states_are_always_x_form():
     rng = np.random.default_rng(35)
     rho0 = bell("phi-")
     for _ in range(20):
-        generator = build_liouvillian((2, 2), float(rng.uniform(0, 40)))
+        generator = build_liouvillian(float(rng.uniform(0, 40)))
         extract_xform(stationary_state(rho0, generator, float(rng.uniform(0, 3))))  # must not raise

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from dephasim import (
     concurrence_xform,
     detect_local_maxima,
     detect_transitions,
+    evolve,
     extract_xform,
     mutual_information_xform,
     parse_ket_expression,
@@ -171,7 +173,7 @@ def test_refined_transitions_sit_on_the_curve_zero():
     result = run_sweep(config)
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
-        generator = build_liouvillian((2, 2), config.omega_ratio)
+        generator = build_liouvillian(config.omega_ratio)
         c_value = concurrence_xform(extract_xform(stationary_state(rho0, generator, transition)))
         assert abs(c_value) <= 1e-6
 
@@ -185,7 +187,7 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
     rho0 = parse_ket_expression(ket, (2, 2))
     rows = []
     for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
-        generator = build_liouvillian((2, 2), config.omega_ratio)
+        generator = build_liouvillian(config.omega_ratio)
         x = extract_xform(stationary_state(rho0, generator, gamma_t))
         rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
     assert np.array_equal(np.array(list(result.rows())), np.array(rows))
@@ -292,6 +294,24 @@ def test_sweep_config_rejects_non_integer_samples(samples):
         SweepConfig(initial_state="|00>", samples=samples)
 
 
+# Each check names the parameter and rejects any value that is not a real number.
+@pytest.mark.parametrize("value", ["5", 1j, None])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("omega_ratio", lambda v: SweepConfig("|10>", omega_ratio=v)),
+        ("gamma_t_max", lambda v: SweepConfig("|10>", gamma_t_max=v)),
+        ("omega1", build_liouvillian),
+        ("time", lambda v: evolve(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), v)),
+    ],
+    ids=["omega_ratio", "gamma_t_max", "omega1", "time"],
+)
+def test_non_real_parameters_are_value_errors(name, call, value):
+    message = rf"\b{name} must be finite and \w+, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
 @pytest.mark.parametrize(
     "body, lineno",
     [
@@ -341,6 +361,21 @@ def test_read_csv_names_an_equals_sign_without_a_value(tmp_path, body, message):
 def test_sweep_result_rejects_columns_of_unequal_length():
     with pytest.raises(ValueError, match="row columns must have equal length"):
         SweepResult(np.arange(3.0), np.zeros(3), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "columns, name, shape",
+    [
+        (([[0.0, 1.0]], [[0.0, 0.0]], [[0.0, 0.0]]), "gamma_t", (1, 2)),
+        (([0.0, 1.0], [0.0, 0.0], [[0.0], [0.0]]), "mutual_information", (2, 1)),
+        ((0.0, 0.0, 0.0), "gamma_t", ()),
+    ],
+    ids=["row", "column", "scalar"],
+)
+def test_sweep_result_rejects_columns_that_are_not_one_dimensional(columns, name, shape):
+    message = f"{name} must be one-dimensional, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepResult(*columns)
 
 
 @pytest.mark.parametrize("text", ["", "0,1,2\n", "\ngamma_T,concurrence\n0,1,2\n"])

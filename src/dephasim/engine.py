@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix
 
 TRACE_PRESERVATION_TOL = 1e-12
 _XFORM_RESIDUAL_TOL = 1e-8
+_BLOCK = 64  # propagators per exponential call: 2000 in one stack add 15 MB of peak RSS
 
 
 def _require_nonnegative(name: str, value: float) -> None:
@@ -37,7 +38,7 @@ def _require_nonnegative(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Generator (or propagator) acting on column-vectorized density matrices."""
+    """Generator acting on column-vectorized density matrices."""
 
     matrix: np.ndarray
 
@@ -48,15 +49,10 @@ class Superoperator:
             raise DimensionMismatchError(f"superoperator shape {m.shape} is not n^2 x n^2")
         object.__setattr__(self, "matrix", m)
         # <<I| L = 0 is trace preservation for the vectorized generator.
-        vec_id = np.eye(self.dim, dtype=complex).reshape(-1, order="F")
+        vec_id = np.eye(side, dtype=complex).reshape(-1, order="F")
         residual = float(np.max(np.abs(vec_id.conj() @ m)))
         if not residual <= TRACE_PRESERVATION_TOL:
             raise DephasimError(f"generator is not trace-preserving: residual {residual:.3e}")
-
-    @property
-    def dim(self) -> int:
-        """Side of the density matrices the superoperator acts on."""
-        return math.isqrt(self.matrix.shape[0])
 
 
 @dataclass(frozen=True)
@@ -141,16 +137,26 @@ def build_liouvillian(omega1: float) -> Superoperator:
     return Superoperator(_DEPHASING + 0.5 * omega1 * _DRIVE_COMMUTATOR)
 
 
-def evolve(rho0: DensityMatrix, generator: Superoperator, t: float) -> DensityMatrix:
-    """Propagate exactly: unvec(exp(L t) vec(rho0))."""
-    _require_nonnegative("time", t)
-    if rho0.dim != generator.dim:
+def propagators(generator: Superoperator, times) -> Iterator[np.ndarray]:
+    """exp(L t) for each t of the sequence `times`, in order, exponentiated _BLOCK at a time;
+    scipy runs one matrix's code on each slice of a stack, so each equals a block of one."""
+    for t in times:
+        _require_nonnegative("time", t)
+    ts = np.reshape(times, (-1, 1, 1))
+    for start in range(0, len(ts), _BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
+            stack = matrix_exponential(generator.matrix * ts[start : start + _BLOCK])
+        yield from stack
+
+
+def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
+    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t)."""
+    if propagator.shape != (rho0.matrix.size,) * 2:
         raise DimensionMismatchError(
-            f"state dim {rho0.dim} does not match generator dim {generator.dim}"
+            f"propagator shape {propagator.shape} does not fit state shape {rho0.matrix.shape}"
         )
-    # An exponential that overflows (omega1 * t ~ 1e20) fails the state check below.
+    # An overflowed propagator (omega1 * t ~ 1e20) fails the state check below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
-        propagator = matrix_exponential(generator.matrix * t)
         vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
         out = vec.reshape(rho0.matrix.shape, order="F")
     try:
@@ -179,9 +185,9 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     return fixed
 
 
-def stationary_state(rho0: DensityMatrix, generator: Superoperator, T: float) -> DensityMatrix:
-    """Drive rho0 with `generator` for the scaled time T = gamma*T, then dephase forever."""
-    return dephasing_fixed_point(evolve(rho0, generator, T))
+def stationary_state(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
+    """Drive rho0 with a pulse's `propagator` (see propagators), then dephase forever."""
+    return dephasing_fixed_point(evolve(rho0, propagator))
 
 
 def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:

@@ -8,7 +8,7 @@ from .errors import DimensionMismatchError
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a general square complex matrix via scaling and squaring.
+    """exp(m) of a square complex matrix, or of each in a stack, via scaling and squaring.
 
     scipy is imported here, not at module load: only propagation needs it,
     so processes that never propagate (qutrit, compare) never load it.
@@ -16,7 +16,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return scipy.linalg.expm(m)
 

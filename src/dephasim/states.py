@@ -38,7 +38,10 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        d1, d2 = self.dims
+        try:
+            d1, d2 = self.dims
+        except (TypeError, ValueError):
+            raise DimensionMismatchError(f"dims must be a pair, got {self.dims!r}") from None
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d1 * d2, d1 * d2):
             raise DimensionMismatchError(
@@ -55,10 +58,6 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= POSITIVITY_FLOOR:
             raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def validate(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
@@ -293,6 +292,8 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     ``-1`` is two characters). Any nonzero combination is normalized; an
     expression whose amplitudes cancel raises ZeroNormError.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"ket expression must be a str, got {type(text).__name__}", 0)
     d1, d2 = dims
     if d1 not in _LEVELS or d2 not in _LEVELS:
         raise DimensionMismatchError(f"unsupported subsystem dims {dims}; each must be 2 or 3")

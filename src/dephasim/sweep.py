@@ -16,6 +16,7 @@ from .engine import (
     build_liouvillian,
     dephasing_fixed_point,
     extract_xform,
+    propagators,
     stationary_state,
 )
 from .errors import DephasimError
@@ -111,17 +112,17 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian(config.omega_ratio)
 
-    def xform_at(gamma_t):
-        return extract_xform(stationary_state(rho0, generator, gamma_t))
+    def concurrence_at(t):  # a bisection step propagates a block of one
+        return concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [t]))))
 
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
     concurrence, mutual_information = [], []
-    for gamma_t in grid:
-        x = xform_at(gamma_t)
+    for propagator in propagators(generator, grid):
+        x = extract_xform(stationary_state(rho0, propagator))
         concurrence.append(concurrence_xform(x))
         mutual_information.append(mutual_information_xform(x))
     result = SweepResult(grid, concurrence, mutual_information)
-    transitions = detect_transitions(result, lambda gt: concurrence_xform(xform_at(gt)))
+    transitions = detect_transitions(result, concurrence_at)
     maxima = detect_local_maxima(result)
     return replace(result, transitions=transitions, maxima=maxima)
 

@@ -22,6 +22,7 @@ from dephasim import (
     mutual_information,
     mutual_information_xform,
     parse_ket_expression,
+    propagators,
     qutrit_sufficient_entangled,
     run_sweep,
     stationary_state,
@@ -55,7 +56,7 @@ def sweep_cached(config, workers=1):
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
     rho0 = parse_ket_expression(text, (2, 2))
     generator = build_liouvillian(omega_ratio)
-    return concurrence_xform(extract_xform(stationary_state(rho0, generator, gamma_t)))
+    return concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t]))))
 
 
 class Criterion:
@@ -108,7 +109,7 @@ def test_criterion_2_analytic_dephasing_decay():
     rho0 = parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2))
     generator = build_liouvillian(0.0)
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        coherence = abs(evolve(rho0, generator, gamma_t).matrix[0, 3])
+        coherence = abs(evolve(rho0, *propagators(generator, [gamma_t])).matrix[0, 3])
         crit.check(
             f"gamma_t={gamma_t}", abs(coherence - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
         )
@@ -123,7 +124,7 @@ def test_criterion_3_propagator_cross_validation():
     generator = build_liouvillian(OMEGA_RATIO)
     worst = 0.0
     for k, gamma_t in enumerate(grid):
-        ours = stationary_state(rho0, generator, float(gamma_t)).matrix
+        ours = stationary_state(rho0, *propagators(generator, [float(gamma_t)])).matrix
         worst = max(worst, float(np.max(np.abs(ours - reference[k]))))
     crit.check(f"max-norm {worst:.2e}", worst <= 1e-6)
     crit.finish()

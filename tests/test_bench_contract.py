@@ -10,6 +10,8 @@ so this test fails first.
 import sys
 from pathlib import Path
 
+import pytest
+
 import dephasim.cli  # noqa: F401  (binds cli.main, a tracer target)
 import dephasim.engine
 from dephasim import SweepConfig, run_sweep
@@ -28,3 +30,17 @@ def test_tracer_binds_every_target_and_counts_each_propagation():
     assert grid == 50
     assert refine > 0
     assert dephasim.engine.stationary_state is original
+
+
+@pytest.mark.parametrize(
+    "ket, propagations, transitions, maxima",
+    [("(|10> - |01>)/sqrt(2)", 2399, 19, 9), ("(|11> + |00>)/sqrt(2)", 2420, 20, 10)],
+    ids=["robust", "fragile"],
+)
+def test_paper_sweeps_give_the_traced_gate_counts(ket, propagations, transitions, maxima):
+    # perfbench's paper-sweeps gate checks exactly these counts on a traced run.
+    with Tracer() as t:
+        result = run_sweep(SweepConfig(ket, omega_ratio=31.25, gamma_t_max=4.0, samples=2000))
+    assert t.calls["engine.stationary_state"] == propagations
+    assert t.counts["sweep.grid_evals"] == 2000
+    assert (len(result.transitions), len(result.maxima)) == (transitions, maxima)

@@ -15,6 +15,7 @@ from dephasim import (
     evolve,
     extract_xform,
     parse_ket_expression,
+    propagators,
     stationary_state,
     validate,
 )
@@ -47,19 +48,19 @@ def test_collective_jz_rejects_unsupported_dims():
         collective_jz((4, 4))
 
 
-# The model's parameters are the generator's omega1 and stationary_state's T;
+# The model's parameters are the generator's omega1 and the propagator's T;
 # the T cases are in test_stationary_state_rejects_bad_time below.
 @pytest.mark.parametrize("field", ["omega1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_model_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
-        stationary_state(bell("phi-"), build_liouvillian(value), 1.0)
+        stationary_state(bell("phi-"), *propagators(build_liouvillian(value), [1.0]))
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_stationary_state_rejects_bad_time(T):
     with pytest.raises(ValueError, match=r"\btime must be finite and nonnegative"):
-        stationary_state(bell("phi-"), build_liouvillian(1.0), T)
+        stationary_state(bell("phi-"), *propagators(build_liouvillian(1.0), [T]))
 
 
 @pytest.mark.parametrize("omega1", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -106,14 +107,14 @@ def test_liouvillian_preserves_trace():
     # the generator annihilates <<I| from the left, with and without the drive
     for omega1 in (0.0, 31.25):
         gen = build_liouvillian(omega1)
-        vec_id = np.eye(gen.dim).reshape(-1, order="F")
+        vec_id = np.eye(4).reshape(-1, order="F")
         assert np.max(np.abs(vec_id @ gen.matrix)) <= 1e-12
 
 
 def test_liouvillian_rejects_qutrit_drive():
     # the driven generator exists only for qubits, and it does not fit a qutrit state
     with pytest.raises(DimensionMismatchError):
-        stationary_state(validate(np.eye(9) / 9, (3, 3)), build_liouvillian(1.0), 0.5)
+        stationary_state(validate(np.eye(9) / 9, (3, 3)), *propagators(build_liouvillian(1.0), [0.5]))
 
 
 def test_drive_off_equals_zero_intensity_drive():
@@ -127,7 +128,7 @@ def test_dephasing_rate_of_outer_coherence():
     gen = build_liouvillian(0.0)
     rho0 = bell("psi+")
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        rho_t = evolve(rho0, gen, gamma_t)
+        rho_t = evolve(rho0, *propagators(gen, [gamma_t]))
         assert abs(abs(rho_t.matrix[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
 
 
@@ -136,8 +137,20 @@ def test_propagator_matches_taylor_series_path():
     rho0 = bell("psi+")
     t = 0.7
     via_series = taylor_expm(gen.matrix * t) @ rho0.matrix.reshape(-1, order="F")
-    via_engine = evolve(rho0, gen, t).matrix.reshape(-1, order="F")
+    via_engine = evolve(rho0, *propagators(gen, [t])).matrix.reshape(-1, order="F")
     assert np.max(np.abs(via_series - via_engine)) <= 1e-12
+
+
+def test_block_propagators_have_the_bits_of_blocks_of_one():
+    # run_sweep's speed rests on this: a propagator formed in a block of 64 is
+    # bit for bit (signs of zeros and NaNs included) the one formed alone.
+    gen = build_liouvillian(31.25)
+    times = [0.0, *np.linspace(0.0, 4.0, 130), 1e2, 1e4, 1e6, 1e10, 1e19]
+    blocked = list(propagators(gen, times))
+    assert len(blocked) == len(times)
+    for t, propagator in zip(times, blocked):
+        (alone,) = propagators(gen, [t])
+        assert np.array_equal(propagator.view(np.uint64), alone.view(np.uint64)), t
 
 
 def test_singlet_is_fixed_point():
@@ -150,14 +163,14 @@ def test_singlet_is_fixed_point():
 def test_evolve_identity_at_zero_time():
     gen = build_liouvillian(31.25)
     rho = bell("phi+")
-    assert np.array_equal(evolve(rho, gen, 0.0).matrix, rho.matrix)
+    assert np.array_equal(evolve(rho, *propagators(gen, [0.0])).matrix, rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
     gen = build_liouvillian(0.0)
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
     for t in (0.3, 2.0, 7.0):
-        assert np.max(np.abs(evolve(rho, gen, t).matrix - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(evolve(rho, *propagators(gen, [t])).matrix - rho.matrix)) <= 1e-12
 
 
 def test_semigroup_property():
@@ -165,8 +178,8 @@ def test_semigroup_property():
     gen = build_liouvillian(31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
-        two_step = evolve(evolve(rho, gen, t1), gen, t2).matrix
-        one_step = evolve(rho, gen, t1 + t2).matrix
+        two_step = evolve(evolve(rho, *propagators(gen, [t1])), *propagators(gen, [t2])).matrix
+        one_step = evolve(rho, *propagators(gen, [t1 + t2])).matrix
         assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
 
@@ -175,7 +188,7 @@ def test_purity_non_increasing_without_drive():
     gen = build_liouvillian(0.0)
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
     purities = [
-        np.trace((m := evolve(rho, gen, t).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
+        np.trace((m := evolve(rho, *propagators(gen, [t])).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
     ]
     assert all(later <= earlier + 1e-12 for earlier, later in zip(purities, purities[1:]))
 
@@ -186,7 +199,7 @@ def test_fixed_point_matches_long_time_limit():
     for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
-        longtime = evolve(rho, gen, 50.0)
+        longtime = evolve(rho, *propagators(gen, [50.0]))
         assert np.max(np.abs(projected.matrix - longtime.matrix)) <= 1e-8
         # idempotent, trace-exact, and positivity-safe
         again = dephasing_fixed_point(projected)
@@ -238,17 +251,17 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-"), build_liouvillian(31.25), 0.0)
+    robust = stationary_state(bell("phi-"), *propagators(build_liouvillian(31.25), [0.0]))
     x = extract_xform(robust)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+"), build_liouvillian(31.25), 0.0)
+    fragile = stationary_state(bell("psi+"), *propagators(build_liouvillian(31.25), [0.0]))
     assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0, build_liouvillian(31.25), gamma_t).matrix
+        ours = stationary_state(rho0, *propagators(build_liouvillian(31.25), [gamma_t])).matrix
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -270,7 +283,7 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
         for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0, build_liouvillian(omega1), t)
+            rho = stationary_state(rho0, *propagators(build_liouvillian(omega1), [t]))
             assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
 
 
@@ -279,7 +292,7 @@ def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # trace to rescale, so evolve re-raises instead of dividing by zero.
     rho0 = parse_ket_expression("|11>", (2, 2))
     with pytest.raises(StateValidationError, match="trace differs from one"):
-        stationary_state(rho0, build_liouvillian(1e8), 1e12)
+        stationary_state(rho0, *propagators(build_liouvillian(1e8), [1e12]))
 
 
 def test_overflowing_propagator_is_a_typed_error_without_warnings():
@@ -288,7 +301,7 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
     # none is emitted before the state check rejects the result.
     rho0 = parse_ket_expression("|10>", (2, 2))
     with pytest.raises(StateValidationError, match="not Hermitian"):
-        stationary_state(rho0, build_liouvillian(1e10), 1e10)
+        stationary_state(rho0, *propagators(build_liouvillian(1e10), [1e10]))
 
 
 def test_extract_xform_values():
@@ -327,4 +340,4 @@ def test_stationary_states_are_always_x_form():
     rho0 = bell("phi-")
     for _ in range(20):
         generator = build_liouvillian(float(rng.uniform(0, 40)))
-        extract_xform(stationary_state(rho0, generator, float(rng.uniform(0, 3))))  # must not raise
+        extract_xform(stationary_state(rho0, *propagators(generator, [float(rng.uniform(0, 3))])))  # must not raise

@@ -74,6 +74,15 @@ def test_expm_rejects_a_non_square_matrix():
         matrix_exponential(np.zeros((2, 3)))
 
 
+def test_expm_of_a_stack_is_the_expm_of_each_slice():
+    rng = np.random.default_rng(19)
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    for m, exp_m in zip(stack, matrix_exponential(stack)):
+        assert np.array_equal(exp_m, matrix_exponential(m))
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(5, 4, 3\)"):
+        matrix_exponential(stack[:, :, :3])
+
+
 def test_partial_transpose_product_factorization():
     rng = np.random.default_rng(18)
     rho_a = random_density(rng, 2)

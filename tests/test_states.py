@@ -215,6 +215,19 @@ def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
         DensityMatrix(np.eye(4) / 4, (3, 3))
 
 
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None])
+def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
+    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair, got"):
+        validate(np.eye(4) / 4, dims)
+
+
+@pytest.mark.parametrize("text, kind", [(5, "int"), (None, "NoneType"), (b"|10>", "bytes")])
+def test_parse_rejects_a_ket_that_is_not_a_str(text, kind):
+    with pytest.raises(ParseError, match=rf"ket expression must be a str, got {kind}") as info:
+        parse_ket_expression(text, (2, 2))
+    assert isinstance(info.value, ValueError)
+
+
 def test_parse_singlet_is_its_projector_block():
     rho = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     m = rho.matrix

@@ -18,10 +18,10 @@ from dephasim import (
     concurrence_xform,
     detect_local_maxima,
     detect_transitions,
-    evolve,
     extract_xform,
     mutual_information_xform,
     parse_ket_expression,
+    propagators,
     read_csv,
     run_qutrit_scan,
     run_sweep,
@@ -174,23 +174,25 @@ def test_refined_transitions_sit_on_the_curve_zero():
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
         generator = build_liouvillian(config.omega_ratio)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0, generator, transition)))
+        c_value = concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [transition]))))
         assert abs(c_value) <= 1e-6
 
 
 @pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
 def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
-    # run_sweep builds its generator once; building it anew for every point
-    # must give the same bits.
-    config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=200)
-    result = run_sweep(config)
-    rho0 = parse_ket_expression(ket, (2, 2))
-    rows = []
-    for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
-        generator = build_liouvillian(config.omega_ratio)
-        x = extract_xform(stationary_state(rho0, generator, gamma_t))
-        rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
-    assert np.array_equal(np.array(list(result.rows())), np.array(rows))
+    # run_sweep builds its generator once and exponentiates its grid in
+    # blocks; a new generator and a block of one for every point must give the
+    # same bits, also where the last block is partly filled.
+    for samples in (130, 200):
+        config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=samples)
+        result = run_sweep(config)
+        rho0 = parse_ket_expression(ket, (2, 2))
+        rows = []
+        for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
+            generator = build_liouvillian(config.omega_ratio)
+            x = extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t])))
+            rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
+        assert np.array_equal(np.array(list(result.rows())), np.array(rows)), samples
 
 
 def test_detect_local_maxima_stable_under_grid_refinement():
@@ -302,7 +304,7 @@ def test_sweep_config_rejects_non_integer_samples(samples):
         ("omega_ratio", lambda v: SweepConfig("|10>", omega_ratio=v)),
         ("gamma_t_max", lambda v: SweepConfig("|10>", gamma_t_max=v)),
         ("omega1", build_liouvillian),
-        ("time", lambda v: evolve(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), v)),
+        ("time", lambda v: list(propagators(build_liouvillian(1.0), [v]))),
     ],
     ids=["omega_ratio", "gamma_t_max", "omega1", "time"],
 )
@@ -557,6 +559,29 @@ def test_cli_overflowing_drive_is_a_numerical_error(tmp_path, capsys):
     argv += ["--gamma-t-max", "1", "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("dephasim: ")
+
+
+@pytest.mark.parametrize(
+    "run", [lambda: run_sweep(SweepConfig(5)), lambda: run_qutrit_scan(None)], ids=["sweep", "qutrit"]
+)
+def test_a_ket_that_is_not_a_str_is_a_usage_error(run):
+    with pytest.raises(errors.ParseError, match="ket expression must be a str"):
+        run()
+
+
+def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
+    # Point 1 is the first to overflow, inside a block of 64 whose later
+    # propagators overflow too. The sweep stops with point 1's own error and,
+    # as the suite fails on RuntimeWarnings, with no warning.
+    rho0 = parse_ket_expression("|10>", (2, 2))
+    generator = build_liouvillian(1e17)
+    with pytest.raises(errors.StateValidationError, match="not Hermitian") as point_by_point:
+        for gamma_t in np.linspace(0.0, 1e4, 200):
+            stationary_state(rho0, *propagators(generator, [gamma_t]))
+    argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
+    argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"dephasim: {point_by_point.value}\n"
 
 
 def test_cli_sample_count_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):

@@ -59,24 +59,31 @@ class Superoperator:
 class StationaryXForm:
     """Populations a, b, c, d on |11>,|10>,|01>,|00> plus the central coherence f = <10|rho|01>."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    f: complex
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    f: np.ndarray
 
     def __post_init__(self):
-        total = self.a + self.b + self.c + self.d
-        # Each check is written so that a NaN fails it.
-        if not abs(total - 1.0) <= TRACE_TOL:
-            raise DephasimError(f"populations sum to {total!r}, not 1")
-        least = min(self.a, self.b, self.c, self.d)
-        if not least >= POSITIVITY_FLOOR:
-            raise DephasimError(f"negative population {least!r}")
-        if not abs(self.f) ** 2 <= self.b * self.c - POSITIVITY_FLOOR:
-            raise DephasimError(
-                f"coherence |f|^2 = {abs(self.f)**2!r} exceeds b*c = {self.b * self.c!r}"
-            )
+        for name in "abcdf":  # an array with one entry per point; a scalar is one point
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        a, b, c, d, f = map(np.ravel, (self.a, self.b, self.c, self.d, self.f))
+        total = a + b + c + d
+        least = np.minimum(np.minimum(a, b), np.minimum(c, d))
+        f_sq = np.float_power(np.hypot(f.real, f.imag), 2)  # abs(f) ** 2 of a Python complex
+        # Each check is written so that a NaN fails it; the earliest failing point raises.
+        checks = [
+            (abs(total - 1.0) <= TRACE_TOL, "populations sum to {total!r}, not 1"),
+            (least >= POSITIVITY_FLOOR, "negative population {least!r}"),
+            (f_sq <= b * c - POSITIVITY_FLOOR, "coherence |f|^2 = {f_sq!r} exceeds b*c = {bc!r}"),
+        ]
+        failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+        if failing.size:
+            k = failing[0]
+            message = next(message for ok, message in checks if not ok[k])
+            at_k = dict(total=total[k], least=least[k], f_sq=f_sq[k], bc=b[k] * c[k])
+            raise DephasimError(message.format(**{name: float(v) for name, v in at_k.items()}))
 
 
 class _PairTable(NamedTuple):
@@ -190,23 +197,20 @@ def stationary_state(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatr
     return dephasing_fixed_point(evolve(rho0, propagator))
 
 
-def extract_xform(rho_s: DensityMatrix) -> StationaryXForm:
-    """Read (a, b, c, d, f) off a stationary-form two-qubit matrix.
+def extract_xform(states: np.ndarray) -> StationaryXForm:
+    """Read (a, b, c, d, f) off each stationary-form matrix of a (..., 4, 4) stack.
 
     Raises DephasimError when any element outside the diagonal and the central
-    coherence pair exceeds 1e-8 in magnitude.
+    coherence pair exceeds 1e-8 in magnitude; the earliest failing matrix raises.
     """
-    if rho_s.dims != (2, 2):
-        raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho_s.dims}")
-    m = rho_s.matrix
+    m = np.asarray(states)
+    if m.shape[-2:] != (4, 4):
+        raise DimensionMismatchError(f"stationary form is a two-qubit notion, got shape {m.shape}")
     # The X-form is what collective dephasing keeps of a qubit pair.
-    residual = float(np.max(np.abs(m[~_pair((2, 2)).fixed_mask])))
-    if not residual <= _XFORM_RESIDUAL_TOL:
-        raise DephasimError(f"off-form residual {residual:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
-    return StationaryXForm(
-        a=float(m[0, 0].real),
-        b=float(m[1, 1].real),
-        c=float(m[2, 2].real),
-        d=float(m[3, 3].real),
-        f=complex(m[1, 2]),
-    )
+    residual = np.max(np.abs(m[..., ~_pair((2, 2)).fixed_mask]), axis=-1).ravel()
+    failing = np.flatnonzero(~(residual <= _XFORM_RESIDUAL_TOL))
+    if failing.size:
+        k = failing[0]
+        extract_xform(m.reshape(-1, 4, 4)[:k])  # an earlier matrix's X-form error wins
+        raise DephasimError(f"off-form residual {residual[k]:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
+    return StationaryXForm(*(m[..., i, i].real for i in range(4)), m[..., 1, 2])

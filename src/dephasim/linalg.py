@@ -21,10 +21,19 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
+def _pair_dims(dims: tuple[int, int]) -> tuple[int, int]:
+    """(d1, d2) of subsystem dims, or DimensionMismatchError when `dims` is not a pair."""
+    try:
+        d1, d2 = dims
+    except (TypeError, ValueError):
+        raise DimensionMismatchError(f"dims must be a pair, got {dims!r}") from None
+    return d1, d2
+
+
 def _bipartite(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """The (d1, d2, d1, d2) view of a bipartite operator whose shape matches `dims`."""
     rho = np.asarray(rho, dtype=complex)
-    d1, d2 = dims
+    d1, d2 = _pair_dims(dims)
     if rho.shape != (d1 * d2, d1 * d2):
         raise DimensionMismatchError(
             f"operator shape {rho.shape} does not match subsystem dims {dims}"
@@ -47,5 +56,5 @@ def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
     Party 1's partial transpose is the full transpose of this one, with the same spectrum.
     """
-    d1, d2 = dims
+    d1, d2 = _pair_dims(dims)
     return _bipartite(rho, dims).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2).copy()

@@ -15,6 +15,7 @@ from .errors import (
     StateValidationError,
     ZeroNormError,
 )
+from .linalg import _pair_dims
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -38,10 +39,7 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        try:
-            d1, d2 = self.dims
-        except (TypeError, ValueError):
-            raise DimensionMismatchError(f"dims must be a pair, got {self.dims!r}") from None
+        d1, d2 = _pair_dims(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d1 * d2, d1 * d2):
             raise DimensionMismatchError(
@@ -294,7 +292,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     """
     if not isinstance(text, str):
         raise ParseError(f"ket expression must be a str, got {type(text).__name__}", 0)
-    d1, d2 = dims
+    d1, d2 = _pair_dims(dims)
     if d1 not in _LEVELS or d2 not in _LEVELS:
         raise DimensionMismatchError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
     value = _KetParser(_tokenize(text), dims).parse()

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
+    StationaryXForm,
     _require_nonnegative,
     build_liouvillian,
     dephasing_fixed_point,
@@ -100,6 +101,18 @@ class WindowOverlapReport:
     overlap_gamma_t: list[float]
 
 
+def _stationary_xforms(rho0, generator, times) -> StationaryXForm:
+    """X-forms of the stationary states after pulses of `times`; the earliest failing point raises."""
+    states = np.empty((len(times), 4, 4), dtype=complex)
+    for k, propagator in enumerate(propagators(generator, times)):
+        try:
+            states[k] = stationary_state(rho0, propagator).matrix
+        except DephasimError:
+            extract_xform(states[:k])  # an earlier point's X-form error wins
+            raise
+    return extract_xform(states)
+
+
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Sweep gamma_T over a uniform grid and detect transitions and maxima.
 
@@ -111,44 +124,51 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian(config.omega_ratio)
-
-    def concurrence_at(t):  # a bisection step propagates a block of one
-        return concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [t]))))
-
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
-    concurrence, mutual_information = [], []
-    for propagator in propagators(generator, grid):
-        x = extract_xform(stationary_state(rho0, propagator))
-        concurrence.append(concurrence_xform(x))
-        mutual_information.append(mutual_information_xform(x))
-    result = SweepResult(grid, concurrence, mutual_information)
-    transitions = detect_transitions(result, concurrence_at)
-    maxima = detect_local_maxima(result)
-    return replace(result, transitions=transitions, maxima=maxima)
+    x = _stationary_xforms(rho0, generator, grid)
+    result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
+    transitions = detect_transitions(
+        result, lambda times: concurrence_xform(_stationary_xforms(rho0, generator, times))
+    )
+    return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
 
 
 def detect_transitions(
-    result: SweepResult, concurrence_of: Callable[[float], float]
+    result: SweepResult, concurrence_of: Callable[[np.ndarray], np.ndarray]
 ) -> list[float]:
     """Entangled/separable crossing points, bisection-refined on the exact map.
 
     Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
-    refined by bisecting `concurrence_of` until the bracket is below 1e-9 in
-    gamma_T.
+    bisected until it is below 1e-9 in gamma_T, every open cell in each step
+    of one `concurrence_of(midpoints)` call, which maps times to concurrences.
     """
     entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
-    transitions = []
-    for i in np.flatnonzero(entangled[:-1] != entangled[1:]):
-        lo, hi = float(result.gamma_t[i]), float(result.gamma_t[i + 1])
-        lo_entangled = bool(entangled[i])
-        while hi - lo > _REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            if (concurrence_of(mid) > ENTANGLEMENT_THRESHOLD) == lo_entangled:
-                lo = mid
-            else:
-                hi = mid
-        transitions.append(0.5 * (lo + hi))
-    return transitions
+    cells = np.flatnonzero(entangled[:-1] != entangled[1:])
+    lo, hi = result.gamma_t[cells], result.gamma_t[cells + 1]
+    _bisect(lo, hi, entangled[cells], concurrence_of)
+    return [float(t) for t in 0.5 * (lo + hi)]
+
+
+def _bisect(lo, hi, lo_entangled, concurrence_of) -> None:
+    """Narrow the brackets [lo, hi] in place. A step that raises DephasimError is redone
+    bracket by bracket, so the error is the one bracket-by-bracket bisection meets first."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        # Above gamma_T ~ 8e6 the float spacing exceeds _REFINE_TOL, and the
+        # midpoint of two neighbouring floats is one of them: that closes the bracket.
+        open_ = np.flatnonzero((hi - lo > _REFINE_TOL) & (mid != lo) & (mid != hi))
+        if not open_.size:
+            return
+        try:
+            same = (concurrence_of(mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
+        except DephasimError:
+            if open_.size == 1:
+                raise
+            for i in open_:  # the first bracket that fails again raises
+                _bisect(lo[i : i + 1], hi[i : i + 1], lo_entangled[i : i + 1], concurrence_of)
+            raise
+        lo[open_[same]] = mid[open_[same]]
+        hi[open_[~same]] = mid[open_[~same]]
 
 
 def detect_local_maxima(result: SweepResult) -> list[tuple[float, float, float]]:

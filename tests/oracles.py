@@ -156,3 +156,63 @@ def random_xform_entries(rng: np.random.Generator):
     magnitude = float(rng.uniform(0.0, 1.0)) * np.sqrt(b * c)
     phase = np.exp(2j * np.pi * rng.uniform())
     return a, b, c, d, complex(magnitude * phase)
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point sweep pieces: scalar closed forms and bracket-by-bracket bisection
+# ---------------------------------------------------------------------------
+
+_ENTROPY_EIG_FLOOR = 1e-12
+_MI_ROUNDING_FLOOR = -1e-10
+
+
+def concurrence_xform(a: float, b: float, c: float, d: float, f: complex) -> float:
+    """2 max(0, |f| - sqrt(a d)), capped at 1, of one stationary-form point in Python scalars."""
+    outer = np.sqrt(max(a, 0.0) * max(d, 0.0))
+    return float(min(max(0.0, 2.0 * (abs(f) - outer)), 1.0))
+
+
+def _plog2(value: float) -> float:
+    if value <= _ENTROPY_EIG_FLOOR:
+        return 0.0
+    return value * np.log2(value)
+
+
+def mutual_information_xform(a: float, b: float, c: float, d: float, f: complex) -> float:
+    """Mutual information of one stationary-form point from its spectrum {a, d, beta_+, beta_-}."""
+    disc = np.sqrt((b - c) ** 2 + 4.0 * abs(f) ** 2)
+    beta_plus = (b + c + disc) / 2.0
+    beta_minus = (b + c - disc) / 2.0
+    value = (
+        -_plog2(a + b)
+        - _plog2(c + d)
+        - _plog2(a + c)
+        - _plog2(b + d)
+        + _plog2(a)
+        + _plog2(d)
+        + _plog2(beta_plus)
+        + _plog2(beta_minus)
+    )
+    if _MI_ROUNDING_FLOOR < value < 0.0:
+        value = 0.0
+    return float(value)
+
+
+def bisect_transitions(gamma_t, concurrence, concurrence_at, threshold=1e-9, tol=1e-9):
+    """Threshold crossings of a sampled curve, each bracket bisected to `tol` before the next.
+
+    `concurrence_at` maps one gamma_T to one concurrence.
+    """
+    entangled = np.asarray(concurrence) > threshold
+    transitions = []
+    for i in np.flatnonzero(entangled[:-1] != entangled[1:]):
+        lo, hi = float(gamma_t[i]), float(gamma_t[i + 1])
+        lo_entangled = bool(entangled[i])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if (concurrence_at(mid) > threshold) == lo_entangled:
+                lo = mid
+            else:
+                hi = mid
+        transitions.append(0.5 * (lo + hi))
+    return transitions

@@ -56,7 +56,7 @@ def sweep_cached(config, workers=1):
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
     rho0 = parse_ket_expression(text, (2, 2))
     generator = build_liouvillian(omega_ratio)
-    return concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t]))))
+    return concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t])).matrix))
 
 
 class Criterion:

@@ -252,7 +252,7 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 def test_stationary_state_at_zero_action_time():
     robust = stationary_state(bell("phi-"), *propagators(build_liouvillian(31.25), [0.0]))
-    x = extract_xform(robust)
+    x = extract_xform(robust.matrix)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
     fragile = stationary_state(bell("psi+"), *propagators(build_liouvillian(31.25), [0.0]))
     assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
@@ -305,11 +305,11 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
 
 
 def test_extract_xform_values():
-    x = extract_xform(bell("phi-"))
+    x = extract_xform(bell("phi-").matrix)
     assert (x.a, x.d) == (0.0, 0.0)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.c - 0.5) <= 1e-12
     assert abs(x.f + 0.5) <= 1e-12
-    mixed = extract_xform(validate(np.diag([0.0, 0.0, 0.0, 1.0]), (2, 2)))
+    mixed = extract_xform(validate(np.diag([0.0, 0.0, 0.0, 1.0]), (2, 2)).matrix)
     assert mixed.d == 1.0 and mixed.f == 0.0
 
 
@@ -324,15 +324,40 @@ def test_stationary_xform_rejects_negative_population():
         StationaryXForm(-0.1, 0.6, 0.5, 0.0, 0j)
 
 
+def test_a_stack_raises_the_earliest_failing_point_with_its_own_message():
+    # Point 1 has a negative population and point 2 does not sum to one.
+    fields = dict(
+        a=[0.25, -0.1, 0.5], b=[0.25, 0.6, 0.5], c=[0.25, 0.5, 0.5], d=[0.25, 0.0, 0.5], f=[0j] * 3
+    )
+    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+        StationaryXForm(**fields)
+    with pytest.raises(DephasimError, match=r"^populations sum to 2\.0, not 1$"):
+        StationaryXForm(**{name: column[2:] for name, column in fields.items()})
+    with pytest.raises(DephasimError, match=r"^coherence \|f\|\^2 = 0\.36 exceeds b\*c = 0\.25$"):
+        StationaryXForm([0.25, 0.0], [0.25, 0.5], [0.25, 0.5], [0.25, 0.0], [0j, 0.6j])
+
+
+def test_extract_xform_raises_the_earliest_failing_matrix_with_its_own_message():
+    mixed = np.eye(4, dtype=complex) / 4
+    off_form = mixed.copy()
+    off_form[0, 3] = off_form[3, 0] = 0.1  # the |11><00| coherence
+    negative = np.diag([-0.1, 0.6, 0.5, 0.0]).astype(complex)
+    # The residual is checked on the whole stack first, yet an earlier point's X-form error wins.
+    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+        extract_xform(np.array([mixed, negative, off_form]))
+    with pytest.raises(DephasimError, match=r"^off-form residual 1\.000e-01 exceeds 1e-08$"):
+        extract_xform(np.array([mixed, off_form, negative]))
+
+
 def test_extract_xform_rejects_qutrit_states():
     rho = parse_ket_expression("|0,0>", (3, 3))
     with pytest.raises(DimensionMismatchError, match="two-qubit notion"):
-        extract_xform(rho)
+        extract_xform(rho.matrix)
 
 
 def test_extract_xform_rejects_off_form_weight():
     with pytest.raises(DephasimError):
-        extract_xform(bell("psi+"))  # carries the |11><00| coherence
+        extract_xform(bell("psi+").matrix)  # carries the |11><00| coherence
 
 
 def test_stationary_states_are_always_x_form():
@@ -340,4 +365,4 @@ def test_stationary_states_are_always_x_form():
     rho0 = bell("phi-")
     for _ in range(20):
         generator = build_liouvillian(float(rng.uniform(0, 40)))
-        extract_xform(stationary_state(rho0, *propagators(generator, [float(rng.uniform(0, 3))])))  # must not raise
+        extract_xform(stationary_state(rho0, *propagators(generator, [float(rng.uniform(0, 3))])).matrix)  # must not raise

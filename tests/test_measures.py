@@ -19,6 +19,7 @@ from dephasim import (
     validate,
     von_neumann_entropy,
 )
+import oracles
 from oracles import random_density, random_pure, random_unitary
 
 BELL_EXPRESSIONS = [
@@ -116,6 +117,24 @@ def test_concurrence_xform_closed_form_values():
 def test_concurrence_xform_matches_general_form(x):
     general = concurrence(validate(embed_xform(x), (2, 2)))
     assert abs(concurrence_xform(x) - general) <= 1e-10
+
+
+def _scalars(x: StationaryXForm):
+    return float(x.a), float(x.b), float(x.c), float(x.d), complex(x.f)
+
+
+# Populations a hair below zero, inside the positivity floor, reach both clamps.
+@example(points=XFORM_EDGES + [StationaryXForm(-1e-12, 0.5, 0.5 + 1e-12, -0.0, 0.5)])
+@given(points=st.lists(xforms(), min_size=1, max_size=12))
+def test_closed_forms_of_a_stack_have_the_bits_of_the_scalar_forms(points):
+    scalars = [_scalars(x) for x in points]
+    stack = StationaryXForm(*(np.array(column) for column in zip(*scalars)))
+    for closed_form, scalar_form in (
+        (concurrence_xform, oracles.concurrence_xform),
+        (mutual_information_xform, oracles.mutual_information_xform),
+    ):
+        want = np.array([scalar_form(*p) for p in scalars])
+        assert np.array_equal(closed_form(stack).view(np.uint64), want.view(np.uint64))
 
 
 def test_entropy_values():

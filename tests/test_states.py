@@ -10,6 +10,8 @@ from dephasim import (
     StateValidationError,
     ZeroNormError,
     parse_ket_expression,
+    partial_trace,
+    partial_transpose,
     validate,
 )
 
@@ -219,6 +221,21 @@ def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
 def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
     with pytest.raises(DimensionMismatchError, match=r"dims must be a pair, got"):
         validate(np.eye(4) / 4, dims)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), None, 5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda dims: parse_ket_expression("|10>", dims),
+        lambda dims: partial_trace(np.eye(4) / 4, 1, dims),
+        lambda dims: partial_transpose(np.eye(4) / 4, dims),
+    ],
+    ids=["parse_ket_expression", "partial_trace", "partial_transpose"],
+)
+def test_dims_that_are_not_a_pair_raise_the_density_matrix_error(entry, dims):
+    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair, got"):
+        entry(dims)
 
 
 @pytest.mark.parametrize("text, kind", [(5, "int"), (None, "NoneType"), (b"|10>", "bytes")])

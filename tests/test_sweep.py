@@ -1,8 +1,13 @@
 import contextlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +34,12 @@ from dephasim import (
     write_criterion_report,
     write_csv,
 )
+import dephasim.sweep as sweep_module
 from dephasim import cli, errors
 from dephasim.cli import main
+import oracles
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def synthetic_result(profile, gamma_t_max=1.0, samples=201, mutual=None):
@@ -42,17 +51,36 @@ def synthetic_result(profile, gamma_t_max=1.0, samples=201, mutual=None):
 
 def test_detect_transitions_constant_curve_has_none():
     result = synthetic_result(lambda g: 1.0)
-    assert detect_transitions(result, lambda g: 1.0) == []
+    assert detect_transitions(result, np.ones_like) == []
 
 
 def test_detect_transitions_synthetic_sine():
     profile = lambda g: max(0.0, np.sin(10.0 * g))
     result = synthetic_result(profile)
-    transitions = detect_transitions(result, profile)
+    transitions = detect_transitions(result, np.vectorize(profile))
     expected = [0.0, np.pi / 10.0, 2 * np.pi / 10.0, 3 * np.pi / 10.0]
     assert len(transitions) == len(expected)
     for got, want in zip(transitions, expected):
         assert abs(got - want) <= 1e-6
+
+
+def test_a_failing_bisection_step_raises_the_error_of_the_earliest_bracket():
+    # Brackets [0, .25], [.25, .5] and [.5, .75]. Lockstep meets the third
+    # bracket's failure at its first step and the first bracket's at its fifth;
+    # bracket-by-bracket bisection meets the first bracket's, so that one wins.
+    profile = lambda g: np.where((g < 0.2) | ((0.3 < g) & (g < 0.6)), 1.0, 0.0)
+
+    def concurrence_of(times):
+        for t in times:
+            if 0.19 < t < 0.2:
+                raise DephasimError("first bracket")
+            if 0.5 < t < 0.75:
+                raise DephasimError("third bracket")
+        return profile(times)
+
+    result = synthetic_result(profile, samples=5)
+    with pytest.raises(DephasimError, match="first bracket"):
+        detect_transitions(result, concurrence_of)
 
 
 def test_detect_local_maxima_monotone_profile_has_none():
@@ -174,7 +202,7 @@ def test_refined_transitions_sit_on_the_curve_zero():
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
         generator = build_liouvillian(config.omega_ratio)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [transition]))))
+        c_value = concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [transition])).matrix))
         assert abs(c_value) <= 1e-6
 
 
@@ -190,9 +218,97 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
         rows = []
         for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
             generator = build_liouvillian(config.omega_ratio)
-            x = extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t])))
+            x = extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t])).matrix)
             rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
         assert np.array_equal(np.array(list(result.rows())), np.array(rows)), samples
+
+
+def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
+    """Rows, transitions and maxima with a block of one and scalar closed forms per point."""
+    rho0 = parse_ket_expression(ket, (2, 2))
+    generator = build_liouvillian(omega_ratio)
+
+    def fields(gamma_t):
+        m = stationary_state(rho0, *propagators(generator, [gamma_t])).matrix
+        return (*(float(m[i, i].real) for i in range(4)), complex(m[1, 2]))
+
+    grid = np.linspace(0.0, gamma_t_max, samples)
+    points = [fields(gamma_t) for gamma_t in grid]
+    c = np.array([oracles.concurrence_xform(*p) for p in points])
+    mi = np.array([oracles.mutual_information_xform(*p) for p in points])
+    transitions = oracles.bisect_transitions(
+        grid, c, lambda gamma_t: oracles.concurrence_xform(*fields(gamma_t))
+    )
+    maxima = [
+        (grid[i], c[i], mi[i]) for i in range(1, samples - 1) if c[i - 1] < c[i] > c[i + 1]
+    ]
+    return np.column_stack([grid, c, mi]), transitions, maxima
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+SWEEP_KETS = [
+    "(|10> - |01>)/sqrt(2)",
+    "(|11> + |00>)/sqrt(2)",
+    "|10>",
+    "0.3|11> + 0.5|10> - 0.2|01> + 0.78|00>",
+]
+
+
+@pytest.mark.parametrize(
+    "omega_ratio, gamma_t_max, samples",
+    [(1.0, 10.0, 300), (5.0, 4.0, 130), (31.25, 4.0, 100), (200.0, 2.0, 777)],
+)
+@pytest.mark.parametrize("ket", SWEEP_KETS)
+def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
+    # One stack through the array closed forms and lockstep bisection must give
+    # what scalar closed forms and bracket-by-bracket bisection give, bit for bit.
+    result = run_sweep(SweepConfig(ket, omega_ratio, gamma_t_max, samples))
+    rows, transitions, maxima = _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples)
+    assert np.array_equal(_bits(list(result.rows())), _bits(rows))
+    assert np.array_equal(_bits(result.transitions), _bits(transitions))
+    assert np.array_equal(_bits(result.maxima).reshape(-1), _bits(maxima).reshape(-1))
+
+
+def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monkeypatch):
+    # Point 2 fails its state check and point 1 its X-form check; point by
+    # point, point 1 is met first, so its error wins though the X-forms come later.
+    matrices = iter([np.eye(4) / 4, np.diag([-0.1, 0.6, 0.5, 0.0])])
+
+    def stationary_state(rho0, propagator):
+        matrix = next(matrices, None)
+        if matrix is None:
+            raise errors.StateValidationError("matrix is not Hermitian", 1.0)
+        return SimpleNamespace(matrix=matrix)
+
+    monkeypatch.setattr(sweep_module, "stationary_state", stationary_state)
+    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+        run_sweep(SweepConfig("|10>", samples=5))
+
+
+def test_detect_transitions_returns_where_float_spacing_exceeds_the_tolerance():
+    # Above gamma_T ~ 8.4e6 neighbouring floats lie more than 1e-9 apart, so a
+    # bracket never gets narrower than the tolerance. A fresh process with a
+    # timeout turns a bisection that never returns into a failure.
+    code = (
+        "import numpy as np\n"
+        "from dephasim import SweepResult, detect_transitions\n"
+        "step = lambda t: np.where(np.asarray(t) < 1.23e7, 1.0, 0.0)\n"
+        "grid = np.linspace(0.0, 2e7, 11)\n"
+        "print(*detect_transitions(SweepResult(grid, step(grid), step(grid)), step))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (transition,) = (float(t) for t in proc.stdout.split())
+    assert abs(transition - 1.23e7) <= np.spacing(1.23e7)
 
 
 def test_detect_local_maxima_stable_under_grid_refinement():

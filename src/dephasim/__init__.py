@@ -4,7 +4,6 @@ from .engine import (
     StationaryXForm,
     Superoperator,
     build_liouvillian,
-    collective_jz,
     dephasing_fixed_point,
     evolve,
     extract_xform,
@@ -18,7 +17,7 @@ from .errors import (
     StateValidationError,
     ZeroNormError,
 )
-from .linalg import matrix_exponential, partial_trace, partial_transpose
+from .linalg import partial_trace, partial_transpose
 from .measures import (
     CriterionReport,
     concurrence,
@@ -61,7 +60,6 @@ __all__ = [
     "WindowOverlapReport",
     "ZeroNormError",
     "build_liouvillian",
-    "collective_jz",
     "compare_windows",
     "concurrence",
     "concurrence_xform",
@@ -70,7 +68,6 @@ __all__ = [
     "detect_transitions",
     "evolve",
     "extract_xform",
-    "matrix_exponential",
     "min_pt_eigenvalue",
     "mutual_information",
     "mutual_information_xform",

@@ -147,6 +147,8 @@ def build_liouvillian(omega1: float) -> Superoperator:
 def propagators(generator: Superoperator, times) -> Iterator[np.ndarray]:
     """exp(L t) for each t of the sequence `times`, in order, exponentiated _BLOCK at a time;
     scipy runs one matrix's code on each slice of a stack, so each equals a block of one."""
+    if np.ndim(times) != 1:
+        raise ValueError(f"times must be a one-dimensional sequence, got {times!r}")
     for t in times:
         _require_nonnegative("time", t)
     ts = np.reshape(times, (-1, 1, 1))
@@ -158,9 +160,9 @@ def propagators(generator: Superoperator, times) -> Iterator[np.ndarray]:
 
 def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
     """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t)."""
-    if propagator.shape != (rho0.matrix.size,) * 2:
+    if np.shape(propagator) != (rho0.matrix.size,) * 2:
         raise DimensionMismatchError(
-            f"propagator shape {propagator.shape} does not fit state shape {rho0.matrix.shape}"
+            f"propagator shape {np.shape(propagator)} does not fit state shape {rho0.matrix.shape}"
         )
     # An overflowed propagator (omega1 * t ~ 1e20) fails the state check below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):

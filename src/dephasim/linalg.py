@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -22,11 +24,11 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
 
 
 def _pair_dims(dims: tuple[int, int]) -> tuple[int, int]:
-    """(d1, d2) of subsystem dims, or DimensionMismatchError when `dims` is not a pair."""
+    """(d1, d2) of subsystem dims; DimensionMismatchError unless `dims` is two integers."""
     try:
-        d1, d2 = dims
+        d1, d2 = map(operator.index, dims)
     except (TypeError, ValueError):
-        raise DimensionMismatchError(f"dims must be a pair, got {dims!r}") from None
+        raise DimensionMismatchError(f"dims must be a pair of integers, got {dims!r}") from None
     return d1, d2
 
 

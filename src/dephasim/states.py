@@ -58,9 +58,7 @@ class DensityMatrix:
             raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
 
 
-def validate(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the matrix on success."""
-    return DensityMatrix(matrix, dims)
+validate = DensityMatrix  # the checked constructor under the name tests and benchmarks call
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dephasim import DimensionMismatchError, matrix_exponential, partial_trace, partial_transpose
+from dephasim import DimensionMismatchError, partial_trace, partial_transpose
+from dephasim.linalg import matrix_exponential
 from oracles import partial_trace_oracle, random_density, taylor_expm
 
 

@@ -54,6 +54,20 @@ def test_every_public_name_resolves():
     assert [name for name in dephasim.__all__ if not hasattr(dephasim, name)] == []
 
 
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(dephasim).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(dephasim.__all__) == public
+    assert len(dephasim.__all__) == 38
+    # Not public, but defined where the benchmark's tracer looks them up.
+    for module, name in [(dephasim.engine, "collective_jz"), (dephasim.linalg, "matrix_exponential")]:
+        assert not hasattr(dephasim, name)
+        assert callable(getattr(module, name))
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]

@@ -217,13 +217,13 @@ def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
         DensityMatrix(np.eye(4) / 4, (3, 3))
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None])
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None, (2.0, 2.0)])
 def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
-    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair, got"):
+    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair of integers, got"):
         validate(np.eye(4) / 4, dims)
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), None, 5])
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), None, 5, (2.0, 2)])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -234,7 +234,7 @@ def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
     ids=["parse_ket_expression", "partial_trace", "partial_transpose"],
 )
 def test_dims_that_are_not_a_pair_raise_the_density_matrix_error(entry, dims):
-    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair, got"):
+    with pytest.raises(DimensionMismatchError, match=r"dims must be a pair of integers, got"):
         entry(dims)
 
 

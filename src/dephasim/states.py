@@ -46,6 +46,7 @@ class DensityMatrix:
                 f"matrix shape {m.shape} does not match subsystem dims {self.dims}"
             )
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dims", (d1, d2))  # the pair every caller looks up
         # Each check is written so that a NaN fails it.
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if not herm_defect <= HERMITICITY_TOL:

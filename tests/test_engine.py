@@ -68,7 +68,7 @@ def test_stationary_state_rejects_bad_time(T):
         stationary_state(bell("phi-"), *propagators(build_liouvillian(1.0), [T]))
 
 
-@pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], "ab"])
+@pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], "ab", [[0.1], [0.1, 0.2]]])
 def test_propagators_reject_times_that_are_not_one_dimensional(times):
     with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
         list(propagators(build_liouvillian(1.0), times))

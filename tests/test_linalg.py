@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dephasim import DimensionMismatchError, partial_trace, partial_transpose
+from dephasim import DimensionMismatchError, build_liouvillian, partial_trace, partial_transpose
 from dephasim.linalg import matrix_exponential
 from oracles import partial_trace_oracle, random_density, taylor_expm
 
@@ -82,6 +83,61 @@ def test_expm_of_a_stack_is_the_expm_of_each_slice():
         assert np.array_equal(exp_m, matrix_exponential(m))
     with pytest.raises(DimensionMismatchError, match=r"got shape \(5, 4, 3\)"):
         matrix_exponential(stack[:, :, :3])
+
+
+def _assert_scipy_bits(m):
+    """matrix_exponential(m) has the shape and the bits, signs of zeros and NaNs included,
+    of scipy.linalg.expm(m); the stacked path calls scipy's private Pade kernels."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = matrix_exponential(m), scipy.linalg.expm(m)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("omega1", [0.0, 1e-3, 31.25, 1e4])
+def test_expm_of_propagator_blocks_has_the_bits_of_scipy(omega1):
+    # The paper's grid at its omega1 = 31.25, then bisection-like midpoints, in
+    # the engine's blocks of 64; the other drives on a coarser grid.
+    samples = 2000 if omega1 == 31.25 else 130
+    rng = np.random.default_rng(21)
+    times = np.concatenate([np.linspace(0.0, 4.0, samples), rng.uniform(0.0, 4.0, 500)])
+    generator = build_liouvillian(omega1).matrix
+    for start in range(0, len(times), 64):
+        _assert_scipy_bits(generator * times[start : start + 64, None, None])
+
+
+def test_expm_of_a_mixed_stack_has_the_bits_of_scipy():
+    # Zero, diagonal and triangular slices take scipy's own formulas; the
+    # others, NaN and overflow included, the Pade kernels and stacked squaring.
+    generator = build_liouvillian(31.25).matrix
+    with_nan = 0.7 * generator
+    with_nan[0, 15] = np.nan
+    stack = np.stack(
+        [
+            np.zeros((16, 16)),
+            np.diag(np.diag(generator)),
+            np.triu(generator),
+            np.tril(generator),
+            0.7 * generator,
+            with_nan,
+            np.full((16, 16), np.nan),
+            build_liouvillian(1e17).matrix,
+            1e3 * build_liouvillian(1e17).matrix,  # overflows on some BLAS kernels
+            np.full((16, 16), 100.0),  # exp(1600) overflows: squaring leaves NaN
+        ]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(matrix_exponential(stack[-1])).all()
+    _assert_scipy_bits(stack)
+    _assert_scipy_bits(stack[::-1])
+
+
+def test_expm_of_a_matrix_and_of_a_nested_stack_has_the_bits_of_scipy():
+    rng = np.random.default_rng(23)
+    nested = rng.normal(size=(2, 3, 16, 16)) + 1j * rng.normal(size=(2, 3, 16, 16))
+    _assert_scipy_bits(nested)
+    _assert_scipy_bits(nested[1, 2])
+    _assert_scipy_bits(build_liouvillian(31.25).matrix * 2.5)
 
 
 def test_partial_transpose_product_factorization():

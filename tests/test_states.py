@@ -9,6 +9,7 @@ from dephasim import (
     ParseError,
     StateValidationError,
     ZeroNormError,
+    dephasing_fixed_point,
     parse_ket_expression,
     partial_trace,
     partial_transpose,
@@ -215,6 +216,13 @@ def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
         match=r"matrix shape \(4, 4\) does not match subsystem dims \(3, 3\)",
     ):
         DensityMatrix(np.eye(4) / 4, (3, 3))
+
+
+@pytest.mark.parametrize("dims", [[2, 2], (np.int64(2), 2), np.array([2, 2])])
+def test_density_matrix_stores_any_integer_pair_as_a_tuple(dims):
+    rho = DensityMatrix(np.eye(4) / 4, dims)
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+    assert np.array_equal(dephasing_fixed_point(rho).matrix, rho.matrix)
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None, (2.0, 2.0)])

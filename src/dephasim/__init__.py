@@ -2,7 +2,6 @@
 
 from .engine import (
     StationaryXForm,
-    Superoperator,
     build_liouvillian,
     dephasing_fixed_point,
     evolve,
@@ -17,17 +16,14 @@ from .errors import (
     StateValidationError,
     ZeroNormError,
 )
-from .linalg import partial_trace, partial_transpose
+from .linalg import partial_transpose
 from .measures import (
     CriterionReport,
-    concurrence,
     concurrence_xform,
     min_pt_eigenvalue,
-    mutual_information,
     mutual_information_xform,
     qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
-    von_neumann_entropy,
 )
 from .states import DensityMatrix, parse_ket_expression, validate
 from .sweep import (
@@ -54,14 +50,12 @@ __all__ = [
     "ParseError",
     "StateValidationError",
     "StationaryXForm",
-    "Superoperator",
     "SweepConfig",
     "SweepResult",
     "WindowOverlapReport",
     "ZeroNormError",
     "build_liouvillian",
     "compare_windows",
-    "concurrence",
     "concurrence_xform",
     "dephasing_fixed_point",
     "detect_local_maxima",
@@ -69,10 +63,8 @@ __all__ = [
     "evolve",
     "extract_xform",
     "min_pt_eigenvalue",
-    "mutual_information",
     "mutual_information_xform",
     "parse_ket_expression",
-    "partial_trace",
     "partial_transpose",
     "propagators",
     "qutrit_cubic_coefficients",
@@ -82,7 +74,6 @@ __all__ = [
     "run_sweep",
     "stationary_state",
     "validate",
-    "von_neumann_entropy",
     "write_criterion_report",
     "write_csv",
 ]

@@ -1,8 +1,9 @@
 """Entanglement and correlation functionals for qubit and qutrit pairs.
 
-Includes the Wootters concurrence (general and stationary-form closed form),
-von Neumann entropy and mutual information in bits, partial-transpose tests,
-and the sufficient entanglement criterion for two-qutrit stationary states.
+The stationary qubit-pair states are X-forms, so their concurrence and mutual
+information (in bits) are the closed forms of Yu & Eberly, Quantum Inf.
+Comput. 7, 459 (2007). Qutrit pairs get the partial-transpose test and the
+sufficient entanglement criterion for two-qutrit stationary states.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import numpy as np
 
 from .engine import StationaryXForm
 from .errors import DimensionMismatchError
-from .linalg import partial_trace, partial_transpose
+from .linalg import partial_transpose
 from .states import DensityMatrix
-
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 # Eigenvalues this small are treated as exact zeros in entropy sums.
 _ENTROPY_EIG_FLOOR = 1e-12
@@ -55,50 +53,11 @@ def _require_dims(rho: DensityMatrix, dims: tuple[int, int], what: str) -> np.nd
     return rho.matrix
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state.
-
-    With rho = R R^dagger (R = V sqrt(w) from one Hermitian eigensolve), the
-    Wootters roots, the square roots of the spectrum of rho * flip(rho), are
-    the singular values of R^T (sigma_y x sigma_y) R. No square root of a
-    computed eigenvalue is taken, so small roots keep their full precision.
-    """
-    m = _require_dims(rho, (2, 2), "concurrence")
-    eigvals, eigvecs = np.linalg.eigh(m)
-    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-    lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
-    value = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(value, 0.0), 1.0))
-
-
 def concurrence_xform(x: StationaryXForm) -> np.ndarray:
     """Closed-form concurrence of each stationary-form point: 2 max(0, |f| - sqrt(a d))."""
     outer = np.sqrt(np.maximum(x.a, 0.0) * np.maximum(x.d, 0.0))
     # hypot, not np.abs: it rounds |f| as abs() of a Python complex does.
     return np.minimum(np.maximum(0.0, 2.0 * (np.hypot(x.f.real, x.f.imag) - outer)), 1.0)
-
-
-def _entropy_of_matrix(m: np.ndarray) -> float:
-    probs = np.linalg.eigvalsh(m)
-    probs = probs[probs > _ENTROPY_EIG_FLOOR]
-    return float(-np.sum(probs * np.log2(probs)))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    return _entropy_of_matrix(rho.matrix)
-
-
-def mutual_information(rho: DensityMatrix) -> float:
-    """Total correlation S(rho_1) + S(rho_2) - S(rho) in bits."""
-    value = (
-        _entropy_of_matrix(partial_trace(rho.matrix, 1, rho.dims))
-        + _entropy_of_matrix(partial_trace(rho.matrix, 2, rho.dims))
-        - _entropy_of_matrix(rho.matrix)
-    )
-    if _MI_ROUNDING_FLOOR < value < 0.0:
-        value = 0.0
-    return value
 
 
 def _plog2(p: np.ndarray) -> np.ndarray:

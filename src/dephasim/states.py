@@ -47,8 +47,9 @@ class DensityMatrix:
             )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", (d1, d2))  # the pair every caller looks up
-        # Each check is written so that a NaN fails it.
-        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        # Each check is written so that a NaN fails it; inf - inf is NaN, not a warning.
+        with np.errstate(invalid="ignore"):
+            herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if not herm_defect <= HERMITICITY_TOL:
             raise StateValidationError("matrix is not Hermitian", herm_defect)
         trace_defect = abs(complex(np.trace(m)) - 1.0)

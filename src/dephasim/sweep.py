@@ -85,6 +85,10 @@ class SweepResult:
         for _, c_value, _ in self.maxima:
             if not c_value > 0:
                 raise ValueError("every maximum must lie inside an entangled window")
+        # read_csv refuses non-finite values, so write_csv must never write one.
+        for name in ("gamma_t", "concurrence", "mutual_information", "transitions", "maxima"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ValueError(f"{name} values must be finite")
 
     def rows(self):
         return zip(self.gamma_t, self.concurrence, self.mutual_information)

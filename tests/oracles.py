@@ -159,12 +159,58 @@ def random_xform_entries(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# Point-by-point sweep pieces: scalar closed forms and bracket-by-bracket bisection
+# General measures of any two-qubit state, the references for the closed forms
 # ---------------------------------------------------------------------------
 
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+# Eigenvalues this small are treated as exact zeros in entropy sums.
 _ENTROPY_EIG_FLOOR = 1e-12
+# Mutual information is nonnegative: a value between this floor and 0 is rounding.
 _MI_ROUNDING_FLOOR = -1e-10
 
+
+def concurrence(rho) -> float:
+    """Wootters concurrence of a two-qubit DensityMatrix (Wootters, PRL 80, 2245 (1998)).
+
+    With rho = R R^dagger (R = V sqrt(w) from one Hermitian eigensolve), the
+    Wootters roots, the square roots of the spectrum of rho * flip(rho), are
+    the singular values of R^T (sigma_y x sigma_y) R. No square root of a
+    computed eigenvalue is taken, so small roots keep their full precision.
+    """
+    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
+    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+    lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
+    value = lam[0] - lam[1] - lam[2] - lam[3]
+    return float(min(max(value, 0.0), 1.0))
+
+
+def _entropy_of_matrix(m: np.ndarray) -> float:
+    probs = np.linalg.eigvalsh(m)
+    probs = probs[probs > _ENTROPY_EIG_FLOOR]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def von_neumann_entropy(rho) -> float:
+    """-Tr(rho log2 rho) of a DensityMatrix in bits, with 0 log 0 := 0."""
+    return _entropy_of_matrix(rho.matrix)
+
+
+def mutual_information(rho) -> float:
+    """Total correlation S(rho_1) + S(rho_2) - S(rho) of a DensityMatrix in bits."""
+    value = (
+        _entropy_of_matrix(partial_trace_oracle(rho.matrix, 1, rho.dims))
+        + _entropy_of_matrix(partial_trace_oracle(rho.matrix, 2, rho.dims))
+        - _entropy_of_matrix(rho.matrix)
+    )
+    if _MI_ROUNDING_FLOOR < value < 0.0:
+        value = 0.0
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point sweep pieces: scalar closed forms and bracket-by-bracket bisection
+# ---------------------------------------------------------------------------
 
 def concurrence_xform(a: float, b: float, c: float, d: float, f: complex) -> float:
     """2 max(0, |f| - sqrt(a d)), capped at 1, of one stationary-form point in Python scalars."""

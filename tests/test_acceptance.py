@@ -14,12 +14,10 @@ from dephasim import (
     StationaryXForm,
     build_liouvillian,
     compare_windows,
-    concurrence,
     concurrence_xform,
     dephasing_fixed_point,
     evolve,
     extract_xform,
-    mutual_information,
     mutual_information_xform,
     parse_ket_expression,
     propagators,
@@ -29,7 +27,7 @@ from dephasim import (
     validate,
     write_csv,
 )
-from oracles import random_xform_entries, rk4_stationary_grid
+from oracles import concurrence, mutual_information, random_xform_entries, rk4_stationary_grid
 from test_measures import embed_xform
 
 OMEGA_RATIO = 31.25

@@ -13,7 +13,6 @@ from dephasim import (
     DimensionMismatchError,
     StateValidationError,
     StationaryXForm,
-    Superoperator,
     build_liouvillian,
     dephasing_fixed_point,
     evolve,
@@ -89,9 +88,9 @@ def test_liouvillian_rejects_bad_drive(omega1):
 @example(omega1=0.0)
 @example(omega1=1.5e-323)  # subnormal drive: rounding follows the factor order
 def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
-    # Superoperator accepts <<I| L up to 1e-12, so this pins that it is exactly
-    # zero for every drive: the generator is trace-preserving.
-    got = build_liouvillian(omega1).matrix
+    # This is the trace-preservation check of the generator: <<I| L is exactly
+    # zero for every drive, so nothing in the package re-checks it.
+    got = build_liouvillian(omega1)
     want = kronecker_liouvillian((2, 2), omega1, 1.0, True)
     assert got.dtype == np.complex128
     assert np.array_equal(got, want)
@@ -101,25 +100,12 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
     assert not np.any(vec_id @ got)
 
 
-def test_superoperator_rejects_nan_generator():
-    with pytest.raises(DephasimError, match="not trace-preserving"):
-        Superoperator(np.full((16, 16), np.nan))
-
-
-@pytest.mark.parametrize(
-    "shape", [(15, 15), (16, 8), (16,), (0, 0)], ids=["15x15", "16x8", "vector", "empty"]
-)
-def test_superoperator_rejects_non_square_of_square_shapes(shape):
-    with pytest.raises(DimensionMismatchError, match="is not n\\^2 x n\\^2"):
-        Superoperator(np.zeros(shape))
-
-
 def test_liouvillian_preserves_trace():
     # the generator annihilates <<I| from the left, with and without the drive
     for omega1 in (0.0, 31.25):
         gen = build_liouvillian(omega1)
         vec_id = np.eye(4).reshape(-1, order="F")
-        assert np.max(np.abs(vec_id @ gen.matrix)) <= 1e-12
+        assert np.max(np.abs(vec_id @ gen)) <= 1e-12
 
 
 def test_liouvillian_rejects_qutrit_drive():
@@ -137,7 +123,7 @@ def test_evolve_rejects_a_propagator_that_does_not_fit(propagator):
 def test_drive_off_equals_zero_intensity_drive():
     # equal in value to the drive-free reference; only the signs of some zeros differ
     off = kronecker_liouvillian((2, 2), 0.0, 1.0, False)
-    assert np.array_equal(build_liouvillian(0.0).matrix, off)
+    assert np.array_equal(build_liouvillian(0.0), off)
 
 
 def test_dephasing_rate_of_outer_coherence():
@@ -153,7 +139,7 @@ def test_propagator_matches_taylor_series_path():
     gen = build_liouvillian(3.0)
     rho0 = bell("psi+")
     t = 0.7
-    via_series = taylor_expm(gen.matrix * t) @ rho0.matrix.reshape(-1, order="F")
+    via_series = taylor_expm(gen * t) @ rho0.matrix.reshape(-1, order="F")
     via_engine = evolve(rho0, *propagators(gen, [t])).matrix.reshape(-1, order="F")
     assert np.max(np.abs(via_series - via_engine)) <= 1e-12
 
@@ -173,7 +159,7 @@ def test_block_propagators_have_the_bits_of_blocks_of_one():
 def test_singlet_is_fixed_point():
     gen = build_liouvillian(0.0)
     rho = bell("phi-")
-    assert np.max(np.abs(gen.matrix @ rho.matrix.reshape(-1, order="F"))) <= 1e-12
+    assert np.max(np.abs(gen @ rho.matrix.reshape(-1, order="F"))) <= 1e-12
     assert np.array_equal(dephasing_fixed_point(rho).matrix, rho.matrix)
 
 
@@ -212,7 +198,7 @@ def test_purity_non_increasing_without_drive():
 
 def test_fixed_point_matches_long_time_limit():
     rng = np.random.default_rng(33)
-    qutrit_gen = Superoperator(kronecker_liouvillian((3, 3), 0.0, 1.0, False))
+    qutrit_gen = kronecker_liouvillian((3, 3), 0.0, 1.0, False)
     for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)

@@ -11,7 +11,6 @@ from dephasim import (
     ZeroNormError,
     dephasing_fixed_point,
     parse_ket_expression,
-    partial_trace,
     partial_transpose,
     validate,
 )
@@ -236,10 +235,9 @@ def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
     "entry",
     [
         lambda dims: parse_ket_expression("|10>", dims),
-        lambda dims: partial_trace(np.eye(4) / 4, 1, dims),
         lambda dims: partial_transpose(np.eye(4) / 4, dims),
     ],
-    ids=["parse_ket_expression", "partial_trace", "partial_transpose"],
+    ids=["parse_ket_expression", "partial_transpose"],
 )
 def test_dims_that_are_not_a_pair_raise_the_density_matrix_error(entry, dims):
     with pytest.raises(DimensionMismatchError, match=r"dims must be a pair of integers, got"):
@@ -288,9 +286,22 @@ def test_validate_rejects_non_hermitian():
         validate(m, (2, 2))
 
 
-def test_validate_rejects_nan():
-    with pytest.raises(StateValidationError):
-        validate(np.diag([np.nan, 0.5, 0.5, 0.0]), (2, 2))
+def _with_infinite_pair():
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    m[0, 1] = m[1, 0] = np.inf
+    return m
+
+
+# inf - inf in the Hermiticity defect is NaN; the typed error must be the only signal,
+# which the suite's warnings-as-errors filter enforces.
+@pytest.mark.parametrize(
+    "matrix",
+    [np.diag([np.nan, 0.5, 0.5, 0.0]), np.diag([np.inf, 0.0, 0.0, 0.0]), _with_infinite_pair()],
+    ids=["nan-diagonal", "infinite-diagonal", "infinite-off-diagonal-pair"],
+)
+def test_validate_rejects_a_non_finite_entry_with_only_the_typed_error(matrix):
+    with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
+        validate(matrix, (2, 2))
 
 
 def test_parse_pure_validate_round_trip():

@@ -496,6 +496,38 @@ def test_sweep_result_rejects_columns_that_are_not_one_dimensional(columns, name
         SweepResult(*columns)
 
 
+_FINITE_RESULT = dict(
+    gamma_t=[0.0, 1.0],
+    concurrence=[0.0, 0.5],
+    mutual_information=[0.0, 1.5],
+    transitions=[0.25],
+    maxima=[(1.0, 0.5, 1.5)],
+)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("gamma_t", [0.0, np.inf]),
+        ("concurrence", [np.nan, 0.5]),
+        ("mutual_information", [0.0, -np.inf]),
+        ("transitions", [np.inf]),
+        ("transitions", [np.nan]),
+        ("maxima", [(1.0, 0.5, np.nan)]),
+        ("maxima", [(np.inf, 0.5, 1.5)]),
+    ],
+)
+def test_sweep_result_holds_only_what_read_csv_reads_back(tmp_path, name, value):
+    # read_csv refuses a non-finite value, so a SweepResult that held one would
+    # write a file that cannot be read back; the finite result round-trips.
+    path = tmp_path / "finite.csv"
+    write_csv(SweepResult(**_FINITE_RESULT), str(path))
+    back = read_csv(str(path))
+    assert (back.transitions, back.maxima) == (_FINITE_RESULT["transitions"], _FINITE_RESULT["maxima"])
+    with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
+        SweepResult(**dict(_FINITE_RESULT, **{name: value}))
+
+
 @pytest.mark.parametrize("text", ["", "0,1,2\n", "\ngamma_T,concurrence\n0,1,2\n"])
 def test_read_csv_requires_the_header_first(tmp_path, text):
     path = tmp_path / "headless.csv"

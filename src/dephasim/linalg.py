@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -31,7 +32,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
+    stack = m.reshape(math.prod(m.shape[:-2]), n, n)  # -1 cannot size an empty (0, 0)
     out = np.empty_like(stack)
     # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry.
     generic = np.tril(stack, -1).any(axis=(1, 2)) & np.triu(stack, 1).any(axis=(1, 2))

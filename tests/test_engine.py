@@ -100,6 +100,22 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
     assert not np.any(vec_id @ got)
 
 
+# propagators takes any array; a generator that does not act on a qubit pair's
+# vectorized state is refused before it yields a state, by matrix_exponential's
+# square check or by evolve's shape check.
+@pytest.mark.parametrize(
+    "shape", [(15, 15), (16, 8), (16,), (0, 0)], ids=["15x15", "16x8", "vector", "empty"]
+)
+def test_a_generator_that_is_not_16x16_propagates_no_state(shape):
+    with pytest.raises(DimensionMismatchError, match=r"square matrix|does not fit"):
+        evolve(bell("phi-"), *propagators(np.zeros(shape), [0.5]))
+
+
+def test_a_nan_generator_propagates_no_state():
+    with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
+        evolve(bell("phi-"), *propagators(np.full((16, 16), np.nan), [0.5]))
+
+
 def test_liouvillian_preserves_trace():
     # the generator annihilates <<I| from the left, with and without the drive
     for omega1 in (0.0, 31.25):

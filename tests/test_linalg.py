@@ -134,6 +134,11 @@ def test_expm_of_a_matrix_and_of_a_nested_stack_has_the_bits_of_scipy():
     _assert_scipy_bits(build_liouvillian(31.25) * 2.5)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 16, 16), (2, 3, 0, 0)])
+def test_expm_of_an_empty_matrix_or_stack_has_the_shape_of_scipy(shape):
+    _assert_scipy_bits(np.zeros(shape, dtype=complex))
+
+
 def test_partial_transpose_product_factorization():
     rng = np.random.default_rng(18)
     rho_a = random_density(rng, 2)

@@ -47,10 +47,10 @@ class CriterionReport:
     min_pt_eigenvalue: float
 
 
-def _require_dims(rho: DensityMatrix, dims: tuple[int, int], what: str) -> np.ndarray:
-    if rho.dims != dims:
-        raise DimensionMismatchError(f"{what} needs dims {dims}, got {rho.dims}")
-    return rho.matrix
+def _qutrit_pt(rho: DensityMatrix, what: str) -> np.ndarray:
+    if rho.dims != (3, 3):
+        raise DimensionMismatchError(f"{what} needs dims (3, 3), got {rho.dims}")
+    return partial_transpose(rho.matrix, (3, 3))
 
 
 def concurrence_xform(x: StationaryXForm) -> np.ndarray:
@@ -110,27 +110,13 @@ def min_pt_eigenvalue(rho: DensityMatrix) -> float:
 # interlacing of principal submatrices) still sound on arbitrary states.
 
 
-def _central_pt_block(m: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [m[0, 0], m[1, 3], m[2, 6]],
-            [np.conj(m[1, 3]), m[4, 4], m[5, 7]],
-            [np.conj(m[2, 6]), np.conj(m[5, 7]), m[8, 8]],
-        ]
-    )
+_CENTRAL = np.ix_([0, 4, 8], [0, 4, 8])  # |1,1>, |0,0>, |-1,-1>: the central block
 
 
-def qutrit_cubic_coefficients(rho: DensityMatrix) -> tuple[float, float, float]:
-    """Coefficients (xi, zeta, eta) of x^3 - xi x^2 + zeta x + eta.
-
-    This is the characteristic polynomial of the 3x3 central partial-transpose
-    block, so a negative real root is exactly a negative block eigenvalue.
-    """
-    m = _require_dims(rho, (3, 3), "qutrit cubic coefficients")
-    p1, p0, pm = m[0, 0].real, m[4, 4].real, m[8, 8].real
-    c10 = m[1, 3]  # <1,0|rho|0,1>
-    c1m = m[2, 6]  # <1,-1|rho|-1,1>
-    c0m = m[5, 7]  # <0,-1|rho|-1,0>
+def _cubic_coefficients(block: np.ndarray) -> tuple[float, float, float]:
+    p1, p0, pm = block.diagonal().real
+    # <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>
+    c10, c1m, c0m = block[0, 1], block[0, 2], block[1, 2]
     xi = p1 + p0 + pm
     zeta = p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2
     eta = (
@@ -143,6 +129,15 @@ def qutrit_cubic_coefficients(rho: DensityMatrix) -> tuple[float, float, float]:
     return float(xi), float(zeta), float(eta)
 
 
+def qutrit_cubic_coefficients(rho: DensityMatrix) -> tuple[float, float, float]:
+    """Coefficients (xi, zeta, eta) of x^3 - xi x^2 + zeta x + eta.
+
+    This is the characteristic polynomial of the 3x3 central partial-transpose
+    block, so a negative real root is exactly a negative block eigenvalue.
+    """
+    return _cubic_coefficients(_qutrit_pt(rho, "qutrit cubic coefficients")[_CENTRAL])
+
+
 def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     """Sufficient entanglement condition for the stationary state of two qutrits.
 
@@ -151,25 +146,25 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     2x2 coherence block has negative determinant. On states that survived
     collective dephasing this is exact; on arbitrary states it is sufficient.
     """
-    m = _require_dims(rho, (3, 3), "qutrit entanglement criterion")
-    xi, zeta, eta = qutrit_cubic_coefficients(rho)
-    p1, p0, pm = m[0, 0].real, m[4, 4].real, m[8, 8].real
-    xi_squares = float(p1**2 + p0**2 + pm**2)
+    pt = _qutrit_pt(rho, "qutrit entanglement criterion")
+    block = pt[_CENTRAL]
+    p1, p0, pm = block.diagonal().real
 
     # From the eigenvalues, not the signs of (xi, zeta, eta): eta is rounding
     # noise when the block has a double zero eigenvalue (dephased |a,a>).
-    cubic_negative = bool(np.linalg.eigvalsh(_central_pt_block(m))[0] < -_STRICT_MARGIN)
-    plus_negative = bool(abs(m[2, 4]) ** 2 > m[1, 1].real * m[5, 5].real + _STRICT_MARGIN)
-    minus_negative = bool(abs(m[4, 6]) ** 2 > m[3, 3].real * m[7, 7].real + _STRICT_MARGIN)
+    cubic_negative = bool(np.linalg.eigvalsh(block)[0] < -_STRICT_MARGIN)
+    plus_negative = bool(abs(pt[1, 5]) ** 2 > pt[1, 1].real * pt[5, 5].real + _STRICT_MARGIN)
+    minus_negative = bool(abs(pt[3, 7]) ** 2 > pt[3, 3].real * pt[7, 7].real + _STRICT_MARGIN)
 
+    xi, zeta, eta = _cubic_coefficients(block)
     return CriterionReport(
         xi=xi,
         zeta=zeta,
         eta=eta,
-        xi_population_squares=xi_squares,
+        xi_population_squares=float(p1**2 + p0**2 + pm**2),
         cubic_has_negative_root=cubic_negative,
         pt_block_plus_negative=plus_negative,
         pt_block_minus_negative=minus_negative,
         sufficient_entangled=cubic_negative or plus_negative or minus_negative,
-        min_pt_eigenvalue=min_pt_eigenvalue(rho),
+        min_pt_eigenvalue=float(np.linalg.eigvalsh(pt)[0]),
     )

@@ -25,6 +25,8 @@ POSITIVITY_FLOOR = -1e-9
 # Amplitudes whose squares sum without underflow or overflow; outside this
 # range the parser rescales by the largest amplitude before normalizing.
 _SAFE_AMPLITUDES = (1e-150, 1e150)
+# Deepest parenthesis nesting parsed: three stack frames a level, inside Python's limit.
+_MAX_NESTING = 200
 
 # Single-party level labels and their Jz eigenvalues, in basis order (highest
 # projection first): the parser's alphabet and the dephasing generator's spectrum.
@@ -203,14 +205,14 @@ class _KetParser:
             raise ParseError("expression contains no ket", 0)
         return value
 
-    def sum(self) -> _Value:
+    def sum(self, depth: int = 0) -> _Value:
         sign = self.take().kind if self.peek().kind in ("+", "-") else "+"
-        total = self.term()
+        total = self.term(depth)
         if sign == "-":
             total = total._replace(scalar=-total.scalar)
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            nxt = self.term()
+            nxt = self.term(depth)
             if op.kind == "-":
                 nxt = nxt._replace(scalar=-nxt.scalar)
             if total.is_vector() != nxt.is_vector():
@@ -225,15 +227,15 @@ class _KetParser:
                 total = _Value(_finite(total.scalar + nxt.scalar, op.pos), None)
         return total
 
-    def term(self) -> _Value:
-        value = self.factor()
+    def term(self, depth: int) -> _Value:
+        value = self.factor(depth)
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.take()
                 if self.peek().kind not in self._FACTOR_START:
                     raise ParseError("expected a factor after '*'", self.peek().pos)
-                value = self._multiply(value, self.factor(), tok.pos)
+                value = self._multiply(value, self.factor(depth), tok.pos)
             elif tok.kind == "/":
                 self.take()
                 divisor = self.scalar_factor()
@@ -242,7 +244,7 @@ class _KetParser:
                 value = value._replace(scalar=_finite(value.scalar / divisor, tok.pos))
             elif tok.kind in self._FACTOR_START:
                 # adjacency acts as multiplication, e.g. "0.5|11>"
-                value = self._multiply(value, self.factor(), tok.pos)
+                value = self._multiply(value, self.factor(depth), tok.pos)
             else:
                 return value
 
@@ -253,7 +255,7 @@ class _KetParser:
         ket = left if left.is_vector() else right
         return ket._replace(scalar=_finite(left.scalar * right.scalar, pos))
 
-    def factor(self) -> _Value:
+    def factor(self, depth: int) -> _Value:
         tok = self.peek()
         if tok.kind in ("number", "sqrt"):
             return _Value(self.scalar_factor(), None)
@@ -264,8 +266,10 @@ class _KetParser:
             vec[_ket_index(tok.text, self.dims, tok.pos)] = 1.0
             return _Value(1.0, vec, np.abs(vec))
         if tok.kind == "(":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", tok.pos)
             self.take()
-            inner = self.sum()
+            inner = self.sum(depth + 1)
             self.expect(")", "unclosed '('", tok.pos)
             return inner
         raise ParseError(f"expected a number, sqrt(...), ket or '(', found {tok.text!r}", tok.pos)

@@ -209,6 +209,75 @@ def mutual_information(rho) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The two-qutrit criterion, written out entry by entry from the density matrix
+# ---------------------------------------------------------------------------
+#
+# Pair index 3*i + j over the levels |1>, |0>, |-1>; party 2's partial
+# transpose is (rho^T2)[3i+j, 3k+l] = rho[3i+l, 3k+j].
+
+# Margin of the criterion's strict inequalities.
+_CRITERION_MARGIN = 1e-12
+
+
+def partial_transpose_oracle(matrix: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Party 2's partial transpose by its defining index swap."""
+    d1, d2 = dims
+    out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d1):
+                for l in range(d2):
+                    out[i * d2 + j, k * d2 + l] = matrix[i * d2 + l, k * d2 + j]
+    return out
+
+
+def central_block_oracle(matrix: np.ndarray) -> np.ndarray:
+    """The partial transpose's block on |1,1>, |0,0>, |-1,-1>, read off rho's entries."""
+    m = matrix
+    return np.array(
+        [
+            [m[0, 0], m[1, 3], m[2, 6]],
+            [np.conj(m[1, 3]), m[4, 4], m[5, 7]],
+            [np.conj(m[2, 6]), np.conj(m[5, 7]), m[8, 8]],
+        ]
+    )
+
+
+def criterion_report_oracle(matrix: np.ndarray) -> dict:
+    """The fields of the two-qutrit CriterionReport, from `central_block_oracle` and rho's entries.
+
+    The cubic is the block's characteristic polynomial x^3 - xi x^2 + zeta x + eta;
+    the two 2x2 blocks are on {|1,0>, |0,-1>} and {|0,1>, |-1,0>}.
+    """
+    m = matrix
+    block = central_block_oracle(m)
+    p1, p0, pm = m[0, 0].real, m[4, 4].real, m[8, 8].real
+    c10, c1m, c0m = m[1, 3], m[2, 6], m[5, 7]
+    zeta = p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2
+    eta = (
+        -p1 * p0 * pm
+        + p1 * abs(c0m) ** 2
+        + pm * abs(c10) ** 2
+        + p0 * abs(c1m) ** 2
+        - 2.0 * (c1m * np.conj(c0m) * np.conj(c10)).real
+    )
+    cubic = bool(np.linalg.eigvalsh(block)[0] < -_CRITERION_MARGIN)
+    plus = bool(abs(m[2, 4]) ** 2 > m[1, 1].real * m[5, 5].real + _CRITERION_MARGIN)
+    minus = bool(abs(m[4, 6]) ** 2 > m[3, 3].real * m[7, 7].real + _CRITERION_MARGIN)
+    return {
+        "xi": float(p1 + p0 + pm),
+        "zeta": float(zeta),
+        "eta": float(eta),
+        "xi_population_squares": float(p1**2 + p0**2 + pm**2),
+        "cubic_has_negative_root": cubic,
+        "pt_block_plus_negative": plus,
+        "pt_block_minus_negative": minus,
+        "sufficient_entangled": cubic or plus or minus,
+        "min_pt_eigenvalue": float(np.linalg.eigvalsh(partial_transpose_oracle(m, (3, 3)))[0]),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Point-by-point sweep pieces: scalar closed forms and bracket-by-bracket bisection
 # ---------------------------------------------------------------------------
 

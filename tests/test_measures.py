@@ -3,20 +3,22 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dephasim import (
+    CriterionReport,
     StationaryXForm,
     concurrence_xform,
     dephasing_fixed_point,
     min_pt_eigenvalue,
     mutual_information_xform,
     parse_ket_expression,
-    partial_transpose,
     qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
     validate,
 )
 import oracles
 from oracles import (
+    central_block_oracle,
     concurrence,
+    criterion_report_oracle,
     mutual_information,
     random_density,
     random_pure,
@@ -191,14 +193,6 @@ def test_min_pt_eigenvalue_entangled_states():
 # Qutrit criterion
 # ---------------------------------------------------------------------------
 
-CENTRAL_INDICES = [0, 4, 8]  # |1,1>, |0,0>, |-1,-1>
-
-
-def central_block_oracle(matrix: np.ndarray) -> np.ndarray:
-    pt = partial_transpose(matrix, (3, 3))
-    return pt[np.ix_(CENTRAL_INDICES, CENTRAL_INDICES)]
-
-
 def test_cubic_coefficients_maximally_mixed():
     xi, zeta, eta = qutrit_cubic_coefficients(validate(np.eye(9) / 9, (3, 3)))
     assert abs(xi - 1.0 / 3.0) <= 1e-12
@@ -367,3 +361,22 @@ def test_criterion_sound_on_arbitrary_states():
         report = qutrit_sufficient_entangled(rho)
         if report.sufficient_entangled:
             assert report.min_pt_eigenvalue < 1e-10
+
+
+README_QUTRIT_KETS = ["(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", "(|1,0> + |0,1>)/sqrt(2)"]
+
+
+def test_criterion_reports_equal_the_entry_by_entry_reference():
+    # The package reads every block off one partial transpose; the reference
+    # writes each entry out from rho. They must agree to the bit.
+    rng = np.random.default_rng(50)
+    states = [dephasing_fixed_point(parse_ket_expression(ket, (3, 3))) for ket in README_QUTRIT_KETS]
+    for _ in range(200):
+        psi = random_pure(rng, 9)
+        states.append(dephasing_fixed_point(validate(np.outer(psi, psi.conj()), (3, 3))))
+    for k in range(200):
+        states.append(validate(random_density(rng, 9, rank=(k % 9) + 1), (3, 3)))
+    for rho in states:
+        reference = CriterionReport(**criterion_report_oracle(rho.matrix))
+        assert qutrit_sufficient_entangled(rho) == reference
+        assert qutrit_cubic_coefficients(rho) == (reference.xi, reference.zeta, reference.eta)

@@ -66,6 +66,16 @@ def test_parse_unclosed_parenthesis():
     assert excinfo.value.position == 0
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    nested = lambda depth: "(" * depth + "|10>" + ")" * depth
+    flat = parse_ket_expression("|10>", (2, 2)).matrix
+    assert np.array_equal(parse_ket_expression(nested(100), (2, 2)).matrix, flat)
+    with pytest.raises(ParseError) as excinfo:
+        parse_ket_expression(nested(1000), (2, 2))
+    assert str(excinfo.value) == "parentheses nested more than 200 deep (at position 200)"
+    assert excinfo.value.position == 200
+
+
 def test_parse_label_errors():
     with pytest.raises(ParseError, match="is outside the 3x3 level alphabet"):
         parse_ket_expression("|2,0>", (3, 3))

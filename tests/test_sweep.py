@@ -684,6 +684,22 @@ def test_cli_exit_codes(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command, ket", [("sweep", "|10>"), ("qutrit", "|1,0>")])
+def test_cli_deeply_nested_ket_exits_1_without_a_traceback(tmp_path, command, ket):
+    nested = "(" * 400 + ket + ")" * 400
+    proc = subprocess.run(
+        [sys.executable, "-m", "dephasim.cli", command, f"--initial-state={nested}",
+         "--output", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "dephasim: parentheses nested more than 200 deep (at position 200)\n"
+
+
 @pytest.mark.parametrize(
     "command, ket",
     [("sweep", "|10> - |10>"), ("qutrit", "|0,0> - |0,0>")],

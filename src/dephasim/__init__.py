@@ -4,10 +4,7 @@ from .engine import (
     StationaryXForm,
     build_liouvillian,
     dephasing_fixed_point,
-    evolve,
-    extract_xform,
-    propagators,
-    stationary_state,
+    stationary_xforms,
 )
 from .errors import (
     DephasimError,
@@ -22,7 +19,6 @@ from .measures import (
     concurrence_xform,
     min_pt_eigenvalue,
     mutual_information_xform,
-    qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
 )
 from .states import DensityMatrix, parse_ket_expression, validate
@@ -60,19 +56,15 @@ __all__ = [
     "dephasing_fixed_point",
     "detect_local_maxima",
     "detect_transitions",
-    "evolve",
-    "extract_xform",
     "min_pt_eigenvalue",
     "mutual_information_xform",
     "parse_ket_expression",
     "partial_transpose",
-    "propagators",
-    "qutrit_cubic_coefficients",
     "qutrit_sufficient_entangled",
     "read_csv",
     "run_qutrit_scan",
     "run_sweep",
-    "stationary_state",
+    "stationary_xforms",
     "validate",
     "write_criterion_report",
     "write_csv",

@@ -48,6 +48,10 @@ class StationaryXForm:
     def __post_init__(self):
         for name in "abcdf":  # an array with one entry per point; a scalar is one point
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shapes = {name: getattr(self, name).shape for name in "abcdf"}
+        if len(set(shapes.values())) > 1:
+            listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+            raise DimensionMismatchError(f"X-form fields must share one shape, got {listed}")
         a, b, c, d, f = map(np.ravel, (self.a, self.b, self.c, self.d, self.f))
         total = a + b + c + d
         least = np.minimum(np.minimum(a, b), np.minimum(c, d))
@@ -126,11 +130,8 @@ def build_liouvillian(omega1: float) -> np.ndarray:
     return _DEPHASING + 0.5 * omega1 * _DRIVE_COMMUTATOR
 
 
-def propagators(generator: np.ndarray, times) -> Iterator[np.ndarray]:
-    """exp(L t) of the generator array L for each t of the sequence `times`, in order,
-    exponentiated _BLOCK at a time; matrix_exponential runs scipy's Pade kernels per
-    slice and squares the block as one stack, with one matrix's zgemm on each slice,
-    so each equals a block of one."""
+def _pulse_times(times) -> np.ndarray:
+    """The one-dimensional sequence `times` of valid pulse times as an (n, 1, 1) array."""
     try:
         ndim = np.ndim(times)
     except ValueError:  # numpy refuses a ragged nesting such as [[0.1], [0.1, 0.2]]
@@ -139,7 +140,18 @@ def propagators(generator: np.ndarray, times) -> Iterator[np.ndarray]:
         raise ValueError(f"times must be a one-dimensional sequence, got {times!r}")
     for t in times:
         _require_nonnegative("time", t)
-    ts = np.reshape(times, (-1, 1, 1))
+    return np.reshape(times, (-1, 1, 1))
+
+
+def propagators(generator: np.ndarray, times) -> Iterator[np.ndarray]:
+    """exp(L t) of the generator array L for each t of the sequence `times`, in order,
+    exponentiated _BLOCK at a time; matrix_exponential runs scipy's Pade kernels per
+    slice and squares the block as one stack, with one matrix's zgemm on each slice,
+    so each equals a block of one. `times` is checked here, before the first block."""
+    return _exponentials(generator, _pulse_times(times))
+
+
+def _exponentials(generator: np.ndarray, ts: np.ndarray) -> Iterator[np.ndarray]:
     for start in range(0, len(ts), _BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
             stack = matrix_exponential(generator * ts[start : start + _BLOCK])
@@ -204,3 +216,21 @@ def extract_xform(states: np.ndarray) -> StationaryXForm:
         extract_xform(m.reshape(-1, 4, 4)[:k])  # an earlier matrix's X-form error wins
         raise DephasimError(f"off-form residual {residual[k]:.3e} exceeds {_XFORM_RESIDUAL_TOL:g}")
     return StationaryXForm(*(m[..., i, i].real for i in range(4)), m[..., 1, 2])
+
+
+def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> StationaryXForm:
+    """X-forms of the stationary states that pulses of each of `times` leave from rho0.
+
+    Each time gets its propagator (see propagators) and one stationary_state;
+    the stack gets one extract_xform. The earliest failing time raises the
+    error it would raise on its own.
+    """
+    ts = _pulse_times(times)
+    states = np.empty((len(ts), 4, 4), dtype=complex)
+    for k, propagator in enumerate(_exponentials(generator, ts)):
+        try:
+            states[k] = stationary_state(rho0, propagator).matrix
+        except DephasimError:
+            extract_xform(states[:k])  # an earlier point's X-form error wins
+            raise
+    return extract_xform(states)

@@ -30,7 +30,8 @@ _MI_ROUNDING_FLOOR = -1e-10
 class CriterionReport:
     """Outcome of the two-qutrit sufficient entanglement condition.
 
-    ``xi, zeta, eta`` are the cubic coefficients driven by the block trace;
+    ``xi, zeta, eta`` are the coefficients of x^3 - xi x^2 + zeta x + eta, the
+    characteristic polynomial of the central 3x3 partial-transpose block;
     ``xi_population_squares`` is the squared-population variant reported for
     reference. ``min_pt_eigenvalue`` is the direct partial-transpose verdict
     used as a cross-check.
@@ -45,12 +46,6 @@ class CriterionReport:
     pt_block_minus_negative: bool
     sufficient_entangled: bool
     min_pt_eigenvalue: float
-
-
-def _qutrit_pt(rho: DensityMatrix, what: str) -> np.ndarray:
-    if rho.dims != (3, 3):
-        raise DimensionMismatchError(f"{what} needs dims (3, 3), got {rho.dims}")
-    return partial_transpose(rho.matrix, (3, 3))
 
 
 def concurrence_xform(x: StationaryXForm) -> np.ndarray:
@@ -113,31 +108,6 @@ def min_pt_eigenvalue(rho: DensityMatrix) -> float:
 _CENTRAL = np.ix_([0, 4, 8], [0, 4, 8])  # |1,1>, |0,0>, |-1,-1>: the central block
 
 
-def _cubic_coefficients(block: np.ndarray) -> tuple[float, float, float]:
-    p1, p0, pm = block.diagonal().real
-    # <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>
-    c10, c1m, c0m = block[0, 1], block[0, 2], block[1, 2]
-    xi = p1 + p0 + pm
-    zeta = p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2
-    eta = (
-        -p1 * p0 * pm
-        + p1 * abs(c0m) ** 2
-        + pm * abs(c10) ** 2
-        + p0 * abs(c1m) ** 2
-        - 2.0 * (c1m * np.conj(c0m) * np.conj(c10)).real
-    )
-    return float(xi), float(zeta), float(eta)
-
-
-def qutrit_cubic_coefficients(rho: DensityMatrix) -> tuple[float, float, float]:
-    """Coefficients (xi, zeta, eta) of x^3 - xi x^2 + zeta x + eta.
-
-    This is the characteristic polynomial of the 3x3 central partial-transpose
-    block, so a negative real root is exactly a negative block eigenvalue.
-    """
-    return _cubic_coefficients(_qutrit_pt(rho, "qutrit cubic coefficients")[_CENTRAL])
-
-
 def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     """Sufficient entanglement condition for the stationary state of two qutrits.
 
@@ -146,7 +116,9 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     2x2 coherence block has negative determinant. On states that survived
     collective dephasing this is exact; on arbitrary states it is sufficient.
     """
-    pt = _qutrit_pt(rho, "qutrit entanglement criterion")
+    if rho.dims != (3, 3):
+        raise DimensionMismatchError(f"qutrit entanglement criterion needs dims (3, 3), got {rho.dims}")
+    pt = partial_transpose(rho.matrix, (3, 3))
     block = pt[_CENTRAL]
     p1, p0, pm = block.diagonal().real
 
@@ -156,11 +128,19 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     plus_negative = bool(abs(pt[1, 5]) ** 2 > pt[1, 1].real * pt[5, 5].real + _STRICT_MARGIN)
     minus_negative = bool(abs(pt[3, 7]) ** 2 > pt[3, 3].real * pt[7, 7].real + _STRICT_MARGIN)
 
-    xi, zeta, eta = _cubic_coefficients(block)
+    # <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>
+    c10, c1m, c0m = block[0, 1], block[0, 2], block[1, 2]
+    eta = (
+        -p1 * p0 * pm
+        + p1 * abs(c0m) ** 2
+        + pm * abs(c10) ** 2
+        + p0 * abs(c1m) ** 2
+        - 2.0 * (c1m * np.conj(c0m) * np.conj(c10)).real
+    )
     return CriterionReport(
-        xi=xi,
-        zeta=zeta,
-        eta=eta,
+        xi=float(p1 + p0 + pm),
+        zeta=float(p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2),
+        eta=float(eta),
         xi_population_squares=float(p1**2 + p0**2 + pm**2),
         cubic_has_negative_root=cubic_negative,
         pt_block_plus_negative=plus_negative,

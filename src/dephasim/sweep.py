@@ -11,15 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (
-    StationaryXForm,
-    _require_nonnegative,
-    build_liouvillian,
-    dephasing_fixed_point,
-    extract_xform,
-    propagators,
-    stationary_state,
-)
+from .engine import _require_nonnegative, build_liouvillian, dephasing_fixed_point, stationary_xforms
 from .errors import DephasimError
 from .measures import (
     CriterionReport,
@@ -105,18 +97,6 @@ class WindowOverlapReport:
     overlap_gamma_t: list[float]
 
 
-def _stationary_xforms(rho0, generator, times) -> StationaryXForm:
-    """X-forms of the stationary states after pulses of `times`; the earliest failing point raises."""
-    states = np.empty((len(times), 4, 4), dtype=complex)
-    for k, propagator in enumerate(propagators(generator, times)):
-        try:
-            states[k] = stationary_state(rho0, propagator).matrix
-        except DephasimError:
-            extract_xform(states[:k])  # an earlier point's X-form error wins
-            raise
-    return extract_xform(states)
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Sweep gamma_T over a uniform grid and detect transitions and maxima.
 
@@ -129,10 +109,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian(config.omega_ratio)
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
-    x = _stationary_xforms(rho0, generator, grid)
+    x = stationary_xforms(rho0, generator, grid)
     result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
     transitions = detect_transitions(
-        result, lambda times: concurrence_xform(_stationary_xforms(rho0, generator, times))
+        result, lambda times: concurrence_xform(stationary_xforms(rho0, generator, times))
     )
     return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
 

@@ -16,17 +16,14 @@ from dephasim import (
     compare_windows,
     concurrence_xform,
     dephasing_fixed_point,
-    evolve,
-    extract_xform,
     mutual_information_xform,
     parse_ket_expression,
-    propagators,
     qutrit_sufficient_entangled,
     run_sweep,
-    stationary_state,
     validate,
     write_csv,
 )
+from dephasim.engine import evolve, extract_xform, propagators, stationary_state
 from oracles import concurrence, mutual_information, random_xform_entries, rk4_stationary_grid
 from test_measures import embed_xform
 

@@ -15,14 +15,11 @@ from dephasim import (
     StationaryXForm,
     build_liouvillian,
     dephasing_fixed_point,
-    evolve,
-    extract_xform,
     parse_ket_expression,
-    propagators,
-    stationary_state,
+    stationary_xforms,
     validate,
 )
-from dephasim.engine import collective_jz
+from dephasim.engine import collective_jz, evolve, extract_xform, propagators, stationary_state
 from oracles import kronecker_liouvillian, random_density, rk4_stationary, taylor_expm
 
 
@@ -71,6 +68,9 @@ def test_stationary_state_rejects_bad_time(T):
 def test_propagators_reject_times_that_are_not_one_dimensional(times):
     with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
         list(propagators(build_liouvillian(1.0), times))
+    # checked before any array is sized from len(times)
+    with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
+        stationary_xforms(bell("phi-"), build_liouvillian(1.0), times)
 
 
 @pytest.mark.parametrize("omega1", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -381,6 +381,14 @@ def test_stationary_xform_rejects_nan(a, f):
         StationaryXForm(a, 0.5, 0.5, 0.0, f)
 
 
+def test_stationary_xform_rejects_fields_of_different_shapes():
+    shapes = r"a \(2,\), b \(1,\), c \(2,\), d \(2,\), f \(1,\)"
+    with pytest.raises(DimensionMismatchError, match=rf"^X-form fields must share one shape, got {shapes}$"):
+        StationaryXForm(a=[0.25, 0.25], b=[0.25], c=[0.25, 0.25], d=[0.25, 0.25], f=[0])
+    with pytest.raises(ValueError, match="share one shape"):  # a scalar is not a stack of one
+        StationaryXForm(0.25, 0.25, 0.25, 0.25, [0j])
+
+
 def test_stationary_xform_rejects_negative_population():
     with pytest.raises(DephasimError, match="negative population -0.1"):
         StationaryXForm(-0.1, 0.6, 0.5, 0.0, 0j)
@@ -428,3 +436,36 @@ def test_stationary_states_are_always_x_form():
     for _ in range(20):
         generator = build_liouvillian(float(rng.uniform(0, 40)))
         extract_xform(stationary_state(rho0, *propagators(generator, [float(rng.uniform(0, 3))])).matrix)  # must not raise
+
+
+def _bits(x: StationaryXForm) -> list[np.ndarray]:
+    return [np.ascontiguousarray(getattr(x, name)).view(np.uint64) for name in "abcdf"]
+
+
+@pytest.mark.parametrize("which", ["phi-", "psi+"])
+def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
+    rho0, generator = bell(which), build_liouvillian(31.25)
+    grid = np.linspace(0.0, 4.0, 2000)
+    shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
+    for times in (grid, shuffled):
+        per_point = extract_xform(np.stack([stationary_state(rho0, P).matrix for P in propagators(generator, times)]))
+        stacked = stationary_xforms(rho0, generator, times)
+        assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
+
+
+def test_stationary_xforms_of_no_times_are_empty():
+    x = stationary_xforms(bell("phi-"), build_liouvillian(31.25), [])
+    assert [np.shape(getattr(x, name)) for name in "abcdf"] == [(0,)] * 5
+
+
+def test_stationary_xforms_raise_the_first_failing_times_error():
+    # At omega1 = 1e17 point 1 is the first whose propagator overflows; the
+    # later points of its block of 64 overflow too.
+    rho0, generator = parse_ket_expression("|10>", (2, 2)), build_liouvillian(1e17)
+    times = np.linspace(0.0, 1e4, 200)
+    with pytest.raises(StateValidationError, match="not Hermitian") as per_point:
+        for t in times:
+            stationary_state(rho0, *propagators(generator, [t]))
+    with pytest.raises(StateValidationError) as stacked:
+        stationary_xforms(rho0, generator, times)
+    assert str(stacked.value) == str(per_point.value)

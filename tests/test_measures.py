@@ -10,7 +10,6 @@ from dephasim import (
     min_pt_eigenvalue,
     mutual_information_xform,
     parse_ket_expression,
-    qutrit_cubic_coefficients,
     qutrit_sufficient_entangled,
     validate,
 )
@@ -194,7 +193,8 @@ def test_min_pt_eigenvalue_entangled_states():
 # ---------------------------------------------------------------------------
 
 def test_cubic_coefficients_maximally_mixed():
-    xi, zeta, eta = qutrit_cubic_coefficients(validate(np.eye(9) / 9, (3, 3)))
+    report = qutrit_sufficient_entangled(validate(np.eye(9) / 9, (3, 3)))
+    xi, zeta, eta = report.xi, report.zeta, report.eta
     assert abs(xi - 1.0 / 3.0) <= 1e-12
     assert abs(zeta - 1.0 / 27.0) <= 1e-12
     assert abs(eta + 1.0 / 729.0) <= 1e-12
@@ -204,7 +204,8 @@ def test_cubic_coefficients_maximally_entangled_projector():
     # central partial-transpose block of sum_i |ii> / sqrt(3) is (1/3) * identity,
     # so the cubic is (x - 1/3)^3
     rho = parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3))
-    xi, zeta, eta = qutrit_cubic_coefficients(rho)
+    report = qutrit_sufficient_entangled(rho)
+    xi, zeta, eta = report.xi, report.zeta, report.eta
     assert abs(xi - 1.0) <= 1e-12
     assert abs(zeta - 1.0 / 3.0) <= 1e-12
     assert abs(eta + 1.0 / 27.0) <= 1e-12
@@ -217,7 +218,8 @@ def test_cubic_is_characteristic_polynomial_of_pt_block():
     samples = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
     for _ in range(10):
         rho = validate(random_density(rng, 9), (3, 3))
-        xi, zeta, eta = qutrit_cubic_coefficients(rho)
+        report = qutrit_sufficient_entangled(rho)
+        xi, zeta, eta = report.xi, report.zeta, report.eta
         block = central_block_oracle(rho.matrix)
         for x in samples:
             char_poly = np.linalg.det(x * np.eye(3) - block).real
@@ -379,4 +381,3 @@ def test_criterion_reports_equal_the_entry_by_entry_reference():
     for rho in states:
         reference = CriterionReport(**criterion_report_oracle(rho.matrix))
         assert qutrit_sufficient_entangled(rho) == reference
-        assert qutrit_cubic_coefficients(rho) == (reference.xi, reference.zeta, reference.eta)

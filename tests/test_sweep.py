@@ -23,18 +23,16 @@ from dephasim import (
     concurrence_xform,
     detect_local_maxima,
     detect_transitions,
-    extract_xform,
     mutual_information_xform,
     parse_ket_expression,
-    propagators,
     read_csv,
     run_qutrit_scan,
     run_sweep,
-    stationary_state,
     write_criterion_report,
     write_csv,
 )
-import dephasim.sweep as sweep_module
+from dephasim.engine import extract_xform, propagators, stationary_state
+import dephasim.engine as engine_module
 from dephasim import cli, errors
 from dephasim.cli import main
 import oracles
@@ -283,7 +281,7 @@ def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monk
             raise errors.StateValidationError("matrix is not Hermitian", 1.0)
         return SimpleNamespace(matrix=matrix)
 
-    monkeypatch.setattr(sweep_module, "stationary_state", stationary_state)
+    monkeypatch.setattr(engine_module, "stationary_state", stationary_state)
     with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
         run_sweep(SweepConfig("|10>", samples=5))
 

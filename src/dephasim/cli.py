@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+from typing import NoReturn
 
 from .errors import DephasimError
 from .sweep import (
@@ -172,5 +175,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
+def run() -> NoReturn:
+    """Process entry of the `dephasim` command: main, a flush of its output, os._exit.
+
+    Every file main writes is closed by its `with` block and dephasim registers
+    no atexit handler, so the hard exit skips only Python's module-by-module
+    teardown of numpy and scipy. Output that cannot be flushed is an I/O error,
+    reported on stderr where stderr itself can still be written.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            code = EXIT_IO
+            with contextlib.suppress(OSError):
+                print(f"dephasim: {exc}", file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

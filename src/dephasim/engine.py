@@ -158,12 +158,17 @@ def _exponentials(generator: np.ndarray, ts: np.ndarray) -> Iterator[np.ndarray]
         yield from stack
 
 
-def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t)."""
+def _require_fit(rho0: DensityMatrix, propagator: np.ndarray) -> None:
+    """Check that `propagator`, or the generator it comes from, acts on vec(rho0)."""
     if np.shape(propagator) != (rho0.matrix.size,) * 2:
         raise DimensionMismatchError(
             f"propagator shape {np.shape(propagator)} does not fit state shape {rho0.matrix.shape}"
         )
+
+
+def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
+    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t)."""
+    _require_fit(rho0, propagator)
     # An overflowed propagator (omega1 * t ~ 1e20) fails the state check below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
         vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
@@ -223,9 +228,13 @@ def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> Stat
 
     Each time gets its propagator (see propagators) and one stationary_state;
     the stack gets one extract_xform. The earliest failing time raises the
-    error it would raise on its own.
+    error it would raise on its own. rho0 must be a qubit pair and the
+    generator must fit it, even when `times` is empty.
     """
     ts = _pulse_times(times)
+    if rho0.matrix.shape != (4, 4):
+        raise DimensionMismatchError(f"stationary form is a two-qubit notion, got shape {rho0.matrix.shape}")
+    _require_fit(rho0, generator)
     states = np.empty((len(ts), 4, 4), dtype=complex)
     for k, propagator in enumerate(_exponentials(generator, ts)):
         try:

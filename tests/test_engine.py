@@ -458,6 +458,23 @@ def test_stationary_xforms_of_no_times_are_empty():
     assert [np.shape(getattr(x, name)) for name in "abcdf"] == [(0,)] * 5
 
 
+@pytest.mark.parametrize(
+    "ket, dims, generator_shape, times, message",
+    [
+        ("|0,0>", (3, 3), (3, 3), [], r"two-qubit notion, got shape \(9, 9\)"),
+        ("|0,0>", (3, 3), (81, 81), [0.5], r"two-qubit notion, got shape \(9, 9\)"),
+        ("|10>", (2, 2), (3, 3), [], r"propagator shape \(3, 3\) does not fit state shape \(4, 4\)"),
+    ],
+    ids=["qutrit-no-times", "qutrit-fitting-generator", "generator-that-does-not-fit"],
+)
+def test_stationary_xforms_check_the_state_and_generator_before_any_time(
+    ket, dims, generator_shape, times, message
+):
+    rho0 = parse_ket_expression(ket, dims)
+    with pytest.raises(DimensionMismatchError, match=message):
+        stationary_xforms(rho0, np.zeros(generator_shape), times)
+
+
 def test_stationary_xforms_raise_the_first_failing_times_error():
     # At omega1 = 1e17 point 1 is the first whose propagator overflows; the
     # later points of its block of 64 overflow too.

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import inspect
 import os
 import re
@@ -18,18 +19,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI in a fresh interpreter exactly as `python -m dephasim.cli` does
 # (or, with no arguments, only imports the package), then prints the exit code
-# and whether scipy was loaded as the last line of stdout.
+# and whether scipy was loaded as the last line of stdout. The CLI ends its
+# process with os._exit, so the probe prints from inside that call.
 _PROBE = """
-import runpy, sys
-code = 0
+import os, runpy, sys
+real_exit = os._exit
+def probe_exit(code):
+    print(code, "scipy" in sys.modules, flush=True)
+    real_exit(code)
+os._exit = probe_exit
 if len(sys.argv) > 1:
-    try:
-        runpy.run_module("dephasim.cli", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        code = exc.code
+    runpy.run_module("dephasim.cli", run_name="__main__", alter_sys=True)
 else:
     import dephasim
-print(code, "scipy" in sys.modules)
+    os._exit(0)
 """
 
 
@@ -47,7 +50,27 @@ def _fresh(args, cwd):
     assert "Traceback" not in proc.stderr, proc.stderr
     *output, last = proc.stdout.splitlines()
     code, loaded = last.split()
+    assert proc.returncode == int(code)
     return int(code), loaded == "True", "\n".join(output)
+
+
+def _cli_process(argv, cwd, **kwargs):
+    """Run `python -m dephasim.cli argv` on this source tree with buffered stdout.
+
+    PYTHONUNBUFFERED would make a write to a full device fail inside main,
+    which already exits 3, instead of at the final flush. COLUMNS fixes the
+    width argparse wraps --help to.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-m", "dephasim.cli", *argv],
+        cwd=cwd,
+        env=env,
+        text=True,
+        timeout=120,
+        **kwargs,
+    )
 
 
 def test_every_public_name_resolves():
@@ -165,16 +188,56 @@ def test_cold_sweep_loads_scipy_and_matches_in_process_bytes(tmp_path, ket):
 def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
     # A fresh process uses Python's default warning filters, so any numpy
     # RuntimeWarning would reach stderr ahead of the typed error.
-    proc = subprocess.run(
-        [sys.executable, "-m", "dephasim.cli", "sweep", "--initial-state", "|10>",
-         "--omega-ratio", "1e10", "--gamma-t-max", "1e10", "--samples", "3",
-         "--output", str(tmp_path / "x.csv")],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    proc = _cli_process(
+        ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e10", "--gamma-t-max", "1e10",
+         "--samples", "3", "--output", str(tmp_path / "x.csv")],
+        tmp_path,
         capture_output=True,
-        text=True,
-        timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("dephasim: ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], 0),
+        (["sweep", "--initial-state", "|10>", "--omega-ratio", "31.25", "--gamma-t-max", "4",
+          "--samples", "3", "--output", "{out}"], 0),
+        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1),
+        (["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--gamma-t-max", "1",
+          "--samples", "3", "--output", "{out}"], 2),
+        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{missing}"], 3),
+    ],
+    ids=["help", "sweep", "malformed-ket", "overflowing-drive", "unwritable-output"],
+)
+def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, expected):
+    out = tmp_path / "out.csv"
+    argv = [arg.format(out=out, missing=tmp_path / "missing" / "x.csv") for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    proc = _cli_process(argv, tmp_path, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (expected, captured.out, captured.err)
+    assert (out.read_bytes() if out.exists() else None) == written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["compare", "qutrit"])
+@pytest.mark.parametrize("stderr_full", [False, True], ids=["stderr-pipe", "stderr-full"])
+def test_cli_output_that_cannot_be_flushed_exits_3(tmp_path, command, stderr_full):
+    csv = tmp_path / "a.csv"
+    csv.write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n")
+    argv = {
+        "compare": ["compare", "--a", str(csv), "--b", str(csv)],
+        "qutrit": ["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(tmp_path / "r.txt")],
+    }[command]
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, tmp_path, stdout=full, stderr=full if stderr_full else subprocess.PIPE)
+    if not stderr_full:
+        # one dephasim line, with no traceback and no "Exception ignored" from teardown
+        assert proc.stderr == f"dephasim: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert proc.returncode == 3

@@ -158,6 +158,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report(exc: BaseException) -> None:
+    """Print `dephasim: <exc>` on stderr, unless stderr itself cannot be written."""
+    with contextlib.suppress(OSError):
+        print(f"dephasim: {exc}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -165,13 +171,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (ValueError, MemoryError) as exc:
-        print(f"dephasim: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"dephasim: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_IO
     except DephasimError as exc:
-        print(f"dephasim: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_NUMERICAL
 
 
@@ -180,17 +186,18 @@ def run() -> NoReturn:
 
     Every file main writes is closed by its `with` block and dephasim registers
     no atexit handler, so the hard exit skips only Python's module-by-module
-    teardown of numpy and scipy. Output that cannot be flushed is an I/O error,
-    reported on stderr where stderr itself can still be written.
+    teardown of numpy and the rest of what the process loaded. Output that
+    cannot be flushed turns a successful run into an I/O error, reported on
+    stderr where stderr itself can still be written; a run that already
+    failed keeps its own code, even when its report could not be written.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
         except OSError as exc:
-            code = EXIT_IO
-            with contextlib.suppress(OSError):
-                print(f"dephasim: {exc}", file=sys.stderr)
+            code = code or EXIT_IO
+            _report(exc)
     os._exit(code)
 
 

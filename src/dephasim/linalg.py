@@ -2,12 +2,42 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 
 import numpy as np
 
 from .errors import DimensionMismatchError
+
+
+@functools.cache
+def _pade_kernels():
+    """scipy's compiled Pade kernels (pick_pade_structure, pade_UV_calc), loaded on first use.
+
+    The extension scipy.linalg._matfuncs_expm is plain C linked to scipy's
+    bundled OpenBLAS, so it is found and loaded as a file: neither
+    scipy/__init__ nor scipy/linalg/__init__ runs, and a propagating process
+    skips the import of scipy.linalg, which outweighs the rest of a short
+    sweep. A module already imported is reused. A missing scipy or kernel
+    file raises ImportError.
+    """
+    name = "scipy.linalg._matfuncs_expm"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(d, "linalg") for d in (scipy and scipy.submodule_search_locations) or ()]
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+        if spec is None:
+            raise ImportError(f"No module named {name!r}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.pick_pade_structure, module.pade_UV_calc
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
@@ -16,17 +46,19 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     scipy's expm loops over a stack's slices: a diagonal or triangular slice
     gets its own formula, and any other slice gets the Pade approximant of
     Al-Mohy & Higham (2009) from pick_pade_structure and pade_UV_calc, then s
-    squarings. Here the structure test runs once on the stack, scipy's expm
-    takes the diagonal and triangular slices, the two Pade kernels run per
-    slice, and squaring step k is one stacked matmul of every slice with
-    s > k. numpy runs the same zgemm on each slice of a stack, so every
-    result has the bits of scipy's per-slice `eAw @ eAw`.
+    squarings. Here the structure test runs once on the stack, scipy's
+    diagonal formula np.diag(np.exp(np.diag(a))) runs on every diagonal
+    slice at once, the two Pade kernels run per generic slice, and squaring
+    step k is one stacked matmul of every slice with s > k. numpy runs the
+    same zgemm on each slice of a stack, so every result has the bits of
+    scipy's per-slice `eAw @ eAw`. Only a triangular, non-diagonal slice,
+    which build_liouvillian never produces, goes to scipy.linalg.expm.
 
-    scipy is imported here, not at module load: only propagation needs it,
-    so processes that never propagate (qutrit, compare) never load it.
+    scipy is loaded here, not at module load, and only its Pade kernels are
+    (see _pade_kernels): processes that never propagate (qutrit, compare)
+    load no scipy module, and a sweep never imports scipy.linalg.
     """
-    import scipy.linalg
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    pick_pade_structure, pade_UV_calc = _pade_kernels()
 
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -35,9 +67,17 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     stack = m.reshape(math.prod(m.shape[:-2]), n, n)  # -1 cannot size an empty (0, 0)
     out = np.empty_like(stack)
     # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry.
-    generic = np.tril(stack, -1).any(axis=(1, 2)) & np.triu(stack, 1).any(axis=(1, 2))
-    if not generic.all():
-        out[~generic] = scipy.linalg.expm(stack[~generic])
+    lower = np.tril(stack, -1).any(axis=(1, 2))
+    upper = np.triu(stack, 1).any(axis=(1, 2))
+    generic = lower & upper
+    diagonal = ~(lower | upper)
+    out[diagonal] = 0
+    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", stack[diagonal]))
+    triangular = lower ^ upper
+    if triangular.any():
+        import scipy.linalg
+
+        out[triangular] = scipy.linalg.expm(stack[triangular])
     index = np.flatnonzero(generic)
     scales = np.empty(len(index), dtype=int)
     # Slice j's 5-matrix kernel scratch is rows j..j+4: its approximant lands

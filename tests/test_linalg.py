@@ -1,9 +1,13 @@
+import importlib.machinery
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dephasim import DimensionMismatchError, build_liouvillian, partial_transpose
-from dephasim.linalg import matrix_exponential
+from dephasim.linalg import _pade_kernels, matrix_exponential
 from oracles import partial_trace_oracle, random_density, taylor_expm
 
 
@@ -132,6 +136,28 @@ def test_expm_of_a_matrix_and_of_a_nested_stack_has_the_bits_of_scipy():
     _assert_scipy_bits(nested)
     _assert_scipy_bits(nested[1, 2])
     _assert_scipy_bits(build_liouvillian(31.25) * 2.5)
+
+
+def test_expm_of_diagonal_slices_has_the_bits_of_scipy():
+    # scipy's np.diag(np.exp(np.diag(a))), signed zeros and non-finite entries included
+    entries = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), -np.inf, np.inf, np.nan, 1j * np.pi, 710.0]
+    diagonal = np.diag(np.array(entries, dtype=complex))
+    _assert_scipy_bits(diagonal)
+    _assert_scipy_bits(np.stack([diagonal, np.zeros((8, 8)), -diagonal, np.diag(np.diag(diagonal)[::-1])]))
+    _assert_scipy_bits(np.array(entries, dtype=complex).reshape(8, 1, 1))
+
+
+def test_a_missing_scipy_or_kernel_file_is_an_import_error(monkeypatch):
+    load = _pade_kernels.__wrapped__  # past the cache, which holds the kernels already loaded
+    monkeypatch.delitem(sys.modules, "scipy.linalg._matfuncs_expm")
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "find_spec", lambda name: None)  # no scipy
+        with pytest.raises(ImportError, match="scipy.linalg._matfuncs_expm"):
+            load()
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.machinery.PathFinder, "find_spec", lambda name, path: None)  # no kernel file
+        with pytest.raises(ImportError, match="scipy.linalg._matfuncs_expm"):
+            load()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 16, 16), (2, 3, 0, 0)])

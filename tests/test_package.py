@@ -19,13 +19,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI in a fresh interpreter exactly as `python -m dephasim.cli` does
 # (or, with no arguments, only imports the package), then prints the exit code
-# and whether scipy was loaded as the last line of stdout. The CLI ends its
-# process with os._exit, so the probe prints from inside that call.
+# and the names of the loaded scipy modules as the last line of stdout. The CLI
+# ends its process with os._exit, so the probe prints from inside that call.
 _PROBE = """
 import os, runpy, sys
 real_exit = os._exit
 def probe_exit(code):
-    print(code, "scipy" in sys.modules, flush=True)
+    print(code, *sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), flush=True)
     real_exit(code)
 os._exit = probe_exit
 if len(sys.argv) > 1:
@@ -36,8 +36,11 @@ else:
 """
 
 
+_KERNELS = "scipy.linalg._matfuncs_expm"
+
+
 def _fresh(args, cwd):
-    """Exit code, scipy-loaded flag and stdout of one cold dephasim process."""
+    """Exit code, loaded scipy modules and stdout of one cold dephasim process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *args],
@@ -49,9 +52,9 @@ def _fresh(args, cwd):
     )
     assert "Traceback" not in proc.stderr, proc.stderr
     *output, last = proc.stdout.splitlines()
-    code, loaded = last.split()
+    code, *loaded = last.split()
     assert proc.returncode == int(code)
-    return int(code), loaded == "True", "\n".join(output)
+    return int(code), loaded, "\n".join(output)
 
 
 def _cli_process(argv, cwd, **kwargs):
@@ -141,7 +144,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    assert _fresh([], tmp_path) == (0, False, "")
+    assert _fresh([], tmp_path) == (0, [], "")
 
 
 def test_cold_qutrit_leaves_scipy_unloaded(tmp_path):
@@ -150,7 +153,7 @@ def test_cold_qutrit_leaves_scipy_unloaded(tmp_path):
         ["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(report)],
         tmp_path,
     )
-    assert (code, loaded) == (0, False)
+    assert (code, loaded) == (0, [])
     assert "sufficient_entangled = true" in report.read_text()
 
 
@@ -159,7 +162,7 @@ def test_cold_compare_leaves_scipy_unloaded(tmp_path):
     a.write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n")
     b.write_text(f"{CSV_HEADER}\n0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n")
     code, loaded, out = _fresh(["compare", "--a", str(a), "--b", str(b)], tmp_path)
-    assert (code, loaded) == (0, False)
+    assert (code, loaded) == (0, [])
     assert "simultaneously entangled: 1" in out
 
 
@@ -170,19 +173,65 @@ def test_cold_sweep_with_malformed_ket_leaves_scipy_unloaded(tmp_path):
          "--gamma-t-max", "1", "--samples", "3", "--output", str(out)],
         tmp_path,
     )
-    assert (code, loaded) == (1, False)
+    assert (code, loaded) == (1, [])
     assert not out.exists()
 
 
 @pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
-def test_cold_sweep_loads_scipy_and_matches_in_process_bytes(tmp_path, ket):
+def test_cold_sweep_loads_only_the_pade_kernels_and_matches_in_process_bytes(tmp_path, ket):
     args = ["sweep", "--initial-state", ket, "--omega-ratio", "31.25",
             "--gamma-t-max", "4", "--samples", "3", "--output"]
     cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
     code, loaded, _ = _fresh(args + [str(cold)], tmp_path)
-    assert (code, loaded) == (0, True)
+    assert code == 0
+    assert _KERNELS in loaded and "scipy.linalg" not in loaded
     assert main(args + [str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
+
+
+# In a fresh interpreter, matrix_exponential loads scipy's Pade kernels by
+# themselves; this process already holds scipy.linalg, so only a child reaches
+# that branch. Each stage prints the scipy modules loaded after it.
+_COLD_EXPM = """
+import sys
+import numpy as np
+from dephasim.engine import build_liouvillian
+from dephasim.linalg import matrix_exponential
+
+def loaded():
+    print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), flush=True)
+
+generator = build_liouvillian(31.25)
+stack = np.concatenate(
+    [generator * np.linspace(0.0, 40.0, 7)[:, None, None], np.zeros((2, 16, 16)),
+     np.diag(np.diag(generator))[None], np.diag(np.arange(16) * (1 - 2j))[None]]
+)
+got = matrix_exponential(stack)
+loaded()
+triangular = np.triu(generator)
+got_triangular = matrix_exponential(triangular)
+loaded()
+import scipy.linalg
+for m, exp_m in ((stack, got), (triangular, got_triangular)):
+    assert np.array_equal(exp_m.view(np.uint64), scipy.linalg.expm(m).view(np.uint64))
+print("same bits", flush=True)
+"""
+
+
+def test_cold_expm_loads_the_pade_kernels_alone_with_the_bits_of_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_EXPM],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    generic, triangular, verdict = proc.stdout.splitlines()
+    assert generic.split() == [_KERNELS]
+    assert "scipy.linalg" in triangular.split()  # imported for the triangular slice only
+    assert verdict == "same bits"
 
 
 def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
@@ -223,6 +272,39 @@ def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv
     proc = _cli_process(argv, tmp_path, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (expected, captured.out, captured.err)
     assert (out.read_bytes() if out.exists() else None) == written
+
+
+_ERROR_RUNS = pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1),
+        (["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--gamma-t-max", "1",
+          "--samples", "3", "--output", "{out}"], 2),
+        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{dir}"], 3),
+    ],
+    ids=["malformed-ket", "overflowing-drive", "output-is-a-directory"],
+)
+
+
+class _UnwritableStream:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@_ERROR_RUNS
+def test_main_returns_its_error_code_when_stderr_cannot_be_written(tmp_path, monkeypatch, argv, expected):
+    argv = [arg.format(out=tmp_path / "out.csv", dir=tmp_path) for arg in argv]
+    monkeypatch.setattr(sys, "stderr", _UnwritableStream())
+    assert main(argv) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@_ERROR_RUNS
+def test_cli_process_exits_with_its_error_code_when_stderr_is_full(tmp_path, argv, expected):
+    argv = [arg.format(out=tmp_path / "out.csv", dir=tmp_path) for arg in argv]
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=full)
+    assert (proc.returncode, proc.stdout) == (expected, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

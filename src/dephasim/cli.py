@@ -9,6 +9,7 @@ import sys
 from typing import NoReturn
 
 from .errors import DephasimError
+from .states import parse_ket_expression
 from .sweep import (
     SweepConfig,
     compare_windows,
@@ -66,12 +67,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = (
-        ("sweep", "sweep gamma_T and write a CSV of (C, I) samples", _cmd_sweep, tuple(_OPTIONS)),
-        ("qutrit", "evaluate the two-qutrit stationary criterion", _cmd_qutrit, _QUTRIT_KEYS),
+        ("sweep", "sweep gamma_T and write a CSV of (C, I) samples", _cmd_sweep, tuple(_OPTIONS), (2, 2)),
+        ("qutrit", "evaluate the two-qutrit stationary criterion", _cmd_qutrit, _QUTRIT_KEYS, (3, 3)),
     )
-    for name, text, run, keys in commands:
+    for name, text, run, keys, dims in commands:
         command = sub.add_parser(name, help=text)
-        command.set_defaults(run=run, keys=keys)
+        command.set_defaults(run=run, keys=keys, dims=dims)
         command.add_argument("--config", help="key = value config file; flags override its entries")
         for key in keys:
             kind, key_help = _OPTIONS[key]
@@ -106,10 +107,12 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
                 raise ValueError(f"unknown config key {key!r}")
             try:
                 merged[key] = _OPTIONS[key][0](value)
-                if key in _RANGED_KEYS:
-                    # Range-check the value alone, beside SweepConfig's valid
-                    # defaults, so that its error names this line even when a
-                    # flag overrides it.
+                # Check the value on its own (a ket on the command's pair, a
+                # range beside SweepConfig's valid defaults), so that its
+                # error names this line even when a flag overrides it.
+                if key == "initial_state":
+                    parse_ket_expression(value, args.dims)
+                elif key in _RANGED_KEYS:
                     SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from None

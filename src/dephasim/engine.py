@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,21 +143,6 @@ def _pulse_times(times) -> np.ndarray:
     return np.reshape(times, (-1, 1, 1))
 
 
-def propagators(generator: np.ndarray, times) -> Iterator[np.ndarray]:
-    """exp(L t) of the generator array L for each t of the sequence `times`, in order,
-    exponentiated _BLOCK at a time; matrix_exponential runs scipy's Pade kernels per
-    slice and squares the block as one stack, with one matrix's zgemm on each slice,
-    so each equals a block of one. `times` is checked here, before the first block."""
-    return _exponentials(generator, _pulse_times(times))
-
-
-def _exponentials(generator: np.ndarray, ts: np.ndarray) -> Iterator[np.ndarray]:
-    for start in range(0, len(ts), _BLOCK):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
-            stack = matrix_exponential(generator * ts[start : start + _BLOCK])
-        yield from stack
-
-
 def _require_fit(rho0: DensityMatrix, propagator: np.ndarray) -> None:
     """Check that `propagator`, or the generator it comes from, acts on vec(rho0)."""
     if np.shape(propagator) != (rho0.matrix.size,) * 2:
@@ -200,7 +185,7 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
 
 
 def stationary_state(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Drive rho0 with a pulse's `propagator` (see propagators), then dephase forever."""
+    """Drive rho0 with a pulse's `propagator` exp(L t), then dephase forever."""
     return dephasing_fixed_point(evolve(rho0, propagator))
 
 
@@ -226,20 +211,26 @@ def extract_xform(states: np.ndarray) -> StationaryXForm:
 def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> StationaryXForm:
     """X-forms of the stationary states that pulses of each of `times` leave from rho0.
 
-    Each time gets its propagator (see propagators) and one stationary_state;
-    the stack gets one extract_xform. The earliest failing time raises the
-    error it would raise on its own. rho0 must be a qubit pair and the
-    generator must fit it, even when `times` is empty.
+    The times are exponentiated _BLOCK at a time: matrix_exponential runs
+    scipy's Pade kernels per slice and squares the block as one stack, with
+    one matrix's zgemm on each slice, so each propagator has the bits of
+    matrix_exponential(generator * t). Each time then gets one
+    stationary_state, and the stack one extract_xform. The earliest failing
+    time raises the error it would raise on its own. rho0 must be a qubit
+    pair and the generator must fit it, even when `times` is empty.
     """
     ts = _pulse_times(times)
     if rho0.matrix.shape != (4, 4):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got shape {rho0.matrix.shape}")
     _require_fit(rho0, generator)
     states = np.empty((len(ts), 4, 4), dtype=complex)
-    for k, propagator in enumerate(_exponentials(generator, ts)):
-        try:
-            states[k] = stationary_state(rho0, propagator).matrix
-        except DephasimError:
-            extract_xform(states[:k])  # an earlier point's X-form error wins
-            raise
+    for start in range(0, len(ts), _BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
+            block = matrix_exponential(generator * ts[start : start + _BLOCK])
+        for k, propagator in enumerate(block, start):
+            try:
+                states[k] = stationary_state(rho0, propagator).matrix
+            except DephasimError:
+                extract_xform(states[:k])  # an earlier point's X-form error wins
+                raise
     return extract_xform(states)

@@ -125,32 +125,20 @@ def detect_transitions(
     Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
     bisected until it is below 1e-9 in gamma_T, every open cell in each step
     of one `concurrence_of(midpoints)` call, which maps times to concurrences.
+    A call that raises ends the bisection with its error: in run_sweep that
+    is the error of the step's earliest failing midpoint, in bracket order.
     """
     entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
     cells = np.flatnonzero(entangled[:-1] != entangled[1:])
-    lo, hi = result.gamma_t[cells], result.gamma_t[cells + 1]
-    _bisect(lo, hi, entangled[cells], concurrence_of)
-    return [float(t) for t in 0.5 * (lo + hi)]
-
-
-def _bisect(lo, hi, lo_entangled, concurrence_of) -> None:
-    """Narrow the brackets [lo, hi] in place. A step that raises DephasimError is redone
-    bracket by bracket, so the error is the one bracket-by-bracket bisection meets first."""
+    lo, hi, lo_entangled = result.gamma_t[cells], result.gamma_t[cells + 1], entangled[cells]
     while True:
         mid = 0.5 * (lo + hi)
         # Above gamma_T ~ 8e6 the float spacing exceeds _REFINE_TOL, and the
         # midpoint of two neighbouring floats is one of them: that closes the bracket.
         open_ = np.flatnonzero((hi - lo > _REFINE_TOL) & (mid != lo) & (mid != hi))
         if not open_.size:
-            return
-        try:
-            same = (concurrence_of(mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
-        except DephasimError:
-            if open_.size == 1:
-                raise
-            for i in open_:  # the first bracket that fails again raises
-                _bisect(lo[i : i + 1], hi[i : i + 1], lo_entangled[i : i + 1], concurrence_of)
-            raise
+            return [float(t) for t in mid]
+        same = (concurrence_of(mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
         lo[open_[same]] = mid[open_[same]]
         hi[open_[~same]] = mid[open_[~same]]
 

@@ -19,7 +19,8 @@ from dephasim import (
     stationary_xforms,
     validate,
 )
-from dephasim.engine import collective_jz, evolve, extract_xform, propagators, stationary_state
+from dephasim.engine import collective_jz, evolve, extract_xform, stationary_state
+from dephasim.linalg import matrix_exponential
 from oracles import kronecker_liouvillian, random_density, rk4_stationary, taylor_expm
 
 
@@ -49,25 +50,23 @@ def test_collective_jz_rejects_unsupported_dims():
         collective_jz((4, 4))
 
 
-# The model's parameters are the generator's omega1 and the propagator's T;
-# the T cases are in test_stationary_state_rejects_bad_time below.
+# The model's parameters are the generator's omega1 and the pulse time T;
+# the T cases are in test_stationary_xforms_reject_bad_time below.
 @pytest.mark.parametrize("field", ["omega1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_model_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
-        stationary_state(bell("phi-"), *propagators(build_liouvillian(value), [1.0]))
+        stationary_xforms(bell("phi-"), build_liouvillian(value), [1.0])
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf"), -1.0])
-def test_stationary_state_rejects_bad_time(T):
+def test_stationary_xforms_reject_bad_time(T):
     with pytest.raises(ValueError, match=r"\btime must be finite and nonnegative"):
-        stationary_state(bell("phi-"), *propagators(build_liouvillian(1.0), [T]))
+        stationary_xforms(bell("phi-"), build_liouvillian(1.0), [0.5, T])
 
 
 @pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], "ab", [[0.1], [0.1, 0.2]]])
-def test_propagators_reject_times_that_are_not_one_dimensional(times):
-    with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
-        list(propagators(build_liouvillian(1.0), times))
+def test_stationary_xforms_reject_times_that_are_not_one_dimensional(times):
     # checked before any array is sized from len(times)
     with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
         stationary_xforms(bell("phi-"), build_liouvillian(1.0), times)
@@ -100,20 +99,20 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
     assert not np.any(vec_id @ got)
 
 
-# propagators takes any array; a generator that does not act on a qubit pair's
-# vectorized state is refused before it yields a state, by matrix_exponential's
-# square check or by evolve's shape check.
+# matrix_exponential takes any array; a generator that does not act on a qubit
+# pair's vectorized state is refused before it yields a state, by
+# matrix_exponential's square check or by evolve's shape check.
 @pytest.mark.parametrize(
     "shape", [(15, 15), (16, 8), (16,), (0, 0)], ids=["15x15", "16x8", "vector", "empty"]
 )
 def test_a_generator_that_is_not_16x16_propagates_no_state(shape):
     with pytest.raises(DimensionMismatchError, match=r"square matrix|does not fit"):
-        evolve(bell("phi-"), *propagators(np.zeros(shape), [0.5]))
+        evolve(bell("phi-"), matrix_exponential(np.zeros(shape) * 0.5))
 
 
 def test_a_nan_generator_propagates_no_state():
     with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
-        evolve(bell("phi-"), *propagators(np.full((16, 16), np.nan), [0.5]))
+        evolve(bell("phi-"), matrix_exponential(np.full((16, 16), np.nan) * 0.5))
 
 
 def test_liouvillian_preserves_trace():
@@ -127,7 +126,7 @@ def test_liouvillian_preserves_trace():
 def test_liouvillian_rejects_qutrit_drive():
     # the driven generator exists only for qubits, and it does not fit a qutrit state
     with pytest.raises(DimensionMismatchError):
-        stationary_state(validate(np.eye(9) / 9, (3, 3)), *propagators(build_liouvillian(1.0), [0.5]))
+        stationary_state(validate(np.eye(9) / 9, (3, 3)), matrix_exponential(build_liouvillian(1.0) * 0.5))
 
 
 @pytest.mark.parametrize("propagator", [np.eye(9), [[1.0]]], ids=["array", "list"])
@@ -147,7 +146,7 @@ def test_dephasing_rate_of_outer_coherence():
     gen = build_liouvillian(0.0)
     rho0 = bell("psi+")
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        rho_t = evolve(rho0, *propagators(gen, [gamma_t]))
+        rho_t = evolve(rho0, matrix_exponential(gen * gamma_t))
         assert abs(abs(rho_t.matrix[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
 
 
@@ -156,20 +155,20 @@ def test_propagator_matches_taylor_series_path():
     rho0 = bell("psi+")
     t = 0.7
     via_series = taylor_expm(gen * t) @ rho0.matrix.reshape(-1, order="F")
-    via_engine = evolve(rho0, *propagators(gen, [t])).matrix.reshape(-1, order="F")
+    via_engine = evolve(rho0, matrix_exponential(gen * t)).matrix.reshape(-1, order="F")
     assert np.max(np.abs(via_series - via_engine)) <= 1e-12
 
 
-def test_block_propagators_have_the_bits_of_blocks_of_one():
-    # run_sweep's speed rests on this: a propagator formed in a block of 64 is
-    # bit for bit (signs of zeros and NaNs included) the one formed alone.
+def test_stacked_propagators_have_the_bits_of_single_ones():
+    # run_sweep's speed rests on this: a propagator formed in a stack is bit
+    # for bit (signs of zeros and NaNs included) the one formed alone.
     gen = build_liouvillian(31.25)
     times = [0.0, *np.linspace(0.0, 4.0, 130), 1e2, 1e4, 1e6, 1e10, 1e19]
-    blocked = list(propagators(gen, times))
-    assert len(blocked) == len(times)
-    for t, propagator in zip(times, blocked):
-        (alone,) = propagators(gen, [t])
-        assert np.array_equal(propagator.view(np.uint64), alone.view(np.uint64)), t
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e19 overflows
+        stacked = matrix_exponential(gen * np.reshape(times, (-1, 1, 1)))
+        for t, propagator in zip(times, stacked, strict=True):
+            alone = matrix_exponential(gen * t)
+            assert np.array_equal(propagator.view(np.uint64), alone.view(np.uint64)), t
 
 
 def test_singlet_is_fixed_point():
@@ -182,14 +181,14 @@ def test_singlet_is_fixed_point():
 def test_evolve_identity_at_zero_time():
     gen = build_liouvillian(31.25)
     rho = bell("phi+")
-    assert np.array_equal(evolve(rho, *propagators(gen, [0.0])).matrix, rho.matrix)
+    assert np.array_equal(evolve(rho, matrix_exponential(gen * 0.0)).matrix, rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
     gen = build_liouvillian(0.0)
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
     for t in (0.3, 2.0, 7.0):
-        assert np.max(np.abs(evolve(rho, *propagators(gen, [t])).matrix - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(evolve(rho, matrix_exponential(gen * t)).matrix - rho.matrix)) <= 1e-12
 
 
 def test_semigroup_property():
@@ -197,8 +196,8 @@ def test_semigroup_property():
     gen = build_liouvillian(31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
-        two_step = evolve(evolve(rho, *propagators(gen, [t1])), *propagators(gen, [t2])).matrix
-        one_step = evolve(rho, *propagators(gen, [t1 + t2])).matrix
+        two_step = evolve(evolve(rho, matrix_exponential(gen * t1)), matrix_exponential(gen * t2)).matrix
+        one_step = evolve(rho, matrix_exponential(gen * (t1 + t2))).matrix
         assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
 
@@ -207,7 +206,7 @@ def test_purity_non_increasing_without_drive():
     gen = build_liouvillian(0.0)
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
     purities = [
-        np.trace((m := evolve(rho, *propagators(gen, [t])).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
+        np.trace((m := evolve(rho, matrix_exponential(gen * t)).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
     ]
     assert all(later <= earlier + 1e-12 for earlier, later in zip(purities, purities[1:]))
 
@@ -218,7 +217,7 @@ def test_fixed_point_matches_long_time_limit():
     for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
-        longtime = evolve(rho, *propagators(gen, [50.0]))
+        longtime = evolve(rho, matrix_exponential(gen * 50.0))
         assert np.max(np.abs(projected.matrix - longtime.matrix)) <= 1e-8
         # idempotent, trace-exact, and positivity-safe
         again = dephasing_fixed_point(projected)
@@ -270,17 +269,17 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-"), *propagators(build_liouvillian(31.25), [0.0]))
+    robust = stationary_state(bell("phi-"), matrix_exponential(build_liouvillian(31.25) * 0.0))
     x = extract_xform(robust.matrix)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+"), *propagators(build_liouvillian(31.25), [0.0]))
+    fragile = stationary_state(bell("psi+"), matrix_exponential(build_liouvillian(31.25) * 0.0))
     assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0, *propagators(build_liouvillian(31.25), [gamma_t])).matrix
+        ours = stationary_state(rho0, matrix_exponential(build_liouvillian(31.25) * gamma_t)).matrix
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -302,7 +301,7 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
         for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0, *propagators(build_liouvillian(omega1), [t]))
+            rho = stationary_state(rho0, matrix_exponential(build_liouvillian(omega1) * t))
             assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
 
 
@@ -354,7 +353,7 @@ def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # trace to rescale, so evolve re-raises instead of dividing by zero.
     rho0 = parse_ket_expression("|11>", (2, 2))
     with pytest.raises(StateValidationError, match="trace differs from one"):
-        stationary_state(rho0, *propagators(build_liouvillian(1e8), [1e12]))
+        stationary_xforms(rho0, build_liouvillian(1e8), [1e12])
 
 
 def test_overflowing_propagator_is_a_typed_error_without_warnings():
@@ -363,7 +362,7 @@ def test_overflowing_propagator_is_a_typed_error_without_warnings():
     # none is emitted before the state check rejects the result.
     rho0 = parse_ket_expression("|10>", (2, 2))
     with pytest.raises(StateValidationError, match="not Hermitian"):
-        stationary_state(rho0, *propagators(build_liouvillian(1e10), [1e10]))
+        stationary_xforms(rho0, build_liouvillian(1e10), [1e10])
 
 
 def test_extract_xform_values():
@@ -435,11 +434,19 @@ def test_stationary_states_are_always_x_form():
     rho0 = bell("phi-")
     for _ in range(20):
         generator = build_liouvillian(float(rng.uniform(0, 40)))
-        extract_xform(stationary_state(rho0, *propagators(generator, [float(rng.uniform(0, 3))])).matrix)  # must not raise
+        extract_xform(stationary_state(rho0, matrix_exponential(generator * float(rng.uniform(0, 3)))).matrix)  # must not raise
 
 
 def _bits(x: StationaryXForm) -> list[np.ndarray]:
     return [np.ascontiguousarray(getattr(x, name)).view(np.uint64) for name in "abcdf"]
+
+
+def _per_point(rho0, generator, t):
+    """The stationary state of one pulse time, its propagator formed alone; an
+    overflowing propagator fails the state check, as in stationary_xforms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagator = matrix_exponential(generator * t)
+    return stationary_state(rho0, propagator)
 
 
 @pytest.mark.parametrize("which", ["phi-", "psi+"])
@@ -448,7 +455,7 @@ def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
     grid = np.linspace(0.0, 4.0, 2000)
     shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
     for times in (grid, shuffled):
-        per_point = extract_xform(np.stack([stationary_state(rho0, P).matrix for P in propagators(generator, times)]))
+        per_point = extract_xform(np.stack([_per_point(rho0, generator, t).matrix for t in times]))
         stacked = stationary_xforms(rho0, generator, times)
         assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
 
@@ -482,7 +489,31 @@ def test_stationary_xforms_raise_the_first_failing_times_error():
     times = np.linspace(0.0, 1e4, 200)
     with pytest.raises(StateValidationError, match="not Hermitian") as per_point:
         for t in times:
-            stationary_state(rho0, *propagators(generator, [t]))
+            _per_point(rho0, generator, t)
     with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, generator, times)
     assert str(stacked.value) == str(per_point.value)
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_path(count):
+    # Blocks of 64: a partial first block, a full one, one more time, and a
+    # partial third block; shuffled, so no block is sorted by time.
+    rho0, generator = bell("phi-"), build_liouvillian(31.25)
+    times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count))
+    per_point = extract_xform(np.stack([_per_point(rho0, generator, t).matrix for t in times]))
+    assert all(map(np.array_equal, _bits(stationary_xforms(rho0, generator, times)), _bits(per_point)))
+
+
+def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():
+    # Index 64 is the first slot of the second block; its propagator overflows.
+    rho0, generator = bell("phi-"), build_liouvillian(31.25)
+    times = np.random.default_rng(64).uniform(0.0, 4.0, 129)
+    times[64] = 1e30
+    for t in times[:64]:
+        _per_point(rho0, generator, t)  # every earlier time passes on its own
+    with pytest.raises(DephasimError) as alone:
+        _per_point(rho0, generator, times[64])
+    with pytest.raises(DephasimError) as stacked:
+        stationary_xforms(rho0, generator, times)
+    assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))

@@ -28,10 +28,12 @@ from dephasim import (
     read_csv,
     run_qutrit_scan,
     run_sweep,
+    stationary_xforms,
     write_criterion_report,
     write_csv,
 )
-from dephasim.engine import extract_xform, propagators, stationary_state
+from dephasim.engine import extract_xform, stationary_state
+from dephasim.linalg import matrix_exponential
 import dephasim.engine as engine_module
 from dephasim import cli, errors
 from dephasim.cli import main
@@ -62,23 +64,40 @@ def test_detect_transitions_synthetic_sine():
         assert abs(got - want) <= 1e-6
 
 
-def test_a_failing_bisection_step_raises_the_error_of_the_earliest_bracket():
-    # Brackets [0, .25], [.25, .5] and [.5, .75]. Lockstep meets the third
-    # bracket's failure at its first step and the first bracket's at its fifth;
-    # bracket-by-bracket bisection meets the first bracket's, so that one wins.
-    profile = lambda g: np.where((g < 0.2) | ((0.3 < g) & (g < 0.6)), 1.0, 0.0)
+# Brackets [0, .25], [.25, .5] and [.5, .75] on a 5-sample grid.
+_THREE_BRACKETS = lambda g: np.where((g < 0.2) | ((0.3 < g) & (g < 0.6)), 1.0, 0.0)
 
+
+def test_a_failing_bisection_step_raises_the_error_of_its_own_call():
+    # Lockstep meets the third bracket's failure at its first step and the
+    # first bracket's at its fifth. The step that fails first raises, so the
+    # third bracket's error wins, though bracket by bracket the first would.
     def concurrence_of(times):
         for t in times:
             if 0.19 < t < 0.2:
                 raise DephasimError("first bracket")
             if 0.5 < t < 0.75:
                 raise DephasimError("third bracket")
-        return profile(times)
+        return _THREE_BRACKETS(times)
 
-    result = synthetic_result(profile, samples=5)
-    with pytest.raises(DephasimError, match="first bracket"):
+    result = synthetic_result(_THREE_BRACKETS, samples=5)
+    with pytest.raises(DephasimError, match="^third bracket$"):
         detect_transitions(result, concurrence_of)
+
+
+def test_one_failing_bracket_raises_the_error_of_bracket_by_bracket_bisection():
+    # Only the first bracket meets a failing time, at its fifth step.
+    def concurrence_at(t):
+        if 0.19 < t < 0.2:
+            raise DephasimError(f"failed at {float(t)!r}")
+        return float(_THREE_BRACKETS(t))
+
+    result = synthetic_result(_THREE_BRACKETS, samples=5)
+    with pytest.raises(DephasimError, match="^failed at ") as per_point:
+        oracles.bisect_transitions(result.gamma_t, result.concurrence, concurrence_at)
+    with pytest.raises(DephasimError) as lockstep:
+        detect_transitions(result, lambda times: np.array([concurrence_at(t) for t in times]))
+    assert str(lockstep.value) == str(per_point.value)
 
 
 def test_detect_local_maxima_monotone_profile_has_none():
@@ -200,7 +219,7 @@ def test_refined_transitions_sit_on_the_curve_zero():
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
         generator = build_liouvillian(config.omega_ratio)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0, *propagators(generator, [transition])).matrix))
+        c_value = concurrence_xform(extract_xform(stationary_state(rho0, matrix_exponential(generator * transition)).matrix))
         assert abs(c_value) <= 1e-6
 
 
@@ -216,7 +235,7 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
         rows = []
         for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
             generator = build_liouvillian(config.omega_ratio)
-            x = extract_xform(stationary_state(rho0, *propagators(generator, [gamma_t])).matrix)
+            x = extract_xform(stationary_state(rho0, matrix_exponential(generator * gamma_t)).matrix)
             rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
         assert np.array_equal(np.array(list(result.rows())), np.array(rows)), samples
 
@@ -227,7 +246,7 @@ def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
     generator = build_liouvillian(omega_ratio)
 
     def fields(gamma_t):
-        m = stationary_state(rho0, *propagators(generator, [gamma_t])).matrix
+        m = stationary_state(rho0, matrix_exponential(generator * gamma_t)).matrix
         return (*(float(m[i, i].real) for i in range(4)), complex(m[1, 2]))
 
     grid = np.linspace(0.0, gamma_t_max, samples)
@@ -418,7 +437,7 @@ def test_sweep_config_rejects_non_integer_samples(samples):
         ("omega_ratio", lambda v: SweepConfig("|10>", omega_ratio=v)),
         ("gamma_t_max", lambda v: SweepConfig("|10>", gamma_t_max=v)),
         ("omega1", build_liouvillian),
-        ("time", lambda v: list(propagators(build_liouvillian(1.0), [v]))),
+        ("time", lambda v: stationary_xforms(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), [v])),
     ],
     ids=["omega_ratio", "gamma_t_max", "omega1", "time"],
 )
@@ -739,7 +758,9 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
     generator = build_liouvillian(1e17)
     with pytest.raises(errors.StateValidationError, match="not Hermitian") as point_by_point:
         for gamma_t in np.linspace(0.0, 1e4, 200):
-            stationary_state(rho0, *propagators(generator, [gamma_t]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                propagator = matrix_exponential(generator * gamma_t)
+            stationary_state(rho0, propagator)
     argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
     argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 2
@@ -843,6 +864,26 @@ def test_cli_config_value_out_of_range_names_file_and_line(
     flag = f"--{key.replace('_', '-')}={value}"
     assert main(["sweep", "--initial-state", "|00>", flag, "--output", out]) == 1
     assert capsys.readouterr().err == f"dephasim: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "command, dims, ket, flag_ket",
+    [("sweep", (2, 2), '"(|10> - |01>)/sqrt(2)"', "|10>"), ("qutrit", (3, 3), "|1,2>", "|1,0>")],
+    ids=["sweep", "qutrit"],
+)
+def test_cli_config_ket_that_does_not_parse_names_file_and_line(
+    tmp_path, capsys, command, dims, ket, flag_ket
+):
+    config_path = tmp_path / "c.cfg"
+    config_path.write_text(f"# the {command} ket\ninitial_state = {ket}\n")
+    with pytest.raises(errors.ParseError) as parsed:
+        parse_ket_expression(ket, dims)
+    out = tmp_path / "out"
+    # a flag that overrides the value does not excuse it
+    for flags in ([], ["--initial-state", flag_ket]):
+        assert main([command, "--config", str(config_path), "--output", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"dephasim: {config_path}:2: initial_state: {parsed.value}\n"
+    assert not out.exists()
 
 
 def test_cli_undecodable_inputs_name_their_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import DephasimError
 from .states import parse_ket_expression
@@ -85,9 +85,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
-    """Map each key of a config file to its line number and raw value."""
-    entries: dict[str, tuple[int, str]] = {}
+def _load_config_file(path: str) -> Iterator[tuple[int, str, str]]:
+    """Yield the line number, key and raw value of each entry of a config file, in order."""
     for lineno, raw in enumerate(read_text_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,16 +94,16 @@ def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
-        entries[key.strip()] = (lineno, value.strip())
-    return entries
+        yield lineno, key.strip(), value.strip()
 
 
 def _merge_config(args: argparse.Namespace) -> dict[str, object]:
     merged: dict[str, object] = {}
     if args.config:
-        for key, (lineno, value) in _load_config_file(args.config).items():
+        # Every line is checked; a repeated key's last line wins.
+        for lineno, key, value in _load_config_file(args.config):
             if key not in args.keys:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
             try:
                 merged[key] = _OPTIONS[key][0](value)
                 # Check the value on its own (a ket on the command's pair, a

@@ -590,12 +590,14 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "# fig-style sweep\n"
         "initial_state = (|10> - |01>)/sqrt(2)\n"
         "omega_ratio = 31.25\n"
-        "gamma_t_max = 0.5\n"
+        "gamma_t_max = 0.25\n"
         "samples = 200\n"
         f"output = {out}\n"
+        "gamma_t_max = 0.5  # a repeated key takes its last line\n"
     )
     assert main(["sweep", "--config", str(config_path), "--samples", "80"]) == 0
-    assert len(read_csv(str(out)).gamma_t) == 80
+    gamma_t = read_csv(str(out)).gamma_t
+    assert (len(gamma_t), gamma_t[-1]) == (80, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -809,7 +811,9 @@ def test_cli_config_file_rejects_mode_key(tmp_path, capsys):
     config_path.write_text("initial_state = |0,0>\nmode = qutrit-criterion\n")
     argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
     assert main(argv) == 1
-    assert "unknown config key 'mode'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"dephasim: {config_path}:2: ")
+    assert "unknown config key 'mode'" in err
 
 
 @pytest.mark.parametrize("key", ["omega_ratio", "gamma_t_max", "samples"])
@@ -819,7 +823,31 @@ def test_cli_qutrit_config_file_rejects_sweep_only_keys(tmp_path, capsys, key):
     config_path.write_text(f"initial_state = |0,0>\n{key} = 2\n")
     argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
     assert main(argv) == 1
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"dephasim: {config_path}:2: ")
+    assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, first, last, reason",
+    [
+        ("sweep", "samples = 1", "samples = 20", "samples: samples must be at least 2, got 1"),
+        ("sweep", "samples = x", "samples = 20", "samples: invalid literal for int() with base 10: 'x'"),
+        ("sweep", "initial_state = |1x>", "initial_state = |10>", "initial_state: "),
+        ("qutrit", "initial_state = |1,2>", "initial_state = |1,0>", "initial_state: "),
+    ],
+    ids=["out-of-range", "wrong-type", "sweep-ket", "qutrit-ket"],
+)
+def test_cli_config_checks_each_line_of_a_repeated_key(tmp_path, capsys, command, first, last, reason):
+    # neither a later line with the same key nor a flag excuses an earlier line
+    config_path = tmp_path / "c.cfg"
+    config_path.write_text(f"{first}\n{last}\n")
+    out = tmp_path / "out"
+    ket = {"sweep": "|10>", "qutrit": "|1,0>"}[command]
+    argv = [command, "--config", str(config_path), "--initial-state", ket, "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"dephasim: {config_path}:1: {reason}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DephasimError, DimensionMismatchError, StateValidationError
 from .linalg import matrix_exponential
-from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix
+from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _check_state, _trusted_state
 
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
 
@@ -143,22 +143,27 @@ def _pulse_times(times) -> np.ndarray:
 
 
 def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits rho0."""
-    # An overflowed propagator (omega1 * t ~ 1e20) fails the state check below, unwarned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
-        out = vec.reshape(rho0.matrix.shape, order="F")
+    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits rho0.
+
+    The result gets DensityMatrix's checks without a second construction.
+    The caller holds np.errstate(over="ignore", invalid="ignore"): an
+    overflowed propagator (omega1 * t ~ 1e20) then fails the check unwarned.
+    """
+    vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
+    out = vec.reshape(rho0.matrix.shape, order="F")
     try:
-        return DensityMatrix(out, rho0.dims)
+        _check_state(out)
     except StateValidationError:
         # exp(L t) preserves trace exactly (<<I| L = 0), but scaling and squaring
         # drifts it as ||L t|| grows (Al-Mohy & Higham 2009), scaling the slow
         # modes by a common factor. Rescale a positive drifted trace and check
         # the state once more; any other rejection stands.
-        trace = np.trace(out).real
+        trace = out.trace().real
         if not (trace > 0 and abs(trace - 1.0) > TRACE_TOL):
             raise
-        return DensityMatrix(out / trace, rho0.dims)
+        out = out / trace
+        _check_state(out)
+    return _trusted_state(out, rho0.dims)
 
 
 def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
@@ -169,13 +174,14 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     m=+-2 diagonal entries.
     """
     # A pinching of a valid state is a valid state, so the result is not re-checked.
-    fixed = object.__new__(DensityMatrix)
-    fixed.__dict__.update(matrix=rho.matrix * _pair(rho.dims).fixed_mask, dims=rho.dims)
-    return fixed
+    return _trusted_state(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
 
 
 def stationary_state(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Drive rho0 with a pulse's `propagator` exp(L t), then dephase forever."""
+    """Drive rho0 with a pulse's `propagator` exp(L t), then dephase forever.
+
+    The caller holds np.errstate(over="ignore", invalid="ignore"), as for evolve.
+    """
     return dephasing_fixed_point(evolve(rho0, propagator))
 
 
@@ -206,10 +212,10 @@ def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> Stat
     for start in range(0, len(ts), _BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
             block = matrix_exponential(generator * ts[start : start + _BLOCK])
-        for k, propagator in enumerate(block, start):
-            try:
-                states[k] = stationary_state(rho0, propagator).matrix
-            except DephasimError:
-                extract_xform(states[:k])  # an earlier point's X-form error wins
-                raise
+            for k, propagator in enumerate(block, start):
+                try:
+                    states[k] = stationary_state(rho0, propagator).matrix
+                except DephasimError:
+                    extract_xform(states[:k])  # an earlier point's X-form error wins
+                    raise
     return extract_xform(states)

@@ -49,17 +49,32 @@ class DensityMatrix:
             )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", (d1, d2))  # the pair every caller looks up
-        # Each check is written so that a NaN fails it; inf - inf is NaN, not a warning.
-        with np.errstate(invalid="ignore"):
-            herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_defect <= HERMITICITY_TOL:
-            raise StateValidationError("matrix is not Hermitian", herm_defect)
-        trace_defect = abs(complex(np.trace(m)) - 1.0)
-        if not trace_defect <= TRACE_TOL:
-            raise StateValidationError("trace differs from one", trace_defect)
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if not min_eig >= POSITIVITY_FLOOR:
-            raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_state(m)
+
+
+def _check_state(m: np.ndarray) -> None:
+    """DensityMatrix's checks of a square complex matrix: Hermiticity, unit trace, positivity.
+
+    Each is written so that a NaN fails it; inf - inf is NaN, so the caller
+    holds np.errstate(over="ignore", invalid="ignore") and gets no warning.
+    """
+    herm_defect = np.abs(m - m.conj().T).max()
+    if not herm_defect <= HERMITICITY_TOL:
+        raise StateValidationError("matrix is not Hermitian", herm_defect)
+    trace_defect = abs(m.trace() - 1.0)
+    if not trace_defect <= TRACE_TOL:
+        raise StateValidationError("trace differs from one", trace_defect)
+    min_eig = np.linalg.eigvalsh(m)[0]
+    if not min_eig >= POSITIVITY_FLOOR:
+        raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
+
+
+def _trusted_state(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
+    """A DensityMatrix of a matrix that is already checked, or pinched from a checked one, unchecked."""
+    rho = object.__new__(DensityMatrix)
+    rho.__dict__.update(matrix=matrix, dims=dims)
+    return rho
 
 
 validate = DensityMatrix  # the checked constructor under the name tests and benchmarks call

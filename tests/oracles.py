@@ -57,6 +57,22 @@ def kronecker_liouvillian(
     return gen
 
 
+def state_check_oracle(m: np.ndarray) -> tuple[str, float] | None:
+    """DensityMatrix's three checks in their first form: the first failing check's message and
+    magnitude, or None for a density matrix. A NaN fails each check."""
+    with np.errstate(invalid="ignore"):
+        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+    if not herm_defect <= 1e-10:
+        return "matrix is not Hermitian", herm_defect
+    trace_defect = abs(complex(np.trace(m)) - 1.0)
+    if not trace_defect <= 1e-10:
+        return "trace differs from one", trace_defect
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if not min_eig >= -1e-9:
+        return "matrix has a negative eigenvalue", abs(min_eig)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Fixed-step fourth-order integrator of the two-qubit master equation
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dephasim import (
@@ -14,6 +18,8 @@ from dephasim import (
     partial_transpose,
     validate,
 )
+from dephasim import states
+import oracles
 
 
 def _projector(amplitudes):
@@ -327,3 +333,64 @@ def test_parse_pure_validate_round_trip():
     for text, dims in expressions:
         rho = parse_ket_expression(text, dims)
         validate(rho.matrix, dims)
+
+
+# Entries the propagation path can meet when a propagator overflows.
+_EXTREME = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e300j, 1e308, complex(np.nan, 1.0), complex(1.0, np.inf)]
+
+
+@st.composite
+def _near_density_matrices(draw):
+    """A 4x4 or 9x9 density matrix with its least eigenvalue near -1e-9, then optionally a
+    Hermiticity and a trace defect near 1e-10 and one non-finite or huge entry (or pair)."""
+    dim = draw(st.sampled_from([4, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    least = draw(st.floats(-3e-9, 1e-9))
+    weights = rng.random(dim - 1)
+    spectrum = np.concatenate([[least], weights / weights.sum() * (1.0 - least)])
+    u = oracles.random_unitary(rng, dim)
+    m = (u * spectrum) @ u.conj().T
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    m[i, j] += 1j * draw(st.floats(-3e-10, 3e-10))
+    m[j, j] += draw(st.floats(-3e-10, 3e-10))
+    entry = draw(st.one_of(st.none(), st.sampled_from(_EXTREME)))
+    if entry is not None:
+        m[i, j] = entry
+        if draw(st.booleans()):
+            m[j, i] = np.conj(entry)
+    return m
+
+
+class _Recorded(Exception):
+    """Stands in for StateValidationError to keep the magnitude unformatted."""
+
+    def __init__(self, message, magnitude):
+        super().__init__(message, magnitude)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_near_density_matrices())
+def test_the_shared_state_check_agrees_with_its_first_form(m):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):  # as stationary_xforms holds it
+            expected = oracles.state_check_oracle(m)
+            with mock.patch.object(states, "StateValidationError", _Recorded):
+                try:
+                    states._check_state(m)
+                    got = None
+                except _Recorded as error:
+                    got = error.args
+        dims = (2, 2) if len(m) == 4 else (3, 3)
+        if expected is None:
+            DensityMatrix(m, dims)
+        else:
+            with pytest.raises(StateValidationError) as error:
+                DensityMatrix(m, dims)
+            assert str(error.value) == f"{expected[0]} (magnitude {expected[1]:.3e})"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (got is None) == (expected is None)
+    if got is not None:
+        (message, magnitude), (want_message, want_magnitude) = got, expected
+        assert message == want_message
+        assert magnitude == want_magnitude or math.isnan(magnitude) and math.isnan(want_magnitude)

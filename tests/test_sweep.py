@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim import (
+    DensityMatrix,
     DephasimError,
     SweepConfig,
     SweepResult,
@@ -35,6 +36,7 @@ from dephasim import (
 from dephasim.engine import extract_xform, stationary_state
 from dephasim.linalg import matrix_exponential
 import dephasim.engine as engine_module
+import dephasim.sweep as sweep_module
 from dephasim import cli, errors
 from dephasim.cli import main
 import oracles
@@ -287,6 +289,33 @@ def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamm
     assert np.array_equal(_bits(list(result.rows())), _bits(rows))
     assert np.array_equal(_bits(result.transitions), _bits(transitions))
     assert np.array_equal(_bits(result.maxima).reshape(-1), _bits(maxima).reshape(-1))
+
+
+def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
+    # Validation happens at the boundary: the parsed ket is the one DensityMatrix
+    # checked, and each evolved state gets the same checks without becoming one.
+    validated, propagated, times = [], [], []
+    post_init, state, xforms = DensityMatrix.__post_init__, stationary_state, stationary_xforms
+
+    def counting_post_init(self):
+        validated.append(self.dims)
+        post_init(self)
+
+    def counting_state(rho0, propagator):
+        propagated.append(propagator)
+        return state(rho0, propagator)
+
+    def counting_xforms(rho0, generator, ts):
+        times.append(len(ts))
+        return xforms(rho0, generator, ts)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(engine_module, "stationary_state", counting_state)
+    monkeypatch.setattr(sweep_module, "stationary_xforms", counting_xforms)
+    run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
+    assert validated == [(2, 2)]
+    assert times[0] == 50 and len(times) > 1  # the grid, then each lockstep bisection step
+    assert len(propagated) == sum(times)
 
 
 def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monkeypatch):

@@ -142,15 +142,14 @@ def _pulse_times(times) -> np.ndarray:
     return np.reshape(times, (-1, 1, 1))
 
 
-def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Propagate exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits rho0.
+def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    """Propagate the matrix rho0 exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits it.
 
-    The result gets DensityMatrix's checks without a second construction.
+    The evolved matrix gets DensityMatrix's checks and is returned as a matrix.
     The caller holds np.errstate(over="ignore", invalid="ignore"): an
     overflowed propagator (omega1 * t ~ 1e20) then fails the check unwarned.
     """
-    vec = propagator @ rho0.matrix.reshape(-1, order="F")  # column stacking, as L assumes
-    out = vec.reshape(rho0.matrix.shape, order="F")
+    out = (propagator @ rho0.reshape(-1, order="F")).reshape(rho0.shape, order="F")  # column stacking, as in L
     try:
         _check_state(out)
     except StateValidationError:
@@ -163,7 +162,7 @@ def evolve(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
             raise
         out = out / trace
         _check_state(out)
-    return _trusted_state(out, rho0.dims)
+    return out
 
 
 def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
@@ -177,12 +176,12 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     return _trusted_state(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
 
 
-def stationary_state(rho0: DensityMatrix, propagator: np.ndarray) -> DensityMatrix:
-    """Drive rho0 with a pulse's `propagator` exp(L t), then dephase forever.
+def stationary_state(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    """Drive the qubit-pair matrix rho0 with a pulse's `propagator` exp(L t), then dephase forever.
 
     The caller holds np.errstate(over="ignore", invalid="ignore"), as for evolve.
     """
-    return dephasing_fixed_point(evolve(rho0, propagator))
+    return evolve(rho0, propagator) * _PAIRS[(2, 2)].fixed_mask
 
 
 def extract_xform(states: np.ndarray) -> StationaryXForm:
@@ -214,7 +213,7 @@ def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> Stat
             block = matrix_exponential(generator * ts[start : start + _BLOCK])
             for k, propagator in enumerate(block, start):
                 try:
-                    states[k] = stationary_state(rho0, propagator).matrix
+                    states[k] = stationary_state(rho0.matrix, propagator)
                 except DephasimError:
                     extract_xform(states[:k])  # an earlier point's X-form error wins
                     raise

@@ -71,7 +71,7 @@ def _check_state(m: np.ndarray) -> None:
 
 
 def _trusted_state(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
-    """A DensityMatrix of a matrix that is already checked, or pinched from a checked one, unchecked."""
+    """The DensityMatrix of a matrix pinched from a checked state, which is valid, built unchecked."""
     rho = object.__new__(DensityMatrix)
     rho.__dict__.update(matrix=matrix, dims=dims)
     return rho

@@ -53,7 +53,7 @@ def sweep_cached(config, workers=1):
 def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
     rho0 = parse_ket_expression(text, (2, 2))
     generator = build_liouvillian(omega_ratio)
-    return concurrence_xform(extract_xform(stationary_state(rho0, matrix_exponential(generator * gamma_t)).matrix))
+    return concurrence_xform(extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t))))
 
 
 class Criterion:
@@ -106,7 +106,7 @@ def test_criterion_2_analytic_dephasing_decay():
     rho0 = parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2))
     generator = build_liouvillian(0.0)
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        coherence = abs(evolve(rho0, matrix_exponential(generator * gamma_t)).matrix[0, 3])
+        coherence = abs(evolve(rho0.matrix, matrix_exponential(generator * gamma_t))[0, 3])
         crit.check(
             f"gamma_t={gamma_t}", abs(coherence - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
         )
@@ -121,7 +121,7 @@ def test_criterion_3_propagator_cross_validation():
     generator = build_liouvillian(OMEGA_RATIO)
     worst = 0.0
     for k, gamma_t in enumerate(grid):
-        ours = stationary_state(rho0, matrix_exponential(generator * float(gamma_t))).matrix
+        ours = stationary_state(rho0.matrix, matrix_exponential(generator * float(gamma_t)))
         worst = max(worst, float(np.max(np.abs(ours - reference[k]))))
     crit.check(f"max-norm {worst:.2e}", worst <= 1e-6)
     crit.finish()

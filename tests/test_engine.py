@@ -101,7 +101,7 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
 
 def test_a_nan_generator_propagates_no_state():
     with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
-        evolve(bell("phi-"), matrix_exponential(np.full((16, 16), np.nan) * 0.5))
+        evolve(bell("phi-").matrix, matrix_exponential(np.full((16, 16), np.nan) * 0.5))
 
 
 def test_liouvillian_preserves_trace():
@@ -129,8 +129,8 @@ def test_dephasing_rate_of_outer_coherence():
     gen = build_liouvillian(0.0)
     rho0 = bell("psi+")
     for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        rho_t = evolve(rho0, matrix_exponential(gen * gamma_t))
-        assert abs(abs(rho_t.matrix[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
+        rho_t = evolve(rho0.matrix, matrix_exponential(gen * gamma_t))
+        assert abs(abs(rho_t[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
 
 
 def test_propagator_matches_taylor_series_path():
@@ -138,7 +138,7 @@ def test_propagator_matches_taylor_series_path():
     rho0 = bell("psi+")
     t = 0.7
     via_series = taylor_expm(gen * t) @ rho0.matrix.reshape(-1, order="F")
-    via_engine = evolve(rho0, matrix_exponential(gen * t)).matrix.reshape(-1, order="F")
+    via_engine = evolve(rho0.matrix, matrix_exponential(gen * t)).reshape(-1, order="F")
     assert np.max(np.abs(via_series - via_engine)) <= 1e-12
 
 
@@ -164,14 +164,14 @@ def test_singlet_is_fixed_point():
 def test_evolve_identity_at_zero_time():
     gen = build_liouvillian(31.25)
     rho = bell("phi+")
-    assert np.array_equal(evolve(rho, matrix_exponential(gen * 0.0)).matrix, rho.matrix)
+    assert np.array_equal(evolve(rho.matrix, matrix_exponential(gen * 0.0)), rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
     gen = build_liouvillian(0.0)
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
     for t in (0.3, 2.0, 7.0):
-        assert np.max(np.abs(evolve(rho, matrix_exponential(gen * t)).matrix - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(evolve(rho.matrix, matrix_exponential(gen * t)) - rho.matrix)) <= 1e-12
 
 
 def test_semigroup_property():
@@ -179,8 +179,8 @@ def test_semigroup_property():
     gen = build_liouvillian(31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
-        two_step = evolve(evolve(rho, matrix_exponential(gen * t1)), matrix_exponential(gen * t2)).matrix
-        one_step = evolve(rho, matrix_exponential(gen * (t1 + t2))).matrix
+        two_step = evolve(evolve(rho.matrix, matrix_exponential(gen * t1)), matrix_exponential(gen * t2))
+        one_step = evolve(rho.matrix, matrix_exponential(gen * (t1 + t2)))
         assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
 
@@ -189,7 +189,7 @@ def test_purity_non_increasing_without_drive():
     gen = build_liouvillian(0.0)
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
     purities = [
-        np.trace((m := evolve(rho, matrix_exponential(gen * t)).matrix) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
+        np.trace((m := evolve(rho.matrix, matrix_exponential(gen * t))) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
     ]
     assert all(later <= earlier + 1e-12 for earlier, later in zip(purities, purities[1:]))
 
@@ -200,8 +200,8 @@ def test_fixed_point_matches_long_time_limit():
     for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
-        longtime = evolve(rho, matrix_exponential(gen * 50.0))
-        assert np.max(np.abs(projected.matrix - longtime.matrix)) <= 1e-8
+        longtime = evolve(rho.matrix, matrix_exponential(gen * 50.0))
+        assert np.max(np.abs(projected.matrix - longtime)) <= 1e-8
         # idempotent, trace-exact, and positivity-safe
         again = dephasing_fixed_point(projected)
         assert np.array_equal(again.matrix, projected.matrix)
@@ -252,17 +252,17 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-"), matrix_exponential(build_liouvillian(31.25) * 0.0))
-    x = extract_xform(robust.matrix)
+    robust = stationary_state(bell("phi-").matrix, matrix_exponential(build_liouvillian(31.25) * 0.0))
+    x = extract_xform(robust)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+"), matrix_exponential(build_liouvillian(31.25) * 0.0))
-    assert np.max(np.abs(fragile.matrix - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
+    fragile = stationary_state(bell("psi+").matrix, matrix_exponential(build_liouvillian(31.25) * 0.0))
+    assert np.max(np.abs(fragile - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0, matrix_exponential(build_liouvillian(31.25) * gamma_t)).matrix
+        ours = stationary_state(rho0.matrix, matrix_exponential(build_liouvillian(31.25) * gamma_t))
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -284,8 +284,8 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
         for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0, matrix_exponential(build_liouvillian(omega1) * t))
-            assert np.max(np.abs(rho.matrix - limit)) <= 1e-9, (omega1, t)
+            rho = stationary_state(rho0.matrix, matrix_exponential(build_liouvillian(omega1) * t))
+            assert np.max(np.abs(rho - limit)) <= 1e-9, (omega1, t)
 
 
 # Prints the OpenBLAS core of numpy's and scipy's bundled libraries, read the
@@ -405,7 +405,7 @@ def test_stationary_states_are_always_x_form():
     rho0 = bell("phi-")
     for _ in range(20):
         generator = build_liouvillian(float(rng.uniform(0, 40)))
-        extract_xform(stationary_state(rho0, matrix_exponential(generator * float(rng.uniform(0, 3)))).matrix)  # must not raise
+        extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * float(rng.uniform(0, 3)))))  # must not raise
 
 
 def _bits(x: StationaryXForm) -> list[np.ndarray]:
@@ -417,7 +417,7 @@ def _per_point(rho0, generator, t):
     overflowing propagator fails the state check, as in stationary_xforms."""
     with np.errstate(over="ignore", invalid="ignore"):
         propagator = matrix_exponential(generator * t)
-    return stationary_state(rho0, propagator)
+    return stationary_state(rho0.matrix, propagator)
 
 
 @pytest.mark.parametrize("which", ["phi-", "psi+"])
@@ -426,7 +426,7 @@ def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
     grid = np.linspace(0.0, 4.0, 2000)
     shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
     for times in (grid, shuffled):
-        per_point = extract_xform(np.stack([_per_point(rho0, generator, t).matrix for t in times]))
+        per_point = extract_xform(np.stack([_per_point(rho0, generator, t) for t in times]))
         stacked = stationary_xforms(rho0, generator, times)
         assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
 
@@ -479,7 +479,7 @@ def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_pat
     # partial third block; shuffled, so no block is sorted by time.
     rho0, generator = bell("phi-"), build_liouvillian(31.25)
     times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count))
-    per_point = extract_xform(np.stack([_per_point(rho0, generator, t).matrix for t in times]))
+    per_point = extract_xform(np.stack([_per_point(rho0, generator, t) for t in times]))
     assert all(map(np.array_equal, _bits(stationary_xforms(rho0, generator, times)), _bits(per_point)))
 
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,7 +220,7 @@ def test_refined_transitions_sit_on_the_curve_zero():
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for transition in result.transitions:
         generator = build_liouvillian(config.omega_ratio)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0, matrix_exponential(generator * transition)).matrix))
+        c_value = concurrence_xform(extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * transition))))
         assert abs(c_value) <= 1e-6
 
 
@@ -237,7 +236,7 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
         rows = []
         for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
             generator = build_liouvillian(config.omega_ratio)
-            x = extract_xform(stationary_state(rho0, matrix_exponential(generator * gamma_t)).matrix)
+            x = extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t)))
             rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
         assert np.array_equal(np.array(list(result.rows())), np.array(rows)), samples
 
@@ -248,7 +247,7 @@ def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
     generator = build_liouvillian(omega_ratio)
 
     def fields(gamma_t):
-        m = stationary_state(rho0, matrix_exponential(generator * gamma_t)).matrix
+        m = stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t))
         return (*(float(m[i, i].real) for i in range(4)), complex(m[1, 2]))
 
     grid = np.linspace(0.0, gamma_t_max, samples)
@@ -293,13 +292,19 @@ def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamm
 
 def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     # Validation happens at the boundary: the parsed ket is the one DensityMatrix
-    # checked, and each evolved state gets the same checks without becoming one.
-    validated, propagated, times = [], [], []
+    # checked, and each evolved state gets the same checks as a bare matrix,
+    # becoming no DensityMatrix, checked or unchecked.
+    validated, trusted, propagated, times = [], [], [], []
     post_init, state, xforms = DensityMatrix.__post_init__, stationary_state, stationary_xforms
+    trusted_state = engine_module._trusted_state
 
     def counting_post_init(self):
         validated.append(self.dims)
         post_init(self)
+
+    def counting_trusted_state(matrix, dims):
+        trusted.append(dims)
+        return trusted_state(matrix, dims)
 
     def counting_state(rho0, propagator):
         propagated.append(propagator)
@@ -310,10 +315,12 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
         return xforms(rho0, generator, ts)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(engine_module, "_trusted_state", counting_trusted_state)
     monkeypatch.setattr(engine_module, "stationary_state", counting_state)
     monkeypatch.setattr(sweep_module, "stationary_xforms", counting_xforms)
     run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     assert validated == [(2, 2)]
+    assert trusted == []
     assert times[0] == 50 and len(times) > 1  # the grid, then each lockstep bisection step
     assert len(propagated) == sum(times)
 
@@ -327,7 +334,7 @@ def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monk
         matrix = next(matrices, None)
         if matrix is None:
             raise errors.StateValidationError("matrix is not Hermitian", 1.0)
-        return SimpleNamespace(matrix=matrix)
+        return matrix
 
     monkeypatch.setattr(engine_module, "stationary_state", stationary_state)
     with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
@@ -791,7 +798,7 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
         for gamma_t in np.linspace(0.0, 1e4, 200):
             with np.errstate(over="ignore", invalid="ignore"):
                 propagator = matrix_exponential(generator * gamma_t)
-            stationary_state(rho0, propagator)
+            stationary_state(rho0.matrix, propagator)
     argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
     argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 2

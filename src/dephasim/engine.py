@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DephasimError, DimensionMismatchError, StateValidationError
+from .errors import DephasimError, DimensionMismatchError
 from .linalg import matrix_exponential
 from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _check_state, _trusted_state
 
@@ -145,23 +145,19 @@ def _pulse_times(times) -> np.ndarray:
 def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     """Propagate the matrix rho0 exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits it.
 
-    The evolved matrix gets DensityMatrix's checks and is returned as a matrix.
-    The caller holds np.errstate(over="ignore", invalid="ignore"): an
-    overflowed propagator (omega1 * t ~ 1e20) then fails the check unwarned.
+    A positive drifted trace is rescaled; the result then gets _check_state's
+    Hermiticity and trace checks once. The caller holds
+    np.errstate(over="ignore", invalid="ignore"): an overflowed propagator
+    (omega1 * t ~ 1e20) then fails the check unwarned.
     """
     out = (propagator @ rho0.reshape(-1, order="F")).reshape(rho0.shape, order="F")  # column stacking, as in L
-    try:
-        _check_state(out)
-    except StateValidationError:
-        # exp(L t) preserves trace exactly (<<I| L = 0), but scaling and squaring
-        # drifts it as ||L t|| grows (Al-Mohy & Higham 2009), scaling the slow
-        # modes by a common factor. Rescale a positive drifted trace and check
-        # the state once more; any other rejection stands.
-        trace = out.trace().real
-        if not (trace > 0 and abs(trace - 1.0) > TRACE_TOL):
-            raise
+    # exp(L t) preserves trace exactly (<<I| L = 0), but scaling and squaring
+    # drifts it as ||L t|| grows (Al-Mohy & Higham 2009), scaling the slow
+    # modes by a common factor.
+    trace = out.trace().real
+    if trace > 0 and abs(trace - 1.0) > TRACE_TOL:
         out = out / trace
-        _check_state(out)
+    _check_state(out)
     return out
 
 
@@ -179,7 +175,9 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
 def stationary_state(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     """Drive the qubit-pair matrix rho0 with a pulse's `propagator` exp(L t), then dephase forever.
 
-    The caller holds np.errstate(over="ignore", invalid="ignore"), as for evolve.
+    The evolved state gets evolve's checks. The pinched result's positivity
+    is its X-form's check, not this one's. The caller holds
+    np.errstate(over="ignore", invalid="ignore"), as for evolve.
     """
     return evolve(rho0, propagator) * _PAIRS[(2, 2)].fixed_mask
 
@@ -197,10 +195,11 @@ def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> Stat
     scipy's Pade kernels per slice and squares the block as one stack, with
     one matrix's zgemm on each slice, so each propagator has the bits of
     matrix_exponential(generator * t). Each time then gets one
-    stationary_state, and the stack one extract_xform. The earliest failing
-    time raises the error it would raise on its own. rho0 must be a qubit
-    pair and the generator must fit it, even when `times` is empty; the
-    steps after this check trust it.
+    stationary_state, which checks Hermiticity and trace, and the stack one
+    extract_xform, whose StationaryXForm checks positivity of what is
+    reported. The earliest failing time raises the error it would raise on
+    its own. rho0 must be a qubit pair and the generator must fit it, even
+    when `times` is empty; the steps after this check trust it.
     """
     ts = _pulse_times(times)
     if rho0.matrix.shape != (4, 4):

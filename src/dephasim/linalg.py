@@ -41,22 +41,23 @@ def _pade_kernels():
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a square complex matrix, or of each in a stack, with the bits of scipy.linalg.expm.
+    """exp(m) of a square complex matrix, or of each in a stack; diagonal and full slices get scipy's bits.
 
-    scipy's expm loops over a stack's slices: a diagonal or triangular slice
-    gets its own formula, and any other slice gets the Pade approximant of
-    Al-Mohy & Higham (2009) from pick_pade_structure and pade_UV_calc, then s
-    squarings. Here the structure test runs once on the stack, scipy's
-    diagonal formula np.diag(np.exp(np.diag(a))) runs on every diagonal
-    slice at once, the two Pade kernels run per generic slice, and squaring
-    step k is one stacked matmul of every slice with s > k. numpy runs the
-    same zgemm on each slice of a stack, so every result has the bits of
-    scipy's per-slice `eAw @ eAw`. Only a triangular, non-diagonal slice,
-    which build_liouvillian never produces, goes to scipy.linalg.expm.
+    scipy.linalg.expm loops over a stack's slices: a diagonal or triangular
+    slice gets its own formula, and a full one (neither upper nor lower
+    triangular) the Pade approximant of Al-Mohy & Higham (2009) from
+    pick_pade_structure and pade_UV_calc, then s squarings. Here the
+    structure test runs once on the stack, scipy's diagonal formula
+    np.diag(np.exp(np.diag(a))) runs on every diagonal slice at once, the two
+    Pade kernels run per other slice, and squaring step k is one stacked
+    matmul of every slice with s > k. numpy runs the same zgemm on each slice
+    of a stack, so a full slice has the bits of scipy's per-slice `eAw @ eAw`.
+    A triangular, non-diagonal slice, which no generator * t is, takes the
+    Pade path too and agrees with scipy to rounding, not to the bit.
 
     scipy is loaded here, not at module load, and only its Pade kernels are
     (see _pade_kernels): processes that never propagate (qutrit, compare)
-    load no scipy module, and a sweep never imports scipy.linalg.
+    load no scipy module, and no call imports scipy.linalg.
     """
     pick_pade_structure, pade_UV_calc = _pade_kernels()
 
@@ -67,18 +68,10 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     stack = m.reshape(math.prod(m.shape[:-2]), n, n)  # -1 cannot size an empty (0, 0)
     out = np.empty_like(stack)
     # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry.
-    lower = np.tril(stack, -1).any(axis=(1, 2))
-    upper = np.triu(stack, 1).any(axis=(1, 2))
-    generic = lower & upper
-    diagonal = ~(lower | upper)
+    diagonal = ~(np.tril(stack, -1).any(axis=(1, 2)) | np.triu(stack, 1).any(axis=(1, 2)))
     out[diagonal] = 0
     np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", stack[diagonal]))
-    triangular = lower ^ upper
-    if triangular.any():
-        import scipy.linalg
-
-        out[triangular] = scipy.linalg.expm(stack[triangular])
-    index = np.flatnonzero(generic)
+    index = np.flatnonzero(~diagonal)
     scales = np.empty(len(index), dtype=int)
     # Slice j's 5-matrix kernel scratch is rows j..j+4: its approximant lands
     # in row j, and the next slice's scratch starts just past it.

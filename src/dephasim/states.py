@@ -51,13 +51,17 @@ class DensityMatrix:
         object.__setattr__(self, "dims", (d1, d2))  # the pair every caller looks up
         with np.errstate(over="ignore", invalid="ignore"):
             _check_state(m)
+            min_eig = np.linalg.eigvalsh(m)[0]
+            if not min_eig >= POSITIVITY_FLOOR:
+                raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
 
 
 def _check_state(m: np.ndarray) -> None:
-    """DensityMatrix's checks of a square complex matrix: Hermiticity, unit trace, positivity.
+    """The accuracy checks of a square complex matrix, Hermiticity then unit trace.
 
-    Each is written so that a NaN fails it; inf - inf is NaN, so the caller
-    holds np.errstate(over="ignore", invalid="ignore") and gets no warning.
+    DensityMatrix adds positivity; a sweep leaves it to StationaryXForm.
+    Each check is written so that a NaN fails it; inf - inf is NaN, so the
+    caller holds np.errstate(over="ignore", invalid="ignore") and gets no warning.
     """
     herm_defect = np.abs(m - m.conj().T).max()
     if not herm_defect <= HERMITICITY_TOL:
@@ -65,9 +69,6 @@ def _check_state(m: np.ndarray) -> None:
     trace_defect = abs(m.trace() - 1.0)
     if not trace_defect <= TRACE_TOL:
         raise StateValidationError("trace differs from one", trace_defect)
-    min_eig = np.linalg.eigvalsh(m)[0]
-    if not min_eig >= POSITIVITY_FLOOR:
-        raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
 
 
 def _trusted_state(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:

@@ -259,6 +259,18 @@ def test_stationary_state_at_zero_action_time():
     assert np.max(np.abs(fragile - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
+def test_stationary_state_leaves_positivity_to_the_pinched_xform():
+    # 0.25 I + 0.4 (|00><11| + h.c.) has eigenvalue -0.15, all of it in the
+    # |11><00| coherence that dephasing removes; only the pinched state is reported.
+    rho0 = 0.25 * np.eye(4, dtype=complex)
+    rho0[0, 3] = rho0[3, 0] = 0.4
+    assert np.linalg.eigvalsh(rho0)[0] == pytest.approx(-0.15)
+    pinched = stationary_state(rho0, np.eye(16))
+    assert np.array_equal(pinched, 0.25 * np.eye(4))
+    x = extract_xform(pinched)
+    assert (x.a, x.b, x.c, x.d, x.f) == (0.25, 0.25, 0.25, 0.25, 0.0)
+
+
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
     for gamma_t in (0.05, 0.31, 0.8):
@@ -333,7 +345,7 @@ def test_long_pulses_reach_the_long_time_limit_on_the_haswell_kernel():
 
 def test_long_pulse_with_a_vanished_trace_stays_an_error():
     # At omega1 * T = 1e20 exp(L T) rho0 rounds to zero: there is no positive
-    # trace to rescale, so evolve re-raises instead of dividing by zero.
+    # trace to rescale, so evolve's trace check fails instead of dividing by zero.
     rho0 = parse_ket_expression("|11>", (2, 2))
     with pytest.raises(StateValidationError, match="trace differs from one"):
         stationary_xforms(rho0, build_liouvillian(1e8), [1e12])

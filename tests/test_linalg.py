@@ -105,8 +105,10 @@ def test_expm_of_propagator_blocks_has_the_bits_of_scipy(omega1):
 
 
 def test_expm_of_a_mixed_stack_has_the_bits_of_scipy():
-    # Zero, diagonal and triangular slices take scipy's own formulas; the
-    # others, NaN and overflow included, the Pade kernels and stacked squaring.
+    # Zero and diagonal slices take scipy's diagonal formula; the others, NaN
+    # and overflow included, the Pade kernels and stacked squaring. The full
+    # ones have scipy's bits; the triangular ones, for which scipy has a
+    # formula of its own, agree with it to rounding.
     generator = build_liouvillian(31.25)
     with_nan = 0.7 * generator
     with_nan[0, 15] = np.nan
@@ -126,8 +128,14 @@ def test_expm_of_a_mixed_stack_has_the_bits_of_scipy():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(matrix_exponential(stack[-1])).all()
-    _assert_scipy_bits(stack)
-    _assert_scipy_bits(stack[::-1])
+    triangular = np.isin(np.arange(len(stack)), [2, 3])
+    for order in (slice(None), slice(None, None, -1)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = matrix_exponential(stack[order]), scipy.linalg.expm(stack[order])
+        exact = ~triangular[order]
+        assert np.array_equal(got[exact].view(np.uint64), want[exact].view(np.uint64))
+        for got_k, want_k in zip(got[~exact], want[~exact]):
+            assert np.linalg.norm(got_k - want_k) <= 1e-13 * np.linalg.norm(want_k)
 
 
 def test_expm_of_a_matrix_and_of_a_nested_stack_has_the_bits_of_scipy():

@@ -292,11 +292,12 @@ def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamm
 
 def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     # Validation happens at the boundary: the parsed ket is the one DensityMatrix
-    # checked, and each evolved state gets the same checks as a bare matrix,
-    # becoming no DensityMatrix, checked or unchecked.
-    validated, trusted, propagated, times = [], [], [], []
+    # checked, and each evolved state gets the Hermiticity and trace checks as a
+    # bare matrix, becoming no DensityMatrix, checked or unchecked. Positivity
+    # is one eigvalsh, the parsed ket's; the X-forms check the rest.
+    validated, trusted, propagated, times, spectra = [], [], [], [], []
     post_init, state, xforms = DensityMatrix.__post_init__, stationary_state, stationary_xforms
-    trusted_state = engine_module._trusted_state
+    trusted_state, eigvalsh = engine_module._trusted_state, np.linalg.eigvalsh
 
     def counting_post_init(self):
         validated.append(self.dims)
@@ -314,12 +315,18 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
         times.append(len(ts))
         return xforms(rho0, generator, ts)
 
+    def counting_eigvalsh(m, *args, **kwargs):
+        spectra.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
     monkeypatch.setattr(engine_module, "_trusted_state", counting_trusted_state)
     monkeypatch.setattr(engine_module, "stationary_state", counting_state)
     monkeypatch.setattr(sweep_module, "stationary_xforms", counting_xforms)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     assert validated == [(2, 2)]
+    assert spectra == [(4, 4)]
     assert trusted == []
     assert times[0] == 50 and len(times) > 1  # the grid, then each lockstep bisection step
     assert len(propagated) == sum(times)

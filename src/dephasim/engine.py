@@ -15,8 +15,8 @@ gamma = 1 and omega1 = Omega_1/gamma.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +30,8 @@ _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of 
 
 
 def _require_nonnegative(name: str, value: float) -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+    # Compared, not converted: an int too large for a float fails, with no OverflowError.
+    if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 

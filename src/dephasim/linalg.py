@@ -49,8 +49,9 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     pick_pade_structure and pade_UV_calc, then s squarings. Here the
     structure test runs once on the stack, scipy's diagonal formula
     np.diag(np.exp(np.diag(a))) runs on every diagonal slice at once, the two
-    Pade kernels run per other slice, and squaring step k is one stacked
-    matmul of every slice with s > k. numpy runs the same zgemm on each slice
+    Pade kernels run per other slice, and squaring step k is one in-place
+    stacked matmul of the slices with s > k: a suffix, once sorted by rising
+    s, as rising times already are. numpy runs the same zgemm on each slice
     of a stack, so a full slice has the bits of scipy's per-slice `eAw @ eAw`.
     A triangular, non-diagonal slice, which no generator * t is, takes the
     Pade path too and agrees with scipy to rounding, not to the bit.
@@ -67,8 +68,10 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     stack = m.reshape(math.prod(m.shape[:-2]), n, n)  # -1 cannot size an empty (0, 0)
     out = np.empty_like(stack)
-    # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry.
-    diagonal = ~(np.tril(stack, -1).any(axis=(1, 2)) | np.triu(stack, 1).any(axis=(1, 2)))
+    # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry. Past
+    # its first entry, a slice is n - 1 runs of n off-diagonal entries and a diagonal one.
+    off_diagonal = stack.reshape(len(stack), n * n)[:, 1:].reshape(len(stack), max(n - 1, 0), n + 1)[..., :n]
+    diagonal = ~off_diagonal.any(axis=(1, 2))
     out[diagonal] = 0
     np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", stack[diagonal]))
     index = np.flatnonzero(~diagonal)
@@ -85,13 +88,14 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         if info != 0:  # as scipy's expm: a failed allocation, or a LAPACK error
             kind = MemoryError if info <= -11 else RuntimeError
             raise kind(f"scipy's Pade approximant failed (error code {info})")
-    # In falling order of s, the slices still to square at step k are a prefix.
-    by_scale = np.argsort(-scales)
-    pade, scales = pade[by_scale], scales[by_scale]
+    # Squaring step k takes the slices with s > k: a suffix, in rising order of s.
+    if np.any(scales[1:] < scales[:-1]):
+        by_scale = np.argsort(scales, kind="stable")
+        pade[: len(index)], scales, index = pade[by_scale], scales[by_scale], index[by_scale]
     for step in range(scales.max(initial=0)):
-        live = np.count_nonzero(scales > step)
-        pade[:live] = pade[:live] @ pade[:live]
-    out[index[by_scale]] = pade
+        live = pade[np.searchsorted(scales, step, side="right") : len(index)]
+        live[...] = live @ live
+    out[index] = pade[: len(index)]
     return out.reshape(m.shape)
 
 

@@ -6,6 +6,7 @@ import math
 import numbers
 import operator
 import re
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -48,7 +49,7 @@ class SweepConfig:
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         t_max = self.gamma_t_max
-        if not (isinstance(t_max, numbers.Real) and math.isfinite(t_max) and t_max > 0):
+        if not (isinstance(t_max, numbers.Real) and 0 < t_max <= sys.float_info.max):
             raise ValueError(f"gamma_t_max must be finite and positive, got {t_max!r}")
         _require_nonnegative("omega_ratio", self.omega_ratio)
 
@@ -180,9 +181,8 @@ def _fmt(value: float) -> str:
 
 def write_csv(result: SweepResult, path: str) -> None:
     """Write rows at 12 significant digits; transitions and maxima as '#' comments."""
-    lines = [CSV_HEADER]
-    for gamma_t, c_value, mi_value in result.rows():
-        lines.append(f"{_fmt(gamma_t)},{_fmt(c_value)},{_fmt(mi_value)}")
+    rows = zip(result.gamma_t.tolist(), result.concurrence.tolist(), result.mutual_information.tolist())
+    lines = [CSV_HEADER, *("%.12g,%.12g,%.12g" % row for row in rows)]  # _fmt's text for a Python float
     for transition in result.transitions:
         lines.append(f"# transition gamma_T = {_fmt(transition)}")
     for gamma_t, c_value, mi_value in result.maxima:

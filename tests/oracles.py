@@ -33,6 +33,12 @@ def taylor_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:
     return out
 
 
+def diagonal_slices_oracle(stack: np.ndarray) -> np.ndarray:
+    """Which (n, n) slices of a (k, n, n) stack are diagonal, from their strict triangles;
+    a NaN counts as a nonzero entry."""
+    return ~(np.tril(stack, -1).any(axis=(1, 2)) | np.triu(stack, 1).any(axis=(1, 2)))
+
+
 def kronecker_liouvillian(
     dims: tuple[int, int], omega1: float, gamma: float, drive_on: bool
 ) -> np.ndarray:

@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import itertools
 import sys
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 import scipy.linalg
 
 from dephasim import DimensionMismatchError, build_liouvillian, partial_transpose
+import dephasim.linalg as linalg_module
 from dephasim.linalg import _pade_kernels, matrix_exponential
-from oracles import partial_trace_oracle, random_density, taylor_expm
+from oracles import diagonal_slices_oracle, partial_trace_oracle, random_density, taylor_expm
 
 
 def test_expm_trivial_cases():
@@ -155,6 +157,59 @@ def test_expm_of_diagonal_slices_has_the_bits_of_scipy():
     _assert_scipy_bits(np.array(entries, dtype=complex).reshape(8, 1, 1))
 
 
+@pytest.fixture
+def pade_calls(monkeypatch):
+    """(slice, s) of each pick_pade_structure call that matrix_exponential makes, in order."""
+    pick_pade_structure, pade_uv_calc = _pade_kernels()
+    calls = []
+
+    def recording_pick(buffer):
+        given = buffer[0].copy()
+        order, s = pick_pade_structure(buffer)
+        calls.append((given, s))
+        return order, s
+
+    monkeypatch.setattr(linalg_module, "_pade_kernels", lambda: (recording_pick, pade_uv_calc))
+    return calls
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+def test_expm_of_propagators_in_any_time_order_has_the_bits_of_scipy(order, pade_calls):
+    # Rising times give rising s, squared as they stand; where s falls, the
+    # slices are sorted by s first. Either way each has scipy's per-slice bits.
+    times = np.linspace(0.0, 4.0, 64)
+    times = {"rising": times, "falling": times[::-1], "shuffled": np.random.default_rng(31).permutation(times)}
+    stack = build_liouvillian(31.25) * times[order][:, None, None]
+    got = matrix_exponential(stack)
+    want = np.stack([scipy.linalg.expm(a) for a in stack])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    scales = np.array([s for _, s in pade_calls])
+    assert len(scales) == 63 and scales.max() > 0  # t = 0 is a diagonal slice
+    assert np.any(np.diff(scales) < 0) == (order != "rising")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_expm_takes_the_slices_the_triangles_find_diagonal_to_the_diagonal_formula(n, pade_calls):
+    # Each slice holds one nonzero, signed zero or NaN at one off-diagonal
+    # position of a diagonal matrix; the Pade kernels get exactly the others.
+    background = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    slices = [background, np.diag(np.full(n, np.nan)).astype(complex)]
+    for i, j in itertools.permutations(range(n), 2):
+        for value in (1.0, 1j, 5e-324, -0.0, np.nan):
+            slices.append(background.copy())
+            slices[-1][i, j] = value
+    stack = np.array(slices)
+    diagonal = diagonal_slices_oracle(stack)
+    assert np.count_nonzero(~diagonal) == 4 * n * (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = matrix_exponential(stack)
+    assert got.shape == stack.shape
+    to_pade = np.array([given for given, _ in pade_calls], dtype=complex).reshape(-1, n, n)
+    assert np.array_equal(to_pade.view(np.uint64), stack[~diagonal].view(np.uint64))
+    want = np.stack([np.diag(np.exp(np.diag(a))) for a in stack[diagonal]])
+    assert np.array_equal(got[diagonal].view(np.uint64), want.view(np.uint64))
+
+
 def test_a_missing_scipy_or_kernel_file_is_an_import_error(monkeypatch):
     load = _pade_kernels.__wrapped__  # past the cache, which holds the kernels already loaded
     monkeypatch.delitem(sys.modules, "scipy.linalg._matfuncs_expm")
@@ -168,7 +223,7 @@ def test_a_missing_scipy_or_kernel_file_is_an_import_error(monkeypatch):
             load()
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 16, 16), (2, 3, 0, 0)])
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 16, 16), (2, 3, 0, 0), (0, 0, 0)])
 def test_expm_of_an_empty_matrix_or_stack_has_the_shape_of_scipy(shape):
     _assert_scipy_bits(np.zeros(shape, dtype=complex))
 

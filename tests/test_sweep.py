@@ -187,6 +187,32 @@ def test_csv_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    columns=st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.lists(_FINITE_FLOATS, min_size=n, max_size=n, unique=True).map(sorted),
+            st.lists(_FINITE_FLOATS, min_size=n, max_size=n),
+            st.lists(_FINITE_FLOATS, min_size=n, max_size=n),
+        )
+    )
+)
+@example(columns=([-1e308, -0.0, 5e-324, 1e308], [-0.0, 2.5e-310, -1.7976931348623157e308, 1e308], [0.0] * 4))
+# values at or next to a rounding tie in the 12th significant digit
+@example(columns=([0.1234567890125, 1.0000000000005, 9.9999999999995, 999999999999.5], [1 / 3, 2 / 3, 1e-5, 1e22], [0.5] * 4))
+def test_write_csv_rows_are_the_fmt_of_each_cell(tmp_path_factory, columns):
+    gamma_t, concurrence, mutual_information = columns
+    result = SweepResult(np.array(gamma_t), np.array(concurrence), np.array(mutual_information))
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    write_csv(result, str(path))
+    fmt = sweep_module._fmt
+    want = [f"{fmt(g)},{fmt(c)},{fmt(m)}" for g, c, m in result.rows()]
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == want
+
+
 def test_run_sweep_without_drive_is_flat():
     config = SweepConfig(
         initial_state="(|10> - |01>)/sqrt(2)", omega_ratio=0.0, gamma_t_max=1.0, samples=11
@@ -472,9 +498,7 @@ def test_sweep_config_rejects_non_integer_samples(samples):
         SweepConfig(initial_state="|00>", samples=samples)
 
 
-# Each check names the parameter and rejects any value that is not a real number.
-@pytest.mark.parametrize("value", ["5", 1j, None])
-@pytest.mark.parametrize(
+_EACH_PARAMETER_CHECK = pytest.mark.parametrize(
     "name, call",
     [
         ("omega_ratio", lambda v: SweepConfig("|10>", omega_ratio=v)),
@@ -484,7 +508,21 @@ def test_sweep_config_rejects_non_integer_samples(samples):
     ],
     ids=["omega_ratio", "gamma_t_max", "omega1", "time"],
 )
+
+
+# Each check names the parameter and rejects any value that is not a real number.
+@pytest.mark.parametrize("value", ["5", 1j, None])
+@_EACH_PARAMETER_CHECK
 def test_non_real_parameters_are_value_errors(name, call, value):
+    message = rf"\b{name} must be finite and \w+, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+# math.isfinite would convert these to float and raise OverflowError.
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2 * int(sys.float_info.max)], ids=["1e400", "-1e400", "2max"])
+@_EACH_PARAMETER_CHECK
+def test_integers_too_large_for_a_float_are_value_errors(name, call, value):
     message = rf"\b{name} must be finite and \w+, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)

@@ -88,7 +88,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         if info != 0:  # as scipy's expm: a failed allocation, or a LAPACK error
             kind = MemoryError if info <= -11 else RuntimeError
             raise kind(f"scipy's Pade approximant failed (error code {info})")
-    # Squaring step k takes the slices with s > k: a suffix, in rising order of s.
+    # Step k squares the slices with s > k: a suffix in rising s, as rising times already give.
     if np.any(scales[1:] < scales[:-1]):
         by_scale = np.argsort(scales, kind="stable")
         pade[: len(index)], scales, index = pade[by_scale], scales[by_scale], index[by_scale]

@@ -29,10 +29,18 @@ from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _check_
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or a placeholder where repr refuses an int of too many digits."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _require_nonnegative(name: str, value: float) -> None:
     # Compared, not converted: an int too large for a float fails, with no OverflowError.
     if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ def _pulse_times(times) -> np.ndarray:
     except ValueError:  # numpy refuses a ragged nesting such as [[0.1], [0.1, 0.2]]
         ndim = None
     if ndim != 1:
-        raise ValueError(f"times must be a one-dimensional sequence, got {times!r}")
+        raise ValueError(f"times must be a one-dimensional sequence, got {_shown(times)}")
     for t in times:
         _require_nonnegative("time", t)
     return np.reshape(times, (-1, 1, 1))

@@ -43,60 +43,53 @@ def _pade_kernels():
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) of a square complex matrix, or of each in a stack; diagonal and full slices get scipy's bits.
 
-    scipy.linalg.expm loops over a stack's slices: a diagonal or triangular
-    slice gets its own formula, and a full one (neither upper nor lower
-    triangular) the Pade approximant of Al-Mohy & Higham (2009) from
-    pick_pade_structure and pade_UV_calc, then s squarings. Here the
-    structure test runs once on the stack, scipy's diagonal formula
-    np.diag(np.exp(np.diag(a))) runs on every diagonal slice at once, the two
-    Pade kernels run per other slice, and squaring step k is one in-place
-    stacked matmul of the slices with s > k: a suffix, once sorted by rising
-    s, as rising times already are. numpy runs the same zgemm on each slice
-    of a stack, so a full slice has the bits of scipy's per-slice `eAw @ eAw`.
-    A triangular, non-diagonal slice, which no generator * t is, takes the
-    Pade path too and agrees with scipy to rounding, not to the bit.
+    As in scipy.linalg.expm, a diagonal slice gets np.diag(np.exp(np.diag(a)))
+    and any other the Pade approximant of Al-Mohy & Higham (2009) from
+    pick_pade_structure and pade_UV_calc, then s squarings. Slice j's
+    exponential lands in row j of one buffer, whose rows j..j+4 are its
+    kernels' scratch. A squaring step is one in-place stacked matmul per run
+    of slices whose s does not fall (rising times give one run), on the run's
+    suffix that still needs it; numpy runs one matrix's zgemm on each slice,
+    so a full slice has the bits of scipy's `eAw @ eAw`. A triangular,
+    non-diagonal slice, which no generator * t is and which scipy gives a
+    formula of its own, agrees with scipy to rounding, not to the bit.
 
-    scipy is loaded here, not at module load, and only its Pade kernels are
-    (see _pade_kernels): processes that never propagate (qutrit, compare)
-    load no scipy module, and no call imports scipy.linalg.
+    Only scipy's Pade kernels are loaded, on first use (see _pade_kernels):
+    processes that never propagate (qutrit, compare) load no scipy module,
+    and no call imports scipy.linalg.
     """
     pick_pade_structure, pade_UV_calc = _pade_kernels()
 
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[-1]
-    stack = m.reshape(math.prod(m.shape[:-2]), n, n)  # -1 cannot size an empty (0, 0)
-    out = np.empty_like(stack)
+    k, n = math.prod(m.shape[:-2]), m.shape[-1]
+    stack = m.reshape(k, n, n)  # by k: -1 cannot size an empty (0, 0)
     # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry. Past
     # its first entry, a slice is n - 1 runs of n off-diagonal entries and a diagonal one.
-    off_diagonal = stack.reshape(len(stack), n * n)[:, 1:].reshape(len(stack), max(n - 1, 0), n + 1)[..., :n]
+    off_diagonal = stack.reshape(k, n * n)[:, 1:].reshape(k, max(n - 1, 0), n + 1)[..., :n]
     diagonal = ~off_diagonal.any(axis=(1, 2))
-    out[diagonal] = 0
-    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", stack[diagonal]))
-    index = np.flatnonzero(~diagonal)
-    scales = np.empty(len(index), dtype=int)
-    # Slice j's 5-matrix kernel scratch is rows j..j+4: its approximant lands
-    # in row j, and the next slice's scratch starts just past it.
-    pade = np.empty((len(index) + 4, n, n), dtype=complex)
-    for j, k in enumerate(index):
-        pade[j] = stack[k]
-        order, scales[j] = pick_pade_structure(pade[j : j + 5])
+    out = np.empty((k + 4, n, n), dtype=complex)
+    scales = np.zeros(k, dtype=int)
+    for j, (a, is_diagonal) in enumerate(zip(stack, diagonal.tolist())):
+        if is_diagonal:
+            out[j] = np.diag(np.exp(np.diag(a)))
+            continue
+        out[j] = a
+        order, scales[j] = pick_pade_structure(out[j : j + 5])
         if order < 0:
             raise MemoryError(f"scipy's Pade structure failed (error code {order})")
-        info = pade_UV_calc(pade[j : j + 5], order)
+        info = pade_UV_calc(out[j : j + 5], order)
         if info != 0:  # as scipy's expm: a failed allocation, or a LAPACK error
             kind = MemoryError if info <= -11 else RuntimeError
             raise kind(f"scipy's Pade approximant failed (error code {info})")
-    # Step k squares the slices with s > k: a suffix in rising s, as rising times already give.
-    if np.any(scales[1:] < scales[:-1]):
-        by_scale = np.argsort(scales, kind="stable")
-        pade[: len(index)], scales, index = pade[by_scale], scales[by_scale], index[by_scale]
-    for step in range(scales.max(initial=0)):
-        live = pade[np.searchsorted(scales, step, side="right") : len(index)]
-        live[...] = live @ live
-    out[index] = pade[: len(index)]
-    return out.reshape(m.shape)
+    falls = (np.flatnonzero(scales[1:] < scales[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *falls], [*falls, k]):
+        run = scales[lo:hi]
+        for step in range(run.max(initial=0)):
+            live = out[lo + np.searchsorted(run, step, side="right") : hi]
+            live[...] = live @ live
+    return out[:k].reshape(m.shape)
 
 
 def _pair_dims(dims: tuple[int, int]) -> tuple[int, int]:

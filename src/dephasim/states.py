@@ -137,18 +137,12 @@ def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
     return alpha1.index(parts[0]) * d2 + alpha2.index(parts[1])
 
 
-def _finite(value: float, pos: int) -> float:
-    if not math.isfinite(value):
-        raise ParseError("coefficient does not fit a float", pos)
-    return value
-
-
 def _numeral(tok: _Token) -> float:
     value = float(tok.text)
     # A nonzero numeral that underflows to 0.0 does not fit, like one that overflows.
-    if value == 0 and tok.text.strip("0."):
+    if not math.isfinite(value) or (value == 0 and tok.text.strip("0.")):
         raise ParseError("coefficient does not fit a float", tok.pos)
-    return _finite(value, tok.pos)
+    return value
 
 
 class _Value(NamedTuple):
@@ -171,6 +165,11 @@ class _Value(NamedTuple):
 
     def scale(self) -> np.ndarray:
         return abs(self.scalar) * self.peak
+
+    def fits(self, pos: int) -> _Value:
+        if not np.all(np.isfinite(self.materialize() if self.is_vector() else self.scalar)):
+            raise ParseError("coefficient does not fit a float", pos)
+        return self
 
 
 class _KetParser:
@@ -234,13 +233,10 @@ class _KetParser:
             if total.is_vector() != nxt.is_vector():
                 raise ParseError("cannot add a ket term and a bare number", op.pos)
             if total.is_vector():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vector = total.materialize() + nxt.materialize()
-                if not np.all(np.isfinite(vector)):
-                    raise ParseError("coefficient does not fit a float", op.pos)
-                total = _Value(1.0, vector, np.maximum(total.scale(), nxt.scale()))
+                vector = total.materialize() + nxt.materialize()
+                total = _Value(1.0, vector, np.maximum(total.scale(), nxt.scale())).fits(op.pos)
             else:
-                total = _Value(_finite(total.scalar + nxt.scalar, op.pos), None)
+                total = _Value(total.scalar + nxt.scalar, None).fits(op.pos)
         return total
 
     def term(self, depth: int) -> _Value:
@@ -257,7 +253,7 @@ class _KetParser:
                 divisor = self.scalar_factor()
                 if divisor == 0:
                     raise ParseError("division by zero", tok.pos)
-                value = value._replace(scalar=_finite(value.scalar / divisor, tok.pos))
+                value = value._replace(scalar=value.scalar / divisor).fits(tok.pos)
             elif tok.kind in self._FACTOR_START:
                 # adjacency acts as multiplication, e.g. "0.5|11>"
                 value = self._multiply(value, self.factor(depth), tok.pos)
@@ -269,7 +265,7 @@ class _KetParser:
         if left.is_vector() and right.is_vector():
             raise ParseError("cannot multiply two kets", pos)
         ket = left if left.is_vector() else right
-        return ket._replace(scalar=_finite(left.scalar * right.scalar, pos))
+        return ket._replace(scalar=left.scalar * right.scalar).fits(pos)
 
     def factor(self, depth: int) -> _Value:
         tok = self.peek()
@@ -315,12 +311,14 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     d1, d2 = _pair_dims(dims)
     if d1 not in _LEVELS or d2 not in _LEVELS:
         raise DimensionMismatchError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
-    value = _KetParser(_tokenize(text), dims).parse()
-    vec = value.materialize()
-    # An amplitude cancels when it is rounding noise against the largest ket
-    # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
-    if not np.any(np.abs(vec) > 1e-12 * value.scale()):
-        raise ZeroNormError(f"all amplitudes cancel in {text!r}")
+    # Each operator checks the amplitudes it makes (_Value.fits); only a cancellation scale overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _KetParser(_tokenize(text), dims).parse()
+        vec = value.materialize()
+        # An amplitude cancels when it is rounding noise against the largest ket
+        # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
+        if not np.any(np.abs(vec) > 1e-12 * value.scale()):
+            raise ZeroNormError(f"all amplitudes cancel in {text!r}")
     largest = float(np.max(np.abs(vec)))
     if not _SAFE_AMPLITUDES[0] < largest < _SAFE_AMPLITUDES[1]:
         # The norm's sum of squares would underflow or overflow. The parser's

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _require_nonnegative, build_liouvillian, dephasing_fixed_point, stationary_xforms
+from .engine import _require_nonnegative, _shown, build_liouvillian, dephasing_fixed_point, stationary_xforms
 from .errors import DephasimError
 from .measures import (
     CriterionReport,
@@ -45,12 +45,12 @@ class SweepConfig:
         try:
             operator.index(self.samples)
         except TypeError:
-            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
+            raise ValueError(f"samples must be an integer, got {_shown(self.samples)}") from None
         if self.samples < 2:
-            raise ValueError(f"samples must be at least 2, got {self.samples}")
+            raise ValueError(f"samples must be at least 2, got {_shown(self.samples)}")
         t_max = self.gamma_t_max
         if not (isinstance(t_max, numbers.Real) and 0 < t_max <= sys.float_info.max):
-            raise ValueError(f"gamma_t_max must be finite and positive, got {t_max!r}")
+            raise ValueError(f"gamma_t_max must be finite and positive, got {_shown(t_max)}")
         _require_nonnegative("omega_ratio", self.omega_ratio)
 
 
@@ -105,7 +105,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     pass 1, and any other value raises ValueError.
     """
     if workers != 1:
-        raise ValueError(f"run_sweep is serial; workers must be 1, got {workers!r}")
+        raise ValueError(f"run_sweep is serial; workers must be 1, got {_shown(workers)}")
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     # One generator serves every grid point and bisection step of the sweep.
     generator = build_liouvillian(config.omega_ratio)

@@ -104,6 +104,7 @@ def test_parse_zero_norm():
 
 
 _BIG = "1" + "0" * 200  # 1e200: its square overflows a float
+_B300 = "1" + "0" * 300
 
 
 @pytest.mark.parametrize(
@@ -131,9 +132,14 @@ def test_parse_cancellation_is_relative_to_the_summed_terms(text):
 
 
 def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
-    # Each amplitude is judged against the terms summed into it, not the largest term.
-    psi = parse_ket_expression(_BIG + "|10> - " + _BIG + "|10> + |01>", (2, 2))
-    assert np.array_equal(psi.matrix, _projector([0, 0, 1, 0]))
+    # Each amplitude is judged against the terms summed into it, not the largest term;
+    # a scale that overflows a float (1e300 * 1e10) marks its amplitude cancelled, with no warning.
+    for text in (
+        _BIG + "|10> - " + _BIG + "|10> + |01>",
+        "(" + _B300 + "|10> - " + _B300 + "|10> + |01>)*10000000000",
+    ):
+        psi = parse_ket_expression(text, (2, 2))
+        assert np.array_equal(psi.matrix, _projector([0, 0, 1, 0]))
 
 
 def test_parse_rejects_garbage():
@@ -152,14 +158,68 @@ def test_parse_rejects_garbage():
         ("0." + "0" * 400 + "1|10>", 0),  # a nonzero numeral that underflows to 0.0
         ("sqrt(0." + "0" * 400 + "1)|10>", 5),
         ("|11> + 0." + "0" * 400 + "1|10>", 7),
+        # a coefficient times a summed ket: the amplitudes overflow at the operator
+        ("(" + _B300 + "|10> + " + _B300 + "|01>)*10000000000", 615),
+        ("(" + _B300 + "|10>+|01>)/0." + "0" * 299 + "1", 312),
+        ("(" + _B300 + "|10> + " + _B300 + "|01>)*10000000000/10000000000", 615),
     ],
     ids=["numeral", "sqrt-numeral", "product", "ket-sum",
-         "underflow-numeral", "underflow-sqrt-numeral", "underflow-second-term"],
+         "underflow-numeral", "underflow-sqrt-numeral", "underflow-second-term",
+         "times-ket-sum", "ket-sum-over", "times-ket-sum-over"],
 )
 def test_parse_rejects_unrepresentable_coefficients(text, position):
     with pytest.raises(ParseError, match="does not fit a float") as excinfo:
         parse_ket_expression(text, (2, 2))
     assert excinfo.value.position == position
+
+
+def _numerals():
+    """Numerals of up to 400 digits, 1e-400 to 9e399: a digit and up to 399 zeros, before or after the point."""
+    return st.builds(
+        lambda digit, zeros, small: "0." + "0" * zeros + digit if small else digit + "0" * zeros,
+        st.sampled_from("123456789"),
+        st.integers(0, 399),
+        st.booleans(),
+    )
+
+
+def _scalars():
+    """Sums, products and quotients of numerals, in nested parentheses."""
+    return st.recursive(
+        _numerals(),
+        lambda s: st.one_of(
+            st.builds("({} {} {})".format, s, st.sampled_from("+-*"), s),
+            st.builds("({}/{})".format, s, _numerals()),
+        ),
+        max_leaves=4,
+    )
+
+
+def _ket_expressions():
+    """Sums of kets times or over such scalars, in nested parentheses."""
+    kets = st.sampled_from(["|10>", "|01>", "|11>", "|00>"])
+    return st.recursive(
+        st.one_of(kets, st.builds("{}{}".format, _numerals(), kets)),
+        lambda k: st.one_of(
+            st.builds("({} {} {})".format, k, st.sampled_from("+-"), k),
+            st.builds("{}*{}".format, _scalars(), k),
+            st.builds("{}/{}".format, k, _numerals()),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ket_expressions())
+@example("(" + _B300 + "|10> + " + _B300 + "|01>)*10000000000")
+@example("((" + _B300 + "|10> - " + _B300 + "|10>)*" + _B300 + " + |01>)/0." + "0" * 300 + "1")
+def test_parse_arithmetic_of_long_numerals_is_a_state_or_a_parse_error(text):
+    # pyproject.toml makes every warning an error, so an overflow or NaN must not warn
+    try:
+        psi = parse_ket_expression(text, (2, 2))
+    except (ParseError, ZeroNormError):
+        return
+    assert abs(np.trace(psi.matrix) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize(

@@ -519,13 +519,44 @@ def test_non_real_parameters_are_value_errors(name, call, value):
         call(value)
 
 
-# math.isfinite would convert these to float and raise OverflowError.
-@pytest.mark.parametrize("value", [10**400, -(10**400), 2 * int(sys.float_info.max)], ids=["1e400", "-1e400", "2max"])
+# math.isfinite would convert these to float and raise OverflowError, and repr
+# raises ValueError on an int of more than sys.get_int_max_str_digits() digits.
+_TOO_LONG = "<int too long to print>"
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**400, repr(10**400)),
+        (-(10**400), repr(-(10**400))),
+        (2 * int(sys.float_info.max), repr(2 * int(sys.float_info.max))),
+        (10**5000, _TOO_LONG),
+        (-(10**5000), _TOO_LONG),
+    ],
+    ids=["1e400", "-1e400", "2max", "1e5000", "-1e5000"],
+)
 @_EACH_PARAMETER_CHECK
-def test_integers_too_large_for_a_float_are_value_errors(name, call, value):
-    message = rf"\b{name} must be finite and \w+, got {re.escape(repr(value))}$"
+def test_integers_too_large_for_a_float_are_value_errors(name, call, value, shown):
+    message = rf"\b{name} must be finite and \w+, got {re.escape(shown)}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SweepConfig("|10>", samples=-(10**5000)), "samples must be at least 2"),
+        (
+            lambda: stationary_xforms(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), 10**5000),
+            "times must be a one-dimensional sequence",
+        ),
+        (lambda: run_sweep(SweepConfig("|10>", samples=3), workers=10**5000), "run_sweep is serial; workers must be 1"),
+    ],
+    ids=["samples", "times", "workers"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_parameter(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}, got {re.escape(_TOO_LONG)}$"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -18,23 +18,14 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DephasimError, DimensionMismatchError
+from .errors import DephasimError, DimensionMismatchError, _shown
 from .linalg import matrix_exponential
-from .states import POSITIVITY_FLOOR, TRACE_TOL, _LEVELS, DensityMatrix, _check_state, _trusted_state
+from .states import POSITIVITY_FLOOR, TRACE_TOL, _PAIRS, DensityMatrix, _check_state, _pair, _trusted_state
 
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
-
-
-def _shown(value) -> str:
-    """repr(value) for an error message, or a placeholder where repr refuses an int of too many digits."""
-    try:
-        return repr(value)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        return f"<{type(value).__name__} too long to print>"
 
 
 def _require_nonnegative(name: str, value: float) -> None:
@@ -78,21 +69,6 @@ class StationaryXForm:
             raise DephasimError(message.format(**{name: float(v) for name, v in at_k.items()}))
 
 
-class _PairTable(NamedTuple):
-    """What collective dephasing needs to know about one supported pair."""
-
-    levels: np.ndarray  # diagonal of collective Jz, lexicographic basis order
-    fixed_mask: np.ndarray  # True where |m><m'| has m == m', the entries dephasing keeps
-
-
-def _pair_table(jz_single: list[float]) -> _PairTable:
-    levels = np.add.outer(jz_single, jz_single).ravel()
-    return _PairTable(levels, levels[:, None] == levels[None, :])
-
-
-# One table per pair of equal parties, from the single-party Jz in basis order; see collective_jz.
-_PAIRS = {(d, d): _pair_table(list(jz.values())) for d, jz in _LEVELS.items()}
-
 # (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
 # diagonal, -(m - m')^2 / 2 on |m><m'|. It is built in Kronecker form rather than
 # with np.diag because the signs of its zeros (-0.0 where a negative level meets
@@ -106,13 +82,6 @@ _DEPHASING = (
 # -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
 _SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
 _DRIVE_COMMUTATOR = -1j * (np.kron(np.eye(4), _SX1) - np.kron(_SX1.T, np.eye(4)))
-
-
-def _pair(dims: tuple[int, int]) -> _PairTable:
-    try:
-        return _PAIRS[dims]
-    except (KeyError, TypeError):
-        raise DimensionMismatchError(f"supported pairs are (2, 2) and (3, 3), got {dims}") from None
 
 
 def collective_jz(dims: tuple[int, int]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the printer of values in their messages.
 
 A fault in the caller's input is also a ValueError, and the CLI exits 1 on
 it; any other DephasimError is a numerical failure and exits 2.
@@ -30,3 +30,11 @@ class StateValidationError(DephasimError):
 
     def __init__(self, message: str, magnitude: float):
         super().__init__(f"{message} (magnitude {magnitude:.3e})")
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, or a placeholder where repr refuses an int of too many digits."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"<{type(value).__name__} too long to print>"

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _shown
 
 
 @functools.cache
@@ -92,12 +92,19 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return out[:k].reshape(m.shape)
 
 
-def _pair_dims(dims: tuple[int, int]) -> tuple[int, int]:
-    """(d1, d2) of subsystem dims; DimensionMismatchError unless `dims` is two integers."""
+def _pair_dims(dims: tuple[int, int], shape: tuple[int, ...] | None = None) -> tuple[int, int]:
+    """(d1, d2) of `dims`: two positive integers that, given a `shape`, size it as (d1*d2, d1*d2).
+
+    The one check of dims, and of dims against a matrix; DimensionMismatchError otherwise.
+    """
     try:
         d1, d2 = map(operator.index, dims)
     except (TypeError, ValueError):
-        raise DimensionMismatchError(f"dims must be a pair of integers, got {dims!r}") from None
+        raise DimensionMismatchError(f"dims must be a pair of integers, got {_shown(dims)}") from None
+    if d1 < 1 or d2 < 1:
+        raise DimensionMismatchError(f"dims must be positive, got {_shown((d1, d2))}")
+    if shape is not None and shape != (d1 * d2, d1 * d2):
+        raise DimensionMismatchError(f"shape {shape} does not match subsystem dims {_shown((d1, d2))}")
     return d1, d2
 
 
@@ -107,9 +114,5 @@ def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     Party 1's partial transpose is the full transpose of this one, with the same spectrum.
     """
     rho = np.asarray(rho, dtype=complex)
-    d1, d2 = _pair_dims(dims)
-    if rho.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatchError(
-            f"operator shape {rho.shape} does not match subsystem dims {dims}"
-        )
+    d1, d2 = _pair_dims(dims, rho.shape)
     return rho.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2).copy()

@@ -14,6 +14,7 @@ from .errors import (
     ParseError,
     StateValidationError,
     ZeroNormError,
+    _shown,
 )
 from .linalg import _pair_dims
 
@@ -28,9 +29,34 @@ _SAFE_AMPLITUDES = (1e-150, 1e150)
 # Deepest parenthesis nesting parsed: three stack frames a level, inside Python's limit.
 _MAX_NESTING = 200
 
-# Single-party level labels and their Jz eigenvalues, in basis order (highest
-# projection first): the parser's alphabet and the dephasing generator's spectrum.
-_LEVELS = {2: {"1": 0.5, "0": -0.5}, 3: {"1": 1.0, "0": 0.0, "-1": -1.0}}
+
+class _Pair(NamedTuple):
+    """What the parser and collective dephasing know about one supported pair of equal parties."""
+
+    labels: tuple[str, ...]  # single-party levels in basis order, highest projection first
+    levels: np.ndarray  # diagonal of collective Jz, lexicographic basis order
+    fixed_mask: np.ndarray  # True where |m><m'| has m == m', the entries dephasing keeps
+
+
+def _pair_entry(labels: tuple[str, ...], jz: list[float]) -> _Pair:
+    levels = np.add.outer(jz, jz).ravel()
+    return _Pair(labels, levels, levels[:, None] == levels[None, :])
+
+
+# The two pairs the paper studies, from each party's labels and Jz eigenvalues; see collective_jz.
+_PAIRS = {
+    (2, 2): _pair_entry(("1", "0"), [0.5, -0.5]),
+    (3, 3): _pair_entry(("1", "0", "-1"), [1.0, 0.0, -1.0]),
+}
+
+
+def _pair(dims: tuple[int, int]) -> _Pair:
+    """The table entry of dims that _pair_dims accepts and that name a supported pair."""
+    dims = _pair_dims(dims)
+    try:
+        return _PAIRS[dims]
+    except KeyError:
+        raise DimensionMismatchError(f"supported pairs are (2, 2) and (3, 3), got {_shown(dims)}") from None
 
 
 @dataclass(frozen=True)
@@ -41,14 +67,9 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        d1, d2 = _pair_dims(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (d1 * d2, d1 * d2):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match subsystem dims {self.dims}"
-            )
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", (d1, d2))  # the pair every caller looks up
+        object.__setattr__(self, "dims", _pair_dims(self.dims, m.shape))  # the pair every caller looks up
         with np.errstate(over="ignore", invalid="ignore"):
             _check_state(m)
             min_eig = np.linalg.eigvalsh(m)[0]
@@ -116,9 +137,8 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
-    d1, d2 = dims
-    alpha1, alpha2 = list(_LEVELS[d1]), list(_LEVELS[d2])
+def _ket_index(label: str, alphabet: tuple[str, ...], pos: int) -> int:
+    d = len(alphabet)
     raw = label.strip()
     if "," in raw:
         parts = [p.strip() for p in raw.split(",")]
@@ -132,9 +152,9 @@ def _ket_index(label: str, dims: tuple[int, int], pos: int) -> int:
                 pos,
             )
         parts = [compact[0], compact[1]]
-    if parts[0] not in alpha1 or parts[1] not in alpha2:
-        raise ParseError(f"ket label {label!r} is outside the {d1}x{d2} level alphabet", pos)
-    return alpha1.index(parts[0]) * d2 + alpha2.index(parts[1])
+    if parts[0] not in alphabet or parts[1] not in alphabet:
+        raise ParseError(f"ket label {label!r} is outside the {d}x{d} level alphabet", pos)
+    return alphabet.index(parts[0]) * d + alphabet.index(parts[1])
 
 
 def _numeral(tok: _Token) -> float:
@@ -148,14 +168,15 @@ def _numeral(tok: _Token) -> float:
 class _Value(NamedTuple):
     """Intermediate parse value: a plain scalar or scalar * ket combination.
 
-    `peak` holds, per amplitude, the largest ket term summed into `vector`, so
-    `abs(scalar) * peak` is the scale against which that amplitude counts as
-    cancelled.
+    `floor` holds, per amplitude, 1e-12 of the largest ket term summed into
+    `vector`, so the amplitude counts as cancelled unless it exceeds
+    `abs(scalar) * floor`. That product overflows only where the amplitude,
+    which fits a float, is cancelled anyway.
     """
 
     scalar: complex
     vector: np.ndarray | None
-    peak: np.ndarray | None = None
+    floor: np.ndarray | None = None
 
     def is_vector(self) -> bool:
         return self.vector is not None
@@ -163,8 +184,8 @@ class _Value(NamedTuple):
     def materialize(self) -> np.ndarray:
         return self.scalar * self.vector
 
-    def scale(self) -> np.ndarray:
-        return abs(self.scalar) * self.peak
+    def cancel_floor(self) -> np.ndarray:
+        return abs(self.scalar) * self.floor
 
     def fits(self, pos: int) -> _Value:
         if not np.all(np.isfinite(self.materialize() if self.is_vector() else self.scalar)):
@@ -191,9 +212,9 @@ class _KetParser:
 
     _FACTOR_START = ("number", "sqrt", "ket", "(")
 
-    def __init__(self, tokens: list[_Token], dims: tuple[int, int]):
+    def __init__(self, tokens: list[_Token], alphabet: tuple[str, ...]):
         self.tokens = tokens
-        self.dims = dims
+        self.alphabet = alphabet
         self.i = 0
 
     def peek(self) -> _Token:
@@ -234,7 +255,7 @@ class _KetParser:
                 raise ParseError("cannot add a ket term and a bare number", op.pos)
             if total.is_vector():
                 vector = total.materialize() + nxt.materialize()
-                total = _Value(1.0, vector, np.maximum(total.scale(), nxt.scale())).fits(op.pos)
+                total = _Value(1.0, vector, np.maximum(total.cancel_floor(), nxt.cancel_floor())).fits(op.pos)
             else:
                 total = _Value(total.scalar + nxt.scalar, None).fits(op.pos)
         return total
@@ -273,10 +294,9 @@ class _KetParser:
             return _Value(self.scalar_factor(), None)
         if tok.kind == "ket":
             self.take()
-            d1, d2 = self.dims
-            vec = np.zeros(d1 * d2, dtype=complex)
-            vec[_ket_index(tok.text, self.dims, tok.pos)] = 1.0
-            return _Value(1.0, vec, np.abs(vec))
+            vec = np.zeros(len(self.alphabet) ** 2, dtype=complex)
+            vec[_ket_index(tok.text, self.alphabet, tok.pos)] = 1.0
+            return _Value(1.0, vec, 1e-12 * np.abs(vec))
         if tok.kind == "(":
             if depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", tok.pos)
@@ -308,16 +328,14 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     """
     if not isinstance(text, str):
         raise ParseError(f"ket expression must be a str, got {type(text).__name__}", 0)
-    d1, d2 = _pair_dims(dims)
-    if d1 not in _LEVELS or d2 not in _LEVELS:
-        raise DimensionMismatchError(f"unsupported subsystem dims {dims}; each must be 2 or 3")
-    # Each operator checks the amplitudes it makes (_Value.fits); only a cancellation scale overflows.
+    alphabet = _pair(dims).labels
+    # Each operator checks the amplitudes it makes (_Value.fits); only a cancellation floor overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _KetParser(_tokenize(text), dims).parse()
+        value = _KetParser(_tokenize(text), alphabet).parse()
         vec = value.materialize()
         # An amplitude cancels when it is rounding noise against the largest ket
         # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
-        if not np.any(np.abs(vec) > 1e-12 * value.scale()):
+        if not np.any(np.abs(vec) > value.cancel_floor()):
             raise ZeroNormError(f"all amplitudes cancel in {text!r}")
     largest = float(np.max(np.abs(vec)))
     if not _SAFE_AMPLITUDES[0] < largest < _SAFE_AMPLITUDES[1]:

@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _require_nonnegative, _shown, build_liouvillian, dephasing_fixed_point, stationary_xforms
-from .errors import DephasimError
+from .engine import _require_nonnegative, build_liouvillian, dephasing_fixed_point, stationary_xforms
+from .errors import DephasimError, _shown
 from .measures import (
     CriterionReport,
     concurrence_xform,

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,9 +46,15 @@ def test_collective_jz_qutrits():
     assert np.array_equal(jz, np.diag([2.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, -2.0]))
 
 
-def test_collective_jz_rejects_unsupported_dims():
-    with pytest.raises(DimensionMismatchError):
-        collective_jz((4, 4))
+@pytest.mark.parametrize(
+    "dims, shown",
+    [((4, 4), "(4, 4)"), ((2, 3), "(2, 3)"), ((10**5000, 2), "<tuple too long to print>")],
+    ids=["4x4", "2x3", "1e5000"],
+)
+def test_collective_jz_rejects_unsupported_dims(dims, shown):
+    message = rf"^supported pairs are \(2, 2\) and \(3, 3\), got {re.escape(shown)}$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        collective_jz(dims)
 
 
 # The model's parameters are the generator's omega1 and the pulse time T;

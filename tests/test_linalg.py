@@ -63,12 +63,19 @@ def test_partial_trace_oracle_gives_each_party_its_expectation_values():
             assert abs(np.trace(reduced @ op) - np.trace(rho @ embed(op))) <= 1e-12
 
 
-def test_partial_transpose_rejects_bad_dims():
-    with pytest.raises(
-        DimensionMismatchError,
-        match=r"operator shape \(4, 4\) does not match subsystem dims \(3, 3\)",
-    ):
-        partial_transpose(np.eye(4), (3, 3))
+# 10**5000 has more digits than repr prints; the message prints its pair as a placeholder.
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((3, 3), r"shape \(4, 4\) does not match subsystem dims \(3, 3\)"),
+        ((10**5000, 1), r"shape \(4, 4\) does not match subsystem dims <tuple too long to print>"),
+        ((-2, -2), r"dims must be positive, got \(-2, -2\)"),
+    ],
+    ids=["3x3", "1e5000", "-2x-2"],
+)
+def test_partial_transpose_rejects_bad_dims(dims, message):
+    with pytest.raises(DimensionMismatchError, match=rf"^{message}$"):
+        partial_transpose(np.eye(4), dims)
 
 
 def test_expm_rejects_a_non_square_matrix():

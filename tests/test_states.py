@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -19,6 +20,7 @@ from dephasim import (
     validate,
 )
 from dephasim import states
+from dephasim.engine import collective_jz
 import oracles
 
 
@@ -93,9 +95,20 @@ def test_parse_label_errors():
         parse_ket_expression("|1,0,1>", (3, 3))
 
 
-def test_parse_rejects_unsupported_dims():
-    with pytest.raises(ValueError, match=r"unsupported subsystem dims \(2, 4\)"):
-        parse_ket_expression("|10>", (2, 4))
+# An int of more than 4300 digits, which repr refuses: a message prints its pair as this.
+_HUGE, _TOO_LONG = 10**5000, "<tuple too long to print>"
+
+
+# Only the two pairs the paper studies parse; a mixed qubit-qutrit pair is refused too.
+@pytest.mark.parametrize(
+    "dims, shown",
+    [((2, 4), "(2, 4)"), ((3, 2), "(3, 2)"), ((_HUGE, 2), _TOO_LONG)],
+    ids=["2x4", "3x2", "1e5000"],
+)
+def test_parse_rejects_unsupported_dims(dims, shown):
+    message = rf"^supported pairs are \(2, 2\) and \(3, 3\), got {re.escape(shown)}$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        parse_ket_expression("|1,0>", dims)
 
 
 def test_parse_zero_norm():
@@ -114,8 +127,10 @@ _B300 = "1" + "0" * 300
         (_BIG + "|10> + " + _BIG + "|01>", [0, 1, 1, 0]),
         ("0.0000000000001|10>", [0, 1, 0, 0]),
         ("0." + "0" * 320 + "1|10>", [0, 1, 0, 0]),  # subnormal: its square underflows
+        # 1e-9 of its terms' scale survives, although that scale (1e310) overflows a float
+        ("(" + _B300 + "|10> - 0.999999999*" + _B300 + "|10>)*10000000000", [0, 1, 0, 0]),
     ],
-    ids=["1e200", "1e200-pair", "1e-13", "subnormal"],
+    ids=["1e200", "1e200-pair", "1e-13", "subnormal", "overflowing-scale"],
 )
 def test_parse_normalizes_extreme_amplitudes(text, expected):
     psi = parse_ket_expression(text, (2, 2))
@@ -124,7 +139,13 @@ def test_parse_normalizes_extreme_amplitudes(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["0.1|10> + 0.2|10> - 0.3|10>", "0.0000000000001*(|10> - |10>)", "0|10>"]
+    "text",
+    [
+        "0.1|10> + 0.2|10> - 0.3|10>",
+        "0.0000000000001*(|10> - |10>)",
+        "0|10>",
+        "(" + _B300 + "|10> - " + _B300 + "|10>)*10000000000",
+    ],
 )
 def test_parse_cancellation_is_relative_to_the_summed_terms(text):
     with pytest.raises(ZeroNormError):
@@ -285,12 +306,21 @@ def test_parse_round_trips_printed_real_states(dims, data):
     assert np.max(np.abs(psi.matrix - _projector(expected / norm))) <= 1e-12
 
 
-def test_density_matrix_rejects_a_shape_that_does_not_match_dims():
+@pytest.mark.parametrize("dims, shown", [((3, 3), "(3, 3)"), ((_HUGE, 1), _TOO_LONG)], ids=["3x3", "1e5000"])
+def test_density_matrix_rejects_a_shape_that_does_not_match_dims(dims, shown):
     with pytest.raises(
         DimensionMismatchError,
-        match=r"matrix shape \(4, 4\) does not match subsystem dims \(3, 3\)",
+        match=rf"^shape \(4, 4\) does not match subsystem dims {re.escape(shown)}$",
     ):
-        DensityMatrix(np.eye(4) / 4, (3, 3))
+        DensityMatrix(np.eye(4) / 4, dims)
+
+
+@pytest.mark.parametrize(
+    "matrix, dims", [(np.eye(4) / 4, (-2, -2)), (np.zeros((0, 0)), (0, 0))], ids=["-2x-2", "0x0"]
+)
+def test_density_matrix_rejects_dims_that_are_not_positive(matrix, dims):
+    with pytest.raises(DimensionMismatchError, match=rf"^dims must be positive, got {re.escape(repr(dims))}$"):
+        DensityMatrix(matrix, dims)
 
 
 @pytest.mark.parametrize("dims", [[2, 2], (np.int64(2), 2), np.array([2, 2])])
@@ -298,9 +328,10 @@ def test_density_matrix_stores_any_integer_pair_as_a_tuple(dims):
     rho = DensityMatrix(np.eye(4) / 4, dims)
     assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
     assert np.array_equal(dephasing_fixed_point(rho).matrix, rho.matrix)
+    assert np.array_equal(collective_jz(dims), collective_jz((2, 2)))  # the same dims check
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None, (2.0, 2.0)])
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 1), None, (2.0, 2.0), (_HUGE,)])
 def test_density_matrix_rejects_dims_that_are_not_a_pair(dims):
     with pytest.raises(DimensionMismatchError, match=r"dims must be a pair of integers, got"):
         validate(np.eye(4) / 4, dims)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from typing import Iterator, NoReturn
 
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
 def _load_config_file(path: str) -> Iterator[tuple[int, str, str]]:
     """Yield the line number, key and raw value of each entry of a config file, in order."""
     for lineno, raw in enumerate(read_text_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # a "#" inside a value is kept
         if not line:
             continue
         if "=" not in line:

@@ -46,7 +46,11 @@ class StationaryXForm:
 
     def __post_init__(self):
         for name in "abcdf":  # an array with one entry per point; a scalar is one point
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            field = np.asarray(getattr(self, name))
+            kinds, wanted = ("iufc", "numeric") if name == "f" else ("iuf", "real")
+            if field.dtype.kind not in kinds:  # checked before any arithmetic can warn or fail untyped
+                raise ValueError(f"X-form field {name} must be {wanted}, got dtype {field.dtype}")
+            object.__setattr__(self, name, field)
         shapes = {name: getattr(self, name).shape for name in "abcdf"}
         if len(set(shapes.values())) > 1:
             listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
@@ -180,8 +184,8 @@ def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> Stat
     when `times` is empty; the steps after this check trust it.
     """
     ts = _pulse_times(times)
-    if rho0.matrix.shape != (4, 4):
-        raise DimensionMismatchError(f"stationary form is a two-qubit notion, got shape {rho0.matrix.shape}")
+    if rho0.dims != (2, 2):
+        raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho0.dims}")
     if np.shape(generator) != (16, 16):
         raise DimensionMismatchError(f"propagator shape {np.shape(generator)} does not fit state shape (4, 4)")
     states = np.empty((len(ts), 4, 4), dtype=complex)

@@ -113,9 +113,9 @@ class _Token(NamedTuple):
 
 
 # One alternative per token class, tried in order; `other` catches every
-# character the grammar has no use for. A ket token's text is its label.
+# character the grammar has no use for. A ket token's text keeps its bars.
 _TOKEN_RE = re.compile(
-    r"(?P<number>\d+\.\d*|\.\d+|\d+)|\|(?P<ket>[^>]*)>|(?P<word>[A-Za-z]+)"
+    r"(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<ket>\|[^>]*>)|(?P<word>[A-Za-z]+)"
     r"|(?P<op>[-+*/()])|(?P<space>\s+)|(?P<other>.)",
     re.DOTALL,
 )
@@ -178,19 +178,18 @@ class _Value(NamedTuple):
     vector: np.ndarray | None
     floor: np.ndarray | None = None
 
-    def is_vector(self) -> bool:
-        return self.vector is not None
-
-    def materialize(self) -> np.ndarray:
+    def amplitudes(self) -> np.ndarray:
         return self.scalar * self.vector
 
     def cancel_floor(self) -> np.ndarray:
         return abs(self.scalar) * self.floor
 
-    def fits(self, pos: int) -> _Value:
-        if not np.all(np.isfinite(self.materialize() if self.is_vector() else self.scalar)):
+    def scaled(self, scalar: complex, pos: int) -> _Value:
+        """This value with `scalar` in place of its own, raising at `pos` unless the result is finite."""
+        value = self._replace(scalar=scalar)
+        if not np.all(np.isfinite(scalar if self.vector is None else value.amplitudes())):
             raise ParseError("coefficient does not fit a float", pos)
-        return self
+        return value
 
 
 class _KetParser:
@@ -220,73 +219,58 @@ class _KetParser:
     def peek(self) -> _Token:
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
+    def take(self, kind: str | None = None, message: str = "", pos: int | None = None) -> _Token:
+        """Take the next token; if it is not a given `kind`, raise `message` at `pos` or at the token."""
+        tok = self.peek()
+        if kind is not None and tok.kind != kind:
+            raise ParseError(message, tok.pos if pos is None else pos)
         self.i += 1
         return tok
 
-    def expect(self, kind: str, message: str, pos: int | None = None) -> _Token:
-        """Take the next token if it is a `kind`; else raise at `pos`, or at that token."""
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(message, tok.pos if pos is None else pos)
-        return self.take()
-
-    def parse(self) -> _Value:
-        value = self.sum()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        if not value.is_vector():
-            raise ParseError("expression contains no ket", 0)
-        return value
-
     def sum(self, depth: int = 0) -> _Value:
-        sign = self.take().kind if self.peek().kind in ("+", "-") else "+"
-        total = self.term(depth)
-        if sign == "-":
-            total = total._replace(scalar=-total.scalar)
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            nxt = self.term(depth)
+        total = None
+        while True:
+            op = self.peek()
+            if op.kind in ("+", "-"):
+                self.take()
+            elif total is not None:
+                return total
+            value = self.term(depth)
             if op.kind == "-":
-                nxt = nxt._replace(scalar=-nxt.scalar)
-            if total.is_vector() != nxt.is_vector():
+                value = value._replace(scalar=-value.scalar)
+            if total is None:
+                total = value
+            elif (total.vector is None) != (value.vector is None):
                 raise ParseError("cannot add a ket term and a bare number", op.pos)
-            if total.is_vector():
-                vector = total.materialize() + nxt.materialize()
-                total = _Value(1.0, vector, np.maximum(total.cancel_floor(), nxt.cancel_floor())).fits(op.pos)
+            elif total.vector is None:
+                total = total.scaled(total.scalar + value.scalar, op.pos)
             else:
-                total = _Value(total.scalar + nxt.scalar, None).fits(op.pos)
-        return total
+                floor = np.maximum(total.cancel_floor(), value.cancel_floor())
+                total = _Value(1.0, total.amplitudes() + value.amplitudes(), floor).scaled(1.0, op.pos)
 
     def term(self, depth: int) -> _Value:
         value = self.factor(depth)
         while True:
             tok = self.peek()
-            if tok.kind == "*":
-                self.take()
-                if self.peek().kind not in self._FACTOR_START:
-                    raise ParseError("expected a factor after '*'", self.peek().pos)
-                value = self._multiply(value, self.factor(depth), tok.pos)
-            elif tok.kind == "/":
+            if tok.kind == "/":
                 self.take()
                 divisor = self.scalar_factor()
                 if divisor == 0:
                     raise ParseError("division by zero", tok.pos)
-                value = value._replace(scalar=value.scalar / divisor).fits(tok.pos)
-            elif tok.kind in self._FACTOR_START:
+                value = value.scaled(value.scalar / divisor, tok.pos)
+            elif tok.kind == "*" or tok.kind in self._FACTOR_START:
                 # adjacency acts as multiplication, e.g. "0.5|11>"
-                value = self._multiply(value, self.factor(depth), tok.pos)
+                if tok.kind == "*":
+                    self.take()
+                    if self.peek().kind not in self._FACTOR_START:
+                        raise ParseError("expected a factor after '*'", self.peek().pos)
+                right = self.factor(depth)
+                if value.vector is not None and right.vector is not None:
+                    raise ParseError("cannot multiply two kets", tok.pos)
+                ket = right if value.vector is None else value
+                value = ket.scaled(value.scalar * right.scalar, tok.pos)
             else:
                 return value
-
-    @staticmethod
-    def _multiply(left: _Value, right: _Value, pos: int) -> _Value:
-        if left.is_vector() and right.is_vector():
-            raise ParseError("cannot multiply two kets", pos)
-        ket = left if left.is_vector() else right
-        return ket._replace(scalar=left.scalar * right.scalar).fits(pos)
 
     def factor(self, depth: int) -> _Value:
         tok = self.peek()
@@ -295,14 +279,14 @@ class _KetParser:
         if tok.kind == "ket":
             self.take()
             vec = np.zeros(len(self.alphabet) ** 2, dtype=complex)
-            vec[_ket_index(tok.text, self.alphabet, tok.pos)] = 1.0
+            vec[_ket_index(tok.text[1:-1], self.alphabet, tok.pos)] = 1.0
             return _Value(1.0, vec, 1e-12 * np.abs(vec))
         if tok.kind == "(":
             if depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", tok.pos)
             self.take()
             inner = self.sum(depth + 1)
-            self.expect(")", "unclosed '('", tok.pos)
+            self.take(")", "unclosed '('", tok.pos)
             return inner
         raise ParseError(f"expected a number, sqrt(...), ket or '(', found {tok.text!r}", tok.pos)
 
@@ -311,9 +295,9 @@ class _KetParser:
         if tok.kind == "number":
             return _numeral(tok)
         if tok.kind == "sqrt":
-            self.expect("(", "expected '(' after sqrt")
-            arg = self.expect("number", "expected a number inside sqrt(...)")
-            self.expect(")", "unclosed '(' after sqrt", tok.pos)
+            self.take("(", "expected '(' after sqrt")
+            arg = self.take("number", "expected a number inside sqrt(...)")
+            self.take(")", "unclosed '(' after sqrt", tok.pos)
             return math.sqrt(_numeral(arg))
         raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
 
@@ -329,10 +313,16 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     if not isinstance(text, str):
         raise ParseError(f"ket expression must be a str, got {type(text).__name__}", 0)
     alphabet = _pair(dims).labels
-    # Each operator checks the amplitudes it makes (_Value.fits); only a cancellation floor overflows.
+    # Each operator checks the amplitudes it makes (_Value.scaled); only a cancellation floor overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _KetParser(_tokenize(text), alphabet).parse()
-        vec = value.materialize()
+        parser = _KetParser(_tokenize(text), alphabet)
+        value = parser.sum()
+        tok = parser.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        if value.vector is None:
+            raise ParseError("expression contains no ket", 0)
+        vec = value.amplitudes()
         # An amplitude cancels when it is rounding noise against the largest ket
         # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
         if not np.any(np.abs(vec) > value.cancel_floor()):

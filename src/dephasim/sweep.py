@@ -83,9 +83,6 @@ class SweepResult:
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ValueError(f"{name} values must be finite")
 
-    def rows(self):
-        return zip(self.gamma_t, self.concurrence, self.mutual_information)
-
 
 @dataclass(frozen=True)
 class WindowOverlapReport:
@@ -195,9 +192,9 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_text_lines(path: str) -> list[str]:
-    """Lines of a UTF-8 text file; one that does not decode raises ValueError naming it."""
+    """Lines of a UTF-8 text file, BOM dropped; one that does not decode raises ValueError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -382,6 +382,22 @@ def test_stationary_xform_rejects_nan(a, f):
         StationaryXForm(a, 0.5, 0.5, 0.0, f)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1j, 0.0, 0.0, 1.0, 0j), "X-form field a must be real, got dtype complex128"),
+        (("a", 0.0, 0.0, 1.0, 0j), "X-form field a must be real, got dtype <U1"),
+        ((0.0, 0.5, 0.5, 0.0, "f"), "X-form field f must be numeric, got dtype <U1"),
+    ],
+    ids=["complex-population", "str-population", "str-coherence"],
+)
+def test_stationary_xform_rejects_fields_that_are_not_numbers(fields, message):
+    # a plain ValueError before any arithmetic, so no ComplexWarning or untyped numpy error
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        StationaryXForm(*fields)
+    assert not isinstance(excinfo.value, DephasimError)
+
+
 def test_stationary_xform_rejects_fields_of_different_shapes():
     shapes = r"a \(2,\), b \(1,\), c \(2,\), d \(2,\), f \(1,\)"
     with pytest.raises(DimensionMismatchError, match=rf"^X-form fields must share one shape, got {shapes}$"):
@@ -455,26 +471,32 @@ def test_stationary_xforms_of_no_times_are_empty():
     assert [np.shape(getattr(x, name)) for name in "abcdf"] == [(0,)] * 5
 
 
+_QUTRIT_STATE = parse_ket_expression("|0,0>", (3, 3))
+_QUBIT_STATE = parse_ket_expression("|10>", (2, 2))
+# a 4x4 state whose pair is not two qubits
+_ONE_BY_FOUR_STATE = validate(np.diag([0.0, 1.0, 0.0, 0.0]), (1, 4))
+
+
 @pytest.mark.parametrize(
-    "ket, dims, generator_shape, times, message",
+    "rho0, generator_shape, times, message",
     [
-        ("|0,0>", (3, 3), (3, 3), [], r"two-qubit notion, got shape \(9, 9\)"),
-        ("|0,0>", (3, 3), (81, 81), [0.5], r"two-qubit notion, got shape \(9, 9\)"),
-        ("|10>", (2, 2), (3, 3), [], r"propagator shape \(3, 3\) does not fit state shape \(4, 4\)"),
-        ("|10>", (2, 2), (15, 15), [0.5], r"propagator shape \(15, 15\) does not fit"),
-        ("|10>", (2, 2), (16, 8), [0.5], r"propagator shape \(16, 8\) does not fit"),
-        ("|10>", (2, 2), (16,), [0.5], r"propagator shape \(16,\) does not fit"),
-        ("|10>", (2, 2), (0, 0), [0.5], r"propagator shape \(0, 0\) does not fit"),
+        (_QUTRIT_STATE, (3, 3), [], r"two-qubit notion, got dims \(3, 3\)"),
+        (_QUTRIT_STATE, (81, 81), [0.5], r"two-qubit notion, got dims \(3, 3\)"),
+        (_ONE_BY_FOUR_STATE, (16, 16), [0.5], r"two-qubit notion, got dims \(1, 4\)"),
+        (_QUBIT_STATE, (3, 3), [], r"propagator shape \(3, 3\) does not fit state shape \(4, 4\)"),
+        (_QUBIT_STATE, (15, 15), [0.5], r"propagator shape \(15, 15\) does not fit"),
+        (_QUBIT_STATE, (16, 8), [0.5], r"propagator shape \(16, 8\) does not fit"),
+        (_QUBIT_STATE, (16,), [0.5], r"propagator shape \(16,\) does not fit"),
+        (_QUBIT_STATE, (0, 0), [0.5], r"propagator shape \(0, 0\) does not fit"),
     ],
     ids=[
-        "qutrit-no-times", "qutrit-fitting-generator", "generator-that-does-not-fit",
+        "qutrit-no-times", "qutrit-fitting-generator", "1x4-pair", "generator-that-does-not-fit",
         "15x15", "16x8", "vector", "empty",
     ],
 )
 def test_stationary_xforms_check_the_state_and_generator_before_any_time(
-    ket, dims, generator_shape, times, message
+    rho0, generator_shape, times, message
 ):
-    rho0 = parse_ket_expression(ket, dims)
     with pytest.raises(DimensionMismatchError, match=message):
         stationary_xforms(rho0, np.zeros(generator_shape), times)
 

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dephasim import (
     CriterionReport,
+    DimensionMismatchError,
     StationaryXForm,
     concurrence_xform,
     dephasing_fixed_point,
@@ -191,6 +193,12 @@ def test_min_pt_eigenvalue_entangled_states():
 # ---------------------------------------------------------------------------
 # Qutrit criterion
 # ---------------------------------------------------------------------------
+
+def test_the_qutrit_criterion_refuses_a_qubit_pair():
+    message = r"^qutrit entanglement criterion needs dims \(3, 3\), got \(2, 2\)$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        qutrit_sufficient_entangled(parse_ket_expression("|10>", (2, 2)))
+
 
 def test_cubic_coefficients_maximally_mixed():
     report = qutrit_sufficient_entangled(validate(np.eye(9) / 9, (3, 3)))

@@ -249,8 +249,9 @@ def test_parse_arithmetic_of_long_numerals_is_a_state_or_a_parse_error(text):
         ("\u00b2|10>", "unexpected character '\u00b2'", 0),  # superscript two: a digit, not a decimal
         ("|10> + \u00e9", "unexpected character '\u00e9'", 7),  # a letter outside A-Z
         ("sqrt\u00e9|10>", "unexpected character '\u00e9'", 4),
+        ("1/|10>", "expected a number or sqrt(...), found '|10>'", 2),  # a ket token quotes its bars
     ],
-    ids=["superscript-digit", "accented-letter", "letter-after-sqrt"],
+    ids=["superscript-digit", "accented-letter", "letter-after-sqrt", "ket-divisor"],
 )
 def test_parse_rejects_non_ascii_characters_at_their_position(text, message, position):
     with pytest.raises(ParseError) as excinfo:

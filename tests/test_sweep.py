@@ -209,7 +209,8 @@ def test_write_csv_rows_are_the_fmt_of_each_cell(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_csv(result, str(path))
     fmt = sweep_module._fmt
-    want = [f"{fmt(g)},{fmt(c)},{fmt(m)}" for g, c, m in result.rows()]
+    rows = zip(result.gamma_t, result.concurrence, result.mutual_information)
+    want = [f"{fmt(g)},{fmt(c)},{fmt(m)}" for g, c, m in rows]
     assert path.read_text(encoding="utf-8").splitlines()[1:] == want
 
 
@@ -264,7 +265,8 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
             generator = build_liouvillian(config.omega_ratio)
             x = extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t)))
             rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
-        assert np.array_equal(np.array(list(result.rows())), np.array(rows)), samples
+        columns = zip(result.gamma_t, result.concurrence, result.mutual_information)
+        assert np.array_equal(np.array(list(columns)), np.array(rows)), samples
 
 
 def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
@@ -311,7 +313,8 @@ def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamm
     # what scalar closed forms and bracket-by-bracket bisection give, bit for bit.
     result = run_sweep(SweepConfig(ket, omega_ratio, gamma_t_max, samples))
     rows, transitions, maxima = _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples)
-    assert np.array_equal(_bits(list(result.rows())), _bits(rows))
+    columns = zip(result.gamma_t, result.concurrence, result.mutual_information)
+    assert np.array_equal(_bits(list(columns)), _bits(rows))
     assert np.array_equal(_bits(result.transitions), _bits(transitions))
     assert np.array_equal(_bits(result.maxima).reshape(-1), _bits(maxima).reshape(-1))
 
@@ -610,6 +613,12 @@ def test_sweep_result_rejects_columns_of_unequal_length():
         SweepResult(np.arange(3.0), np.zeros(3), np.zeros(2))
 
 
+def test_sweep_result_rejects_a_grid_that_does_not_increase():
+    for gamma_t in ([0.0, 0.0], [1.0, 0.5], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="^gamma_t values must be strictly increasing$"):
+            SweepResult(gamma_t, [0.0, 0.0], [0.0, 0.0])
+
+
 @pytest.mark.parametrize(
     "columns, name, shape",
     [
@@ -710,6 +719,26 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert main(["sweep", "--config", str(config_path), "--samples", "80"]) == 0
     gamma_t = read_csv(str(out)).gamma_t
     assert (len(gamma_t), gamma_t[-1]) == (80, 0.5)
+
+
+def test_cli_config_keeps_a_hash_inside_a_value(tmp_path):
+    # a "#" starts a comment only at the start of a line or after whitespace
+    out = tmp_path / "res#1.csv"
+    config_path = tmp_path / "hash.cfg"
+    config_path.write_text(f"initial_state = |10>  # comment\nsamples = 3\noutput = {out}\n")
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["hash.cfg", "res#1.csv"]
+
+
+def test_cli_reads_config_and_csv_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    out = tmp_path / "bom.csv"
+    config_path = tmp_path / "bom.cfg"
+    config_path.write_text(f"initial_state = |10>\nsamples = 3\noutput = {out}\n", encoding="utf-8-sig")
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+    assert main(["compare", "--a", str(out), "--b", str(marked)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @settings(max_examples=200, deadline=None)

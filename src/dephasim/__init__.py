@@ -1,11 +1,6 @@
 """Stationary-state entanglement and total correlation under collective dephasing."""
 
-from .engine import (
-    StationaryXForm,
-    build_liouvillian,
-    dephasing_fixed_point,
-    stationary_xforms,
-)
+from .engine import StationaryXForm, dephasing_fixed_point, stationary_xforms
 from .errors import (
     DephasimError,
     DimensionMismatchError,
@@ -50,7 +45,6 @@ __all__ = [
     "SweepResult",
     "WindowOverlapReport",
     "ZeroNormError",
-    "build_liouvillian",
     "compare_windows",
     "concurrence_xform",
     "dephasing_fixed_point",

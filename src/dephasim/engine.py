@@ -170,24 +170,24 @@ def extract_xform(states: np.ndarray) -> StationaryXForm:
     return StationaryXForm(*(m[..., i, i].real for i in range(4)), m[..., 1, 2])
 
 
-def stationary_xforms(rho0: DensityMatrix, generator: np.ndarray, times) -> StationaryXForm:
-    """X-forms of the stationary states that pulses of each of `times` leave from rho0.
+def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXForm:
+    """X-forms of the stationary states that pulses of each of `times` at drive omega1 leave from rho0.
 
-    The times are exponentiated _BLOCK at a time: matrix_exponential runs
+    The generator is build_liouvillian(omega1), built once per call. The
+    times are exponentiated _BLOCK at a time: matrix_exponential runs
     scipy's Pade kernels per slice and squares the block as one stack, with
     one matrix's zgemm on each slice, so each propagator has the bits of
     matrix_exponential(generator * t). Each time then gets one
     stationary_state, which checks Hermiticity and trace, and the stack one
     extract_xform, whose StationaryXForm checks positivity of what is
     reported. The earliest failing time raises the error it would raise on
-    its own. rho0 must be a qubit pair and the generator must fit it, even
-    when `times` is empty; the steps after this check trust it.
+    its own. rho0 must be a qubit pair, even when `times` is empty; the
+    steps after this check trust it.
     """
+    generator = build_liouvillian(omega1)
     ts = _pulse_times(times)
     if rho0.dims != (2, 2):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho0.dims}")
-    if np.shape(generator) != (16, 16):
-        raise DimensionMismatchError(f"propagator shape {np.shape(generator)} does not fit state shape (4, 4)")
     states = np.empty((len(ts), 4, 4), dtype=complex)
     for start in range(0, len(ts), _BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check

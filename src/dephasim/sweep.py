@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _require_nonnegative, build_liouvillian, dephasing_fixed_point, stationary_xforms
+from .engine import _require_nonnegative, dephasing_fixed_point, stationary_xforms
 from .errors import DephasimError, _shown
 from .measures import (
     CriterionReport,
@@ -104,13 +104,14 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if workers != 1:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {_shown(workers)}")
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
-    # One generator serves every grid point and bisection step of the sweep.
-    generator = build_liouvillian(config.omega_ratio)
-    grid = np.linspace(0.0, config.gamma_t_max, config.samples)
-    x = stationary_xforms(rho0, generator, grid)
+    t_max, samples = config.gamma_t_max, config.samples
+    grid = np.linspace(0.0, t_max, samples)
+    if not np.all(np.diff(grid) > 0):  # written so that a NaN fails it
+        raise ValueError(f"gamma_t_max {_shown(t_max)} is too small for {_shown(samples)} distinct samples")
+    x = stationary_xforms(rho0, config.omega_ratio, grid)
     result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
     transitions = detect_transitions(
-        result, lambda times: concurrence_xform(stationary_xforms(rho0, generator, times))
+        result, lambda times: concurrence_xform(stationary_xforms(rho0, config.omega_ratio, times))
     )
     return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from mpmath import mp
 
 
 def partial_trace_oracle(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
@@ -61,6 +62,24 @@ def kronecker_liouvillian(
         h = 0.5 * omega1 * gamma * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
         gen = gen + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
     return gen
+
+
+def xform_reference(rho0_matrix: np.ndarray, omega1: float, t_max: float, n: int) -> list[tuple]:
+    """(a, b, c, d, f) at the n points k * t_max / (n - 1), stepped in 50 digits.
+
+    G is kronecker_liouvillian's qubit generator, whose float entries mpmath
+    holds exactly; one exp(G * delta) with delta taken in 50 digits steps
+    vec(rho0) from each point to the next. The fields are entries of the
+    evolved state that the dephasing pinch keeps as they are.
+    """
+    with mp.workdps(50):
+        generator = mp.matrix(kronecker_liouvillian((2, 2), omega1, 1.0, True).tolist())
+        step = mp.expm(generator * (mp.mpf(t_max) / (n - 1)))
+        vecs = [mp.matrix(rho0_matrix.reshape(-1, order="F").tolist())]
+        for _ in range(n - 1):
+            vecs.append(step * vecs[-1])
+        # column stacking: rho[i, j] is entry i + 4 j
+        return [(*(float(mp.re(v[5 * i])) for i in range(4)), complex(v[1 + 4 * 2])) for v in vecs]
 
 
 def state_check_oracle(m: np.ndarray) -> tuple[str, float] | None:

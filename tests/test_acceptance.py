@@ -13,7 +13,6 @@ import pytest
 from dephasim import (
     SweepConfig,
     StationaryXForm,
-    build_liouvillian,
     compare_windows,
     concurrence_xform,
     dephasing_fixed_point,
@@ -24,7 +23,7 @@ from dephasim import (
     validate,
     write_csv,
 )
-from dephasim.engine import evolve, extract_xform, stationary_state
+from dephasim.engine import build_liouvillian, evolve, extract_xform, stationary_state
 from dephasim.linalg import matrix_exponential
 from oracles import concurrence, mutual_information, random_xform_entries, rk4_stationary_grid
 from test_measures import embed_xform

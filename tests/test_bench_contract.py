@@ -14,19 +14,27 @@ import pytest
 
 import dephasim.cli  # noqa: F401  (binds cli.main, a tracer target)
 import dephasim.engine
+import dephasim.sweep
 from dephasim import SweepConfig, run_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer  # noqa: E402
 
 
-def test_tracer_binds_every_target_and_counts_each_propagation():
+def test_tracer_binds_every_target_and_counts_each_propagation(monkeypatch):
     original = dephasim.engine.stationary_state
+    xforms, calls = dephasim.sweep.stationary_xforms, []
+
+    def counting_xforms(*args):
+        calls.append(args)
+        return xforms(*args)
+
+    monkeypatch.setattr(dephasim.sweep, "stationary_xforms", counting_xforms)
     with Tracer() as t:
         run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     grid, refine = t.counts["sweep.grid_evals"], t.counts["sweep.refine_evals"]
     assert t.calls["engine.stationary_state"] == grid + refine
-    assert t.calls["engine.build_liouvillian"] == 1  # one generator per sweep
+    assert t.calls["engine.build_liouvillian"] == len(calls)  # one generator per stationary_xforms call
     assert grid == 50
     assert refine > 0
     assert dephasim.engine.stationary_state is original

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dephasim import DimensionMismatchError, build_liouvillian, partial_transpose
+from dephasim import DimensionMismatchError, partial_transpose
+from dephasim.engine import build_liouvillian
 import dephasim.linalg as linalg_module
 from dephasim.linalg import _pade_kernels, matrix_exponential
 from oracles import diagonal_slices_oracle, partial_trace_oracle, random_density, taylor_expm

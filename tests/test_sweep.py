@@ -18,7 +18,6 @@ from dephasim import (
     DephasimError,
     SweepConfig,
     SweepResult,
-    build_liouvillian,
     compare_windows,
     concurrence_xform,
     detect_local_maxima,
@@ -32,7 +31,7 @@ from dephasim import (
     write_criterion_report,
     write_csv,
 )
-from dephasim.engine import extract_xform, stationary_state
+from dephasim.engine import build_liouvillian, extract_xform, stationary_state
 from dephasim.linalg import matrix_exponential
 import dephasim.engine as engine_module
 import dephasim.sweep as sweep_module
@@ -340,9 +339,9 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
         propagated.append(propagator)
         return state(rho0, propagator)
 
-    def counting_xforms(rho0, generator, ts):
+    def counting_xforms(rho0, omega1, ts):
         times.append(len(ts))
-        return xforms(rho0, generator, ts)
+        return xforms(rho0, omega1, ts)
 
     def counting_eigvalsh(m, *args, **kwargs):
         spectra.append(np.shape(m))
@@ -506,8 +505,8 @@ _EACH_PARAMETER_CHECK = pytest.mark.parametrize(
     [
         ("omega_ratio", lambda v: SweepConfig("|10>", omega_ratio=v)),
         ("gamma_t_max", lambda v: SweepConfig("|10>", gamma_t_max=v)),
-        ("omega1", build_liouvillian),
-        ("time", lambda v: stationary_xforms(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), [v])),
+        ("omega1", lambda v: stationary_xforms(parse_ket_expression("|10>", (2, 2)), v, [0.5])),
+        ("time", lambda v: stationary_xforms(parse_ket_expression("|10>", (2, 2)), 1.0, [v])),
     ],
     ids=["omega_ratio", "gamma_t_max", "omega1", "time"],
 )
@@ -550,7 +549,7 @@ def test_integers_too_large_for_a_float_are_value_errors(name, call, value, show
     [
         (lambda: SweepConfig("|10>", samples=-(10**5000)), "samples must be at least 2"),
         (
-            lambda: stationary_xforms(parse_ket_expression("|10>", (2, 2)), build_liouvillian(1.0), 10**5000),
+            lambda: stationary_xforms(parse_ket_expression("|10>", (2, 2)), 1.0, 10**5000),
             "times must be a one-dimensional sequence",
         ),
         (lambda: run_sweep(SweepConfig("|10>", samples=3), workers=10**5000), "run_sweep is serial; workers must be 1"),
@@ -918,6 +917,17 @@ def test_cli_sample_count_too_large_to_allocate_is_a_usage_error(tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("dephasim: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_grid_too_fine_for_floats_is_refused_by_name_before_any_propagation(tmp_path, capsys, monkeypatch):
+    # np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does
+    # not increase; the sweep names both inputs and propagates no point.
+    monkeypatch.setattr(sweep_module, "stationary_xforms", None)
+    out = tmp_path / "t.csv"
+    argv = ["sweep", "--initial-state", "|10>", "--gamma-t-max", "1e-322", "--samples", "100", "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "dephasim: gamma_t_max 1e-322 is too small for 100 distinct samples\n"
     assert not out.exists()
 
 

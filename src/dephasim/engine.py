@@ -28,10 +28,17 @@ from .states import POSITIVITY_FLOOR, TRACE_TOL, _PAIRS, DensityMatrix, _check_s
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    # Compared, not converted: an int too large for a float fails, with no OverflowError.
-    if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
-        raise ValueError(f"{name} must be finite and nonnegative, got {_shown(value)}")
+def _checked_float(name: str, value, positive: bool = False) -> float:
+    """value as a float, if it is a real number in [0, float max], or in (0, float max] if positive.
+
+    Compared before it is converted: an int too large for a float fails, with
+    no OverflowError. A float16 or float32 is widened first; compared as it
+    is, it would cast the float max down to its own type and overflow.
+    """
+    number = float(value) if isinstance(value, (np.float16, np.float32)) else value
+    if not (isinstance(number, numbers.Real) and 0 <= number <= sys.float_info.max and (number > 0 or not positive)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {_shown(value)}")
+    return float(number)
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,7 @@ def build_liouvillian(omega1: float) -> np.ndarray:
     omega1=0.0 gives pure collective dephasing. <<I| L is exactly zero, so
     L preserves trace.
     """
-    _require_nonnegative("drive ratio omega1", omega1)
-    return _DEPHASING + 0.5 * omega1 * _DRIVE_COMMUTATOR
+    return _DEPHASING + 0.5 * _checked_float("drive ratio omega1", omega1) * _DRIVE_COMMUTATOR
 
 
 def _pulse_times(times) -> np.ndarray:
@@ -120,7 +126,7 @@ def _pulse_times(times) -> np.ndarray:
     if ndim != 1:
         raise ValueError(f"times must be a one-dimensional sequence, got {_shown(times)}")
     for t in times:
-        _require_nonnegative("time", t)
+        _checked_float("time", t)
     return np.reshape(times, (-1, 1, 1))
 
 

@@ -4,6 +4,8 @@ A fault in the caller's input is also a ValueError, and the CLI exits 1 on
 it; any other DephasimError is a numerical failure and exits 2.
 """
 
+import numpy as np
+
 
 class DephasimError(Exception):
     """Base class for every error raised by this package."""
@@ -33,7 +35,9 @@ class StateValidationError(DephasimError):
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message, or a placeholder where repr refuses an int of too many digits."""
+    """repr(value) for an error message; an array shows its type, shape and dtype, and an int of too many digits a placeholder."""
+    if isinstance(value, np.ndarray):  # its repr prints every entry
+        return f"<{type(value).__name__} of shape {value.shape} and dtype {value.dtype}>"
     try:
         return repr(value)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import re
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .engine import _require_nonnegative, dephasing_fixed_point, stationary_xforms
+from .engine import _checked_float, dephasing_fixed_point, stationary_xforms
 from .errors import DephasimError, _shown
 from .measures import (
     CriterionReport,
@@ -48,10 +46,8 @@ class SweepConfig:
             raise ValueError(f"samples must be an integer, got {_shown(self.samples)}") from None
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {_shown(self.samples)}")
-        t_max = self.gamma_t_max
-        if not (isinstance(t_max, numbers.Real) and 0 < t_max <= sys.float_info.max):
-            raise ValueError(f"gamma_t_max must be finite and positive, got {_shown(t_max)}")
-        _require_nonnegative("omega_ratio", self.omega_ratio)
+        _checked_float("gamma_t_max", self.gamma_t_max, positive=True)
+        _checked_float("omega_ratio", self.omega_ratio)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {_shown(workers)}")
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     t_max, samples = config.gamma_t_max, config.samples
-    grid = np.linspace(0.0, t_max, samples)
+    grid = np.linspace(0.0, float(t_max), samples)  # a float32 t_max would make a float32 grid
     if not np.all(np.diff(grid) > 0):  # written so that a NaN fails it
         raise ValueError(f"gamma_t_max {_shown(t_max)} is too small for {_shown(samples)} distinct samples")
     x = stationary_xforms(rho0, config.omega_ratio, grid)

@@ -60,14 +60,21 @@ def test_collective_jz_rejects_unsupported_dims(dims, shown):
 # The model's parameters are the drive omega1 and the pulse time T; the T
 # cases are in test_stationary_xforms_reject_bad_time below. A 16x16 generator
 # is the old call form: it fails typed, never broadcast into generator * ts.
+# An array shows as one line, not its repr of every entry.
 @pytest.mark.parametrize("field", ["omega1"])
 @pytest.mark.parametrize(
-    "value",
-    [float("nan"), float("inf"), float("-inf"), build_liouvillian(1.0)],
+    "value, shown",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (build_liouvillian(1.0), "<ndarray of shape (16, 16) and dtype complex128>"),
+    ],
     ids=["nan", "inf", "-inf", "generator"],
 )
-def test_model_params_reject_non_finite(field, value):
-    with pytest.raises(ValueError, match=rf"^drive ratio {field} must be finite and nonnegative"):
+def test_model_params_reject_non_finite(field, value, shown):
+    message = rf"^drive ratio {field} must be finite and nonnegative, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
         stationary_xforms(bell("phi-"), value, [1.0])
 
 
@@ -77,10 +84,10 @@ def test_stationary_xforms_reject_bad_time(T):
         stationary_xforms(bell("phi-"), 1.0, [0.5, T])
 
 
-@pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], "ab", [[0.1], [0.1, 0.2]]])
+@pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], "ab", [[0.1], [0.1, 0.2]], np.zeros((2, 1))])
 def test_stationary_xforms_reject_times_that_are_not_one_dimensional(times):
     # checked before any array is sized from len(times)
-    with pytest.raises(ValueError, match=r"times must be a one-dimensional sequence, got"):
+    with pytest.raises(ValueError, match=r"^times must be a one-dimensional sequence, got [^\n]*$"):
         stationary_xforms(bell("phi-"), 1.0, times)
 
 
@@ -549,14 +556,16 @@ def test_stationary_xforms_raise_the_first_failing_times_error():
     assert str(stacked.value) == str(per_point.value)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16], ids=lambda dtype: dtype.__name__)
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
-def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_path(count):
+def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_path(count, dtype):
     # Blocks of 64: a partial first block, a full one, one more time, and a
-    # partial third block; shuffled, so no block is sorted by time.
+    # partial third block; shuffled, so no block is sorted by time. A narrower
+    # float drive and times give the bits of their float64 values.
     rho0, generator = bell("phi-"), build_liouvillian(31.25)
-    times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count))
-    per_point = extract_xform(np.stack([_per_point(rho0, generator, t) for t in times]))
-    assert all(map(np.array_equal, _bits(stationary_xforms(rho0, 31.25, times)), _bits(per_point)))
+    times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count)).astype(dtype)
+    per_point = extract_xform(np.stack([_per_point(rho0, generator, float(t)) for t in times]))
+    assert all(map(np.array_equal, _bits(stationary_xforms(rho0, dtype(31.25), times)), _bits(per_point)))
 
 
 def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():

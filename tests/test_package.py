@@ -254,26 +254,45 @@ def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+_B300 = "1" + "0" * 300  # 1e300 in digits
+
+
+# Each case runs in this process, where filterwarnings = error fails any numpy
+# warning, then in a fresh one: exit code, stdout, stderr and output bytes
+# must agree. `lines` counts the lines of the output file, None where none is written.
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, lines",
     [
-        (["--help"], 0),
+        (["--help"], 0, None),
         (["sweep", "--initial-state", "|10>", "--omega-ratio", "31.25", "--gamma-t-max", "4",
-          "--samples", "3", "--output", "{out}"], 0),
-        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1),
+          "--samples", "3", "--output", "{out}"], 0, 4),
+        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1, None),
         (["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--gamma-t-max", "1",
-          "--samples", "3", "--output", "{out}"], 2),
-        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{missing}"], 3),
+          "--samples", "3", "--output", "{out}"], 2, None),
+        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{missing}"], 3, None),
+        # long pulses drift the propagated trace; evolve rescales it
+        (["sweep", "--initial-state", "|11>", "--omega-ratio", "1e4", "--gamma-t-max", "1e6",
+          "--samples", "5", "--output", "{out}"], 0, 6),
+        # a coefficient times a summed ket that overflows is a parse error at the '*'
+        (["sweep", "--initial-state", f"({_B300}|10> + {_B300}|01>)*10000000000",
+          "--samples", "3", "--output", "{out}"], 1, None),
+        # an amplitude 1e-9 of its terms' scale is kept where that scale times 1e10 overflows
+        (["sweep", "--initial-state", f"({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000",
+          "--samples", "3", "--output", "{out}"], 0, 4),
     ],
-    ids=["help", "sweep", "malformed-ket", "overflowing-drive", "unwritable-output"],
+    ids=["help", "sweep", "malformed-ket", "overflowing-drive", "unwritable-output",
+         "long-pulse", "overflowing-ket-product", "cancellation-scale"],
 )
-def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, expected):
+def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, expected, lines):
     out = tmp_path / "out.csv"
     argv = [arg.format(out=out, missing=tmp_path / "missing" / "x.csv") for arg in argv]
     monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == expected
     captured = capsys.readouterr()
+    # a failure is one "dephasim: " line on stderr; a success writes none
+    assert re.fullmatch(r"dephasim: [^\n]*\n" if expected else "", captured.err), captured.err
     written = out.read_bytes() if out.exists() else None
+    assert (None if written is None else written.count(b"\n")) == lines
     out.unlink(missing_ok=True)
     proc = _cli_process(argv, tmp_path, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (expected, captured.out, captured.err)

@@ -488,10 +488,24 @@ def test_sweep_config_validation():
 
 
 @pytest.mark.parametrize("field", ["omega_ratio", "gamma_t_max"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), np.float32("inf"), np.float16("inf")],
+    ids=["nan", "inf", "-inf", "float32-inf", "float16-inf"],
+)
 def test_sweep_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"{field} must be finite"):
         SweepConfig(initial_state="|00>", **{field: value})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16], ids=lambda dtype: dtype.__name__)
+def test_a_narrow_float_config_sweeps_as_its_float64_value(dtype):
+    ket = "(|10> - |01>)/sqrt(2)"
+    narrow = run_sweep(SweepConfig(ket, omega_ratio=dtype(31.25), gamma_t_max=dtype(2.1), samples=50))
+    wide = run_sweep(SweepConfig(ket, omega_ratio=31.25, gamma_t_max=float(dtype(2.1)), samples=50))
+    for name in ("gamma_t", "concurrence", "mutual_information"):
+        assert getattr(narrow, name).tobytes() == getattr(wide, name).tobytes(), name
+    assert narrow.transitions and (narrow.transitions, narrow.maxima) == (wide.transitions, wide.maxima)
 
 
 @pytest.mark.parametrize("samples", [3.0, 2e3, "5"])

@@ -6,7 +6,6 @@ from .errors import (
     DimensionMismatchError,
     ParseError,
     StateValidationError,
-    ZeroNormError,
 )
 from .linalg import partial_transpose
 from .measures import (
@@ -44,7 +43,6 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "WindowOverlapReport",
-    "ZeroNormError",
     "compare_windows",
     "concurrence_xform",
     "dephasing_fixed_point",

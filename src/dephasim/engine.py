@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DephasimError, DimensionMismatchError, _shown
+from .errors import DimensionMismatchError, StateValidationError, _shown
 from .linalg import matrix_exponential
-from .states import POSITIVITY_FLOOR, TRACE_TOL, _PAIRS, DensityMatrix, _check_state, _pair, _trusted_state
+from .states import DRIFT_TOL, POSITIVITY_FLOOR, _PAIRS, DensityMatrix, _check_state, _pair, _trusted_state
 
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
 
@@ -68,16 +68,15 @@ class StationaryXForm:
         f_sq = np.float_power(np.hypot(f.real, f.imag), 2)  # abs(f) ** 2 of a Python complex
         # Each check is written so that a NaN fails it; the earliest failing point raises.
         checks = [
-            (abs(total - 1.0) <= TRACE_TOL, "populations sum to {total!r}, not 1"),
-            (least >= POSITIVITY_FLOOR, "negative population {least!r}"),
-            (f_sq <= b * c - POSITIVITY_FLOOR, "coherence |f|^2 = {f_sq!r} exceeds b*c = {bc!r}"),
+            (abs(total - 1.0) <= DRIFT_TOL, "populations do not sum to one", lambda k: abs(total[k] - 1.0)),
+            (least >= POSITIVITY_FLOOR, "negative population", lambda k: abs(least[k])),
+            (f_sq <= b * c - POSITIVITY_FLOOR, "coherence |f|^2 exceeds b*c", lambda k: f_sq[k] - b[k] * c[k]),
         ]
-        failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+        failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
         if failing.size:
             k = failing[0]
-            message = next(message for ok, message in checks if not ok[k])
-            at_k = dict(total=total[k], least=least[k], f_sq=f_sq[k], bc=b[k] * c[k])
-            raise DephasimError(message.format(**{name: float(v) for name, v in at_k.items()}))
+            check, magnitude = next((check, magnitude) for ok, check, magnitude in checks if not ok[k])
+            raise StateValidationError(check, float(magnitude(k)))
 
 
 # (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
@@ -143,7 +142,7 @@ def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     # drifts it as ||L t|| grows (Al-Mohy & Higham 2009), scaling the slow
     # modes by a common factor.
     trace = out.trace().real
-    if trace > 0 and abs(trace - 1.0) > TRACE_TOL:
+    if trace > 0 and abs(trace - 1.0) > DRIFT_TOL:
         out = out / trace
     _check_state(out)
     return out
@@ -201,7 +200,7 @@ def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXF
             for k, propagator in enumerate(block, start):
                 try:
                     states[k] = stationary_state(rho0.matrix, propagator)
-                except DephasimError:
+                except StateValidationError:
                     extract_xform(states[:k])  # an earlier point's X-form error wins
                     raise
     return extract_xform(states)

@@ -16,29 +16,28 @@ class DimensionMismatchError(DephasimError, ValueError):
 
 
 class ParseError(DephasimError, ValueError):
-    """Malformed ket expression. Carries the offending character position."""
+    """Malformed ket expression, or one whose amplitudes all cancel. Carries the offending character position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class ZeroNormError(DephasimError, ValueError):
-    """All amplitudes cancelled; the expression has zero norm."""
-
-
 class StateValidationError(DephasimError):
-    """A density-matrix invariant is violated; the message prints the violation magnitude."""
+    """A given or computed state violates an invariant; the message prints the violation magnitude."""
 
     def __init__(self, message: str, magnitude: float):
         super().__init__(f"{message} (magnitude {magnitude:.3e})")
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message; an array shows its type, shape and dtype, and an int of too many digits a placeholder."""
+    """repr(value) for an error message; an array, or a repr over 500 characters, gets a placeholder."""
     if isinstance(value, np.ndarray):  # its repr prints every entry
         return f"<{type(value).__name__} of shape {value.shape} and dtype {value.dtype}>"
     try:
-        return repr(value)
+        shown = repr(value)
+        if len(shown) <= 500:  # a 401-digit int is shown in full
+            return shown
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        return f"<{type(value).__name__} too long to print>"
+        pass
+    return f"<{type(value).__name__} too long to print>"

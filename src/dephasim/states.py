@@ -9,18 +9,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ParseError,
-    StateValidationError,
-    ZeroNormError,
-    _shown,
-)
+from .errors import DimensionMismatchError, ParseError, StateValidationError, _shown
 from .linalg import _pair_dims
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-# Looser than the Hermiticity tolerance so propagator rounding never trips it.
+# Hermiticity defect and trace drift a computed state may show.
+DRIFT_TOL = 1e-10
+# Looser than DRIFT_TOL so propagator rounding never trips it.
 POSITIVITY_FLOOR = -1e-9
 
 # Amplitudes whose squares sum without underflow or overflow; outside this
@@ -85,10 +79,10 @@ def _check_state(m: np.ndarray) -> None:
     caller holds np.errstate(over="ignore", invalid="ignore") and gets no warning.
     """
     herm_defect = np.abs(m - m.conj().T).max()
-    if not herm_defect <= HERMITICITY_TOL:
+    if not herm_defect <= DRIFT_TOL:
         raise StateValidationError("matrix is not Hermitian", herm_defect)
     trace_defect = abs(m.trace() - 1.0)
-    if not trace_defect <= TRACE_TOL:
+    if not trace_defect <= DRIFT_TOL:
         raise StateValidationError("trace differs from one", trace_defect)
 
 
@@ -308,7 +302,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
     Examples of accepted input: ``(|10> - |01>)/sqrt(2)``, ``0.5*|11> + 0.5|00>
     + 1/sqrt(2)*|10>``, ``|0,0>`` (qutrit levels are comma-separated because
     ``-1`` is two characters). Any nonzero combination is normalized; an
-    expression whose amplitudes cancel raises ZeroNormError.
+    expression whose amplitudes cancel is a ParseError at position 0.
     """
     if not isinstance(text, str):
         raise ParseError(f"ket expression must be a str, got {type(text).__name__}", 0)
@@ -326,7 +320,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
         # An amplitude cancels when it is rounding noise against the largest ket
         # term summed into it: 1e-13|10> is a state, 0.1|10> + 0.2|10> - 0.3|10> is not.
         if not np.any(np.abs(vec) > value.cancel_floor()):
-            raise ZeroNormError(f"all amplitudes cancel in {text!r}")
+            raise ParseError("all amplitudes cancel", 0)
     largest = float(np.max(np.abs(vec)))
     if not _SAFE_AMPLITUDES[0] < largest < _SAFE_AMPLITUDES[1]:
         # The norm's sum of squares would underflow or overflow. The parser's

@@ -204,6 +204,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _feature_values(words: list[str], names: tuple[str, ...]) -> list[float]:
+    """The values of a feature comment's words, which must read `name = value` for each of names, in order."""
+    values = words[2::3]
+    if len(values) != len(names):
+        raise ValueError(f"expected {len(names)} values, got {len(values)}")
+    if words[0::3] != list(names) or words[1::3] != ["="] * len(names):
+        raise ValueError("expected " + " ".join(f"{name} = <value>" for name in names))
+    return [_finite(value) for value in values]
+
+
 def read_csv(path: str) -> SweepResult:
     """Parse a file produced by write_csv back into a SweepResult.
 
@@ -220,14 +230,11 @@ def read_csv(path: str) -> SweepResult:
     for lineno, line in lines[1:]:
         try:
             if line.startswith("#"):
-                parts = line.split()
-                for kind, n, found in (("transition", 1, transitions), ("maximum", 3, maxima)):
-                    if kind in parts:
-                        values = [_finite(parts[i + 1]) for i, tok in enumerate(parts[:-1]) if tok == "="]
-                        if len(values) != n:
-                            raise ValueError(f"expected {n} values, got {len(values)}")
-                        found.append(values[0] if n == 1 else tuple(values))
-                        break
+                kind, *words = line[1:].split() or [None]  # a comment is a feature only by its first word
+                if kind == "transition":
+                    transitions.append(_feature_values(words, ("gamma_T",))[0])
+                elif kind == "maximum":
+                    maxima.append(tuple(_feature_values(words, ("gamma_T", "concurrence", "mutual_information"))))
                 continue
             cells = line.split(",")
             if len(cells) != 3:

@@ -15,8 +15,10 @@ from dephasim import (
     DimensionMismatchError,
     StateValidationError,
     StationaryXForm,
+    SweepConfig,
     dephasing_fixed_point,
     parse_ket_expression,
+    run_sweep,
     stationary_xforms,
     validate,
 )
@@ -390,7 +392,7 @@ def test_extract_xform_values():
 
 @pytest.mark.parametrize("a, f", [(float("nan"), 0j), (0.0, complex(float("nan"), 0.0))])
 def test_stationary_xform_rejects_nan(a, f):
-    with pytest.raises(DephasimError):
+    with pytest.raises(StateValidationError, match=r"\(magnitude nan\)$"):
         StationaryXForm(a, 0.5, 0.5, 0.0, f)
 
 
@@ -419,7 +421,7 @@ def test_stationary_xform_rejects_fields_of_different_shapes():
 
 
 def test_stationary_xform_rejects_negative_population():
-    with pytest.raises(DephasimError, match="negative population -0.1"):
+    with pytest.raises(StateValidationError, match=r"^negative population \(magnitude 1\.000e-01\)$"):
         StationaryXForm(-0.1, 0.6, 0.5, 0.0, 0j)
 
 
@@ -428,11 +430,11 @@ def test_a_stack_raises_the_earliest_failing_point_with_its_own_message():
     fields = dict(
         a=[0.25, -0.1, 0.5], b=[0.25, 0.6, 0.5], c=[0.25, 0.5, 0.5], d=[0.25, 0.0, 0.5], f=[0j] * 3
     )
-    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+    with pytest.raises(StateValidationError, match=r"^negative population \(magnitude 1\.000e-01\)$"):
         StationaryXForm(**fields)
-    with pytest.raises(DephasimError, match=r"^populations sum to 2\.0, not 1$"):
+    with pytest.raises(StateValidationError, match=r"^populations do not sum to one \(magnitude 1\.000e\+00\)$"):
         StationaryXForm(**{name: column[2:] for name, column in fields.items()})
-    with pytest.raises(DephasimError, match=r"^coherence \|f\|\^2 = 0\.36 exceeds b\*c = 0\.25$"):
+    with pytest.raises(StateValidationError, match=r"^coherence \|f\|\^2 exceeds b\*c \(magnitude 1\.100e-01\)$"):
         StationaryXForm([0.25, 0.0], [0.25, 0.5], [0.25, 0.5], [0.25, 0.0], [0j, 0.6j])
 
 
@@ -443,7 +445,7 @@ def test_extract_xform_raises_the_earliest_failing_matrix_with_its_own_message()
     negative = np.diag([-0.1, 0.6, 0.5, 0.0]).astype(complex)
     # extract_xform reads pinched states, so the off-form entries of point 2
     # are not its concern; point 1's population error wins over point 3's trace.
-    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+    with pytest.raises(StateValidationError, match=r"^negative population \(magnitude 1\.000e-01\)$"):
         extract_xform(np.array([mixed, negative, off_form, 2 * mixed]))
 
 
@@ -511,6 +513,27 @@ def test_stationary_xforms_are_within_1e_14_of_a_50_digit_reference(which):
         assert np.max(np.abs(getattr(x, name) - reference[:, i])) <= 1e-14, name
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=StateValidationError,
+    reason="the large-drive cliff: a propagated state fails the Hermiticity check at ~1.4e-10",
+)
+@pytest.mark.parametrize("omega1", [3e6, 1e7, 1e9])
+def test_large_drive_sweeps_are_within_u_omega_t_of_a_50_digit_reference(omega1):
+    # The problem is ill-conditioned there, not wrong: an error of about
+    # u * omega1 * T is what float64 allows, so a sweep must finish within it.
+    ket, t_max, n = "(|10> - |01>)/sqrt(2)", 4.0, 400
+    run_sweep(SweepConfig(ket, omega_ratio=omega1, gamma_t_max=t_max, samples=n))
+    rho0 = parse_ket_expression(ket, (2, 2))
+    with mp.workdps(50):
+        times = [float(k * (mp.mpf(t_max) / (n - 1))) for k in range(n)]
+    x = stationary_xforms(rho0, omega1, times)
+    reference = np.array(xform_reference(rho0.matrix, omega1, t_max, n))
+    bound = np.finfo(float).eps * omega1 * t_max
+    for i, name in enumerate("abcdf"):
+        assert np.max(np.abs(getattr(x, name) - reference[:, i])) <= bound, name
+
+
 def test_stationary_xforms_of_no_times_are_empty():
     x = stationary_xforms(bell("phi-"), 31.25, [])
     assert [np.shape(getattr(x, name)) for name in "abcdf"] == [(0,)] * 5
@@ -575,8 +598,8 @@ def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():
     times[64] = 1e30
     for t in times[:64]:
         _per_point(rho0, generator, t)  # every earlier time passes on its own
-    with pytest.raises(DephasimError) as alone:
+    with pytest.raises(StateValidationError) as alone:
         _per_point(rho0, generator, times[64])
-    with pytest.raises(DephasimError) as stacked:
+    with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, 31.25, times)
     assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))

@@ -87,7 +87,7 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(dephasim.__all__) == public
-    assert len(dephasim.__all__) == 28
+    assert len(dephasim.__all__) == 27
     # The general measures and the generator wrapper live only in tests/oracles.py;
     # the cubic coefficients are fields of CriterionReport; stationary_xforms forms
     # its own propagators.
@@ -279,9 +279,10 @@ _B300 = "1" + "0" * 300  # 1e300 in digits
         # an amplitude 1e-9 of its terms' scale is kept where that scale times 1e10 overflows
         (["sweep", "--initial-state", f"({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000",
           "--samples", "3", "--output", "{out}"], 0, 4),
+        (["sweep", "--initial-state", "|10> - |10>", "--samples", "3", "--output", "{out}"], 1, None),
     ],
     ids=["help", "sweep", "malformed-ket", "overflowing-drive", "unwritable-output",
-         "long-pulse", "overflowing-ket-product", "cancellation-scale"],
+         "long-pulse", "overflowing-ket-product", "cancellation-scale", "cancelled-ket"],
 )
 def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, expected, lines):
     out = tmp_path / "out.csv"

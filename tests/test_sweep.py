@@ -372,7 +372,7 @@ def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monk
         return matrix
 
     monkeypatch.setattr(engine_module, "stationary_state", stationary_state)
-    with pytest.raises(DephasimError, match=r"^negative population -0\.1$"):
+    with pytest.raises(errors.StateValidationError, match=r"^negative population \(magnitude 1\.000e-01\)$"):
         run_sweep(SweepConfig("|10>", samples=5))
 
 
@@ -575,6 +575,23 @@ def test_an_int_too_long_to_print_is_named_by_its_parameter(call, message):
         call()
 
 
+def test_a_repr_of_up_to_500_characters_is_shown_in_full():
+    assert errors._shown("x" * 498) == repr("x" * 498)
+    assert errors._shown("x" * 499) == "<str too long to print>"
+
+
+@pytest.mark.parametrize(
+    "times, shown",
+    [([[0.0] * 2000] * 2, "<list too long to print>"), ([np.zeros((16, 16))], "<list too long to print>")],
+    ids=["2x2000-list", "list-of-16x16-array"],
+)
+def test_a_value_with_a_long_repr_is_shown_by_its_type(times, shown):
+    # Each repr runs to over a thousand characters; the message prints a placeholder instead.
+    rho0 = parse_ket_expression("|10>", (2, 2))
+    with pytest.raises(ValueError, match=rf"^times must be a one-dimensional sequence, got {re.escape(shown)}$"):
+        stationary_xforms(rho0, 1.0, times)
+
+
 @pytest.mark.parametrize(
     "body, lineno",
     [
@@ -619,6 +636,38 @@ def test_read_csv_names_an_equals_sign_without_a_value(tmp_path, body, message):
     with pytest.raises(ValueError) as info:
         read_csv(str(path))
     assert str(info.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize(
+    "comment, message",
+    [
+        ("# transition foo = 0.3", "expected gamma_T = <value>"),
+        ("# transition gamma_T 0.3 =", "expected gamma_T = <value>"),
+        (
+            "# maximum concurrence = 0.25 gamma_T = 0.5 mutual_information = 0.75",
+            "expected gamma_T = <value> concurrence = <value> mutual_information = <value>",
+        ),
+    ],
+    ids=["other-name", "misplaced-equals", "out-of-order"],
+)
+def test_read_csv_reads_feature_values_by_the_names_write_csv_writes(tmp_path, comment, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("gamma_T,concurrence,mutual_information\n0,1,2\n0.5,1,2\n" + comment + "\n")
+    with pytest.raises(ValueError) as info:
+        read_csv(str(path))
+    assert str(info.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize(
+    "comment",
+    ["# note: no transition found = 7", "# a maximum gamma_T = 1", "#", "#transitions gamma_T = 1"],
+    ids=["note", "second-word", "bare", "other-word"],
+)
+def test_read_csv_ignores_a_comment_that_is_not_a_feature(tmp_path, comment):
+    path = tmp_path / "noted.csv"
+    path.write_text("gamma_T,concurrence,mutual_information\n0,1,2\n0.5,1,2\n" + comment + "\n")
+    back = read_csv(str(path))
+    assert (back.transitions, back.maxima, back.gamma_t.tolist()) == ([], [], [0.0, 0.5])
 
 
 def test_sweep_result_rejects_columns_of_unequal_length():
@@ -880,7 +929,7 @@ def test_cli_deeply_nested_ket_exits_1_without_a_traceback(tmp_path, command, ke
 def test_cli_reports_a_cancelled_ket(tmp_path, capsys, command, ket):
     out = tmp_path / "out"
     assert main([command, "--initial-state", ket, "--output", str(out)]) == 1
-    assert capsys.readouterr().err == f"dephasim: all amplitudes cancel in {ket!r}\n"
+    assert capsys.readouterr().err == "dephasim: all amplitudes cancel (at position 0)\n"
     assert not out.exists()
 
 

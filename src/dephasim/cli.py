@@ -12,6 +12,7 @@ from typing import Iterator, NoReturn
 from .errors import DephasimError
 from .states import parse_ket_expression
 from .sweep import (
+    ENTANGLEMENT_THRESHOLD,
     SweepConfig,
     compare_windows,
     read_csv,
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
             kind, key_help = _OPTIONS[key]
             command.add_argument("--" + key.replace("_", "-"), type=kind, help=key_help)
 
-    compare = sub.add_parser("compare", help="compare entangled windows (C > 1e-9) of two CSVs")
+    compare = sub.add_parser("compare", help=f"compare entangled windows (C > {ENTANGLEMENT_THRESHOLD:g}) of two CSVs")
     compare.set_defaults(run=_cmd_compare)
     compare.add_argument("--a", required=True, help="first sweep CSV")
     compare.add_argument("--b", required=True, help="second sweep CSV")

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the printer of values in their messages.
 
 A fault in the caller's input is also a ValueError, and the CLI exits 1 on
-it; any other DephasimError is a numerical failure and exits 2.
+it; a state that fails its check is a StateValidationError and exits 2.
 """
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small bipartite systems (Hilbert dimension <= 9)."""
+"""Dense complex linear algebra for the two supported pairs (Hilbert dimension 4 or 9)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,13 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 
 import numpy as np
 
-from .errors import DimensionMismatchError, _shown
+from .errors import DimensionMismatchError
+from .states import _pair
 
 
 @functools.cache
@@ -92,27 +92,12 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return out[:k].reshape(m.shape)
 
 
-def _pair_dims(dims: tuple[int, int], shape: tuple[int, ...] | None = None) -> tuple[int, int]:
-    """(d1, d2) of `dims`: two positive integers that, given a `shape`, size it as (d1*d2, d1*d2).
-
-    The one check of dims, and of dims against a matrix; DimensionMismatchError otherwise.
-    """
-    try:
-        d1, d2 = map(operator.index, dims)
-    except (TypeError, ValueError):
-        raise DimensionMismatchError(f"dims must be a pair of integers, got {_shown(dims)}") from None
-    if d1 < 1 or d2 < 1:
-        raise DimensionMismatchError(f"dims must be positive, got {_shown((d1, d2))}")
-    if shape is not None and shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatchError(f"shape {shape} does not match subsystem dims {_shown((d1, d2))}")
-    return d1, d2
-
-
 def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose of party 2's factor of a bipartite operator whose shape matches `dims`.
+    """Transpose of party 2's factor of an operator on a supported pair `dims` whose shape it matches.
 
     Party 1's partial transpose is the full transpose of this one, with the same spectrum.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d1, d2 = _pair_dims(dims, rho.shape)
-    return rho.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2).copy()
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d, _ = _pair(dims, rho.shape).dims
+    # A C-contiguous rho's transposed view cannot be reshaped in place: the result is a new array.
+    return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -10,7 +11,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, StateValidationError, _shown
-from .linalg import _pair_dims
 
 # Hermiticity defect and trace drift a computed state may show.
 DRIFT_TOL = 1e-10
@@ -27,6 +27,7 @@ _MAX_NESTING = 200
 class _Pair(NamedTuple):
     """What the parser and collective dephasing know about one supported pair of equal parties."""
 
+    dims: tuple[int, int]  # (d, d), the key of this entry
     labels: tuple[str, ...]  # single-party levels in basis order, highest projection first
     levels: np.ndarray  # diagonal of collective Jz, lexicographic basis order
     fixed_mask: np.ndarray  # True where |m><m'| has m == m', the entries dephasing keeps
@@ -34,7 +35,7 @@ class _Pair(NamedTuple):
 
 def _pair_entry(labels: tuple[str, ...], jz: list[float]) -> _Pair:
     levels = np.add.outer(jz, jz).ravel()
-    return _Pair(labels, levels, levels[:, None] == levels[None, :])
+    return _Pair((len(labels), len(labels)), labels, levels, levels[:, None] == levels[None, :])
 
 
 # The two pairs the paper studies, from each party's labels and Jz eigenvalues; see collective_jz.
@@ -44,13 +45,17 @@ _PAIRS = {
 }
 
 
-def _pair(dims: tuple[int, int]) -> _Pair:
-    """The table entry of dims that _pair_dims accepts and that name a supported pair."""
-    dims = _pair_dims(dims)
+def _pair(dims: tuple[int, int], shape: tuple[int, ...] | None = None) -> _Pair:
+    """The one dims check: the table entry of two integers naming a supported pair, which sizes `shape` if given."""
     try:
-        return _PAIRS[dims]
-    except KeyError:
+        d1, d2 = map(operator.index, dims)  # unpacked, so an endless iterable fails at its third item
+        dims = (d1, d2)  # shown as ints, whatever held them
+        entry = _PAIRS[dims]
+    except (TypeError, ValueError, KeyError):
         raise DimensionMismatchError(f"supported pairs are (2, 2) and (3, 3), got {_shown(dims)}") from None
+    if shape is not None and shape != (len(entry.levels),) * 2:
+        raise DimensionMismatchError(f"shape {shape} does not match subsystem dims {entry.dims}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _pair_dims(self.dims, m.shape))  # the pair every caller looks up
+        object.__setattr__(self, "dims", _pair(self.dims, m.shape).dims)  # the pair every caller looks up
         with np.errstate(over="ignore", invalid="ignore"):
             _check_state(m)
             min_eig = np.linalg.eigvalsh(m)[0]

@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .engine import _checked_float, dephasing_fixed_point, stationary_xforms
-from .errors import DephasimError, _shown
+from .errors import _shown
 from .measures import (
     CriterionReport,
     concurrence_xform,
@@ -27,6 +27,19 @@ ENTANGLEMENT_THRESHOLD = 1e-9
 _REFINE_TOL = 1e-9
 
 CSV_HEADER = "gamma_T,concurrence,mutual_information"
+# The first word of each feature comment, and the names of its values in order.
+_FEATURES = {"transition": ("gamma_T",), "maximum": tuple(CSV_HEADER.split(","))}
+
+
+def _real(name: str, value) -> np.ndarray:
+    """`value` as a float array; ValueError naming `name` unless it is an array of real numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise ValueError(f"{name} must be an array of real numbers") from None
+    if array.dtype.kind not in "iuf":  # checked before float() can fail untyped
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    return array.astype(float)
 
 
 @dataclass(frozen=True)
@@ -61,22 +74,26 @@ class SweepResult:
     maxima: list[tuple[float, float, float]] = field(default_factory=list)
 
     def __post_init__(self):
+        arrays = {f.name: _real(f.name, getattr(self, f.name)) for f in fields(self)}
+        for name in ("gamma_t", "concurrence", "mutual_information", "transitions"):
+            if arrays[name].ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {arrays[name].shape}")
         for name in ("gamma_t", "concurrence", "mutual_information"):
-            column = np.asarray(getattr(self, name), dtype=float)
-            if column.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
-            object.__setattr__(self, name, column)
-        gt = self.gamma_t
+            object.__setattr__(self, name, arrays[name])
+        gt, maxima = self.gamma_t, arrays["maxima"]
         if len(gt) != len(self.concurrence) or len(gt) != len(self.mutual_information):
             raise ValueError("row columns must have equal length")
+        if not len(gt):
+            raise ValueError("no data rows")
         if not np.all(np.diff(gt) > 0):  # written so that a NaN fails it
             raise ValueError("gamma_t values must be strictly increasing")
-        for _, c_value, _ in self.maxima:
-            if not c_value > 0:
-                raise ValueError("every maximum must lie inside an entangled window")
+        if maxima.size and maxima.shape[1:] != (3,):
+            raise ValueError(f"every maximum must be a ({', '.join(_FEATURES['maximum'])}) triple")
+        if not np.all(maxima.reshape(-1, 3)[:, 1] > 0):
+            raise ValueError("every maximum must lie inside an entangled window")
         # read_csv refuses non-finite values, so write_csv must never write one.
-        for name in ("gamma_t", "concurrence", "mutual_information", "transitions", "maxima"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+        for name, values in arrays.items():
+            if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} values must be finite")
 
 
@@ -153,10 +170,8 @@ def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
 
     A point is entangled when its concurrence exceeds ENTANGLEMENT_THRESHOLD.
     """
-    if len(a.gamma_t) != len(b.gamma_t) or not np.allclose(
-        a.gamma_t, b.gamma_t, rtol=0.0, atol=1e-9
-    ):
-        raise DephasimError("sweeps do not share the same gamma_T grid")
+    if len(a.gamma_t) != len(b.gamma_t) or not np.allclose(a.gamma_t, b.gamma_t, rtol=0.0, atol=1e-9):
+        raise ValueError("sweeps do not share the same gamma_T grid")
     a_on = a.concurrence > ENTANGLEMENT_THRESHOLD
     b_on = b.concurrence > ENTANGLEMENT_THRESHOLD
     both = a_on & b_on
@@ -177,13 +192,9 @@ def write_csv(result: SweepResult, path: str) -> None:
     """Write rows at 12 significant digits; transitions and maxima as '#' comments."""
     rows = zip(result.gamma_t.tolist(), result.concurrence.tolist(), result.mutual_information.tolist())
     lines = [CSV_HEADER, *("%.12g,%.12g,%.12g" % row for row in rows)]  # _fmt's text for a Python float
-    for transition in result.transitions:
-        lines.append(f"# transition gamma_T = {_fmt(transition)}")
-    for gamma_t, c_value, mi_value in result.maxima:
-        lines.append(
-            f"# maximum gamma_T = {_fmt(gamma_t)} concurrence = {_fmt(c_value)}"
-            f" mutual_information = {_fmt(mi_value)}"
-        )
+    features = [("transition", (t,)) for t in result.transitions] + [("maximum", m) for m in result.maxima]
+    for kind, values in features:
+        lines.append(f"# {kind} " + " ".join(f"{n} = {_fmt(v)}" for n, v in zip(_FEATURES[kind], values)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -204,14 +215,14 @@ def _finite(text: str) -> float:
     return value
 
 
-def _feature_values(words: list[str], names: tuple[str, ...]) -> list[float]:
+def _feature_values(words: list[str], names: tuple[str, ...]) -> tuple[float, ...]:
     """The values of a feature comment's words, which must read `name = value` for each of names, in order."""
     values = words[2::3]
     if len(values) != len(names):
         raise ValueError(f"expected {len(names)} values, got {len(values)}")
     if words[0::3] != list(names) or words[1::3] != ["="] * len(names):
         raise ValueError("expected " + " ".join(f"{name} = <value>" for name in names))
-    return [_finite(value) for value in values]
+    return tuple(_finite(value) for value in values)
 
 
 def read_csv(path: str) -> SweepResult:
@@ -221,8 +232,7 @@ def read_csv(path: str) -> SweepResult:
     the file is not in that format.
     """
     rows = []
-    transitions = []
-    maxima = []
+    features = {kind: [] for kind in _FEATURES}
     numbered = enumerate(read_text_lines(path), start=1)
     lines = [(n, line.rstrip("\n")) for n, line in numbered if line.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
@@ -231,10 +241,8 @@ def read_csv(path: str) -> SweepResult:
         try:
             if line.startswith("#"):
                 kind, *words = line[1:].split() or [None]  # a comment is a feature only by its first word
-                if kind == "transition":
-                    transitions.append(_feature_values(words, ("gamma_T",))[0])
-                elif kind == "maximum":
-                    maxima.append(tuple(_feature_values(words, ("gamma_T", "concurrence", "mutual_information"))))
+                if kind in _FEATURES:
+                    features[kind].append(_feature_values(words, _FEATURES[kind]))
                 continue
             cells = line.split(",")
             if len(cells) != 3:
@@ -242,11 +250,10 @@ def read_csv(path: str) -> SweepResult:
             rows.append([_finite(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows after the header")
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float).reshape(-1, 3)
+    transitions = [t for (t,) in features["transition"]]
     try:
-        return SweepResult(data[:, 0], data[:, 1], data[:, 2], transitions, maxima)
+        return SweepResult(data[:, 0], data[:, 1], data[:, 2], transitions, features["maximum"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -154,6 +154,28 @@ def test_dephasing_rate_of_outer_coherence():
         assert abs(abs(rho_t[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
 
 
+@pytest.mark.parametrize("omega1", [1.0, 5.0, 31.25, 1e3])
+def test_the_damped_oscillation_decays_at_a_quarter(omega1):
+    # The paper's oscillation: the pair of eigenvalues -1/4 +- i sqrt(omega1^2 - 1/16).
+    spectrum = np.linalg.eigvals(build_liouvillian(omega1))
+    frequency = np.sqrt(omega1**2 - 1.0 / 16.0)
+    for rate in (-0.25 + 1j * frequency, -0.25 - 1j * frequency):
+        assert np.min(np.abs(spectrum - rate)) <= 1e-12 * (1.0 + omega1)
+
+
+def test_the_spectrum_matches_a_50_digit_reference_with_both_decay_rates():
+    # Each of the 16 reference eigenvalues takes the nearest eigenvalue not yet taken.
+    with mp.workdps(50):
+        reference, _ = mp.eig(mp.matrix(kronecker_liouvillian((2, 2), 31.25, 1.0, True).tolist()))
+        reference = [complex(value) for value in reference]
+    spectrum = list(np.linalg.eigvals(build_liouvillian(31.25)))
+    for value in reference:
+        nearest = min(range(len(spectrum)), key=lambda k: abs(spectrum[k] - value))
+        assert abs(spectrum.pop(nearest) - value) <= 1e-12
+    # the second rate of the oscillation, past the quarter of the test above
+    assert min(abs(value - complex(-0.749743737654674, 31.2329974278516)) for value in reference) <= 1e-12
+
+
 def test_propagator_matches_taylor_series_path():
     gen = build_liouvillian(3.0)
     rho0 = bell("psi+")
@@ -540,8 +562,6 @@ def test_stationary_xforms_of_no_times_are_empty():
 
 
 _QUTRIT_STATE = parse_ket_expression("|0,0>", (3, 3))
-# a 4x4 state whose pair is not two qubits
-_ONE_BY_FOUR_STATE = validate(np.diag([0.0, 1.0, 0.0, 0.0]), (1, 4))
 
 
 @pytest.mark.parametrize(
@@ -549,9 +569,8 @@ _ONE_BY_FOUR_STATE = validate(np.diag([0.0, 1.0, 0.0, 0.0]), (1, 4))
     [
         (_QUTRIT_STATE, [], r"two-qubit notion, got dims \(3, 3\)"),
         (_QUTRIT_STATE, [0.5], r"two-qubit notion, got dims \(3, 3\)"),
-        (_ONE_BY_FOUR_STATE, [0.5], r"two-qubit notion, got dims \(1, 4\)"),
     ],
-    ids=["qutrit-no-times", "qutrit-one-time", "1x4-pair"],
+    ids=["qutrit-no-times", "qutrit-one-time"],
 )
 def test_stationary_xforms_check_the_state_and_generator_before_any_time(rho0, times, message):
     with pytest.raises(DimensionMismatchError, match=message):

@@ -66,17 +66,18 @@ def test_partial_trace_oracle_gives_each_party_its_expectation_values():
 
 # 10**5000 has more digits than repr prints; the message prints its pair as a placeholder.
 @pytest.mark.parametrize(
-    "dims, message",
+    "matrix, dims, message",
     [
-        ((3, 3), r"shape \(4, 4\) does not match subsystem dims \(3, 3\)"),
-        ((10**5000, 1), r"shape \(4, 4\) does not match subsystem dims <tuple too long to print>"),
-        ((-2, -2), r"dims must be positive, got \(-2, -2\)"),
+        (np.eye(4), (3, 3), r"shape \(4, 4\) does not match subsystem dims \(3, 3\)"),
+        (np.eye(6), (2, 3), r"supported pairs are \(2, 2\) and \(3, 3\), got \(2, 3\)"),
+        (np.eye(4), (10**5000, 1), r"supported pairs are \(2, 2\) and \(3, 3\), got <tuple too long to print>"),
+        (np.eye(4), (-2, -2), r"supported pairs are \(2, 2\) and \(3, 3\), got \(-2, -2\)"),
     ],
-    ids=["3x3", "1e5000", "-2x-2"],
+    ids=["3x3", "2x3", "1e5000", "-2x-2"],
 )
-def test_partial_transpose_rejects_bad_dims(dims, message):
+def test_partial_transpose_rejects_bad_dims(matrix, dims, message):
     with pytest.raises(DimensionMismatchError, match=rf"^{message}$"):
-        partial_transpose(np.eye(4), dims)
+        partial_transpose(matrix, dims)
 
 
 def test_expm_rejects_a_non_square_matrix():
@@ -256,9 +257,20 @@ def test_partial_transpose_singlet_spectrum():
     assert abs(np.linalg.eigvalsh(pt)[0] + 0.5) <= 1e-12
 
 
-def test_partial_transpose_preserves_trace_and_hermiticity():
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_transpose_preserves_trace_and_hermiticity(d):
     rng = np.random.default_rng(20)
-    rho = random_density(rng, 6)
-    pt = partial_transpose(rho, (2, 3))
+    rho = random_density(rng, d * d)
+    pt = partial_transpose(rho, (d, d))
     assert abs(np.trace(pt) - np.trace(rho)) <= 1e-15
     assert np.max(np.abs(pt - pt.conj().T)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_transpose_never_shares_memory_with_its_input(d):
+    rho = random_density(np.random.default_rng(21), d * d)
+    inputs = [rho, np.asfortranarray(rho), rho.T, np.broadcast_to(rho[0, 0], rho.shape), rho.real]
+    for given in inputs:
+        pt = partial_transpose(given, (d, d))
+        assert not np.shares_memory(pt, given) and pt.flags.writeable
+        assert np.array_equal(pt, partial_transpose(np.array(given), (d, d)))

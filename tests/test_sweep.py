@@ -146,8 +146,9 @@ def test_compare_windows_disjoint_profiles():
 def test_compare_windows_rejects_grid_mismatch():
     a = synthetic_result(lambda g: 1.0, samples=101)
     b = synthetic_result(lambda g: 1.0, samples=100)
-    with pytest.raises(DephasimError, match="do not share the same gamma_T grid"):
+    with pytest.raises(ValueError, match="^sweeps do not share the same gamma_T grid$") as info:
         compare_windows(a, b)
+    assert not isinstance(info.value, DephasimError)
 
 
 def test_write_csv_structure(tmp_path):
@@ -728,6 +729,50 @@ def test_sweep_result_holds_only_what_read_csv_reads_back(tmp_path, name, value)
         SweepResult(**dict(_FINITE_RESULT, **{name: value}))
 
 
+def test_sweep_result_holds_at_least_one_row(tmp_path):
+    # write_csv would write a header alone, which read_csv refuses.
+    with pytest.raises(ValueError, match="^no data rows$"):
+        SweepResult([], [], [])
+    path = tmp_path / "empty.csv"
+    path.write_text(sweep_module.CSV_HEADER + "\n# transition gamma_T = 0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
+        read_csv(str(path))
+
+
+_TRIPLE = r"^every maximum must be a \(gamma_T, concurrence, mutual_information\) triple$"
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("gamma_t", [0.0, 1.0 + 0.0j], r"^gamma_t must be real, got dtype complex128$"),
+        ("concurrence", ["0", "0.5"], r"^concurrence must be real, got dtype <U3$"),
+        ("mutual_information", [True, False], r"^mutual_information must be real, got dtype bool$"),
+        ("transitions", [0.25j], r"^transitions must be real, got dtype complex128$"),
+        ("transitions", 0.25, r"^transitions must be one-dimensional, got shape \(\)$"),
+        ("maxima", [(1.0, 0.5j, 1.5)], r"^maxima must be real, got dtype complex128$"),
+        ("maxima", [1.0], _TRIPLE),
+        ("maxima", [(1.0, 0.5)], _TRIPLE),
+        ("maxima", (1.0, 0.5, 1.5), _TRIPLE),
+        ("maxima", [(1.0, 0.5, 1.5, 2.0)], _TRIPLE),
+        ("maxima", [(1.0, 0.5, 1.5), (1.0, 0.5)], r"^maxima must be an array of real numbers$"),
+    ],
+    ids=["complex-row", "str-row", "bool-row", "complex-transition", "scalar-transitions",
+         "complex-maximum", "float-maximum", "pair-maximum", "bare-triple", "quadruple", "ragged-maxima"],
+)
+def test_sweep_result_names_a_field_that_write_csv_could_not_write(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        SweepResult(**dict(_FINITE_RESULT, **{name: value}))
+
+
+def test_sweep_result_takes_integer_rows_and_no_features(tmp_path):
+    result = SweepResult([0, 1], [0, 1], [0, 2])
+    assert result.gamma_t.dtype == float and (result.transitions, result.maxima) == ([], [])
+    path = tmp_path / "ints.csv"
+    write_csv(result, str(path))
+    assert read_csv(str(path)).gamma_t.tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("text", ["", "0,1,2\n", "\ngamma_T,concurrence\n0,1,2\n"])
 def test_read_csv_requires_the_header_first(tmp_path, text):
     path = tmp_path / "headless.csv"
@@ -831,7 +876,9 @@ def test_cli_reads_a_ket_that_starts_with_a_minus_sign(tmp_path):
 def test_cli_help_exits_0_and_shows_the_minus_sign_form(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "200")  # one line per option, so no flag is wrapped
     assert main(["--help"]) == 0
-    assert "{sweep,qutrit,compare}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "{sweep,qutrit,compare}" in out
+    assert f"compare entangled windows (C > {sweep_module.ENTANGLEMENT_THRESHOLD:g})" in out
     for command in ("sweep", "qutrit"):
         assert main([command, "--help"]) == 0
         assert '--initial-state="-|10>"' in capsys.readouterr().out
@@ -880,13 +927,13 @@ def test_cli_exit_codes(tmp_path):
         )
         == 1
     )
-    # numerical failure: mismatching grids
+    # input error: mismatching grids
     short = SweepConfig(initial_state="|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=10)
     longer = SweepConfig(initial_state="|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=12)
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(run_sweep(short), str(a_path))
     write_csv(run_sweep(longer), str(b_path))
-    assert main(["compare", "--a", str(a_path), "--b", str(b_path)]) == 2
+    assert main(["compare", "--a", str(a_path), "--b", str(b_path)]) == 1
     # i/o failure: unwritable output directory
     assert (
         main(

@@ -312,14 +312,14 @@ def test_parse_round_trips_printed_real_states(dims, data):
 
 
 @pytest.mark.parametrize(
-    "matrix, dims, shown",
-    [(np.eye(4) / 4, (3, 3), "(3, 3)"), (np.eye(9) / 9, np.array([2, 2]), "(2, 2)")],
+    "matrix, dims, shape, shown",
+    [(np.eye(4) / 4, (3, 3), "(4, 4)", "(3, 3)"), (np.eye(9) / 9, np.array([2, 2]), "(9, 9)", "(2, 2)")],
     ids=["4x4-as-3x3", "9x9-as-2x2"],
 )
-def test_density_matrix_rejects_a_shape_that_does_not_match_dims(matrix, dims, shown):
+def test_density_matrix_rejects_a_shape_that_does_not_match_dims(matrix, dims, shape, shown):
     with pytest.raises(
         DimensionMismatchError,
-        match=rf"^shape \(\d, \d\) does not match subsystem dims {re.escape(shown)}$",
+        match=rf"^shape {re.escape(shape)} does not match subsystem dims {re.escape(shown)}$",
     ):
         DensityMatrix(matrix, dims)
 
@@ -334,23 +334,25 @@ def test_density_matrix_stores_any_integer_pair_as_a_tuple(dims):
 
 # Dims that are not one of the two pairs the paper studies, each with the size
 # of a matrix it would otherwise describe and the text the message shows.
-_UNSUPPORTED_DIMS = [
-    ((2, 3), 6, "(2, 3)"),
-    (np.array([2, 3]), 6, "(2, 3)"),
-    ([np.int64(1), 4], 4, "(1, 4)"),
-    ((-2, -2), 4, "(-2, -2)"),
-    ((0, 0), 0, "(0, 0)"),
-    ((2,), 4, "(2,)"),
-    ((2, 2, 1), 4, "(2, 2, 1)"),
-    (None, 4, "None"),
-    (5, 4, "5"),
-    ((2.0, 2.0), 4, "(2.0, 2.0)"),
-    ((_HUGE,), 4, _TOO_LONG),
-    (itertools.count(2), 4, "count("),  # endless: refused at its third item
-]
+_UNSUPPORTED_DIMS = {
+    "2x3": ((2, 3), 6, "(2, 3)"),
+    "2x3-array": (np.array([2, 3]), 6, "(2, 3)"),
+    "1x4-list": ([np.int64(1), 4], 4, "(1, 4)"),
+    "-2x-2": ((-2, -2), 4, "(-2, -2)"),
+    "0x0": ((0, 0), 0, "(0, 0)"),
+    "single": ((2,), 4, "(2,)"),
+    "2x2x1": ((2, 2, 1), 4, "(2, 2, 1)"),
+    "2x2x2": ((2, 2, 2), 4, "(2, 2, 2)"),
+    "None": (None, 4, "None"),
+    "int": (5, 4, "5"),
+    "floats": ((2.0, 2.0), 4, "(2.0, 2.0)"),
+    "float-and-int": ((2.0, 2), 4, "(2.0, 2)"),
+    "1e5000": ((_HUGE,), 4, _TOO_LONG),  # refused as it unpacks
+    "1e5000x1": ((_HUGE, 1), 4, _TOO_LONG),  # unpacks, refused at the table lookup
+}
 
 
-@pytest.mark.parametrize("dims, size, shown", _UNSUPPORTED_DIMS, ids=[shown for _, _, shown in _UNSUPPORTED_DIMS])
+@pytest.mark.parametrize("dims, size, shown", list(_UNSUPPORTED_DIMS.values()), ids=list(_UNSUPPORTED_DIMS))
 @pytest.mark.parametrize(
     "entry",
     [
@@ -362,9 +364,26 @@ _UNSUPPORTED_DIMS = [
     ids=["DensityMatrix", "partial_transpose", "parse_ket_expression", "collective_jz"],
 )
 def test_every_state_and_operator_takes_only_the_two_pairs(entry, dims, size, shown):
-    message = rf"^supported pairs are \(2, 2\) and \(3, 3\), got {re.escape(shown)}"
+    message = rf"^supported pairs are \(2, 2\) and \(3, 3\), got {re.escape(shown)}$"
     with pytest.raises(DimensionMismatchError, match=message):
         entry(dims, size)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda dims: DensityMatrix(np.eye(4), dims),
+        lambda dims: partial_transpose(np.eye(4), dims),
+        lambda dims: parse_ket_expression("|10>", dims),
+        lambda dims: collective_jz(dims),
+    ],
+    ids=["DensityMatrix", "partial_transpose", "parse_ket_expression", "collective_jz"],
+)
+def test_an_endless_dims_iterable_is_refused_at_its_third_item(entry):
+    dims = itertools.count(2)
+    with pytest.raises(DimensionMismatchError, match=r"^supported pairs are \(2, 2\) and \(3, 3\), got count\(5\)$"):
+        entry(dims)
+    assert next(dims) == 5  # the third item was taken and refused; no more
 
 
 @pytest.mark.parametrize("text, kind", [(5, "int"), (None, "NoneType"), (b"|10>", "bytes")])

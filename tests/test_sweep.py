@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -748,6 +749,7 @@ _TRIPLE = r"^every maximum must be a \(gamma_T, concurrence, mutual_information\
         ("gamma_t", [0.0, 1.0 + 0.0j], r"^gamma_t must be real, got dtype complex128$"),
         ("concurrence", ["0", "0.5"], r"^concurrence must be real, got dtype <U3$"),
         ("mutual_information", [True, False], r"^mutual_information must be real, got dtype bool$"),
+        ("gamma_t", [Fraction(0), Fraction(1)], r"^gamma_t must be real, got dtype object$"),
         ("transitions", [0.25j], r"^transitions must be real, got dtype complex128$"),
         ("transitions", 0.25, r"^transitions must be one-dimensional, got shape \(\)$"),
         ("maxima", [(1.0, 0.5j, 1.5)], r"^maxima must be real, got dtype complex128$"),
@@ -757,7 +759,7 @@ _TRIPLE = r"^every maximum must be a \(gamma_T, concurrence, mutual_information\
         ("maxima", [(1.0, 0.5, 1.5, 2.0)], _TRIPLE),
         ("maxima", [(1.0, 0.5, 1.5), (1.0, 0.5)], r"^maxima must be an array of real numbers$"),
     ],
-    ids=["complex-row", "str-row", "bool-row", "complex-transition", "scalar-transitions",
+    ids=["complex-row", "str-row", "bool-row", "fraction-row", "complex-transition", "scalar-transitions",
          "complex-maximum", "float-maximum", "pair-maximum", "bare-triple", "quadruple", "ragged-maxima"],
 )
 def test_sweep_result_names_a_field_that_write_csv_could_not_write(name, value, message):

@@ -9,7 +9,7 @@ import re
 import sys
 from typing import Iterator, NoReturn
 
-from .errors import DephasimError
+from .errors import DephasimError, _parsed, _shown
 from .states import parse_ket_expression
 from .sweep import (
     ENTANGLEMENT_THRESHOLD,
@@ -94,7 +94,7 @@ def _load_config_file(path: str) -> Iterator[tuple[int, str, str]]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {_shown(raw.strip())}")
         key, value = line.split("=", 1)
         yield lineno, key.strip(), value.strip()
 
@@ -105,9 +105,9 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
         # Every line is checked; a repeated key's last line wins.
         for lineno, key, value in _load_config_file(args.config):
             if key not in args.keys:
-                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{args.config}:{lineno}: unknown config key {_shown(key)}")
             try:
-                merged[key] = _OPTIONS[key][0](value)
+                merged[key] = _parsed(_OPTIONS[key][0], value)
                 # Check the value on its own (a ket on the command's pair, a
                 # range beside SweepConfig's valid defaults), so that its
                 # error names this line even when a flag overrides it.

@@ -15,13 +15,12 @@ gamma = 1 and omega1 = Omega_1/gamma.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StateValidationError, _shown
+from .errors import DimensionMismatchError, StateValidationError, _numbers, _shown
 from .linalg import matrix_exponential
 from .states import DRIFT_TOL, POSITIVITY_FLOOR, _PAIRS, DensityMatrix, _check_state, _pair, _trusted_state
 
@@ -29,14 +28,12 @@ _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of 
 
 
 def _checked_float(name: str, value, positive: bool = False) -> float:
-    """value as a float, if it is a real number in [0, float max], or in (0, float max] if positive.
-
-    Compared before it is converted: an int too large for a float fails, with
-    no OverflowError. A float16 or float32 is widened first; compared as it
-    is, it would cast the float max down to its own type and overflow.
-    """
-    number = float(value) if isinstance(value, (np.float16, np.float32)) else value
-    if not (isinstance(number, numbers.Real) and 0 <= number <= sys.float_info.max and (number > 0 or not positive)):
+    """value as a float, if it is one real number in [0, float max], or in (0, float max] if positive."""
+    try:
+        number = _numbers(name, value)
+    except ValueError:  # not a real number: refused below as a NaN is, with the same message
+        number = np.array(np.nan)
+    if not (number.ndim == 0 and 0 <= number <= sys.float_info.max and (number > 0 or not positive)):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {_shown(value)}")
     return float(number)
 
@@ -53,30 +50,28 @@ class StationaryXForm:
 
     def __post_init__(self):
         for name in "abcdf":  # an array with one entry per point; a scalar is one point
-            field = np.asarray(getattr(self, name))
-            kinds, wanted = ("iufc", "numeric") if name == "f" else ("iuf", "real")
-            if field.dtype.kind not in kinds:  # checked before any arithmetic can warn or fail untyped
-                raise ValueError(f"X-form field {name} must be {wanted}, got dtype {field.dtype}")
-            object.__setattr__(self, name, field)
+            dtype = complex if name == "f" else float
+            object.__setattr__(self, name, _numbers(f"X-form field {name}", getattr(self, name), dtype))
         shapes = {name: getattr(self, name).shape for name in "abcdf"}
         if len(set(shapes.values())) > 1:
             listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
             raise DimensionMismatchError(f"X-form fields must share one shape, got {listed}")
         a, b, c, d, f = map(np.ravel, (self.a, self.b, self.c, self.d, self.f))
-        total = a + b + c + d
-        least = np.minimum(np.minimum(a, b), np.minimum(c, d))
-        f_sq = np.float_power(np.hypot(f.real, f.imag), 2)  # abs(f) ** 2 of a Python complex
-        # Each check is written so that a NaN fails it; the earliest failing point raises.
-        checks = [
-            (abs(total - 1.0) <= DRIFT_TOL, "populations do not sum to one", lambda k: abs(total[k] - 1.0)),
-            (least >= POSITIVITY_FLOOR, "negative population", lambda k: abs(least[k])),
-            (f_sq <= b * c - POSITIVITY_FLOOR, "coherence |f|^2 exceeds b*c", lambda k: f_sq[k] - b[k] * c[k]),
-        ]
-        failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
-        if failing.size:
-            k = failing[0]
-            check, magnitude = next((check, magnitude) for ok, check, magnitude in checks if not ok[k])
-            raise StateValidationError(check, float(magnitude(k)))
+        # Each check is written so that a NaN fails it, unwarned; the earliest failing point raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = a + b + c + d
+            least = np.minimum(np.minimum(a, b), np.minimum(c, d))
+            f_sq = np.float_power(np.hypot(f.real, f.imag), 2)  # abs(f) ** 2 of a Python complex
+            checks = [
+                (abs(total - 1.0) <= DRIFT_TOL, "populations do not sum to one", lambda k: abs(total[k] - 1.0)),
+                (least >= POSITIVITY_FLOOR, "negative population", lambda k: abs(least[k])),
+                (f_sq <= b * c - POSITIVITY_FLOOR, "coherence |f|^2 exceeds b*c", lambda k: f_sq[k] - b[k] * c[k]),
+            ]
+            failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
+            if failing.size:
+                k = failing[0]
+                check, magnitude = next((check, magnitude) for ok, check, magnitude in checks if not ok[k])
+                raise StateValidationError(check, float(magnitude(k)))
 
 
 # (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
@@ -117,16 +112,18 @@ def build_liouvillian(omega1: float) -> np.ndarray:
 
 
 def _pulse_times(times) -> np.ndarray:
-    """The one-dimensional sequence `times` of valid pulse times as an (n, 1, 1) array."""
+    """The one-dimensional sequence `times` of valid pulse times as a float (n, 1, 1) array."""
     try:
         ndim = np.ndim(times)
     except ValueError:  # numpy refuses a ragged nesting such as [[0.1], [0.1, 0.2]]
         ndim = None
     if ndim != 1:
         raise ValueError(f"times must be a one-dimensional sequence, got {_shown(times)}")
-    for t in times:
-        _checked_float("time", t)
-    return np.reshape(times, (-1, 1, 1))
+    ts = _numbers("times", times)
+    bad = np.flatnonzero(~((ts >= 0) & (ts <= sys.float_info.max)))  # written so that a NaN fails it
+    if bad.size:
+        raise ValueError(f"time must be finite and nonnegative, got {_shown(times[bad[0]])}")
+    return ts.reshape(-1, 1, 1)
 
 
 def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -171,8 +168,7 @@ def stationary_state(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
 
 def extract_xform(states: np.ndarray) -> StationaryXForm:
     """Read (a, b, c, d, f) off each pinched qubit-pair matrix of a (..., 4, 4) stack."""
-    m = np.asarray(states)
-    return StationaryXForm(*(m[..., i, i].real for i in range(4)), m[..., 1, 2])
+    return StationaryXForm(*(states[..., i, i].real for i in range(4)), states[..., 1, 2])
 
 
 def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXForm:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the printer of values in their messages.
+"""The package's exception types, the printer of values in their messages, and the reader of outside numbers.
 
 A fault in the caller's input is also a ValueError, and the CLI exits 1 on
 it; a state that fails its check is a StateValidationError and exits 2.
@@ -41,3 +41,23 @@ def _shown(value) -> str:
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
         pass
     return f"<{type(value).__name__} too long to print>"
+
+
+def _parsed(kind: type, text: str):
+    """kind(text) for a str, int or float from a file; a text that does not convert is shown by _shown."""
+    try:
+        return kind(text)
+    except ValueError as exc:  # int() and float() end their message with the text's whole repr
+        raise ValueError(f"{str(exc).partition(': ')[0]}: {_shown(text)}") from None
+
+
+def _numbers(name: str, value, dtype: type = float) -> np.ndarray:
+    """The one reader of outside numbers: `value` as a new `dtype` array of ints, floats, or complex if `dtype` is."""
+    kinds, wanted, numbers = ("iufc", "numeric", "numbers") if dtype is complex else ("iuf", "real", "real numbers")
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise ValueError(f"{name} must be an array of {numbers}") from None
+    if array.dtype.kind not in kinds:  # a bool, a str, or an object: None, a Fraction, an int past 64 bits
+        raise ValueError(f"{name} must be {wanted}, got dtype {array.dtype}")
+    return array.astype(dtype)  # the caller's own copy, in double precision whatever numpy's promotion rules

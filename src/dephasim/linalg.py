@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _numbers
 from .states import _pair
 
 
@@ -97,7 +97,6 @@ def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
     Party 1's partial transpose is the full transpose of this one, with the same spectrum.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
+    rho = _numbers("rho", rho, complex)  # a copy: the result shares no memory with the caller's matrix
     d, _ = _pair(dims, rho.shape).dims
-    # A C-contiguous rho's transposed view cannot be reshaped in place: the result is a new array.
     return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)

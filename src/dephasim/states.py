@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError, StateValidationError, _shown
+from .errors import DimensionMismatchError, ParseError, StateValidationError, _numbers, _shown
 
 # Hermiticity defect and trace drift a computed state may show.
 DRIFT_TOL = 1e-10
@@ -66,7 +66,7 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _numbers("matrix", self.matrix, complex)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _pair(self.dims, m.shape).dims)  # the pair every caller looks up
         with np.errstate(over="ignore", invalid="ignore"):
@@ -129,7 +129,7 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError("unterminated ket (missing '>')", pos)
             raise ParseError(f"unexpected character {value!r}", pos)
         if kind == "word" and value != "sqrt":
-            raise ParseError(f"unknown word {value!r}", pos)
+            raise ParseError(f"unknown word {_shown(value)}", pos)
         if kind != "space":
             tokens.append(_Token(value if kind in ("op", "word") else kind, value, pos))
     tokens.append(_Token("eof", "", len(text)))
@@ -137,22 +137,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _ket_index(label: str, alphabet: tuple[str, ...], pos: int) -> int:
-    d = len(alphabet)
-    raw = label.strip()
-    if "," in raw:
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"ket label {label!r} must name exactly two subsystems", pos)
-    else:
-        compact = raw.replace(" ", "")
-        if len(compact) != 2:
-            raise ParseError(
-                f"ket label {label!r} needs two levels (use a comma for multi-character levels)",
-                pos,
-            )
-        parts = [compact[0], compact[1]]
+    d, comma = len(alphabet), "," in label
+    parts = [p.strip() for p in label.split(",")] if comma else list(label.strip().replace(" ", ""))
+    if len(parts) != 2:
+        why = ("must name exactly two subsystems" if comma
+               else "needs two levels (use a comma for multi-character levels)")
+        raise ParseError(f"ket label {_shown(label)} {why}", pos)
     if parts[0] not in alphabet or parts[1] not in alphabet:
-        raise ParseError(f"ket label {label!r} is outside the {d}x{d} level alphabet", pos)
+        raise ParseError(f"ket label {_shown(label)} is outside the {d}x{d} level alphabet", pos)
     return alphabet.index(parts[0]) * d + alphabet.index(parts[1])
 
 
@@ -287,7 +279,7 @@ class _KetParser:
             inner = self.sum(depth + 1)
             self.take(")", "unclosed '('", tok.pos)
             return inner
-        raise ParseError(f"expected a number, sqrt(...), ket or '(', found {tok.text!r}", tok.pos)
+        raise ParseError(f"expected a number, sqrt(...), ket or '(', found {_shown(tok.text)}", tok.pos)
 
     def scalar_factor(self) -> float:
         tok = self.take()
@@ -298,7 +290,7 @@ class _KetParser:
             arg = self.take("number", "expected a number inside sqrt(...)")
             self.take(")", "unclosed '(' after sqrt", tok.pos)
             return math.sqrt(_numeral(arg))
-        raise ParseError(f"expected a number or sqrt(...), found {tok.text!r}", tok.pos)
+        raise ParseError(f"expected a number or sqrt(...), found {_shown(tok.text)}", tok.pos)
 
 
 def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
@@ -318,7 +310,7 @@ def parse_ket_expression(text: str, dims: tuple[int, int]) -> DensityMatrix:
         value = parser.sum()
         tok = parser.peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+            raise ParseError(f"unexpected {_shown(tok.text)}", tok.pos)
         if value.vector is None:
             raise ParseError("expression contains no ket", 0)
         vec = value.amplitudes()

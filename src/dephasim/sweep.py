@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import _checked_float, dephasing_fixed_point, stationary_xforms
-from .errors import _shown
+from .errors import _numbers, _parsed, _shown
 from .measures import (
     CriterionReport,
     concurrence_xform,
@@ -29,17 +29,6 @@ _REFINE_TOL = 1e-9
 CSV_HEADER = "gamma_T,concurrence,mutual_information"
 # The first word of each feature comment, and the names of its values in order.
 _FEATURES = {"transition": ("gamma_T",), "maximum": tuple(CSV_HEADER.split(","))}
-
-
-def _real(name: str, value) -> np.ndarray:
-    """`value` as a float array; ValueError naming `name` unless it is an array of real numbers."""
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        raise ValueError(f"{name} must be an array of real numbers") from None
-    if array.dtype.kind not in "iuf":  # checked before float() can fail untyped
-        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
-    return array.astype(float)
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,7 @@ class SweepResult:
     maxima: list[tuple[float, float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        arrays = {f.name: _real(f.name, getattr(self, f.name)) for f in fields(self)}
+        arrays = {f.name: _numbers(f.name, getattr(self, f.name)) for f in fields(self)}
         for name in ("gamma_t", "concurrence", "mutual_information", "transitions"):
             if arrays[name].ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional, got shape {arrays[name].shape}")
@@ -85,7 +74,7 @@ class SweepResult:
             raise ValueError("row columns must have equal length")
         if not len(gt):
             raise ValueError("no data rows")
-        if not np.all(np.diff(gt) > 0):  # written so that a NaN fails it
+        if not np.all(gt[1:] > gt[:-1]):  # written so that a NaN fails it, and inf unwarned
             raise ValueError("gamma_t values must be strictly increasing")
         if maxima.size and maxima.shape[1:] != (3,):
             raise ValueError(f"every maximum must be a ({', '.join(_FEATURES['maximum'])}) triple")
@@ -95,6 +84,8 @@ class SweepResult:
         for name, values in arrays.items():
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} values must be finite")
+        object.__setattr__(self, "transitions", arrays["transitions"].tolist())
+        object.__setattr__(self, "maxima", [tuple(m) for m in maxima.reshape(-1, 3).tolist()])
 
 
 @dataclass(frozen=True)
@@ -209,9 +200,9 @@ def read_text_lines(path: str) -> list[str]:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
+        raise ValueError(f"non-finite value {_shown(text)}")
     return value
 
 

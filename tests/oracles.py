@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from mpmath import mp
 
@@ -372,3 +374,20 @@ def bisect_transitions(gamma_t, concurrence, concurrence_at, threshold=1e-9, tol
                 hi = mid
         transitions.append(0.5 * (lo + hi))
     return transitions
+
+
+def reads_as_number(value, complex_ok: bool = False) -> bool:
+    """Whether the package reads one value from outside as a number: a Python or numpy int or
+    float, or a complex number where complex_ok. Never a bool, and an int only where numpy
+    holds it, in int64 or uint64."""
+    kinds = (int, float, np.integer, np.floating) + ((complex, np.complexfloating) if complex_ok else ())
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
+        return False
+    return not isinstance(value, int) or -(2**63) <= value < 2**64
+
+
+def accepted_scalar(value, positive: bool = False) -> bool:
+    """Whether a scalar parameter (a drive ratio, a time, gamma_t_max) accepts value: a real
+    number that is finite and nonnegative, or positive where positive is set. Compared as a
+    Python float: a float16 would round float max to inf."""
+    return reads_as_number(value) and math.isfinite(x := float(value)) and (x > 0 if positive else x >= 0)

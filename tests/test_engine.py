@@ -24,7 +24,7 @@ from dephasim import (
 )
 from dephasim.engine import build_liouvillian, collective_jz, evolve, extract_xform, stationary_state
 from dephasim.linalg import matrix_exponential
-from oracles import kronecker_liouvillian, random_density, rk4_stationary, taylor_expm, xform_reference
+from oracles import kronecker_liouvillian, random_density, random_pure, rk4_stationary, taylor_expm, xform_reference
 
 
 def bell(which: str):
@@ -533,6 +533,25 @@ def test_stationary_xforms_are_within_1e_14_of_a_50_digit_reference(which):
     reference = np.array(xform_reference(rho0.matrix, 31.25, t_max, n))
     for i, name in enumerate("abcdf"):
         assert np.max(np.abs(getattr(x, name) - reference[:, i])) <= 1e-14, name
+
+
+# One seeded ket per cell, so each drive is seen once and the worst measured cells are kept.
+@pytest.mark.parametrize(
+    "seed, omega1, t_max",
+    [(0, 0.0, 1e6), (1, 1.0, 4.0), (2, 31.25, 1e3), (3, 1e3, 1e3), (3, 1e5, 4.0), (0, 1e5, 1e6)],
+)
+def test_seeded_kets_are_within_u_times_1_plus_norm_g_t_of_a_50_digit_reference(seed, omega1, t_max):
+    # The contract: each reported field at time t is within u * (1 + ||G||_2 * t) of the
+    # reference, u the unit roundoff. These cells read at most 0.24 of it.
+    v = random_pure(np.random.default_rng(seed), 4)
+    rho0, n = validate(np.outer(v, v.conj()), (2, 2)), 6
+    with mp.workdps(50):
+        times = [float(k * (mp.mpf(t_max) / (n - 1))) for k in range(n)]
+    x = stationary_xforms(rho0, omega1, times)
+    reference = np.array(xform_reference(rho0.matrix, omega1, t_max, n))
+    bound = np.finfo(float).eps / 2 * (1 + np.linalg.norm(build_liouvillian(omega1), 2) * np.array(times))
+    for i, name in enumerate("abcdf"):
+        assert np.all(np.abs(getattr(x, name) - reference[:, i]) <= bound), name
 
 
 @pytest.mark.xfail(

@@ -528,12 +528,29 @@ _EACH_PARAMETER_CHECK = pytest.mark.parametrize(
 )
 
 
+def _refusal(name, shown, dtype):
+    """The message refusing a value: a scalar check shows it, and a list of times holding it is refused by its dtype."""
+    if name == "time":
+        return rf"^times must be real, got dtype {re.escape(dtype)}$"
+    return rf"\b{name} must be finite and \w+, got {re.escape(shown)}$"
+
+
 # Each check names the parameter and rejects any value that is not a real number.
-@pytest.mark.parametrize("value", ["5", 1j, None])
+@pytest.mark.parametrize(
+    "value, dtype",
+    [
+        ("5", "<U1"),
+        (1j, "complex128"),
+        (None, "object"),
+        (True, "bool"),
+        (np.True_, "bool"),
+        (Fraction(1, 2), "object"),
+    ],
+    ids=["5", "1j", "None", "True", "np.True_", "Fraction"],
+)
 @_EACH_PARAMETER_CHECK
-def test_non_real_parameters_are_value_errors(name, call, value):
-    message = rf"\b{name} must be finite and \w+, got {re.escape(repr(value))}$"
-    with pytest.raises(ValueError, match=message):
+def test_non_real_parameters_are_value_errors(name, call, value, dtype):
+    with pytest.raises(ValueError, match=_refusal(name, repr(value), dtype)):
         call(value)
 
 
@@ -555,8 +572,7 @@ _TOO_LONG = "<int too long to print>"
 )
 @_EACH_PARAMETER_CHECK
 def test_integers_too_large_for_a_float_are_value_errors(name, call, value, shown):
-    message = rf"\b{name} must be finite and \w+, got {re.escape(shown)}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_refusal(name, shown, "object")):
         call(value)
 
 
@@ -969,6 +985,45 @@ def test_cli_deeply_nested_ket_exits_1_without_a_traceback(tmp_path, command, ke
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "dephasim: parentheses nested more than 200 deep (at position 200)\n"
+
+
+# Each input puts 5000 characters of the user's text where its message shows it.
+@pytest.mark.parametrize(
+    "kind, text, fresh",
+    [
+        ("csv", "0,1," + "x" * 5000, False),
+        ("csv", "0,1," + "1" * 5000, False),  # reads as inf
+        ("config", "samples = " + "x" * 5000, False),
+        ("config", "omega_ratio = " + "x" * 5000, False),
+        ("config", "x" * 5000, False),
+        ("config", "k" * 5000 + " = 1", False),
+        ("ket", "|" + ",".join("1" * 2500) + ">", False),
+        ("ket", "|" + "1" * 5000 + ">", False),
+        ("ket", "|" + "2" * 5000 + ",1>", False),
+        ("ket", "a" * 5000, False),
+        ("ket", "1/|" + "1" * 5000 + ">", False),
+        ("ket", "1/|" + "1" * 5000 + ">", True),
+    ],
+    ids=["csv-cell", "csv-non-finite", "config-int", "config-float", "config-no-equals", "config-key",
+         "ket-subsystems", "ket-levels", "ket-alphabet", "ket-word", "ket-found", "ket-found-fresh"],
+)
+def test_a_long_input_is_shown_on_one_short_line(tmp_path, capsys, kind, text, fresh):
+    path, out = tmp_path / "input", str(tmp_path / "out")
+    path.write_text(f"{sweep_module.CSV_HEADER}\n{text}\n" if kind == "csv" else text)
+    argv = {
+        "csv": ["compare", "--a", str(path), "--b", str(path)],
+        "config": ["sweep", "--config", str(path), "--initial-state", "|10>", "--output", out],
+        "ket": ["sweep", f"--initial-state={text}", "--output", out],
+    }[kind]
+    if fresh:
+        proc = subprocess.run([sys.executable, "-m", "dephasim.cli", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "<str too long to print>" in err and len(err) <= 600, err[:600]
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-# Each config key, which is also a flag's destination, with its type and help.
+# Each config key, which is also a flag's destination, with the type its text converts to and its help.
 _OPTIONS = {
     "initial_state": (
         str,
@@ -50,8 +50,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def _check_value(self, action, value):  # argparse's own message quotes the whole value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(action.choices)
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
+
     def parse_args(self, args=None, namespace=None):
-        parsed = super().parse_args(args, namespace)
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
         # argparse drops a "--" value, so --flag=-- arrives as an empty list.
         for name, value in vars(parsed).items():
             if value == []:
@@ -77,8 +84,7 @@ def _build_parser() -> _Parser:
         command.set_defaults(run=run, keys=keys, dims=dims)
         command.add_argument("--config", help="key = value config file; flags override its entries")
         for key in keys:
-            kind, key_help = _OPTIONS[key]
-            command.add_argument("--" + key.replace("_", "-"), type=kind, help=key_help)
+            command.add_argument("--" + key.replace("_", "-"), help=_OPTIONS[key][1])
 
     compare = sub.add_parser("compare", help=f"compare entangled windows (C > {ENTANGLEMENT_THRESHOLD:g}) of two CSVs")
     compare.set_defaults(run=_cmd_compare)
@@ -117,7 +123,12 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
                     SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from None
-    merged.update((key, getattr(args, key)) for key in args.keys if getattr(args, key) is not None)
+    for key in args.keys:
+        if getattr(args, key) is not None:
+            try:
+                merged[key] = _parsed(_OPTIONS[key][0], getattr(args, key))
+            except ValueError as exc:
+                raise ValueError(f"argument --{key.replace('_', '-')}: {exc}") from None
     if "initial_state" not in merged:
         raise ValueError("an initial state is required (flag --initial-state or config file)")
     if "output" not in merged:

@@ -44,7 +44,7 @@ def _shown(value) -> str:
 
 
 def _parsed(kind: type, text: str):
-    """kind(text) for a str, int or float from a file; a text that does not convert is shown by _shown."""
+    """kind(text) for a str, int or float from a file or a flag; a text that does not convert is shown by _shown."""
     try:
         return kind(text)
     except ValueError as exc:  # int() and float() end their message with the text's whole repr

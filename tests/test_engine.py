@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from scipy.linalg import expm
 
 from dephasim import (
     DephasimError,
@@ -22,8 +23,7 @@ from dephasim import (
     stationary_xforms,
     validate,
 )
-from dephasim.engine import build_liouvillian, collective_jz, evolve, extract_xform, stationary_state
-from dephasim.linalg import matrix_exponential
+from dephasim.engine import _propagators, build_liouvillian, collective_jz, evolve, extract_xform, stationary_state
 from oracles import kronecker_liouvillian, random_density, random_pure, rk4_stationary, taylor_expm, xform_reference
 
 
@@ -122,7 +122,7 @@ def test_liouvillian_is_bit_identical_to_kronecker_reference(omega1):
 
 def test_a_nan_generator_propagates_no_state():
     with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
-        evolve(bell("phi-").matrix, matrix_exponential(np.full((16, 16), np.nan) * 0.5))
+        evolve(bell("phi-").matrix, np.full((16, 16), np.nan))
 
 
 def test_liouvillian_preserves_trace():
@@ -147,10 +147,10 @@ def test_drive_off_equals_zero_intensity_drive():
 
 def test_dephasing_rate_of_outer_coherence():
     # |11><00| connects total-spin projections +1 and -1, so it decays at 2*gamma
-    gen = build_liouvillian(0.0)
     rho0 = bell("psi+")
-    for gamma_t in (0.1, 0.5, 1.0, 2.0):
-        rho_t = evolve(rho0.matrix, matrix_exponential(gen * gamma_t))
+    times = (0.1, 0.5, 1.0, 2.0)
+    for gamma_t, propagator in zip(times, _propagators(0.0, times)):
+        rho_t = evolve(rho0.matrix, propagator)
         assert abs(abs(rho_t[0, 3]) - 0.5 * np.exp(-2.0 * gamma_t)) <= 1e-8
 
 
@@ -177,23 +177,21 @@ def test_the_spectrum_matches_a_50_digit_reference_with_both_decay_rates():
 
 
 def test_propagator_matches_taylor_series_path():
-    gen = build_liouvillian(3.0)
     rho0 = bell("psi+")
     t = 0.7
-    via_series = taylor_expm(gen * t) @ rho0.matrix.reshape(-1, order="F")
-    via_engine = evolve(rho0.matrix, matrix_exponential(gen * t)).reshape(-1, order="F")
+    via_series = taylor_expm(kronecker_liouvillian((2, 2), 3.0, 1.0, True) * t) @ rho0.matrix.reshape(-1, order="F")
+    (propagator,) = _propagators(3.0, [t])
+    via_engine = evolve(rho0.matrix, propagator).reshape(-1, order="F")
     assert np.max(np.abs(via_series - via_engine)) <= 1e-12
 
 
 def test_stacked_propagators_have_the_bits_of_single_ones():
     # run_sweep's speed rests on this: a propagator formed in a stack is bit
     # for bit (signs of zeros and NaNs included) the one formed alone.
-    gen = build_liouvillian(31.25)
     times = [0.0, *np.linspace(0.0, 4.0, 130), 1e2, 1e4, 1e6, 1e10, 1e19]
     with np.errstate(over="ignore", invalid="ignore"):  # 1e19 overflows
-        stacked = matrix_exponential(gen * np.reshape(times, (-1, 1, 1)))
-        for t, propagator in zip(times, stacked, strict=True):
-            alone = matrix_exponential(gen * t)
+        for t, propagator in zip(times, _propagators(31.25, times), strict=True):
+            (alone,) = _propagators(31.25, [t])
             assert np.array_equal(propagator.view(np.uint64), alone.view(np.uint64)), t
 
 
@@ -205,45 +203,44 @@ def test_singlet_is_fixed_point():
 
 
 def test_evolve_identity_at_zero_time():
-    gen = build_liouvillian(31.25)
     rho = bell("phi+")
-    assert np.array_equal(evolve(rho.matrix, matrix_exponential(gen * 0.0)), rho.matrix)
+    (propagator,) = _propagators(31.25, [0.0])
+    assert np.array_equal(evolve(rho.matrix, propagator), rho.matrix)
 
 
 def test_diagonal_states_are_invariant():
-    gen = build_liouvillian(0.0)
     rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
-    for t in (0.3, 2.0, 7.0):
-        assert np.max(np.abs(evolve(rho.matrix, matrix_exponential(gen * t)) - rho.matrix)) <= 1e-12
+    for propagator in _propagators(0.0, (0.3, 2.0, 7.0)):
+        assert np.max(np.abs(evolve(rho.matrix, propagator) - rho.matrix)) <= 1e-12
 
 
 def test_semigroup_property():
     rng = np.random.default_rng(31)
-    gen = build_liouvillian(31.25)
     rho = validate(random_density(rng, 4), (2, 2))
     for t1, t2 in ((0.1, 0.25), (0.4, 1.1)):
-        two_step = evolve(evolve(rho.matrix, matrix_exponential(gen * t1)), matrix_exponential(gen * t2))
-        one_step = evolve(rho.matrix, matrix_exponential(gen * (t1 + t2)))
+        first, second, both = _propagators(31.25, [t1, t2, t1 + t2])
+        two_step = evolve(evolve(rho.matrix, first), second)
+        one_step = evolve(rho.matrix, both)
         assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
 
 def test_purity_non_increasing_without_drive():
     rng = np.random.default_rng(32)
-    gen = build_liouvillian(0.0)
     rho = validate(random_density(rng, 4, rank=2), (2, 2))
-    purities = [
-        np.trace((m := evolve(rho.matrix, matrix_exponential(gen * t))) @ m).real for t in (0.0, 0.2, 0.5, 1.0, 3.0)
-    ]
+    propagated = [evolve(rho.matrix, propagator) for propagator in _propagators(0.0, (0.0, 0.2, 0.5, 1.0, 3.0))]
+    purities = [np.trace(m @ m).real for m in propagated]
     assert all(later <= earlier + 1e-12 for earlier, later in zip(purities, purities[1:]))
 
 
 def test_fixed_point_matches_long_time_limit():
     rng = np.random.default_rng(33)
-    qutrit_gen = kronecker_liouvillian((3, 3), 0.0, 1.0, False)
-    for dims, gen in (((2, 2), build_liouvillian(0.0)), ((3, 3), qutrit_gen)):
+    # the qutrit pair has no propagator in the engine: scipy's expm of the oracle's generator stands in
+    (qubit_propagator,) = _propagators(0.0, [50.0])
+    qutrit_propagator = expm(kronecker_liouvillian((3, 3), 0.0, 1.0, False) * 50.0)
+    for dims, propagator in (((2, 2), qubit_propagator), ((3, 3), qutrit_propagator)):
         rho = validate(random_density(rng, dims[0] * dims[1]), dims)
         projected = dephasing_fixed_point(rho)
-        longtime = evolve(rho.matrix, matrix_exponential(gen * 50.0))
+        longtime = evolve(rho.matrix, propagator)
         assert np.max(np.abs(projected.matrix - longtime)) <= 1e-8
         # idempotent, trace-exact, and positivity-safe
         again = dephasing_fixed_point(projected)
@@ -295,10 +292,11 @@ def test_fixed_point_is_the_idempotent_jz_block_projection(dims, seed, rank):
 
 
 def test_stationary_state_at_zero_action_time():
-    robust = stationary_state(bell("phi-").matrix, matrix_exponential(build_liouvillian(31.25) * 0.0))
+    (propagator,) = _propagators(31.25, [0.0])
+    robust = stationary_state(bell("phi-").matrix, propagator)
     x = extract_xform(robust)
     assert abs(x.b - 0.5) <= 1e-12 and abs(x.f + 0.5) <= 1e-12
-    fragile = stationary_state(bell("psi+").matrix, matrix_exponential(build_liouvillian(31.25) * 0.0))
+    fragile = stationary_state(bell("psi+").matrix, propagator)
     assert np.max(np.abs(fragile - np.diag([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
 
 
@@ -316,8 +314,9 @@ def test_stationary_state_leaves_positivity_to_the_pinched_xform():
 
 def test_stationary_state_matches_rk4_oracle():
     rho0 = bell("phi-")
-    for gamma_t in (0.05, 0.31, 0.8):
-        ours = stationary_state(rho0.matrix, matrix_exponential(build_liouvillian(31.25) * gamma_t))
+    times = (0.05, 0.31, 0.8)
+    for gamma_t, propagator in zip(times, _propagators(31.25, times)):
+        ours = stationary_state(rho0.matrix, propagator)
         reference = rk4_stationary(rho0.matrix, 31.25, gamma_t)
         assert np.max(np.abs(ours - reference)) <= 1e-6
 
@@ -338,8 +337,9 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
     for omega1 in (0.0, 31.25, 100.0, 1e3, 1e4):
         # Without the drive only the dephasing fixed point of rho0 is left.
         limit = driven_limit if omega1 else dephasing_fixed_point(rho0).matrix
-        for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            rho = stationary_state(rho0.matrix, matrix_exponential(build_liouvillian(omega1) * t))
+        times = (1e2, 1e3, 1e4, 1e5, 1e6)
+        for t, propagator in zip(times, _propagators(omega1, times)):
+            rho = stationary_state(rho0.matrix, propagator)
             assert np.max(np.abs(rho - limit)) <= 1e-9, (omega1, t)
 
 
@@ -475,29 +475,29 @@ def test_stationary_states_are_always_x_form():
     rng = np.random.default_rng(35)
     rho0 = bell("phi-")
     for _ in range(20):
-        generator = build_liouvillian(float(rng.uniform(0, 40)))
-        extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * float(rng.uniform(0, 3)))))  # must not raise
+        (propagator,) = _propagators(float(rng.uniform(0, 40)), [float(rng.uniform(0, 3))])
+        extract_xform(stationary_state(rho0.matrix, propagator))  # must not raise
 
 
 def _bits(x: StationaryXForm) -> list[np.ndarray]:
     return [np.ascontiguousarray(getattr(x, name)).view(np.uint64) for name in "abcdf"]
 
 
-def _per_point(rho0, generator, t):
+def _per_point(rho0, omega1, t):
     """The stationary state of one pulse time, its propagator formed alone; an
     overflowing propagator fails the state check, as in stationary_xforms."""
     with np.errstate(over="ignore", invalid="ignore"):
-        propagator = matrix_exponential(generator * t)
+        (propagator,) = _propagators(omega1, [t])
     return stationary_state(rho0.matrix, propagator)
 
 
 @pytest.mark.parametrize("which", ["phi-", "psi+"])
 def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
-    rho0, generator = bell(which), build_liouvillian(31.25)
+    rho0 = bell(which)
     grid = np.linspace(0.0, 4.0, 2000)
     shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
     for times in (grid, shuffled):
-        per_point = extract_xform(np.stack([_per_point(rho0, generator, t) for t in times]))
+        per_point = extract_xform(np.stack([_per_point(rho0, 31.25, t) for t in times]))
         stacked = stationary_xforms(rho0, 31.25, times)
         assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
 
@@ -518,8 +518,8 @@ _SEVENTY_TIMES = np.linspace(0.0, 4.0, 70).tolist()  # past the first block edge
 @example(which="phi-", omega1=1.0 / 3.0, times=_SEVENTY_TIMES)
 @example(which="psi+", omega1=1.5e-323, times=_SEVENTY_TIMES)  # subnormal drive
 def test_stationary_xforms_have_the_bits_of_the_per_point_path_at_any_drive(which, omega1, times):
-    rho0, generator = bell(which), build_liouvillian(omega1)
-    per_point = extract_xform(np.reshape([_per_point(rho0, generator, t) for t in times], (-1, 4, 4)))
+    rho0 = bell(which)
+    per_point = extract_xform(np.reshape([_per_point(rho0, omega1, t) for t in times], (-1, 4, 4)))
     assert all(map(np.array_equal, _bits(stationary_xforms(rho0, omega1, times)), _bits(per_point)))
 
 
@@ -607,11 +607,11 @@ def test_stationary_xforms_check_the_drive_then_the_times_then_the_state():
 def test_stationary_xforms_raise_the_first_failing_times_error():
     # At omega1 = 1e17 point 1 is the first whose propagator overflows; the
     # later points of its block of 64 overflow too.
-    rho0, generator = parse_ket_expression("|10>", (2, 2)), build_liouvillian(1e17)
+    rho0 = parse_ket_expression("|10>", (2, 2))
     times = np.linspace(0.0, 1e4, 200)
     with pytest.raises(StateValidationError, match="not Hermitian") as per_point:
         for t in times:
-            _per_point(rho0, generator, t)
+            _per_point(rho0, 1e17, t)
     with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, 1e17, times)
     assert str(stacked.value) == str(per_point.value)
@@ -623,21 +623,21 @@ def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_pat
     # Blocks of 64: a partial first block, a full one, one more time, and a
     # partial third block; shuffled, so no block is sorted by time. A narrower
     # float drive and times give the bits of their float64 values.
-    rho0, generator = bell("phi-"), build_liouvillian(31.25)
+    rho0 = bell("phi-")
     times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count)).astype(dtype)
-    per_point = extract_xform(np.stack([_per_point(rho0, generator, float(t)) for t in times]))
+    per_point = extract_xform(np.stack([_per_point(rho0, 31.25, float(t)) for t in times]))
     assert all(map(np.array_equal, _bits(stationary_xforms(rho0, dtype(31.25), times)), _bits(per_point)))
 
 
 def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():
     # Index 64 is the first slot of the second block; its propagator overflows.
-    rho0, generator = bell("phi-"), build_liouvillian(31.25)
+    rho0 = bell("phi-")
     times = np.random.default_rng(64).uniform(0.0, 4.0, 129)
     times[64] = 1e30
     for t in times[:64]:
-        _per_point(rho0, generator, t)  # every earlier time passes on its own
+        _per_point(rho0, 31.25, t)  # every earlier time passes on its own
     with pytest.raises(StateValidationError) as alone:
-        _per_point(rho0, generator, times[64])
+        _per_point(rho0, 31.25, times[64])
     with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, 31.25, times)
     assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))

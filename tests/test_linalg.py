@@ -1,17 +1,21 @@
 import importlib.machinery
 import importlib.util
 import itertools
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dephasim import DimensionMismatchError, partial_transpose
+from dephasim import DimensionMismatchError, SweepConfig, partial_transpose, run_sweep
+import dephasim.engine as engine_module
 from dephasim.engine import build_liouvillian
 import dephasim.linalg as linalg_module
 from dephasim.linalg import _pade_kernels, matrix_exponential
 from oracles import diagonal_slices_oracle, partial_trace_oracle, random_density, taylor_expm
+from test_package import _KERNELS, SRC
 
 
 def test_expm_trivial_cases():
@@ -166,6 +170,15 @@ def test_expm_of_diagonal_slices_has_the_bits_of_scipy():
     _assert_scipy_bits(np.array(entries, dtype=complex).reshape(8, 1, 1))
 
 
+def test_a_sweep_exponentiates_at_most_64_pulse_times_per_call(monkeypatch):
+    # The engine's blocks bound its memory: one stack for a 2000-point grid adds ~29 MB of peak RSS.
+    shapes = []
+    monkeypatch.setattr(engine_module, "matrix_exponential", lambda m: shapes.append(m.shape) or matrix_exponential(m))
+    run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=200))
+    assert shapes[:4] == [(64, 16, 16)] * 3 + [(8, 16, 16)]  # the grid takes exactly 4 calls
+    assert len(shapes) > 4 and max(shape[0] for shape in shapes) <= 64  # then the refinement's
+
+
 @pytest.fixture
 def pade_calls(monkeypatch):
     """(slice, s) of each pick_pade_structure call that matrix_exponential makes, in order."""
@@ -274,3 +287,50 @@ def test_partial_transpose_never_shares_memory_with_its_input(d):
         pt = partial_transpose(given, (d, d))
         assert not np.shares_memory(pt, given) and pt.flags.writeable
         assert np.array_equal(pt, partial_transpose(np.array(given), (d, d)))
+
+
+# In a fresh interpreter, matrix_exponential loads scipy's Pade kernels by
+# themselves; this process already holds scipy.linalg, so only a child reaches
+# that branch. Each stage prints the scipy modules loaded after it: a
+# triangular slice imports no scipy.linalg either, and agrees with scipy's own
+# triangular formula to rounding.
+_COLD_EXPM = """
+import sys
+import numpy as np
+from dephasim.engine import build_liouvillian
+from dephasim.linalg import matrix_exponential
+
+def loaded():
+    print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), flush=True)
+
+generator = build_liouvillian(31.25)
+stack = np.concatenate(
+    [generator * np.linspace(0.0, 40.0, 7)[:, None, None], np.zeros((2, 16, 16)),
+     np.diag(np.diag(generator))[None], np.diag(np.arange(16) * (1 - 2j))[None]]
+)
+got = matrix_exponential(stack)
+loaded()
+triangular = np.triu(generator)
+got_triangular = matrix_exponential(triangular)
+loaded()
+import scipy.linalg
+assert np.array_equal(got.view(np.uint64), scipy.linalg.expm(stack).view(np.uint64))
+want_triangular = scipy.linalg.expm(triangular)
+assert np.linalg.norm(got_triangular - want_triangular) <= 1e-13 * np.linalg.norm(want_triangular)
+print("same bits", flush=True)
+"""
+
+
+def test_cold_expm_loads_the_pade_kernels_alone_with_the_bits_of_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_EXPM],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    generic, triangular, verdict = proc.stdout.splitlines()
+    assert generic.split() == triangular.split() == [_KERNELS]
+    assert verdict == "same bits"

@@ -89,8 +89,8 @@ def test_all_lists_exactly_the_public_names():
     assert set(dephasim.__all__) == public
     assert len(dephasim.__all__) == 27
     # The general measures and the generator wrapper live only in tests/oracles.py;
-    # the cubic coefficients are fields of CriterionReport; stationary_xforms forms
-    # its own propagators.
+    # the cubic coefficients are fields of CriterionReport; the engine's private
+    # _propagators(omega1, times) forms every propagator.
     removed = [
         "Superoperator",
         "concurrence",
@@ -104,13 +104,9 @@ def test_all_lists_exactly_the_public_names():
         assert [name for name in removed if hasattr(namespace, name)] == []
     # Not public, but defined where the benchmark's tracer and the tests look them up:
     # stationary_xforms is the one public step from a drive and pulse times to X-forms.
-    internal = [(dephasim.engine, "collective_jz"), (dephasim.linalg, "matrix_exponential")]
-    internal += [
-        (dephasim.engine, name) for name in ("build_liouvillian", "evolve", "stationary_state", "extract_xform")
-    ]
-    for module, name in internal:
+    for name in ("collective_jz", "build_liouvillian", "_propagators", "evolve", "stationary_state", "extract_xform"):
         assert not hasattr(dephasim, name)
-        assert callable(getattr(module, name))
+        assert callable(getattr(dephasim.engine, name))
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -191,53 +187,6 @@ def test_cold_sweep_loads_only_the_pade_kernels_and_matches_in_process_bytes(tmp
     assert _KERNELS in loaded and "scipy.linalg" not in loaded
     assert main(args + [str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
-
-
-# In a fresh interpreter, matrix_exponential loads scipy's Pade kernels by
-# themselves; this process already holds scipy.linalg, so only a child reaches
-# that branch. Each stage prints the scipy modules loaded after it: a
-# triangular slice imports no scipy.linalg either, and agrees with scipy's own
-# triangular formula to rounding.
-_COLD_EXPM = """
-import sys
-import numpy as np
-from dephasim.engine import build_liouvillian
-from dephasim.linalg import matrix_exponential
-
-def loaded():
-    print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), flush=True)
-
-generator = build_liouvillian(31.25)
-stack = np.concatenate(
-    [generator * np.linspace(0.0, 40.0, 7)[:, None, None], np.zeros((2, 16, 16)),
-     np.diag(np.diag(generator))[None], np.diag(np.arange(16) * (1 - 2j))[None]]
-)
-got = matrix_exponential(stack)
-loaded()
-triangular = np.triu(generator)
-got_triangular = matrix_exponential(triangular)
-loaded()
-import scipy.linalg
-assert np.array_equal(got.view(np.uint64), scipy.linalg.expm(stack).view(np.uint64))
-want_triangular = scipy.linalg.expm(triangular)
-assert np.linalg.norm(got_triangular - want_triangular) <= 1e-13 * np.linalg.norm(want_triangular)
-print("same bits", flush=True)
-"""
-
-
-def test_cold_expm_loads_the_pade_kernels_alone_with_the_bits_of_scipy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_EXPM],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    generic, triangular, verdict = proc.stdout.splitlines()
-    assert generic.split() == triangular.split() == [_KERNELS]
-    assert verdict == "same bits"
 
 
 def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):

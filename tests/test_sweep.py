@@ -23,7 +23,6 @@ from dephasim import (
     concurrence_xform,
     detect_local_maxima,
     detect_transitions,
-    mutual_information_xform,
     parse_ket_expression,
     read_csv,
     run_qutrit_scan,
@@ -32,8 +31,7 @@ from dephasim import (
     write_criterion_report,
     write_csv,
 )
-from dephasim.engine import build_liouvillian, extract_xform, stationary_state
-from dephasim.linalg import matrix_exponential
+from dephasim.engine import _propagators, extract_xform, stationary_state
 import dephasim.engine as engine_module
 import dephasim.sweep as sweep_module
 from dephasim import cli, errors
@@ -246,37 +244,17 @@ def test_refined_transitions_sit_on_the_curve_zero():
     )
     result = run_sweep(config)
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
-    for transition in result.transitions:
-        generator = build_liouvillian(config.omega_ratio)
-        c_value = concurrence_xform(extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * transition))))
-        assert abs(c_value) <= 1e-6
-
-
-@pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
-def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
-    # run_sweep builds its generator once and exponentiates its grid in
-    # blocks; a new generator and a block of one for every point must give the
-    # same bits, also where the last block is partly filled.
-    for samples in (130, 200):
-        config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=samples)
-        result = run_sweep(config)
-        rho0 = parse_ket_expression(ket, (2, 2))
-        rows = []
-        for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
-            generator = build_liouvillian(config.omega_ratio)
-            x = extract_xform(stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t)))
-            rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
-        columns = zip(result.gamma_t, result.concurrence, result.mutual_information)
-        assert np.array_equal(np.array(list(columns)), np.array(rows)), samples
+    for propagator in _propagators(config.omega_ratio, result.transitions):
+        assert abs(concurrence_xform(extract_xform(stationary_state(rho0.matrix, propagator)))) <= 1e-6
 
 
 def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
     """Rows, transitions and maxima with a block of one and scalar closed forms per point."""
     rho0 = parse_ket_expression(ket, (2, 2))
-    generator = build_liouvillian(omega_ratio)
 
     def fields(gamma_t):
-        m = stationary_state(rho0.matrix, matrix_exponential(generator * gamma_t))
+        (propagator,) = _propagators(omega_ratio, [gamma_t])
+        m = stationary_state(rho0.matrix, propagator)
         return (*(float(m[i, i].real) for i in range(4)), complex(m[1, 2]))
 
     grid = np.linspace(0.0, gamma_t_max, samples)
@@ -1026,6 +1004,25 @@ def test_a_long_input_is_shown_on_one_short_line(tmp_path, capsys, kind, text, f
     assert "<str too long to print>" in err and len(err) <= 600, err[:600]
 
 
+# argparse's own errors: a value of each typed flag, a stray argument and an unknown command.
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["sweep", "--omega-ratio=" + "x" * 5000], "argument --omega-ratio: "),
+        (["sweep", "--gamma-t-max=" + "x" * 5000], "argument --gamma-t-max: "),
+        (["sweep", "--samples=" + "x" * 5000], "argument --samples: "),
+        (["sweep", "x" * 5000], "unrecognized arguments: "),
+        (["x" * 5000], "invalid choice: "),
+    ],
+    ids=["omega-ratio", "gamma-t-max", "samples", "stray", "command"],
+)
+def test_a_long_argument_is_shown_on_one_short_line(tmp_path, capsys, argv, names):
+    assert main([*argv, "--initial-state", "|10>", "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert names in err and "<str too long to print>" in err and len(err) < 600, err[:600]
+
+
 @pytest.mark.parametrize(
     "command, ket",
     [("sweep", "|10> - |10>"), ("qutrit", "|0,0> - |0,0>")],
@@ -1064,11 +1061,10 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
     # propagators overflow too. The sweep stops with point 1's own error and,
     # as the suite fails on RuntimeWarnings, with no warning.
     rho0 = parse_ket_expression("|10>", (2, 2))
-    generator = build_liouvillian(1e17)
     with pytest.raises(errors.StateValidationError, match="not Hermitian") as point_by_point:
         for gamma_t in np.linspace(0.0, 1e4, 200):
             with np.errstate(over="ignore", invalid="ignore"):
-                propagator = matrix_exponential(generator * gamma_t)
+                (propagator,) = _propagators(1e17, [gamma_t])
             stationary_state(rho0.matrix, propagator)
     argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
     argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]

@@ -175,11 +175,8 @@ def extract_xform(states: np.ndarray) -> StationaryXForm:
 def _propagators(omega1: float, times) -> Iterator[np.ndarray]:
     """exp(L t) for L = build_liouvillian(omega1) and each of `times`, in order: the one path to a propagator.
 
-    The drive, then the times, are checked at once, before any exponential.
-    The iterator makes one matrix_exponential call per _BLOCK times; it runs
-    scipy's Pade kernels per slice and squares the block as one stack, with
-    one matrix's zgemm on each slice, so each propagator has the bits of
-    matrix_exponential(L * t). The caller holds np.errstate, as for evolve.
+    The drive, then the times, are checked at once. Each matrix_exponential call takes _BLOCK times,
+    and each propagator keeps the bits of matrix_exponential(L * t). The caller holds np.errstate.
     """
     generator, ts = build_liouvillian(omega1), _pulse_times(times)
     return (p for k in range(0, len(ts), _BLOCK) for p in matrix_exponential(generator * ts[k : k + _BLOCK]))
@@ -188,22 +185,19 @@ def _propagators(omega1: float, times) -> Iterator[np.ndarray]:
 def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXForm:
     """X-forms of the stationary states that pulses of each of `times` at drive omega1 leave from rho0.
 
-    Its propagators come from _propagators, the one path to exp(L t), which
-    builds the generator once per call. Each time gets one stationary_state,
-    which checks Hermiticity and trace, and the stack one extract_xform, whose
-    StationaryXForm checks positivity of what is reported. The earliest
-    failing time raises the error it would raise on its own. rho0 must be a
-    qubit pair, even when `times` is empty; the steps after this check trust it.
+    Each exp(L t) from _propagators, its one path, gets one stationary_state (Hermiticity and trace
+    checks) and the stack one extract_xform, whose StationaryXForm checks positivity. The earliest
+    failing time raises its own error. rho0 must be a qubit pair, even for no times; later steps trust it.
     """
     propagators = _propagators(omega1, times)
     if rho0.dims != (2, 2):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho0.dims}")
-    states = np.empty((len(times), 4, 4), dtype=complex)
+    states = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
-        for k, propagator in enumerate(propagators):
+        for propagator in propagators:
             try:
-                states[k] = stationary_state(rho0.matrix, propagator)
+                states.append(stationary_state(rho0.matrix, propagator))
             except StateValidationError:
-                extract_xform(states[:k])  # an earlier point's X-form error wins
+                extract_xform(np.reshape(states, (-1, 4, 4)))  # an earlier point's X-form error wins
                 raise
-    return extract_xform(states)
+    return extract_xform(np.reshape(states, (-1, 4, 4)))

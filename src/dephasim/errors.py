@@ -43,12 +43,12 @@ def _shown(value) -> str:
     return f"<{type(value).__name__} too long to print>"
 
 
-def _parsed(kind: type, text: str):
-    """kind(text) for a str, int or float from a file or a flag; a text that does not convert is shown by _shown."""
+def _parsed(kind: type, text: str, error: type = ValueError):
+    """kind(text) for a str, int or float from a file or a flag; one that does not convert raises `error` via _shown."""
     try:
         return kind(text)
     except ValueError as exc:  # int() and float() end their message with the text's whole repr
-        raise ValueError(f"{str(exc).partition(': ')[0]}: {_shown(text)}") from None
+        raise error(f"{str(exc).partition(': ')[0]}: {_shown(text)}") from None
 
 
 def _numbers(name: str, value, dtype: type = float) -> np.ndarray:

@@ -23,6 +23,7 @@ from dephasim import (
     concurrence_xform,
     detect_local_maxima,
     detect_transitions,
+    mutual_information_xform,
     parse_ket_expression,
     read_csv,
     run_qutrit_scan,
@@ -246,6 +247,24 @@ def test_refined_transitions_sit_on_the_curve_zero():
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
     for propagator in _propagators(config.omega_ratio, result.transitions):
         assert abs(concurrence_xform(extract_xform(stationary_state(rho0.matrix, propagator)))) <= 1e-6
+
+
+@pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
+def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
+    # run_sweep builds its generator once and exponentiates its grid in
+    # blocks; a new generator and a block of one for every point must give the
+    # same bits, also where the last block is partly filled.
+    for samples in (130, 200):
+        config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=samples)
+        result = run_sweep(config)
+        rho0 = parse_ket_expression(ket, (2, 2))
+        rows = []
+        for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
+            (propagator,) = _propagators(config.omega_ratio, [gamma_t])
+            x = extract_xform(stationary_state(rho0.matrix, propagator))
+            rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
+        columns = zip(result.gamma_t, result.concurrence, result.mutual_information)
+        assert np.array_equal(np.array(list(columns)), np.array(rows)), samples
 
 
 def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):

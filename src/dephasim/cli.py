@@ -15,6 +15,7 @@ from .states import parse_ket_expression
 from .sweep import (
     ENTANGLEMENT_THRESHOLD,
     SweepConfig,
+    _fmt,
     compare_windows,
     read_csv,
     read_text_lines,
@@ -49,13 +50,15 @@ _RANGED_KEYS = ("omega_ratio", "gamma_t_max", "samples")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # Every argparse message ends here; one may quote an argument, or its part after "=", whole.
+        for text in (part for arg in self._argv for part in (arg, arg.partition("=")[2])):
+            if _shown(text) != repr(text):
+                message = message.replace(repr(text), _shown(text)).replace(text, _shown(text))
         raise ValueError(message)
 
-    # argparse's private hook, whose message quotes the whole value; checked on Python 3.11, tested by CI on 3.10 too
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self._argv, namespace)
 
     def parse_args(self, args=None, namespace=None):
         parsed, extras = self.parse_known_args(args, namespace)
@@ -167,7 +170,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"simultaneously entangled: {report.overlap_count}")
     if 0 < report.overlap_count <= 20:
         for gamma_t in report.overlap_gamma_t:
-            print(f"  overlap at gamma_T = {gamma_t:.12g}")
+            print(f"  overlap at gamma_T = {_fmt(gamma_t)}")
     return EXIT_OK
 
 

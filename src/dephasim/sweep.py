@@ -27,13 +27,14 @@ ENTANGLEMENT_THRESHOLD = 1e-9
 _REFINE_TOL = 1e-9
 
 CSV_HEADER = "gamma_T,concurrence,mutual_information"
+_FMT = "%.12g"  # the text of every number in the CSV, the reports and the overlap listing
 # The first word of each feature comment, and the names of its values in order.
 _FEATURES = {"transition": ("gamma_T",), "maximum": tuple(CSV_HEADER.split(","))}
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Inputs of one sweep."""
+    """Inputs of one sweep, held as the numbers its checks return, not as the caller's objects."""
 
     initial_state: str
     omega_ratio: float = 31.25
@@ -43,13 +44,14 @@ class SweepConfig:
 
     def __post_init__(self):
         try:
-            operator.index(self.samples)
+            samples = operator.index(self.samples)
         except TypeError:
             raise ValueError(f"samples must be an integer, got {_shown(self.samples)}") from None
-        if self.samples < 2:
+        if samples < 2:
             raise ValueError(f"samples must be at least 2, got {_shown(self.samples)}")
-        _checked_float("gamma_t_max", self.gamma_t_max, positive=True)
-        _checked_float("omega_ratio", self.omega_ratio)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "gamma_t_max", _checked_float("gamma_t_max", self.gamma_t_max, positive=True))
+        object.__setattr__(self, "omega_ratio", _checked_float("omega_ratio", self.omega_ratio))
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if workers != 1:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {_shown(workers)}")
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
-    t_max, samples = config.gamma_t_max, config.samples
-    grid = np.linspace(0.0, float(t_max), samples)  # a float32 t_max would make a float32 grid
+    grid = np.linspace(0.0, config.gamma_t_max, config.samples)
     if not np.all(np.diff(grid) > 0):  # written so that a NaN fails it
-        raise ValueError(f"gamma_t_max {_shown(t_max)} is too small for {_shown(samples)} distinct samples")
+        raise ValueError(f"gamma_t_max {_shown(config.gamma_t_max)} is too small for {config.samples} distinct samples")
     x = stationary_xforms(rho0, config.omega_ratio, grid)
     result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
     transitions = detect_transitions(
@@ -176,13 +177,13 @@ def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return _FMT % value
 
 
 def write_csv(result: SweepResult, path: str) -> None:
     """Write rows at 12 significant digits; transitions and maxima as '#' comments."""
     rows = zip(result.gamma_t.tolist(), result.concurrence.tolist(), result.mutual_information.tolist())
-    lines = [CSV_HEADER, *("%.12g,%.12g,%.12g" % row for row in rows)]  # _fmt's text for a Python float
+    lines = [CSV_HEADER, *map(",".join([_FMT] * 3).__mod__, rows)]  # one % per row, _fmt's text in each cell
     features = [("transition", (t,)) for t in result.transitions] + [("maximum", m) for m in result.maxima]
     for kind, values in features:
         lines.append(f"# {kind} " + " ".join(f"{n} = {_fmt(v)}" for n, v in zip(_FEATURES[kind], values)))

@@ -74,7 +74,7 @@ def test_collective_jz_rejects_unsupported_dims(dims, shown):
     ],
     ids=["nan", "inf", "-inf", "generator"],
 )
-def test_model_params_reject_non_finite(field, value, shown):
+def test_stationary_xforms_reject_a_bad_drive(field, value, shown):
     message = rf"^drive ratio {field} must be finite and nonnegative, got {re.escape(shown)}$"
     with pytest.raises(ValueError, match=message):
         stationary_xforms(bell("phi-"), value, [1.0])
@@ -343,26 +343,6 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
             assert np.max(np.abs(rho - limit)) <= 1e-9, (omega1, t)
 
 
-# Prints the OpenBLAS core of numpy's and scipy's bundled libraries, read the
-# way CI's OpenBLAS step reads it; "unknown" where a library does not say.
-_OPENBLAS_CORES = """
-import ctypes, pathlib
-import numpy, scipy, scipy.linalg
-for module in (numpy, scipy):
-    libs = pathlib.Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-    core = "unknown"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                core = getter().decode()
-                break
-    print(core)
-"""
-
-
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: on OpenBLAS's Haswell kernel evolve's trace rescale leaves the "
@@ -377,7 +357,7 @@ def test_long_pulses_reach_the_long_time_limit_on_the_haswell_kernel():
             [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True, timeout=300
         )
 
-    cores = run("-c", _OPENBLAS_CORES)
+    cores = run(str(root / "tests" / "openblas_cores.py"))
     if cores.stdout.split() != ["Haswell", "Haswell"]:
         pytest.skip(f"OpenBLAS does not select its Haswell kernel here: {cores.stdout.split()}")
     case = f"{__file__}::test_long_pulses_reach_the_long_time_limit"

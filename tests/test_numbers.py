@@ -17,6 +17,7 @@ from dephasim import (
     SweepConfig,
     SweepResult,
     parse_ket_expression,
+    run_sweep,
     stationary_xforms,
 )
 from dephasim.engine import build_liouvillian
@@ -137,8 +138,13 @@ def test_each_array_accepts_exactly_the_int_and_float_dtypes_or_complex_where_it
             lambda v: SweepResult(v, v, v, transitions=v[1:2], maxima=[v]),
             lambda r: [r.gamma_t, r.concurrence, r.mutual_information, r.transitions, r.maxima],
         ),
+        (
+            np.array(3),
+            lambda v: SweepConfig("|10>", omega_ratio=v, gamma_t_max=v, samples=v),
+            lambda c: [c.omega_ratio, c.gamma_t_max, c.samples],
+        ),
     ],
-    ids=["DensityMatrix", "StationaryXForm", "SweepResult"],
+    ids=["DensityMatrix", "StationaryXForm", "SweepResult", "SweepConfig"],
 )
 def test_a_checked_value_holds_its_own_copy_of_the_callers_array(values, make, read):
     values = values.copy()  # the caller's array, fresh for each run
@@ -146,3 +152,17 @@ def test_a_checked_value_holds_its_own_copy_of_the_callers_array(values, make, r
     before = [np.array(part) for part in read(held)]
     values[...] = 5.0
     assert all(map(np.array_equal, read(held), before))
+
+
+def test_a_sweep_config_of_0d_arrays_is_its_plain_number_twin():
+    arrays = {"omega_ratio": np.array(2), "gamma_t_max": np.array(1.5), "samples": np.array(7)}
+    config = SweepConfig("(|10> - |01>)/sqrt(2)", **arrays)
+    twin = SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=2.0, gamma_t_max=1.5, samples=7)
+    assert config == twin and hash(config) == hash(twin)
+    assert [type(getattr(config, name)) for name in arrays] == [float, float, int]
+    for array in arrays.values():
+        array[...] = 1  # would fail the checks the config passed
+    assert config == twin
+    sweep, twin_sweep = run_sweep(config), run_sweep(twin)
+    assert len(sweep.gamma_t) == 7
+    assert all(np.array_equal(getattr(sweep, name), getattr(twin_sweep, name)) for name in ("gamma_t", "concurrence"))

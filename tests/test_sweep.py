@@ -1023,7 +1023,8 @@ def test_a_long_input_is_shown_on_one_short_line(tmp_path, capsys, kind, text, f
     assert "<str too long to print>" in err and len(err) <= 600, err[:600]
 
 
-# argparse's own errors: a value of each typed flag, a stray argument and an unknown command.
+# argparse's own errors: a value of each typed flag, a stray argument, an unknown command, an
+# abbreviation that could match two flags (also with spaces in its value), and a value given to --help.
 @pytest.mark.parametrize(
     "argv, names",
     [
@@ -1032,8 +1033,11 @@ def test_a_long_input_is_shown_on_one_short_line(tmp_path, capsys, kind, text, f
         (["sweep", "--samples=" + "x" * 5000], "argument --samples: "),
         (["sweep", "x" * 5000], "unrecognized arguments: "),
         (["x" * 5000], "invalid choice: "),
+        (["sweep", "--o=" + "x" * 5000], "ambiguous option: "),
+        (["sweep", "--help=" + "x" * 5000], "argument -h/--help: ignored explicit argument "),
+        (["sweep", "--o=" + "x " * 2500], "ambiguous option: "),
     ],
-    ids=["omega-ratio", "gamma-t-max", "samples", "stray", "command"],
+    ids=["omega-ratio", "gamma-t-max", "samples", "stray", "command", "ambiguous", "help", "ambiguous-spaces"],
 )
 def test_a_long_argument_is_shown_on_one_short_line(tmp_path, capsys, argv, names):
     assert main([*argv, "--initial-state", "|10>", "--output", str(tmp_path / "out")]) == 1

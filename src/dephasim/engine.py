@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -182,14 +182,8 @@ def _propagators(omega1: float, times) -> Iterator[np.ndarray]:
     return (p for k in range(0, len(ts), _BLOCK) for p in matrix_exponential(generator * ts[k : k + _BLOCK]))
 
 
-def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXForm:
-    """X-forms of the stationary states that pulses of each of `times` at drive omega1 leave from rho0.
-
-    Each exp(L t) from _propagators, its one path, gets one stationary_state (Hermiticity and trace
-    checks) and the stack one extract_xform, whose StationaryXForm checks positivity. The earliest
-    failing time raises its own error. rho0 must be a qubit pair, even for no times; later steps trust it.
-    """
-    propagators = _propagators(omega1, times)
+def _xforms(rho0: DensityMatrix, propagators) -> StationaryXForm:
+    """X-forms of what each propagator leaves from rho0, which must be a qubit pair; the earliest failing one raises."""
     if rho0.dims != (2, 2):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho0.dims}")
     states = []
@@ -201,3 +195,37 @@ def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXF
                 extract_xform(np.reshape(states, (-1, 4, 4)))  # an earlier point's X-form error wins
                 raise
     return extract_xform(np.reshape(states, (-1, 4, 4)))
+
+
+def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXForm:
+    """X-forms of the stationary states that pulses of each of `times` at drive omega1 leave from rho0.
+
+    Each exp(L t) comes fresh from _propagators, which checks the drive and times before _xforms checks
+    rho0's dims, even for no times; only a sweep's bisection midpoints compose theirs (_bisection_xforms).
+    """
+    return _xforms(rho0, _propagators(omega1, times))
+
+
+def _bisection_xforms(rho0: DensityMatrix, omega1: float, grid) -> Callable[[np.ndarray], StationaryXForm]:
+    """The step of detect_transitions' bisection of `grid`'s cells: _xforms at its midpoints, in bracket order.
+
+    A midpoint's P = exp(L (mid - lo)) P_lo, its bracket's low end lo being the nearest kept time or grid point
+    below it, as no evaluated time lies in an open bracket. A step makes one _propagators call, for the lows and
+    widths mid - lo (exact by Sterbenz) not kept, and then keeps exp(L t) only at its lows and midpoints.
+    """
+    kept = {}
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed P_lo fails evolve's state check
+    def step(mids: np.ndarray) -> StationaryXForm:
+        nonlocal kept
+        starts = np.sort(np.concatenate([grid, list(kept)]))
+        lo = starts[np.searchsorted(starts, mids) - 1].tolist()
+        widths = (mids - lo).tolist()
+        need = sorted({*lo, *widths} - kept.keys())
+        kept.update(zip(need, _propagators(omega1, need)))
+        p_lo = np.array([kept[t] for t in lo])
+        p_mid = np.array([kept[t] for t in widths]) @ p_lo
+        kept = dict(zip([*lo, *mids.tolist()], [*p_lo, *p_mid]))
+        return _xforms(rho0, p_mid)
+
+    return step

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _checked_float, dephasing_fixed_point, stationary_xforms
+from .engine import _bisection_xforms, _checked_float, dephasing_fixed_point, stationary_xforms
 from .errors import _numbers, _parsed, _shown
 from .measures import (
     CriterionReport,
@@ -115,22 +115,23 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ValueError(f"gamma_t_max {_shown(config.gamma_t_max)} is too small for {config.samples} distinct samples")
     x = stationary_xforms(rho0, config.omega_ratio, grid)
     result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
-    transitions = detect_transitions(
-        result, lambda times: concurrence_xform(stationary_xforms(rho0, config.omega_ratio, times))
-    )
+    midpoint_xforms = _bisection_xforms(rho0, config.omega_ratio, grid)
+    transitions = detect_transitions(result, lambda times: concurrence_xform(midpoint_xforms(times)))
     return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
 
 
 def detect_transitions(
     result: SweepResult, concurrence_of: Callable[[np.ndarray], np.ndarray]
 ) -> list[float]:
-    """Entangled/separable crossing points, bisection-refined on the exact map.
+    """Entangled/separable crossing points, bisection-refined with `concurrence_of`.
 
     Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
     bisected until it is below 1e-9 in gamma_T, every open cell in each step
     of one `concurrence_of(midpoints)` call, which maps times to concurrences.
-    A call that raises ends the bisection with its error: in run_sweep that
-    is the error of the step's earliest failing midpoint, in bracket order.
+    run_sweep's composes each midpoint's propagator as exp(L (mid - lo)) exp(L lo)
+    from its bracket's low end (engine._bisection_xforms). A call that raises
+    ends the bisection with its error: in run_sweep that is the error of the
+    step's earliest failing midpoint, in bracket order.
     """
     entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
     cells = np.flatnonzero(entangled[:-1] != entangled[1:])

@@ -23,20 +23,19 @@ from tracer import Tracer  # noqa: E402
 
 def test_tracer_binds_every_target_and_counts_each_propagation(monkeypatch):
     original = dephasim.engine.stationary_state
-    xforms, calls = dephasim.sweep.stationary_xforms, []
+    detect, steps = dephasim.sweep.detect_transitions, []
 
-    def counting_xforms(*args):
-        calls.append(args)
-        return xforms(*args)
+    def counting_detect(result, concurrence_of):
+        return detect(result, lambda mids: steps.append(len(mids)) or concurrence_of(mids))
 
-    monkeypatch.setattr(dephasim.sweep, "stationary_xforms", counting_xforms)
+    monkeypatch.setattr(dephasim.sweep, "detect_transitions", counting_detect)
     with Tracer() as t:
         run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     grid, refine = t.counts["sweep.grid_evals"], t.counts["sweep.refine_evals"]
     assert t.calls["engine.stationary_state"] == grid + refine
-    assert t.calls["engine.build_liouvillian"] == len(calls)  # one generator per stationary_xforms call
+    assert t.calls["engine.build_liouvillian"] == 1 + len(steps)  # one generator for the grid and one per lockstep step
     assert grid == 50
-    assert refine > 0
+    assert refine == sum(steps) > 0
     assert dephasim.engine.stationary_state is original
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -317,6 +318,75 @@ def test_run_sweep_has_the_bits_of_a_point_by_point_sweep(ket, omega_ratio, gamm
     assert np.array_equal(_bits(result.maxima).reshape(-1), _bits(maxima).reshape(-1))
 
 
+def _random_sweep(seed):
+    """(ket, omega_ratio, gamma_t_max, samples) of a seeded real ket, its grid often too coarse for its drive."""
+    rng = np.random.default_rng(seed)
+    ket = "".join(f"{a:+.6f}|{label}>" for a, label in zip(rng.standard_normal(4), ("11", "10", "01", "00")))
+    samples = int(rng.choice([20, 50, 100, 400]))
+    return ket, float(0.5 * 2e4 ** rng.uniform()), float(rng.uniform(4.0, 100.0)), samples
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_composed_bisection_gives_the_transitions_of_per_point_propagators(seed):
+    # Bisection midpoints get exp(L (mid - lo)) exp(L lo), a fresh exp(L mid) only to rounding;
+    # with omega_ratio 0.5 to 1e4 and gamma_t_max 4 to 100 on 20 to 400 samples, no transition moves a bit.
+    sweep = _random_sweep(seed)
+    _, transitions, _ = _point_by_point_sweep(*sweep)
+    assert np.array_equal(_bits(run_sweep(SweepConfig(*sweep)).transitions), _bits(transitions))
+
+
+def _recorded_bisection(monkeypatch):
+    """The (midpoints, concurrences) of each lockstep bisection step of the sweeps that run from here on."""
+    steps, detect = [], sweep_module.detect_transitions
+
+    def recording(result, concurrence_of):
+        def recorded(mids):
+            steps.append((mids, concurrence_of(mids)))
+            return steps[-1][1]
+
+        return detect(result, recorded)
+
+    monkeypatch.setattr(sweep_module, "detect_transitions", recording)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "ket, midpoints", [("(|10> - |01>)/sqrt(2)", 399), ("(|11> + |00>)/sqrt(2)", 420)], ids=["robust", "fragile"]
+)
+def test_composed_midpoints_are_fresh_ones_to_rounding_at_a_third_of_the_exponentials(monkeypatch, ket, midpoints):
+    made, propagators = [], engine_module._propagators
+    monkeypatch.setattr(engine_module, "_propagators", lambda w, ts: made.append(len(ts)) or propagators(w, ts))
+    steps = _recorded_bisection(monkeypatch)
+    run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
+    assert made[0] == 2000 and len(made) == 1 + len(steps)  # the grid, then one call per step
+    assert sum(made[1:]) < midpoints / 3
+    mids, composed = map(np.concatenate, zip(*steps))
+    fresh = concurrence_xform(stationary_xforms(parse_ket_expression(ket, (2, 2)), 31.25, mids))
+    assert len(mids) == midpoints
+    assert np.max(np.abs(composed - fresh)) <= 1e-13
+
+
+def test_bisection_keeps_two_propagators_per_open_bracket_and_none_past_its_sweep(monkeypatch):
+    helper, refs, sizes = engine_module._bisection_xforms, [], []
+
+    def watched(*args):
+        step = helper(*args)
+        refs.append(weakref.ref(step))
+        kept = lambda: inspect.getclosurevars(inspect.unwrap(step)).nonlocals["kept"]
+
+        def watching(mids):
+            xforms = step(mids)
+            sizes.append((len(kept()), len(mids)))
+            return xforms
+
+        return watching
+
+    monkeypatch.setattr(sweep_module, "_bisection_xforms", watched)
+    run_sweep(SweepConfig("(|11> + |00>)/sqrt(2)", 31.25, 4.0, 2000))
+    assert sizes and all(kept <= 2 * brackets for kept, brackets in sizes)
+    assert [ref() for ref in refs] == [None]
+
+
 def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     # Validation happens at the boundary: the parsed ket is the one DensityMatrix
     # checked, and each evolved state gets the Hermiticity and trace checks as a
@@ -351,12 +421,13 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     monkeypatch.setattr(engine_module, "stationary_state", counting_state)
     monkeypatch.setattr(sweep_module, "stationary_xforms", counting_xforms)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    steps = _recorded_bisection(monkeypatch)
     run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     assert validated == [(2, 2)]
     assert spectra == [(4, 4)]
     assert trusted == []
-    assert times[0] == 50 and len(times) > 1  # the grid, then each lockstep bisection step
-    assert len(propagated) == sum(times)
+    assert times == [50] and steps  # the grid; bisection midpoints compose their propagators
+    assert len(propagated) == 50 + sum(len(mids) for mids, _ in steps)
 
 
 def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monkeypatch):

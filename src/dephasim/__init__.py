@@ -21,8 +21,6 @@ from .sweep import (
     SweepResult,
     WindowOverlapReport,
     compare_windows,
-    detect_local_maxima,
-    detect_transitions,
     read_csv,
     run_qutrit_scan,
     run_sweep,
@@ -46,8 +44,6 @@ __all__ = [
     "compare_windows",
     "concurrence_xform",
     "dephasing_fixed_point",
-    "detect_local_maxima",
-    "detect_transitions",
     "min_pt_eigenvalue",
     "mutual_information_xform",
     "parse_ket_expression",

@@ -206,21 +206,18 @@ def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXF
     return _xforms(rho0, _propagators(omega1, times))
 
 
-def _bisection_xforms(rho0: DensityMatrix, omega1: float, grid) -> Callable[[np.ndarray], StationaryXForm]:
-    """The step of detect_transitions' bisection of `grid`'s cells: _xforms at its midpoints, in bracket order.
+def _bisection_xforms(rho0: DensityMatrix, omega1: float) -> Callable[[np.ndarray, np.ndarray], StationaryXForm]:
+    """The step of detect_transitions' bisection: _xforms at its midpoints, in bracket order, from their brackets' lows.
 
-    A midpoint's P = exp(L (mid - lo)) P_lo, its bracket's low end lo being the nearest kept time or grid point
-    below it, as no evaluated time lies in an open bracket. A step makes one _propagators call, for the lows and
-    widths mid - lo (exact by Sterbenz) not kept, and then keeps exp(L t) only at its lows and midpoints.
+    A midpoint's P = exp(L (mid - lo)) P_lo. A step makes one _propagators call, for the lows and widths
+    mid - lo (exact by Sterbenz) not kept, and then keeps exp(L t) only at its lows and midpoints.
     """
     kept = {}
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowed P_lo fails evolve's state check
-    def step(mids: np.ndarray) -> StationaryXForm:
+    def step(lows: np.ndarray, mids: np.ndarray) -> StationaryXForm:
         nonlocal kept
-        starts = np.sort(np.concatenate([grid, list(kept)]))
-        lo = starts[np.searchsorted(starts, mids) - 1].tolist()
-        widths = (mids - lo).tolist()
+        lo, widths = lows.tolist(), (mids - lows).tolist()
         need = sorted({*lo, *widths} - kept.keys())
         kept.update(zip(need, _propagators(omega1, need)))
         p_lo = np.array([kept[t] for t in lo])

@@ -115,23 +115,22 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ValueError(f"gamma_t_max {_shown(config.gamma_t_max)} is too small for {config.samples} distinct samples")
     x = stationary_xforms(rho0, config.omega_ratio, grid)
     result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
-    midpoint_xforms = _bisection_xforms(rho0, config.omega_ratio, grid)
-    transitions = detect_transitions(result, lambda times: concurrence_xform(midpoint_xforms(times)))
+    midpoint_xforms = _bisection_xforms(rho0, config.omega_ratio)
+    transitions = detect_transitions(result, lambda lows, mids: concurrence_xform(midpoint_xforms(lows, mids)))
     return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
 
 
 def detect_transitions(
-    result: SweepResult, concurrence_of: Callable[[np.ndarray], np.ndarray]
+    result: SweepResult, concurrence_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> list[float]:
     """Entangled/separable crossing points, bisection-refined with `concurrence_of`.
 
     Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
     bisected until it is below 1e-9 in gamma_T, every open cell in each step
-    of one `concurrence_of(midpoints)` call, which maps times to concurrences.
-    run_sweep's composes each midpoint's propagator as exp(L (mid - lo)) exp(L lo)
-    from its bracket's low end (engine._bisection_xforms). A call that raises
-    ends the bisection with its error: in run_sweep that is the error of the
-    step's earliest failing midpoint, in bracket order.
+    of one `concurrence_of(lows, mids)` call, which is handed each open
+    bracket's low end and midpoint, in bracket order, and returns the
+    concurrences at the midpoints. A call that raises ends the bisection
+    with its error.
     """
     entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
     cells = np.flatnonzero(entangled[:-1] != entangled[1:])
@@ -143,7 +142,7 @@ def detect_transitions(
         open_ = np.flatnonzero((hi - lo > _REFINE_TOL) & (mid != lo) & (mid != hi))
         if not open_.size:
             return [float(t) for t in mid]
-        same = (concurrence_of(mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
+        same = (concurrence_of(lo[open_], mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
         lo[open_[same]] = mid[open_[same]]
         hi[open_[~same]] = mid[open_[~same]]
 

@@ -26,7 +26,7 @@ def test_tracer_binds_every_target_and_counts_each_propagation(monkeypatch):
     detect, steps = dephasim.sweep.detect_transitions, []
 
     def counting_detect(result, concurrence_of):
-        return detect(result, lambda mids: steps.append(len(mids)) or concurrence_of(mids))
+        return detect(result, lambda lows, mids: steps.append(len(mids)) or concurrence_of(lows, mids))
 
     monkeypatch.setattr(dephasim.sweep, "detect_transitions", counting_detect)
     with Tracer() as t:

@@ -87,7 +87,7 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(dephasim.__all__) == public
-    assert len(dephasim.__all__) == 27
+    assert len(dephasim.__all__) == 25
     # The general measures and the generator wrapper live only in tests/oracles.py;
     # the cubic coefficients are fields of CriterionReport; the engine's private
     # _propagators(omega1, times) forms every propagator.
@@ -110,6 +110,7 @@ def test_all_lists_exactly_the_public_names():
         (dephasim.engine, name)
         for name in ("build_liouvillian", "_propagators", "evolve", "stationary_state", "extract_xform")
     ]
+    internal += [(dephasim.sweep, name) for name in ("detect_transitions", "detect_local_maxima")]
     for module, name in internal:
         assert not hasattr(dephasim, name)
         assert callable(getattr(module, name))

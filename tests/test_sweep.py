@@ -22,8 +22,6 @@ from dephasim import (
     SweepResult,
     compare_windows,
     concurrence_xform,
-    detect_local_maxima,
-    detect_transitions,
     mutual_information_xform,
     parse_ket_expression,
     read_csv,
@@ -34,6 +32,8 @@ from dephasim import (
     write_csv,
 )
 from dephasim.engine import _propagators, extract_xform, stationary_state
+from dephasim.states import DRIFT_TOL
+from dephasim.sweep import detect_local_maxima, detect_transitions
 import dephasim.engine as engine_module
 import dephasim.sweep as sweep_module
 from dephasim import cli, errors
@@ -52,13 +52,13 @@ def synthetic_result(profile, gamma_t_max=1.0, samples=201, mutual=None):
 
 def test_detect_transitions_constant_curve_has_none():
     result = synthetic_result(lambda g: 1.0)
-    assert detect_transitions(result, np.ones_like) == []
+    assert detect_transitions(result, lambda lows, mids: np.ones_like(mids)) == []
 
 
 def test_detect_transitions_synthetic_sine():
     profile = lambda g: max(0.0, np.sin(10.0 * g))
     result = synthetic_result(profile)
-    transitions = detect_transitions(result, np.vectorize(profile))
+    transitions = detect_transitions(result, lambda lows, mids: np.vectorize(profile)(mids))
     expected = [0.0, np.pi / 10.0, 2 * np.pi / 10.0, 3 * np.pi / 10.0]
     assert len(transitions) == len(expected)
     for got, want in zip(transitions, expected):
@@ -73,7 +73,7 @@ def test_a_failing_bisection_step_raises_the_error_of_its_own_call():
     # Lockstep meets the third bracket's failure at its first step and the
     # first bracket's at its fifth. The step that fails first raises, so the
     # third bracket's error wins, though bracket by bracket the first would.
-    def concurrence_of(times):
+    def concurrence_of(lows, times):
         for t in times:
             if 0.19 < t < 0.2:
                 raise DephasimError("first bracket")
@@ -97,7 +97,7 @@ def test_one_failing_bracket_raises_the_error_of_bracket_by_bracket_bisection():
     with pytest.raises(DephasimError, match="^failed at ") as per_point:
         oracles.bisect_transitions(result.gamma_t, result.concurrence, concurrence_at)
     with pytest.raises(DephasimError) as lockstep:
-        detect_transitions(result, lambda times: np.array([concurrence_at(t) for t in times]))
+        detect_transitions(result, lambda lows, times: np.array([concurrence_at(t) for t in times]))
     assert str(lockstep.value) == str(per_point.value)
 
 
@@ -340,8 +340,8 @@ def _recorded_bisection(monkeypatch):
     steps, detect = [], sweep_module.detect_transitions
 
     def recording(result, concurrence_of):
-        def recorded(mids):
-            steps.append((mids, concurrence_of(mids)))
+        def recorded(lows, mids):
+            steps.append((mids, concurrence_of(lows, mids)))
             return steps[-1][1]
 
         return detect(result, recorded)
@@ -374,8 +374,8 @@ def test_bisection_keeps_two_propagators_per_open_bracket_and_none_past_its_swee
         refs.append(weakref.ref(step))
         kept = lambda: inspect.getclosurevars(inspect.unwrap(step)).nonlocals["kept"]
 
-        def watching(mids):
-            xforms = step(mids)
+        def watching(lows, mids):
+            xforms = step(lows, mids)
             sizes.append((len(kept()), len(mids)))
             return xforms
 
@@ -385,6 +385,44 @@ def test_bisection_keeps_two_propagators_per_open_bracket_and_none_past_its_swee
     run_sweep(SweepConfig("(|11> + |00>)/sqrt(2)", 31.25, 4.0, 2000))
     assert sizes and all(kept <= 2 * brackets for kept, brackets in sizes)
     assert [ref() for ref in refs] == [None]
+
+
+@pytest.mark.parametrize(
+    "ket, crossings, midpoints", [("(|10> - |01>)/sqrt(2)", 19, 399), ("(|11> + |00>)/sqrt(2)", 20, 420)],
+    ids=["robust", "fragile"],
+)
+def test_each_bisection_step_is_handed_its_brackets_low_ends(monkeypatch, ket, crossings, midpoints):
+    helper, calls = engine_module._bisection_xforms, []
+
+    def watched(*args):
+        step = helper(*args)
+        return lambda lows, mids: calls.append((lows, mids)) or step(lows, mids)
+
+    monkeypatch.setattr(sweep_module, "_bisection_xforms", watched)
+    result = run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
+    entangled = result.concurrence > sweep_module.ENTANGLEMENT_THRESHOLD
+    starts = result.gamma_t[np.flatnonzero(entangled[:-1] != entangled[1:])]
+    assert len(starts) == crossings and np.array_equal(calls[0][0], starts)
+    for (lows, mids), (later, _) in zip(calls, calls[1:]):
+        assert np.isin(later, np.concatenate([lows, mids])).all()
+    assert all(np.all(lows < mids) for lows, mids in calls)
+    assert len(calls) == 21 and sum(len(mids) for _, mids in calls) == midpoints
+
+
+def test_no_paper_sweep_state_reaches_the_trace_rescale(monkeypatch):
+    # evolve rescales a trace drifted past DRIFT_TOL; on both paper sweeps no state drifts that far.
+    evolve, drifts = engine_module.evolve, []
+
+    def watched(rho0, propagator):
+        out = (propagator @ rho0.reshape(-1, order="F")).reshape(rho0.shape, order="F")
+        drifts.append(abs(out.trace().real - 1.0))
+        return evolve(rho0, propagator)
+
+    monkeypatch.setattr(engine_module, "evolve", watched)
+    for ket in ("(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"):
+        run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
+    assert len(drifts) == 4819  # 2399 + 2420 propagated states
+    assert max(drifts) <= DRIFT_TOL
 
 
 def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
@@ -452,10 +490,11 @@ def test_detect_transitions_returns_where_float_spacing_exceeds_the_tolerance():
     # timeout turns a bisection that never returns into a failure.
     code = (
         "import numpy as np\n"
-        "from dephasim import SweepResult, detect_transitions\n"
+        "from dephasim import SweepResult\n"
+        "from dephasim.sweep import detect_transitions\n"
         "step = lambda t: np.where(np.asarray(t) < 1.23e7, 1.0, 0.0)\n"
         "grid = np.linspace(0.0, 2e7, 11)\n"
-        "print(*detect_transitions(SweepResult(grid, step(grid), step(grid)), step))\n"
+        "print(*detect_transitions(SweepResult(grid, step(grid), step(grid)), lambda lows, t: step(t)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -23,9 +23,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StateValidationError, _numbers, _shown
 from .linalg import matrix_exponential
-from .states import DRIFT_TOL, POSITIVITY_FLOOR, _PAIRS, DensityMatrix, _check_state, _pair, _trusted_state
+from .states import DRIFT_TOL, POSITIVITY_FLOOR, _PAIRS, DensityMatrix, _check_state, _defects, _pair, _trusted_state
 
 _BLOCK = 64  # propagators per exponential call: 2000 in one stack add 29 MB of peak RSS
+# A propagated state's Hermiticity and trace defects may be 16 times the accuracy contract u (1 + ||L||_2 t),
+# u the unit roundoff and ||L||_2 <= 2 + omega1, plus rho0's own (_xforms), and at most 1e-6, past which it is garbage.
+_STATE_TOL_SCALE, _STATE_TOL_CEILING = 16 * np.finfo(float).eps / 2, 1e-6
 
 
 def _checked_float(name: str, value, positive: bool = False) -> float:
@@ -127,11 +130,11 @@ def _pulse_times(times) -> np.ndarray:
     return ts.reshape(-1, 1, 1)
 
 
-def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+def evolve(rho0: np.ndarray, propagator: np.ndarray, tol: float = DRIFT_TOL) -> np.ndarray:
     """Propagate the matrix rho0 exactly: unvec(P vec(rho0)) for a propagator P = exp(L t) that fits it.
 
-    A positive drifted trace is rescaled; the result then gets _check_state's
-    Hermiticity and trace checks once. The caller holds
+    A trace drifted past DRIFT_TOL is rescaled if positive; the result then gets
+    _check_state's Hermiticity and trace checks, to within `tol`, once. The caller holds
     np.errstate(over="ignore", invalid="ignore"): an overflowed propagator
     (omega1 * t ~ 1e20) then fails the check unwarned.
     """
@@ -142,7 +145,7 @@ def evolve(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     trace = out.trace().real
     if trace > 0 and abs(trace - 1.0) > DRIFT_TOL:
         out = out / trace
-    _check_state(out)
+    _check_state(out, tol)
     return out
 
 
@@ -157,14 +160,14 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     return _trusted_state(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
 
 
-def stationary_state(rho0: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+def stationary_state(rho0: np.ndarray, propagator: np.ndarray, tol: float = DRIFT_TOL) -> np.ndarray:
     """Drive the qubit-pair matrix rho0 with a pulse's `propagator` exp(L t), then dephase forever.
 
-    The evolved state gets evolve's checks. The pinched result's positivity
+    The evolved state gets evolve's checks, to within `tol`. The pinched result's positivity
     is its X-form's check, not this one's. The caller holds
     np.errstate(over="ignore", invalid="ignore"), as for evolve.
     """
-    return evolve(rho0, propagator) * _PAIRS[(2, 2)].fixed_mask
+    return evolve(rho0, propagator, tol) * _PAIRS[(2, 2)].fixed_mask
 
 
 def extract_xform(states: np.ndarray) -> StationaryXForm:
@@ -182,15 +185,23 @@ def _propagators(omega1: float, times) -> Iterator[np.ndarray]:
     return (p for k in range(0, len(ts), _BLOCK) for p in matrix_exponential(generator * ts[k : k + _BLOCK]))
 
 
-def _xforms(rho0: DensityMatrix, propagators) -> StationaryXForm:
-    """X-forms of what each propagator leaves from rho0, which must be a qubit pair; the earliest failing one raises."""
+def _xforms(rho0: DensityMatrix, omega1: float, times, propagators) -> StationaryXForm:
+    """X-forms of what each propagator exp(L t), t in `times`, leaves from rho0, which must be a qubit pair.
+
+    Each state is checked against its own bound (_STATE_TOL_SCALE); the earliest failing one raises.
+    The caller has checked omega1 and the times.
+    """
     if rho0.dims != (2, 2):
         raise DimensionMismatchError(f"stationary form is a two-qubit notion, got dims {rho0.dims}")
     states = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails evolve's state check
-        for propagator in propagators:
+        # exp(L t) is unital: it keeps rho0's trace defect and raises no operator norm (Russo-Dye),
+        # so at most quadruples its Hermiticity defect, the largest entry of a 4x4 matrix.
+        carried = 4 * max(_defects(rho0.matrix))
+        bounds = carried + _STATE_TOL_SCALE * (1 + (2 + float(omega1)) * np.asarray(times, dtype=float))
+        for propagator, tol in zip(propagators, np.minimum(bounds, _STATE_TOL_CEILING).tolist()):
             try:
-                states.append(stationary_state(rho0.matrix, propagator))
+                states.append(stationary_state(rho0.matrix, propagator, tol))
             except StateValidationError:
                 extract_xform(np.reshape(states, (-1, 4, 4)))  # an earlier point's X-form error wins
                 raise
@@ -203,7 +214,7 @@ def stationary_xforms(rho0: DensityMatrix, omega1: float, times) -> StationaryXF
     Each exp(L t) comes fresh from _propagators, which checks the drive and times before _xforms checks
     rho0's dims, even for no times; only a sweep's bisection midpoints compose theirs (_bisection_xforms).
     """
-    return _xforms(rho0, _propagators(omega1, times))
+    return _xforms(rho0, omega1, times, _propagators(omega1, times))
 
 
 def _bisection_xforms(rho0: DensityMatrix, omega1: float) -> Callable[[np.ndarray, np.ndarray], StationaryXForm]:
@@ -223,6 +234,6 @@ def _bisection_xforms(rho0: DensityMatrix, omega1: float) -> Callable[[np.ndarra
         p_lo = np.array([kept[t] for t in lo])
         p_mid = np.array([kept[t] for t in widths]) @ p_lo
         kept = dict(zip([*lo, *mids.tolist()], [*p_lo, *p_mid]))
-        return _xforms(rho0, p_mid)
+        return _xforms(rho0, omega1, mids, p_mid)
 
     return step

@@ -15,7 +15,7 @@ import numpy as np
 from .engine import StationaryXForm
 from .errors import DimensionMismatchError
 from .linalg import partial_transpose
-from .states import DensityMatrix
+from .states import DensityMatrix, _eigvalsh
 
 # Eigenvalues this small are treated as exact zeros in entropy sums.
 _ENTROPY_EIG_FLOOR = 1e-12
@@ -85,10 +85,11 @@ def mutual_information_xform(x: StationaryXForm) -> np.ndarray:
     return np.where((_MI_ROUNDING_FLOOR < value) & (value < 0.0), 0.0, value)
 
 
+@np.errstate(invalid="ignore")  # a LAPACK failure raises _eigvalsh's LinAlgError, unwarned
 def min_pt_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
     # The two partial transposes are transposes of each other: one spectrum.
-    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))[0])
+    return float(_eigvalsh(partial_transpose(rho.matrix, rho.dims))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +106,10 @@ def min_pt_eigenvalue(rho: DensityMatrix) -> float:
 # interlacing of principal submatrices) still sound on arbitrary states.
 
 
-_CENTRAL = np.ix_([0, 4, 8], [0, 4, 8])  # |1,1>, |0,0>, |-1,-1>: the central block
+_CENTRAL = np.s_[::4, ::4]  # |1,1>, |0,0>, |-1,-1>: the central block, as a view
 
 
+@np.errstate(invalid="ignore")  # a LAPACK failure raises _eigvalsh's LinAlgError, unwarned
 def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     """Sufficient entanglement condition for the stationary state of two qutrits.
 
@@ -119,32 +121,33 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     if rho.dims != (3, 3):
         raise DimensionMismatchError(f"qutrit entanglement criterion needs dims (3, 3), got {rho.dims}")
     pt = partial_transpose(rho.matrix, (3, 3))
-    block = pt[_CENTRAL]
-    p1, p0, pm = block.diagonal().real
+    # Python scalars from here: abs, ** and the complex product round as numpy's scalars do.
+    e = pt.tolist()
+    p1, p0, pm = e[0][0].real, e[4][4].real, e[8][8].real
 
     # From the eigenvalues, not the signs of (xi, zeta, eta): eta is rounding
     # noise when the block has a double zero eigenvalue (dephased |a,a>).
-    cubic_negative = bool(np.linalg.eigvalsh(block)[0] < -_STRICT_MARGIN)
-    plus_negative = bool(abs(pt[1, 5]) ** 2 > pt[1, 1].real * pt[5, 5].real + _STRICT_MARGIN)
-    minus_negative = bool(abs(pt[3, 7]) ** 2 > pt[3, 3].real * pt[7, 7].real + _STRICT_MARGIN)
+    cubic_negative = bool(_eigvalsh(pt[_CENTRAL])[0] < -_STRICT_MARGIN)
+    plus_negative = abs(e[1][5]) ** 2 > e[1][1].real * e[5][5].real + _STRICT_MARGIN
+    minus_negative = abs(e[3][7]) ** 2 > e[3][3].real * e[7][7].real + _STRICT_MARGIN
 
     # <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>
-    c10, c1m, c0m = block[0, 1], block[0, 2], block[1, 2]
+    c10, c1m, c0m = e[0][4], e[0][8], e[4][8]
     eta = (
         -p1 * p0 * pm
         + p1 * abs(c0m) ** 2
         + pm * abs(c10) ** 2
         + p0 * abs(c1m) ** 2
-        - 2.0 * (c1m * np.conj(c0m) * np.conj(c10)).real
+        - 2.0 * (c1m * c0m.conjugate() * c10.conjugate()).real
     )
     return CriterionReport(
-        xi=float(p1 + p0 + pm),
-        zeta=float(p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2),
-        eta=float(eta),
-        xi_population_squares=float(p1**2 + p0**2 + pm**2),
+        xi=p1 + p0 + pm,
+        zeta=p1 * p0 + p1 * pm + p0 * pm - abs(c0m) ** 2 - abs(c10) ** 2 - abs(c1m) ** 2,
+        eta=eta,
+        xi_population_squares=p1**2 + p0**2 + pm**2,
         cubic_has_negative_root=cubic_negative,
         pt_block_plus_negative=plus_negative,
         pt_block_minus_negative=minus_negative,
         sufficient_entangled=cubic_negative or plus_negative or minus_negative,
-        min_pt_eigenvalue=float(np.linalg.eigvalsh(pt)[0]),
+        min_pt_eigenvalue=float(_eigvalsh(pt)[0]),
     )

@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, ParseError, StateValidationError, _numbers, _shown
 
-# Hermiticity defect and trace drift a computed state may show.
+# Hermiticity defect and trace drift a given state may show; a propagated one gets its own bound (engine._xforms).
 DRIFT_TOL = 1e-10
 # Looser than DRIFT_TOL so propagator rounding never trips it.
 POSITIVITY_FLOOR = -1e-9
@@ -71,23 +72,38 @@ class DensityMatrix:
         object.__setattr__(self, "dims", _pair(self.dims, m.shape).dims)  # the pair every caller looks up
         with np.errstate(over="ignore", invalid="ignore"):
             _check_state(m)
-            min_eig = np.linalg.eigvalsh(m)[0]
+            min_eig = _eigvalsh(m)[0]
             if not min_eig >= POSITIVITY_FLOOR:
                 raise StateValidationError("matrix has a negative eigenvalue", abs(min_eig))
 
 
-def _check_state(m: np.ndarray) -> None:
-    """The accuracy checks of a square complex matrix, Hermiticity then unit trace.
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(m) of a complex matrix: numpy's LAPACK gufunc and bits, without its wrapper's ~3 us.
 
-    DensityMatrix adds positivity; a sweep leaves it to StationaryXForm.
+    A LAPACK failure leaves NaNs and raises numpy's LinAlgError; the caller holds np.errstate(invalid="ignore").
+    """
+    w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
+    if math.isnan(w[0]):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _defects(m: np.ndarray) -> tuple[float, float]:
+    """The Hermiticity defect max |m - m^H| and the trace defect |tr m - 1| of a square complex matrix."""
+    return np.abs(m - m.conj().T).max(), abs(m.trace() - 1.0)
+
+
+def _check_state(m: np.ndarray, tol: float = DRIFT_TOL) -> None:
+    """The accuracy checks of a square complex matrix, Hermiticity then unit trace, each to within `tol`.
+
+    DensityMatrix adds positivity; a sweep leaves it to StationaryXForm and gives each state its own tol.
     Each check is written so that a NaN fails it; inf - inf is NaN, so the
     caller holds np.errstate(over="ignore", invalid="ignore") and gets no warning.
     """
-    herm_defect = np.abs(m - m.conj().T).max()
-    if not herm_defect <= DRIFT_TOL:
+    herm_defect, trace_defect = _defects(m)
+    if not herm_defect <= tol:
         raise StateValidationError("matrix is not Hermitian", herm_defect)
-    trace_defect = abs(m.trace() - 1.0)
-    if not trace_defect <= DRIFT_TOL:
+    if not trace_defect <= tol:
         raise StateValidationError("trace differs from one", trace_defect)
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -376,16 +379,29 @@ def test_criterion_sound_on_arbitrary_states():
 README_QUTRIT_KETS = ["(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", "(|1,0> + |0,1>)/sqrt(2)"]
 
 
+def _fields(report: CriterionReport) -> list:
+    """Each field of a report, a float as its float.hex: == on floats calls -0.0 equal to 0.0."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(report)]
+
+
 def test_criterion_reports_equal_the_entry_by_entry_reference():
     # The package reads every block off one partial transpose; the reference
-    # writes each entry out from rho. They must agree to the bit.
+    # writes each entry out from rho. They must agree to the bit, signed zeros included.
     rng = np.random.default_rng(50)
-    states = [dephasing_fixed_point(parse_ket_expression(ket, (3, 3))) for ket in README_QUTRIT_KETS]
-    for _ in range(200):
-        psi = random_pure(rng, 9)
-        states.append(dephasing_fixed_point(validate(np.outer(psi, psi.conj()), (3, 3))))
-    for k in range(200):
-        states.append(validate(random_density(rng, 9, rank=(k % 9) + 1), (3, 3)))
+    kets = [random_pure(rng, 9) for _ in range(200)]
+    kets += [np.kron(random_pure(rng, 3), random_pure(rng, 3)) for _ in range(100)]
+    for k in range(150):  # 1 to 3 terms with real or complex amplitudes
+        ket = np.zeros(9, dtype=complex)
+        picks = rng.choice(9, size=k % 3 + 1, replace=False)
+        ket[picks] = rng.normal(size=picks.size) + 1j * (k % 2) * rng.normal(size=picks.size)
+        kets.append(ket / np.linalg.norm(ket))
+    pure = [validate(np.outer(psi, psi.conj()), (3, 3)) for psi in kets]
+    pure += [parse_ket_expression(f"|{a},{b}>", (3, 3)) for a, b in itertools.product(["1", "0", "-1"], repeat=2)]
+    pure += [parse_ket_expression(ket, (3, 3)) for ket in README_QUTRIT_KETS]
+    states = pure + [dephasing_fixed_point(rho) for rho in pure]
+    states += [validate(random_density(rng, 9, rank=(k % 9) + 1), (3, 3)) for k in range(200)]
+    # a basis population with -0.0 elsewhere: xi and min_pt_eigenvalue are -0.0 off |1,1>, |0,0>, |-1,-1>
+    states += [validate(np.diag(np.where(np.arange(9) == k, 1.0, -0.0)), (3, 3)) for k in range(9)]
     for rho in states:
         reference = CriterionReport(**criterion_report_oracle(rho.matrix))
-        assert qutrit_sufficient_entangled(rho) == reference
+        assert _fields(qutrit_sufficient_entangled(rho)) == _fields(reference)

@@ -15,8 +15,10 @@ from dephasim import (
     ParseError,
     StateValidationError,
     dephasing_fixed_point,
+    min_pt_eigenvalue,
     parse_ket_expression,
     partial_transpose,
+    qutrit_sufficient_entangled,
     validate,
 )
 from dephasim import states
@@ -525,3 +527,44 @@ def test_the_shared_state_check_agrees_with_its_first_form(m):
         (message, magnitude), (want_message, want_magnitude) = got, expected
         assert message == want_message
         assert magnitude == want_magnitude or math.isnan(magnitude) and math.isnan(want_magnitude)
+
+
+def _hermitian_cases(dim, rng):
+    """Seeded Hermitian matrices of one size: dense of each rank, diagonal, degenerate and rank-one."""
+    u = oracles.random_unitary(rng, dim)
+    degenerate = (u * np.where(np.arange(dim) < 2, 0.5, 0.0)) @ u.conj().T  # 0.5 twice, then zeros
+    rank_one = _projector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    diagonal = np.diag(rng.normal(size=dim)).astype(complex)
+    dense = [oracles.random_density(rng, dim, rank) for rank in range(1, dim + 1)]
+    return [*dense, degenerate, rank_one, diagonal, np.eye(dim, dtype=complex) / dim]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 9])
+def test_the_eigenvalue_seam_has_the_bits_of_numpy_eigvalsh(dim):
+    for m in _hermitian_cases(dim, np.random.default_rng(dim)):
+        for view in (m, np.asfortranarray(m), np.kron(m, np.ones((2, 2)))[::2, ::2]):  # strided, as a central block
+            got, want = states._eigvalsh(view), np.linalg.eigvalsh(view)
+            assert got.dtype == want.dtype and list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
+
+
+def _failing_eigvalsh_lo(m, signature):
+    """What LAPACK leaves when it fails: NaNs, with the invalid flag raised (inf - inf)."""
+    return np.full(m.shape[-1], np.inf) - np.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: validate(rho.matrix, (3, 3)),
+        qutrit_sufficient_entangled,
+        min_pt_eigenvalue,
+    ],
+    ids=["validate", "qutrit_sufficient_entangled", "min_pt_eigenvalue"],
+)
+def test_a_lapack_failure_is_a_linalg_error_without_a_warning(monkeypatch, call):
+    rho = parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3))
+    monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_lo", _failing_eigvalsh_lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            call(rho)

@@ -35,6 +35,7 @@ from dephasim.engine import _propagators, extract_xform, stationary_state
 from dephasim.states import DRIFT_TOL
 from dephasim.sweep import detect_local_maxima, detect_transitions
 import dephasim.engine as engine_module
+import dephasim.states as states_module
 import dephasim.sweep as sweep_module
 from dephasim import cli, errors
 from dephasim.cli import main
@@ -413,10 +414,10 @@ def test_no_paper_sweep_state_reaches_the_trace_rescale(monkeypatch):
     # evolve rescales a trace drifted past DRIFT_TOL; on both paper sweeps no state drifts that far.
     evolve, drifts = engine_module.evolve, []
 
-    def watched(rho0, propagator):
+    def watched(rho0, propagator, tol):
         out = (propagator @ rho0.reshape(-1, order="F")).reshape(rho0.shape, order="F")
         drifts.append(abs(out.trace().real - 1.0))
-        return evolve(rho0, propagator)
+        return evolve(rho0, propagator, tol)
 
     monkeypatch.setattr(engine_module, "evolve", watched)
     for ket in ("(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"):
@@ -432,7 +433,7 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     # is one eigvalsh, the parsed ket's; the X-forms check the rest.
     validated, trusted, propagated, times, spectra = [], [], [], [], []
     post_init, state, xforms = DensityMatrix.__post_init__, stationary_state, stationary_xforms
-    trusted_state, eigvalsh = engine_module._trusted_state, np.linalg.eigvalsh
+    trusted_state, eigvalsh = engine_module._trusted_state, states_module._eigvalsh
 
     def counting_post_init(self):
         validated.append(self.dims)
@@ -442,23 +443,23 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
         trusted.append(dims)
         return trusted_state(matrix, dims)
 
-    def counting_state(rho0, propagator):
+    def counting_state(rho0, propagator, tol):
         propagated.append(propagator)
-        return state(rho0, propagator)
+        return state(rho0, propagator, tol)
 
     def counting_xforms(rho0, omega1, ts):
         times.append(len(ts))
         return xforms(rho0, omega1, ts)
 
-    def counting_eigvalsh(m, *args, **kwargs):
+    def counting_eigvalsh(m):
         spectra.append(np.shape(m))
-        return eigvalsh(m, *args, **kwargs)
+        return eigvalsh(m)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
     monkeypatch.setattr(engine_module, "_trusted_state", counting_trusted_state)
     monkeypatch.setattr(engine_module, "stationary_state", counting_state)
     monkeypatch.setattr(sweep_module, "stationary_xforms", counting_xforms)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(states_module, "_eigvalsh", counting_eigvalsh)
     steps = _recorded_bisection(monkeypatch)
     run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=50))
     assert validated == [(2, 2)]
@@ -473,7 +474,7 @@ def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monk
     # point, point 1 is met first, so its error wins though the X-forms come later.
     matrices = iter([np.eye(4) / 4, np.diag([-0.1, 0.6, 0.5, 0.0])])
 
-    def stationary_state(rho0, propagator):
+    def stationary_state(rho0, propagator, tol):
         matrix = next(matrices, None)
         if matrix is None:
             raise errors.StateValidationError("matrix is not Hermitian", 1.0)

@@ -1,17 +1,16 @@
-"""Dense complex linear algebra for the two supported pairs (Hilbert dimension 4 or 9)."""
+"""Dense complex linear algebra: the pairs' Hilbert dimension 4 or 9, and the qubit pair's 16-dimensional Liouville space."""
 
 from __future__ import annotations
 
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import DimensionMismatchError, _numbers
+from .errors import _numbers
 from .states import _pair
 
 
@@ -41,7 +40,7 @@ def _pade_kernels():
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a square complex matrix, or of each in a stack; diagonal and full slices get scipy's bits.
+    """exp of each slice of a (k, n, n) complex128 stack, k and n positive; diagonal and full slices get scipy's bits.
 
     As in scipy.linalg.expm, a diagonal slice gets np.diag(np.exp(np.diag(a)))
     and any other the Pade approximant of Al-Mohy & Higham (2009) from
@@ -60,18 +59,14 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """
     pick_pade_structure, pade_UV_calc = _pade_kernels()
 
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    k, n = math.prod(m.shape[:-2]), m.shape[-1]
-    stack = m.reshape(k, n, n)  # by k: -1 cannot size an empty (0, 0)
+    k, n, _ = m.shape
     # scipy's bandwidth test, on the whole stack: a NaN counts as a nonzero entry. Past
     # its first entry, a slice is n - 1 runs of n off-diagonal entries and a diagonal one.
-    off_diagonal = stack.reshape(k, n * n)[:, 1:].reshape(k, max(n - 1, 0), n + 1)[..., :n]
+    off_diagonal = m.reshape(k, n * n)[:, 1:].reshape(k, n - 1, n + 1)[..., :n]
     diagonal = ~off_diagonal.any(axis=(1, 2))
     out = np.empty((k + 4, n, n), dtype=complex)
     scales = np.zeros(k, dtype=int)
-    for j, (a, is_diagonal) in enumerate(zip(stack, diagonal.tolist())):
+    for j, (a, is_diagonal) in enumerate(zip(m, diagonal.tolist())):
         if is_diagonal:
             out[j] = np.diag(np.exp(np.diag(a)))
             continue
@@ -89,7 +84,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         for step in range(run.max(initial=0)):
             live = out[lo + np.searchsorted(run, step, side="right") : hi]
             live[...] = live @ live
-    return out[:k].reshape(m.shape)
+    return out[:k]
 
 
 def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

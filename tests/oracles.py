@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -391,3 +392,64 @@ def accepted_scalar(value, positive: bool = False) -> bool:
     number that is finite and nonnegative, or positive where positive is set. Compared as a
     Python float: a float16 would round float max to inf."""
     return reads_as_number(value) and math.isfinite(x := float(value)) and (x > 0 if positive else x >= 0)
+
+
+# ---------------------------------------------------------------------------
+# Transitions as the roots of the concurrence margin, in 40 digits
+# ---------------------------------------------------------------------------
+
+_MARGIN_DPS = 40
+
+
+@functools.cache
+def _liouvillian_eig(omega1: float):
+    """40-digit mp.eig of kronecker_liouvillian's qubit generator, whose float entries mpmath holds exactly."""
+    with mp.workdps(_MARGIN_DPS):
+        return mp.eig(mp.matrix(kronecker_liouvillian((2, 2), omega1, 1.0, True).tolist()))
+
+
+class ConcurrenceMargin:
+    """h(T) = 2 (|f| - sqrt(a d)) - 1e-9 of the stationary state a pulse of gamma_T = T leaves from rho0.
+
+    A sweep calls a point entangled where h > 0, so its transitions are the roots of h. The
+    stationary fields are entries of exp(G T) vec(rho0), G kronecker_liouvillian's qubit generator:
+    with G = V diag(lam) V^-1 from a 40-digit mp.eig, each is sum_k V[i, k] c_k exp(lam_k T) with
+    c = V^-1 vec(rho0).
+    """
+
+    _ENTRIES = (0, 15, 9)  # a = rho[0, 0], d = rho[3, 3], f = rho[1, 2], column-stacked
+
+    def __init__(self, rho0_matrix: np.ndarray, omega1: float):
+        self._lam, vectors = _liouvillian_eig(omega1)
+        with mp.workdps(_MARGIN_DPS):
+            c = mp.lu_solve(vectors, mp.matrix(rho0_matrix.reshape(-1, order="F").tolist()))
+            self._weights = [[vectors[i, k] * c[k] for k in range(16)] for i in self._ENTRIES]
+
+    def at(self, t) -> mp.mpf:
+        """h(t) in 40 digits."""
+        with mp.workdps(_MARGIN_DPS):
+            growth = [mp.exp(value * t) for value in self._lam]
+            a, d, f = (mp.fsum(w * g for w, g in zip(row, growth)) for row in self._weights)
+            return 2 * (abs(f) - mp.sqrt(max(mp.re(a) * mp.re(d), 0))) - mp.mpf("1e-9")
+
+    def root_in(self, lo: float, hi: float) -> mp.mpf:
+        """The root of h in [lo, hi], where h changes sign, to 1e-30."""
+        with mp.workdps(_MARGIN_DPS):
+            lo, hi = mp.mpf(lo), mp.mpf(hi)
+            assert self.at(lo) * self.at(hi) < 0, (lo, hi)
+            root = mp.findroot(self.at, (lo, hi), solver="anderson", tol=mp.mpf("1e-30"))
+            assert lo <= root <= hi, (lo, hi, root)
+            return root
+
+    def roots(self, t_max: float, step: float = 1e-4) -> list:
+        """Every root of h on [0, t_max]: the sign of h, its sums rounded to complex128, scanned on a
+        float grid, and each crossing refined in 40 digits.
+
+        Two roots closer than `step` can hide between two grid points; at the paper's drive the
+        closest pair is ~80 steps apart.
+        """
+        ts = np.linspace(0.0, t_max, int(np.ceil(t_max / step)) + 1)
+        lam = np.array([complex(value) for value in self._lam])
+        a, d, f = np.array([[complex(w) for w in row] for row in self._weights]) @ np.exp(np.outer(lam, ts))
+        positive = 2.0 * (np.abs(f) - np.sqrt(np.maximum(a.real * d.real, 0.0))) - 1e-9 > 0
+        return [self.root_in(ts[i], ts[i + 1]) for i in np.flatnonzero(positive[:-1] != positive[1:])]

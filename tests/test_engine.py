@@ -563,6 +563,30 @@ def test_a_paper_sweep_propagator_off_by_1e_12_fails_the_state_check(monkeypatch
         run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: evolve rescales a trace drifted past DRIFT_TOL before its check, so a drift of "
+    "1e-12 fails the state check and one of 1e-9 passes unnoticed (ROADMAP item 4 replaces the rescale)",
+)
+def test_trace_verdicts_are_monotone_in_the_drift(monkeypatch):
+    # Adding drift <<I| to row (0, 0) of each exp(L t) adds drift tr(rho0) to entry (0, 0) of each
+    # state, and so to its trace. 1e-12 is caught as a trace error, so 1e-9 must be too; a mend
+    # that stops catching 1e-12 loosens the check and keeps this failing.
+    def verdict(drift):
+        expm, nudge = engine_module.matrix_exponential, np.zeros((16, 16))
+        nudge[0, np.eye(4).reshape(-1, order="F") == 1] = drift  # column stacking: (0, 0) is entry 0
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "matrix_exponential", lambda m: expm(m) + nudge)
+            try:
+                run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", 31.25, 4.0, 50))
+            except StateValidationError as error:
+                return str(error).startswith("trace differs from one")
+        return False
+
+    assert verdict(1e-12) and verdict(1e-9)
+
+
 def test_a_state_within_drift_tol_carries_its_defects_through_stationary_xforms():
     # rho0's own Hermiticity and trace defects, within DRIFT_TOL, pass through
     # exp(L t); they are not the propagation's, so the state check allows for them.

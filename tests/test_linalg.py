@@ -10,7 +10,14 @@ import pytest
 import scipy.linalg
 
 import dephasim
-from dephasim import DimensionMismatchError, SweepConfig, partial_transpose, run_sweep
+from dephasim import (
+    DimensionMismatchError,
+    SweepConfig,
+    parse_ket_expression,
+    partial_transpose,
+    run_sweep,
+    stationary_xforms,
+)
 import dephasim.engine as engine_module
 from dephasim.engine import build_liouvillian
 import dephasim.linalg as linalg_module
@@ -25,25 +32,20 @@ def test_matrix_exponential_is_not_public():
     assert callable(linalg_module.matrix_exponential)
 
 
-def test_expm_trivial_cases():
-    assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    d = np.diag([0.3, -1.2 + 0.5j])
-    assert np.allclose(matrix_exponential(d), np.diag(np.exp(np.diag(d))), atol=1e-14)
-
-
 def test_expm_matches_taylor_series():
     rng = np.random.default_rng(14)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m *= 5.0 / np.linalg.norm(m, 2)
-    assert np.max(np.abs(matrix_exponential(m) - taylor_expm(m, 60))) <= 1e-10
+    stack = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+    stack *= 5.0 / np.linalg.norm(stack, 2, axis=(1, 2))[:, None, None]
+    for m, exp_m in zip(stack, matrix_exponential(stack)):
+        assert np.max(np.abs(exp_m - taylor_expm(m, 60))) <= 1e-10
 
 
 def test_expm_inverse_identity():
     rng = np.random.default_rng(15)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     m *= 10.0 / np.linalg.norm(m, 2)
-    product = matrix_exponential(m) @ matrix_exponential(-m)
-    assert np.max(np.abs(product - np.eye(6))) <= 1e-10
+    exp_m, exp_minus_m = matrix_exponential(np.stack([m, -m]))
+    assert np.max(np.abs(exp_m @ exp_minus_m - np.eye(6))) <= 1e-10
 
 
 def test_partial_trace_oracle_of_a_product_state():
@@ -91,23 +93,18 @@ def test_partial_transpose_rejects_bad_dims(matrix, dims, message):
         partial_transpose(matrix, dims)
 
 
-def test_expm_rejects_a_non_square_matrix():
-    with pytest.raises(DimensionMismatchError, match=r"square matrix, got shape \(2, 3\)"):
-        matrix_exponential(np.zeros((2, 3)))
-
-
 def test_expm_of_a_stack_is_the_expm_of_each_slice():
     rng = np.random.default_rng(19)
-    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    for m, exp_m in zip(stack, matrix_exponential(stack)):
-        assert np.array_equal(exp_m, matrix_exponential(m))
-    with pytest.raises(DimensionMismatchError, match=r"got shape \(5, 4, 3\)"):
-        matrix_exponential(stack[:, :, :3])
+    for n in (4, 16):
+        stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        for j, exp_m in enumerate(matrix_exponential(stack)):
+            assert np.array_equal(exp_m, matrix_exponential(stack[j : j + 1])[0])
+        _assert_scipy_bits(stack)
 
 
 def _assert_scipy_bits(m):
-    """matrix_exponential(m) has the shape and the bits, signs of zeros and NaNs included,
-    of scipy.linalg.expm(m); the stacked path calls scipy's private Pade kernels."""
+    """matrix_exponential(m) of a (k, n, n) stack has the shape and the bits, signs of zeros and
+    NaNs included, of scipy.linalg.expm(m); the stacked path calls scipy's private Pade kernels."""
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = matrix_exponential(m), scipy.linalg.expm(m)
     assert got.shape == want.shape
@@ -149,7 +146,7 @@ def test_expm_of_a_mixed_stack_has_the_bits_of_scipy():
         ]
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(matrix_exponential(stack[-1])).all()
+        assert np.isnan(matrix_exponential(stack[-1:])).all()
     triangular = np.isin(np.arange(len(stack)), [2, 3])
     for order in (slice(None), slice(None, None, -1)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -160,30 +157,32 @@ def test_expm_of_a_mixed_stack_has_the_bits_of_scipy():
             assert np.linalg.norm(got_k - want_k) <= 1e-13 * np.linalg.norm(want_k)
 
 
-def test_expm_of_a_matrix_and_of_a_nested_stack_has_the_bits_of_scipy():
-    rng = np.random.default_rng(23)
-    nested = rng.normal(size=(2, 3, 16, 16)) + 1j * rng.normal(size=(2, 3, 16, 16))
-    _assert_scipy_bits(nested)
-    _assert_scipy_bits(nested[1, 2])
-    _assert_scipy_bits(build_liouvillian(31.25) * 2.5)
-
-
 def test_expm_of_diagonal_slices_has_the_bits_of_scipy():
     # scipy's np.diag(np.exp(np.diag(a))), signed zeros and non-finite entries included
     entries = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), -np.inf, np.inf, np.nan, 1j * np.pi, 710.0]
     diagonal = np.diag(np.array(entries, dtype=complex))
-    _assert_scipy_bits(diagonal)
-    _assert_scipy_bits(np.stack([diagonal, np.zeros((8, 8)), -diagonal, np.diag(np.diag(diagonal)[::-1])]))
+    _assert_scipy_bits(diagonal[None])
+    flipped = np.diag(np.diag(diagonal)[::-1])
+    _assert_scipy_bits(np.stack([diagonal, np.zeros((8, 8), dtype=complex), -diagonal, flipped]))
     _assert_scipy_bits(np.array(entries, dtype=complex).reshape(8, 1, 1))
 
 
 def test_a_sweep_exponentiates_at_most_64_pulse_times_per_call(monkeypatch):
     # The engine's blocks bound its memory: one stack for a 2000-point grid adds ~29 MB of peak RSS.
-    shapes = []
-    monkeypatch.setattr(engine_module, "matrix_exponential", lambda m: shapes.append(m.shape) or matrix_exponential(m))
+    # Every call, the grid's, the bisection steps' and shuffled times', hands the kernel the one
+    # form it takes: a 3-D complex128 stack of at most 64 generator slices.
+    calls = []
+    record = lambda m: calls.append((m.dtype, m.shape)) or matrix_exponential(m)
+    monkeypatch.setattr(engine_module, "matrix_exponential", record)
     run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", omega_ratio=31.25, samples=200))
-    assert shapes[:4] == [(64, 16, 16)] * 3 + [(8, 16, 16)]  # the grid takes exactly 4 calls
-    assert len(shapes) > 4 and max(shape[0] for shape in shapes) <= 64  # then the refinement's
+    assert [shape for _, shape in calls[:4]] == [(64, 16, 16)] * 3 + [(8, 16, 16)]  # the grid takes exactly 4 calls
+    assert len(calls) > 4  # then the bisection steps'
+    grid_and_steps = len(calls)
+    times = np.random.default_rng(47).permutation(np.linspace(0.0, 4.0, 150))
+    stationary_xforms(parse_ket_expression("(|11> + |00>)/sqrt(2)", (2, 2)), 31.25, times)
+    assert len(calls) == grid_and_steps + 3
+    assert all(dtype == np.complex128 and len(shape) == 3 and 1 <= shape[0] <= 64 for dtype, shape in calls)
+    assert all(shape[1:] == (16, 16) for _, shape in calls)
 
 
 @pytest.fixture
@@ -252,11 +251,6 @@ def test_a_missing_scipy_or_kernel_file_is_an_import_error(monkeypatch):
             load()
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 16, 16), (2, 3, 0, 0), (0, 0, 0)])
-def test_expm_of_an_empty_matrix_or_stack_has_the_shape_of_scipy(shape):
-    _assert_scipy_bits(np.zeros(shape, dtype=complex))
-
-
 def test_partial_transpose_product_factorization():
     rng = np.random.default_rng(18)
     rho_a = random_density(rng, 2)
@@ -318,7 +312,7 @@ stack = np.concatenate(
 got = matrix_exponential(stack)
 loaded()
 triangular = np.triu(generator)
-got_triangular = matrix_exponential(triangular)
+(got_triangular,) = matrix_exponential(triangular[None])
 loaded()
 import scipy.linalg
 assert np.array_equal(got.view(np.uint64), scipy.linalg.expm(stack).view(np.uint64))

@@ -32,6 +32,41 @@ def test_matrix_exponential_is_not_public():
     assert callable(linalg_module.matrix_exponential)
 
 
+def test_expm_trivial_cases():
+    assert np.allclose(matrix_exponential(np.zeros((2, 3, 3), dtype=complex)), np.eye(3), atol=1e-15)
+    d = np.stack([np.diag([0.3, -1.2 + 0.5j]), np.diag([-2.0, 1j])])
+    want = np.stack([np.diag(np.exp(np.diag(a))) for a in d])
+    assert np.allclose(matrix_exponential(d), want, atol=1e-14)
+
+
+def test_expm_leaves_its_stack_untouched_and_shares_no_memory_with_it():
+    # With no dtype coercion, the kernel reads the caller's stack itself; the
+    # Pade kernels and the squaring work in a buffer of their own.
+    stack = build_liouvillian(31.25) * np.linspace(0.0, 4.0, 8)[:, None, None]
+    given = stack.copy()
+    got = matrix_exponential(stack)
+    assert np.array_equal(stack.view(np.uint64), given.view(np.uint64))
+    assert not np.shares_memory(got, stack) and got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "order, info, error, message",
+    [
+        (-1, 0, MemoryError, r"Pade structure failed \(error code -1\)"),
+        (3, -11, MemoryError, r"Pade approximant failed \(error code -11\)"),
+        (3, -1, RuntimeError, r"Pade approximant failed \(error code -1\)"),
+        (3, 2, RuntimeError, r"Pade approximant failed \(error code 2\)"),
+    ],
+    ids=["structure", "allocation", "argument", "singular"],
+)
+def test_a_failed_pade_kernel_raises_as_scipy(order, info, error, message, monkeypatch):
+    # As scipy's expm: a negative order is a failed allocation; a nonzero code from
+    # pade_UV_calc is one at or below -11, otherwise a LAPACK error.
+    monkeypatch.setattr(linalg_module, "_pade_kernels", lambda: (lambda buffer: (order, 0), lambda buffer, m: info))
+    with pytest.raises(error, match=message):
+        matrix_exponential(build_liouvillian(31.25)[None])
+
+
 def test_expm_matches_taylor_series():
     rng = np.random.default_rng(14)
     stack = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))

@@ -157,7 +157,7 @@ def dephasing_fixed_point(rho: DensityMatrix) -> DensityMatrix:
     m=+-2 diagonal entries.
     """
     # A pinching of a valid state is a valid state, so the result is not re-checked.
-    return _trusted_state(rho.matrix * _pair(rho.dims).fixed_mask, rho.dims)
+    return _trusted_state(rho.matrix * _PAIRS[rho.dims].fixed_mask, rho.dims)
 
 
 def stationary_state(rho0: np.ndarray, propagator: np.ndarray, tol: float = DRIFT_TOL) -> np.ndarray:

@@ -93,5 +93,9 @@ def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     Party 1's partial transpose is the full transpose of this one, with the same spectrum.
     """
     rho = _numbers("rho", rho, complex)  # a copy: the result shares no memory with the caller's matrix
-    d, _ = _pair(dims, rho.shape).dims
+    return _partial_transpose(rho, _pair(dims, rho.shape).dims[0])
+
+
+def _partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
+    """partial_transpose of a complex (d*d, d*d) matrix checked already, as a DensityMatrix's is, with no copy first."""
     return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)

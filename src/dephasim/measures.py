@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import StationaryXForm
 from .errors import DimensionMismatchError
-from .linalg import partial_transpose
+from .linalg import _partial_transpose
 from .states import DensityMatrix, _eigvalsh
 
 # Eigenvalues this small are treated as exact zeros in entropy sums.
@@ -89,7 +89,7 @@ def mutual_information_xform(x: StationaryXForm) -> np.ndarray:
 def min_pt_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
     # The two partial transposes are transposes of each other: one spectrum.
-    return float(_eigvalsh(partial_transpose(rho.matrix, rho.dims))[0])
+    return float(_eigvalsh(_partial_transpose(rho.matrix, rho.dims[0]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,10 @@ def min_pt_eigenvalue(rho: DensityMatrix) -> float:
 # interlacing of principal submatrices) still sound on arbitrary states.
 
 
-_CENTRAL = np.s_[::4, ::4]  # |1,1>, |0,0>, |-1,-1>: the central block, as a view
+# The central block (|1,1>, |0,0>, |-1,-1>) as a view, and the criterion's 12 entries, flat 9i + j: that block's
+# diagonal and coherences (0,4), (0,8), (4,8), then the 2x2 blocks' (1,5), (1,1), (5,5) and (3,7), (3,3), (7,7).
+_CENTRAL = np.s_[::4, ::4]
+_READ = np.array([0, 40, 80, 4, 8, 44, 14, 10, 50, 34, 30, 70])
 
 
 @np.errstate(invalid="ignore")  # a LAPACK failure raises _eigvalsh's LinAlgError, unwarned
@@ -120,19 +123,17 @@ def qutrit_sufficient_entangled(rho: DensityMatrix) -> CriterionReport:
     """
     if rho.dims != (3, 3):
         raise DimensionMismatchError(f"qutrit entanglement criterion needs dims (3, 3), got {rho.dims}")
-    pt = partial_transpose(rho.matrix, (3, 3))
+    pt = _partial_transpose(rho.matrix, 3)
     # Python scalars from here: abs, ** and the complex product round as numpy's scalars do.
-    e = pt.tolist()
-    p1, p0, pm = e[0][0].real, e[4][4].real, e[8][8].real
+    # c10, c1m, c0m are <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>.
+    e11, e00, emm, c10, c1m, c0m, plus, plus_a, plus_b, minus, minus_a, minus_b = pt.ravel()[_READ].tolist()
+    p1, p0, pm = e11.real, e00.real, emm.real
 
     # From the eigenvalues, not the signs of (xi, zeta, eta): eta is rounding
     # noise when the block has a double zero eigenvalue (dephased |a,a>).
     cubic_negative = bool(_eigvalsh(pt[_CENTRAL])[0] < -_STRICT_MARGIN)
-    plus_negative = abs(e[1][5]) ** 2 > e[1][1].real * e[5][5].real + _STRICT_MARGIN
-    minus_negative = abs(e[3][7]) ** 2 > e[3][3].real * e[7][7].real + _STRICT_MARGIN
-
-    # <1,0|rho|0,1>, <1,-1|rho|-1,1> and <0,-1|rho|-1,0>
-    c10, c1m, c0m = e[0][4], e[0][8], e[4][8]
+    plus_negative = abs(plus) ** 2 > plus_a.real * plus_b.real + _STRICT_MARGIN
+    minus_negative = abs(minus) ** 2 > minus_a.real * minus_b.real + _STRICT_MARGIN
     eta = (
         -p1 * p0 * pm
         + p1 * abs(c0m) ** 2

@@ -61,7 +61,7 @@ def _pair(dims: tuple[int, int], shape: tuple[int, ...] | None = None) -> _Pair:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator with subsystem dims."""
+    """Hermitian, unit-trace, positive-semidefinite operator whose dims are a _PAIRS key; checked once, when built."""
 
     matrix: np.ndarray
     dims: tuple[int, int]

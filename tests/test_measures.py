@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -15,9 +16,11 @@ from dephasim import (
     min_pt_eigenvalue,
     mutual_information_xform,
     parse_ket_expression,
+    partial_transpose,
     qutrit_sufficient_entangled,
     validate,
 )
+from dephasim import engine, errors, linalg, measures, states, sweep
 import oracles
 from oracles import (
     central_block_oracle,
@@ -405,3 +408,56 @@ def test_criterion_reports_equal_the_entry_by_entry_reference():
     for rho in states:
         reference = CriterionReport(**criterion_report_oracle(rho.matrix))
         assert _fields(qutrit_sufficient_entangled(rho)) == _fields(reference)
+
+
+def _layouts(m: np.ndarray) -> list[np.ndarray]:
+    """m itself (C order), a Fortran-ordered copy and a strided view of a larger array: what a caller can pass."""
+    larger = np.full((2 * m.shape[0], 2 * m.shape[1]), np.nan, dtype=complex)
+    larger[::2, ::2] = m
+    return [m, np.asfortranarray(m), larger[::2, ::2]]
+
+
+def test_criterion_and_min_pt_eigenvalue_read_every_memory_layout_to_the_bit():
+    # A DensityMatrix keeps its input's order (astype), and the criterion and
+    # min_pt_eigenvalue read its matrix as it is: each layout gives the reference's bits.
+    rng = np.random.default_rng(48)
+    qutrits = [np.outer(psi, psi.conj()) for psi in (random_pure(rng, 9) for _ in range(40))]
+    qutrits += [random_density(rng, 9, rank=(k % 9) + 1) for k in range(40)]
+    qutrits += [np.diag(np.where(np.arange(9) == k, 1.0, -0.0)).astype(complex) for k in range(9)]
+    for m in qutrits:
+        reference = _fields(CriterionReport(**criterion_report_oracle(m)))
+        for layout in _layouts(m):
+            rho = validate(layout, (3, 3))
+            assert rho.matrix.flags.f_contiguous == layout.flags.f_contiguous
+            assert _fields(qutrit_sufficient_entangled(rho)) == reference
+            pinched = dephasing_fixed_point(rho)
+            assert _fields(qutrit_sufficient_entangled(pinched)) == _fields(
+                CriterionReport(**criterion_report_oracle(pinched.matrix))
+            )
+    qubits = [random_density(rng, 4, rank=(k % 4) + 1) for k in range(40)]
+    for dims, matrices in (((2, 2), qubits), ((3, 3), qutrits)):
+        for m in matrices:
+            expected = np.linalg.eigvalsh(partial_transpose(m, dims))[0].item().hex()
+            for layout in _layouts(m):
+                assert min_pt_eigenvalue(validate(layout, dims)).hex() == expected
+
+
+def test_a_state_is_checked_once_when_built(monkeypatch):
+    # One _numbers copy and one _pair dims check per state, both in DensityMatrix:
+    # the fixed point, the criterion and min_pt_eigenvalue read the checked state as it is.
+    calls = collections.Counter()
+    for name, original in (("_numbers", errors._numbers), ("_pair", states._pair)):
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (errors, states, linalg, engine, measures, sweep):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    rng = np.random.default_rng(48)
+    qutrit_sufficient_entangled(dephasing_fixed_point(validate(random_density(rng, 9), (3, 3))))
+    assert calls == {"_numbers": 1, "_pair": 1}
+    for dims in ((2, 2), (3, 3)):
+        calls.clear()
+        min_pt_eigenvalue(validate(random_density(rng, dims[0] ** 2), dims))
+        assert calls == {"_numbers": 1, "_pair": 1}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -114,16 +114,16 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if not np.all(np.diff(grid) > 0):  # written so that a NaN fails it
         raise ValueError(f"gamma_t_max {_shown(config.gamma_t_max)} is too small for {config.samples} distinct samples")
     x = stationary_xforms(rho0, config.omega_ratio, grid)
-    result = SweepResult(grid, concurrence_xform(x), mutual_information_xform(x))
+    c, mi = concurrence_xform(x), mutual_information_xform(x)
     midpoint_xforms = _bisection_xforms(rho0, config.omega_ratio)
-    transitions = detect_transitions(result, lambda lows, mids: concurrence_xform(midpoint_xforms(lows, mids)))
-    return replace(result, transitions=transitions, maxima=detect_local_maxima(result))
+    transitions = detect_transitions(grid, c, lambda lows, mids: concurrence_xform(midpoint_xforms(lows, mids)))
+    return SweepResult(grid, c, mi, transitions, detect_local_maxima(grid, c, mi))
 
 
 def detect_transitions(
-    result: SweepResult, concurrence_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> list[float]:
-    """Entangled/separable crossing points, bisection-refined with `concurrence_of`.
+    gamma_t: np.ndarray, concurrence: np.ndarray, concurrence_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Entangled/separable crossing points of the sampled concurrence, bisection-refined with `concurrence_of`.
 
     Each grid cell where the concurrence crosses ENTANGLEMENT_THRESHOLD is
     bisected until it is below 1e-9 in gamma_T, every open cell in each step
@@ -132,29 +132,25 @@ def detect_transitions(
     concurrences at the midpoints. A call that raises ends the bisection
     with its error.
     """
-    entangled = result.concurrence > ENTANGLEMENT_THRESHOLD
+    entangled = concurrence > ENTANGLEMENT_THRESHOLD
     cells = np.flatnonzero(entangled[:-1] != entangled[1:])
-    lo, hi, lo_entangled = result.gamma_t[cells], result.gamma_t[cells + 1], entangled[cells]
+    lo, hi, lo_entangled = gamma_t[cells], gamma_t[cells + 1], entangled[cells]
     while True:
         mid = 0.5 * (lo + hi)
         # Above gamma_T ~ 8e6 the float spacing exceeds _REFINE_TOL, and the
         # midpoint of two neighbouring floats is one of them: that closes the bracket.
         open_ = np.flatnonzero((hi - lo > _REFINE_TOL) & (mid != lo) & (mid != hi))
         if not open_.size:
-            return [float(t) for t in mid]
+            return mid
         same = (concurrence_of(lo[open_], mid[open_]) > ENTANGLEMENT_THRESHOLD) == lo_entangled[open_]
         lo[open_[same]] = mid[open_[same]]
         hi[open_[~same]] = mid[open_[~same]]
 
 
-def detect_local_maxima(result: SweepResult) -> list[tuple[float, float, float]]:
-    """Interior grid points where the concurrence strictly exceeds both neighbors."""
-    c = result.concurrence
-    peaks = np.flatnonzero((c[1:-1] > c[:-2]) & (c[1:-1] > c[2:])) + 1
-    return [
-        (float(result.gamma_t[i]), float(c[i]), float(result.mutual_information[i]))
-        for i in peaks
-    ]
+def detect_local_maxima(gamma_t: np.ndarray, concurrence: np.ndarray, mutual_information: np.ndarray) -> np.ndarray:
+    """(gamma_T, C, I) rows of the interior grid points where the concurrence strictly exceeds both neighbors."""
+    peaks = np.flatnonzero((concurrence[1:-1] > concurrence[:-2]) & (concurrence[1:-1] > concurrence[2:])) + 1
+    return np.column_stack((gamma_t[peaks], concurrence[peaks], mutual_information[peaks]))
 
 
 def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:

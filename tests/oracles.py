@@ -8,6 +8,8 @@ import math
 import numpy as np
 from mpmath import mp
 
+from dephasim.engine import _propagators, extract_xform, stationary_state
+
 
 def partial_trace_oracle(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
     """Explicit index-sum definition of the partial trace."""
@@ -324,6 +326,14 @@ def criterion_report_oracle(matrix: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # Point-by-point sweep pieces: scalar closed forms and bracket-by-bracket bisection
 # ---------------------------------------------------------------------------
+
+def per_point_xforms(rho0, omega1: float, times):
+    """X-forms of what each pulse time leaves from the DensityMatrix rho0, with a fresh generator and
+    propagator per time; the earliest failing time raises, an overflow failing the state check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [stationary_state(rho0.matrix, next(_propagators(omega1, [t]))) for t in times]
+    return extract_xform(np.reshape(states, (-1, 4, 4)))
+
 
 def concurrence_xform(a: float, b: float, c: float, d: float, f: complex) -> float:
     """2 max(0, |f| - sqrt(a d)), capped at 1, of one stationary-form point in Python scalars."""

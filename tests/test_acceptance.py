@@ -25,9 +25,11 @@ from dephasim import (
     validate,
     write_csv,
 )
-from dephasim.engine import _propagators, evolve, extract_xform, stationary_state
+from dephasim.engine import _propagators, evolve, stationary_state
 from dephasim.sweep import _FMT
-from oracles import ConcurrenceMargin, concurrence, mutual_information, random_xform_entries, rk4_stationary_grid
+from oracles import (
+    ConcurrenceMargin, concurrence, mutual_information, per_point_xforms, random_xform_entries, rk4_stationary_grid
+)
 from test_measures import embed_xform
 
 OMEGA_RATIO = 31.25
@@ -49,12 +51,6 @@ def sweep_cached(config, workers=1):
     if key not in _SWEEP_CACHE:
         _SWEEP_CACHE[key] = run_sweep(config, workers=workers)
     return _SWEEP_CACHE[key]
-
-
-def stationary_concurrence(text: str, omega_ratio: float, gamma_t: float) -> float:
-    rho0 = parse_ket_expression(text, (2, 2))
-    (propagator,) = _propagators(omega_ratio, [gamma_t])
-    return concurrence_xform(extract_xform(stationary_state(rho0.matrix, propagator)))
 
 
 class Criterion:
@@ -95,10 +91,10 @@ def zero_window_runs(concurrence_values, threshold=1e-9):
 
 def test_criterion_1_bell_state_classification():
     crit = Criterion("1 robust/fragile Bell classification", 1.0)
-    for text in ROBUST:
-        crit.check(text, abs(stationary_concurrence(text, 0.0, 1.0) - 1.0) <= 1e-9)
-    for text in FRAGILE:
-        crit.check(text, abs(stationary_concurrence(text, 0.0, 1.0)) <= 1e-9)
+    for texts, want in ((ROBUST, 1.0), (FRAGILE, 0.0)):
+        for text in texts:
+            (c,) = concurrence_xform(per_point_xforms(parse_ket_expression(text, (2, 2)), 0.0, [1.0]))
+            crit.check(text, abs(c - want) <= 1e-9)
     crit.finish()
 
 

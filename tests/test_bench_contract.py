@@ -25,8 +25,8 @@ def test_tracer_binds_every_target_and_counts_each_propagation(monkeypatch):
     original = dephasim.engine.stationary_state
     detect, steps = dephasim.sweep.detect_transitions, []
 
-    def counting_detect(result, concurrence_of):
-        return detect(result, lambda lows, mids: steps.append(len(mids)) or concurrence_of(lows, mids))
+    def counting_detect(gamma_t, concurrence, concurrence_of):
+        return detect(gamma_t, concurrence, lambda lows, mids: steps.append(len(mids)) or concurrence_of(lows, mids))
 
     monkeypatch.setattr(dephasim.sweep, "detect_transitions", counting_detect)
     with Tracer() as t:

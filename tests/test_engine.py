@@ -25,7 +25,9 @@ from dephasim import (
 )
 from dephasim.engine import _propagators, build_liouvillian, collective_jz, evolve, extract_xform, stationary_state
 import dephasim.engine as engine_module
-from oracles import kronecker_liouvillian, random_density, random_pure, rk4_stationary, taylor_expm, xform_reference
+from oracles import (
+    kronecker_liouvillian, per_point_xforms, random_density, random_pure, rk4_stationary, taylor_expm, xform_reference
+)
 
 
 def bell(which: str):
@@ -464,21 +466,13 @@ def _bits(x: StationaryXForm) -> list[np.ndarray]:
     return [np.ascontiguousarray(getattr(x, name)).view(np.uint64) for name in "abcdf"]
 
 
-def _per_point(rho0, omega1, t):
-    """The stationary state of one pulse time, its propagator formed alone; an
-    overflowing propagator fails the state check, as in stationary_xforms."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        (propagator,) = _propagators(omega1, [t])
-    return stationary_state(rho0.matrix, propagator)
-
-
 @pytest.mark.parametrize("which", ["phi-", "psi+"])
 def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
     rho0 = bell(which)
     grid = np.linspace(0.0, 4.0, 2000)
     shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
     for times in (grid, shuffled):
-        per_point = extract_xform(np.stack([_per_point(rho0, 31.25, t) for t in times]))
+        per_point = per_point_xforms(rho0, 31.25, times)
         stacked = stationary_xforms(rho0, 31.25, times)
         assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
 
@@ -500,7 +494,7 @@ _SEVENTY_TIMES = np.linspace(0.0, 4.0, 70).tolist()  # past the first block edge
 @example(which="psi+", omega1=1.5e-323, times=_SEVENTY_TIMES)  # subnormal drive
 def test_stationary_xforms_have_the_bits_of_the_per_point_path_at_any_drive(which, omega1, times):
     rho0 = bell(which)
-    per_point = extract_xform(np.reshape([_per_point(rho0, omega1, t) for t in times], (-1, 4, 4)))
+    per_point = per_point_xforms(rho0, omega1, times)
     assert all(map(np.array_equal, _bits(stationary_xforms(rho0, omega1, times)), _bits(per_point)))
 
 
@@ -631,8 +625,7 @@ def test_stationary_xforms_raise_the_first_failing_times_error():
     rho0 = parse_ket_expression("|10>", (2, 2))
     times = np.linspace(0.0, 1e4, 200)
     with pytest.raises(StateValidationError, match="not Hermitian") as per_point:
-        for t in times:
-            _per_point(rho0, 1e17, t)
+        per_point_xforms(rho0, 1e17, times)
     with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, 1e17, times)
     assert str(stacked.value) == str(per_point.value)
@@ -646,7 +639,7 @@ def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_pat
     # float drive and times give the bits of their float64 values.
     rho0 = bell("phi-")
     times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count)).astype(dtype)
-    per_point = extract_xform(np.stack([_per_point(rho0, 31.25, float(t)) for t in times]))
+    per_point = per_point_xforms(rho0, 31.25, times.tolist())
     assert all(map(np.array_equal, _bits(stationary_xforms(rho0, dtype(31.25), times)), _bits(per_point)))
 
 
@@ -655,10 +648,9 @@ def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():
     rho0 = bell("phi-")
     times = np.random.default_rng(64).uniform(0.0, 4.0, 129)
     times[64] = 1e30
-    for t in times[:64]:
-        _per_point(rho0, 31.25, t)  # every earlier time passes on its own
+    per_point_xforms(rho0, 31.25, times[:64])  # every earlier time passes on its own
     with pytest.raises(StateValidationError) as alone:
-        _per_point(rho0, 31.25, times[64])
+        per_point_xforms(rho0, 31.25, times[64:65])
     with pytest.raises(StateValidationError) as stacked:
         stationary_xforms(rho0, 31.25, times)
     assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))

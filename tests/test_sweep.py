@@ -31,7 +31,7 @@ from dephasim import (
     write_criterion_report,
     write_csv,
 )
-from dephasim.engine import _propagators, extract_xform, stationary_state
+from dephasim.engine import stationary_state
 from dephasim.states import DRIFT_TOL
 from dephasim.sweep import detect_local_maxima, detect_transitions
 import dephasim.engine as engine_module
@@ -52,14 +52,14 @@ def synthetic_result(profile, gamma_t_max=1.0, samples=201, mutual=None):
 
 
 def test_detect_transitions_constant_curve_has_none():
-    result = synthetic_result(lambda g: 1.0)
-    assert detect_transitions(result, lambda lows, mids: np.ones_like(mids)) == []
+    r = synthetic_result(lambda g: 1.0)
+    assert detect_transitions(r.gamma_t, r.concurrence, lambda lows, mids: np.ones_like(mids)).tolist() == []
 
 
 def test_detect_transitions_synthetic_sine():
     profile = lambda g: max(0.0, np.sin(10.0 * g))
-    result = synthetic_result(profile)
-    transitions = detect_transitions(result, lambda lows, mids: np.vectorize(profile)(mids))
+    r = synthetic_result(profile)
+    transitions = detect_transitions(r.gamma_t, r.concurrence, lambda lows, mids: np.vectorize(profile)(mids)).tolist()
     expected = [0.0, np.pi / 10.0, 2 * np.pi / 10.0, 3 * np.pi / 10.0]
     assert len(transitions) == len(expected)
     for got, want in zip(transitions, expected):
@@ -84,7 +84,7 @@ def test_a_failing_bisection_step_raises_the_error_of_its_own_call():
 
     result = synthetic_result(_THREE_BRACKETS, samples=5)
     with pytest.raises(DephasimError, match="^third bracket$"):
-        detect_transitions(result, concurrence_of)
+        detect_transitions(result.gamma_t, result.concurrence, concurrence_of)
 
 
 def test_one_failing_bracket_raises_the_error_of_bracket_by_bracket_bisection():
@@ -98,18 +98,18 @@ def test_one_failing_bracket_raises_the_error_of_bracket_by_bracket_bisection():
     with pytest.raises(DephasimError, match="^failed at ") as per_point:
         oracles.bisect_transitions(result.gamma_t, result.concurrence, concurrence_at)
     with pytest.raises(DephasimError) as lockstep:
-        detect_transitions(result, lambda lows, times: np.array([concurrence_at(t) for t in times]))
+        detect_transitions(result.gamma_t, result.concurrence, lambda lows, ts: np.array([concurrence_at(t) for t in ts]))
     assert str(lockstep.value) == str(per_point.value)
 
 
 def test_detect_local_maxima_monotone_profile_has_none():
     result = synthetic_result(lambda g: g)
-    assert detect_local_maxima(result) == []
+    assert detect_local_maxima(result.gamma_t, result.concurrence, result.mutual_information).tolist() == []
 
 
 def test_detect_local_maxima_single_bump():
     result = synthetic_result(lambda g: np.exp(-((g - 0.5) ** 2) / 0.01))
-    maxima = detect_local_maxima(result)
+    maxima = detect_local_maxima(result.gamma_t, result.concurrence, result.mutual_information).tolist()
     assert len(maxima) == 1
     gamma_t, c_value, mi_value = maxima[0]
     assert abs(gamma_t - 0.5) <= 0.01
@@ -123,11 +123,11 @@ def test_detect_local_maxima_matches_a_loop(samples):
     c = rng.integers(0, 4, size=samples).astype(float) + 1.0
     result = SweepResult(np.arange(samples, dtype=float), c, 2.0 * c)
     want = [
-        (float(i), c[i], 2.0 * c[i])
+        [float(i), c[i], 2.0 * c[i]]
         for i in range(1, samples - 1)
         if c[i] > c[i - 1] and c[i] > c[i + 1]
     ]
-    assert detect_local_maxima(result) == want
+    assert detect_local_maxima(result.gamma_t, result.concurrence, result.mutual_information).tolist() == want
 
 
 def test_compare_windows_self_overlap():
@@ -247,8 +247,8 @@ def test_refined_transitions_sit_on_the_curve_zero():
     )
     result = run_sweep(config)
     rho0 = parse_ket_expression(config.initial_state, (2, 2))
-    for propagator in _propagators(config.omega_ratio, result.transitions):
-        assert abs(concurrence_xform(extract_xform(stationary_state(rho0.matrix, propagator)))) <= 1e-6
+    x = oracles.per_point_xforms(rho0, config.omega_ratio, result.transitions)
+    assert np.all(np.abs(concurrence_xform(x)) <= 1e-6)
 
 
 @pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
@@ -259,31 +259,27 @@ def test_run_sweep_rows_match_a_fresh_generator_per_point(ket):
     for samples in (130, 200):
         config = SweepConfig(initial_state=ket, omega_ratio=31.25, samples=samples)
         result = run_sweep(config)
-        rho0 = parse_ket_expression(ket, (2, 2))
-        rows = []
-        for gamma_t in np.linspace(0.0, config.gamma_t_max, config.samples):
-            (propagator,) = _propagators(config.omega_ratio, [gamma_t])
-            x = extract_xform(stationary_state(rho0.matrix, propagator))
-            rows.append((gamma_t, concurrence_xform(x), mutual_information_xform(x)))
+        grid = np.linspace(0.0, config.gamma_t_max, config.samples)
+        x = oracles.per_point_xforms(parse_ket_expression(ket, (2, 2)), config.omega_ratio, grid)
+        rows = zip(grid, concurrence_xform(x), mutual_information_xform(x))
         columns = zip(result.gamma_t, result.concurrence, result.mutual_information)
-        assert np.array_equal(np.array(list(columns)), np.array(rows)), samples
+        assert np.array_equal(np.array(list(columns)), np.array(list(rows))), samples
 
 
 def _point_by_point_sweep(ket, omega_ratio, gamma_t_max, samples):
     """Rows, transitions and maxima with a block of one and scalar closed forms per point."""
     rho0 = parse_ket_expression(ket, (2, 2))
 
-    def fields(gamma_t):
-        (propagator,) = _propagators(omega_ratio, [gamma_t])
-        m = stationary_state(rho0.matrix, propagator)
-        return (*(float(m[i, i].real) for i in range(4)), complex(m[1, 2]))
+    def fields(times):
+        x = oracles.per_point_xforms(rho0, omega_ratio, times)
+        return list(zip(x.a.tolist(), x.b.tolist(), x.c.tolist(), x.d.tolist(), x.f.tolist()))
 
     grid = np.linspace(0.0, gamma_t_max, samples)
-    points = [fields(gamma_t) for gamma_t in grid]
+    points = fields(grid)
     c = np.array([oracles.concurrence_xform(*p) for p in points])
     mi = np.array([oracles.mutual_information_xform(*p) for p in points])
     transitions = oracles.bisect_transitions(
-        grid, c, lambda gamma_t: oracles.concurrence_xform(*fields(gamma_t))
+        grid, c, lambda gamma_t: oracles.concurrence_xform(*fields([gamma_t])[0])
     )
     maxima = [
         (grid[i], c[i], mi[i]) for i in range(1, samples - 1) if c[i - 1] < c[i] > c[i + 1]
@@ -340,12 +336,12 @@ def _recorded_bisection(monkeypatch):
     """The (midpoints, concurrences) of each lockstep bisection step of the sweeps that run from here on."""
     steps, detect = [], sweep_module.detect_transitions
 
-    def recording(result, concurrence_of):
+    def recording(gamma_t, concurrence, concurrence_of):
         def recorded(lows, mids):
             steps.append((mids, concurrence_of(lows, mids)))
             return steps[-1][1]
 
-        return detect(result, recorded)
+        return detect(gamma_t, concurrence, recorded)
 
     monkeypatch.setattr(sweep_module, "detect_transitions", recording)
     return steps
@@ -469,6 +465,15 @@ def test_a_sweep_validates_only_its_parsed_ket(monkeypatch):
     assert len(propagated) == 50 + sum(len(mids) for mids, _ in steps)
 
 
+def test_run_sweep_builds_one_sweep_result(monkeypatch):
+    # The detectors read the grid columns, so the result and its checks are made once, with its features.
+    post_init, built = SweepResult.__post_init__, []
+    monkeypatch.setattr(SweepResult, "__post_init__", lambda self: built.append(self) or post_init(self))
+    result = run_sweep(SweepConfig("(|10> - |01>)/sqrt(2)", samples=200))
+    assert len(built) == 1 and built[0] is result
+    assert result.transitions and result.maxima
+
+
 def test_an_earlier_points_xform_error_wins_over_a_later_points_state_error(monkeypatch):
     # Point 2 fails its state check and point 1 its X-form check; point by
     # point, point 1 is met first, so its error wins though the X-forms come later.
@@ -491,11 +496,10 @@ def test_detect_transitions_returns_where_float_spacing_exceeds_the_tolerance():
     # timeout turns a bisection that never returns into a failure.
     code = (
         "import numpy as np\n"
-        "from dephasim import SweepResult\n"
         "from dephasim.sweep import detect_transitions\n"
         "step = lambda t: np.where(np.asarray(t) < 1.23e7, 1.0, 0.0)\n"
         "grid = np.linspace(0.0, 2e7, 11)\n"
-        "print(*detect_transitions(SweepResult(grid, step(grid), step(grid)), lambda lows, t: step(t)))\n"
+        "print(*detect_transitions(grid, step(grid), lambda lows, t: step(t)).tolist())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -511,8 +515,8 @@ def test_detect_transitions_returns_where_float_spacing_exceeds_the_tolerance():
 
 def test_detect_local_maxima_stable_under_grid_refinement():
     profile = lambda g: max(0.0, np.sin(10.0 * g)) * np.exp(-g)
-    coarse = detect_local_maxima(synthetic_result(profile, gamma_t_max=1.5, samples=151))
-    fine = detect_local_maxima(synthetic_result(profile, gamma_t_max=1.5, samples=1501))
+    results = (synthetic_result(profile, gamma_t_max=1.5, samples=n) for n in (151, 1501))
+    coarse, fine = (detect_local_maxima(r.gamma_t, r.concurrence, r.mutual_information).tolist() for r in results)
     assert len(coarse) == len(fine)
     coarse_step = 1.5 / 150
     for (g_coarse, _, _), (g_fine, _, _) in zip(coarse, fine):
@@ -1196,10 +1200,7 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
     # as the suite fails on RuntimeWarnings, with no warning.
     rho0 = parse_ket_expression("|10>", (2, 2))
     with pytest.raises(errors.StateValidationError, match="not Hermitian") as point_by_point:
-        for gamma_t in np.linspace(0.0, 1e4, 200):
-            with np.errstate(over="ignore", invalid="ignore"):
-                (propagator,) = _propagators(1e17, [gamma_t])
-            stationary_state(rho0.matrix, propagator)
+        oracles.per_point_xforms(rho0, 1e17, np.linspace(0.0, 1e4, 200))
     argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
     argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 2

@@ -14,8 +14,8 @@ from .errors import DephasimError, _parsed, _shown
 from .states import parse_ket_expression
 from .sweep import (
     ENTANGLEMENT_THRESHOLD,
+    _FMT,
     SweepConfig,
-    _fmt,
     compare_windows,
     read_csv,
     read_text_lines,
@@ -44,8 +44,6 @@ _OPTIONS = {
     "output": (str, "output path: the sweep CSV or the qutrit report"),
 }
 _QUTRIT_KEYS = ("initial_state", "output")
-# The keys whose range SweepConfig checks.
-_RANGED_KEYS = ("omega_ratio", "gamma_t_max", "samples")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +123,7 @@ def _merge_config(args: argparse.Namespace) -> dict[str, object]:
                 # error names this line even when a flag overrides it.
                 if key == "initial_state":
                     parse_ket_expression(value, args.dims)
-                elif key in _RANGED_KEYS:
+                elif key in SweepConfig.__dataclass_fields__:
                     SweepConfig("", **{key: merged[key]})
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from None
@@ -170,7 +168,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"simultaneously entangled: {report.overlap_count}")
     if 0 < report.overlap_count <= 20:
         for gamma_t in report.overlap_gamma_t:
-            print(f"  overlap at gamma_T = {_fmt(gamma_t)}")
+            print(f"  overlap at gamma_T = {_FMT % gamma_t}")
     return EXIT_OK
 
 

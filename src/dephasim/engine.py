@@ -78,21 +78,6 @@ class StationaryXForm:
                 raise StateValidationError(check, float(magnitude(k)))
 
 
-# (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
-# diagonal, -(m - m')^2 / 2 on |m><m'|. It is built in Kronecker form rather than
-# with np.diag because the signs of its zeros (-0.0 where a negative level meets
-# a zero) are part of the bit-exact generator that every propagator is computed from.
-_JZ = np.diag(_PAIRS[(2, 2)].levels)
-_JZ_SQ = _JZ @ _JZ
-_DEPHASING = (
-    np.kron(_JZ.T, _JZ) - 0.5 * np.kron(np.eye(4), _JZ_SQ) - 0.5 * np.kron(_JZ_SQ.T, np.eye(4))
-).astype(complex)
-
-# -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
-_SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
-_DRIVE_COMMUTATOR = -1j * (np.kron(np.eye(4), _SX1) - np.kron(_SX1.T, np.eye(4)))
-
-
 def collective_jz(dims: tuple[int, int]) -> np.ndarray:
     """Collective z-spin operator of the pair, diagonal in the lexicographic basis.
 
@@ -101,6 +86,21 @@ def collective_jz(dims: tuple[int, int]) -> np.ndarray:
     (spectrum 2, 1, 1, 0, 0, 0, -1, -1, -2).
     """
     return np.diag(_pair(dims).levels)
+
+
+# (2 Jz rho Jz - Jz^2 rho - rho Jz^2) / 2 on column-stacked two-qubit matrices is
+# diagonal, -(m - m')^2 / 2 on |m><m'|. It is built in Kronecker form rather than
+# with np.diag because the signs of its zeros (-0.0 where a negative level meets
+# a zero) are part of the bit-exact generator that every propagator is computed from.
+_JZ = collective_jz((2, 2))
+_JZ_SQ = _JZ @ _JZ
+_DEPHASING = (
+    np.kron(_JZ.T, _JZ) - 0.5 * np.kron(np.eye(4), _JZ_SQ) - 0.5 * np.kron(_JZ_SQ.T, np.eye(4))
+).astype(complex)
+
+# -i [sx_1, rho] on column-stacked two-qubit matrices: vec(A rho B) = (B^T kron A) vec(rho).
+_SX1 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+_DRIVE_COMMUTATOR = -1j * (np.kron(np.eye(4), _SX1) - np.kron(_SX1.T, np.eye(4)))
 
 
 def build_liouvillian(omega1: float) -> np.ndarray:

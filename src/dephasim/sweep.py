@@ -172,17 +172,13 @@ def compare_windows(a: SweepResult, b: SweepResult) -> WindowOverlapReport:
     )
 
 
-def _fmt(value: float) -> str:
-    return _FMT % value
-
-
 def write_csv(result: SweepResult, path: str) -> None:
     """Write rows at 12 significant digits; transitions and maxima as '#' comments."""
     rows = zip(result.gamma_t.tolist(), result.concurrence.tolist(), result.mutual_information.tolist())
-    lines = [CSV_HEADER, *map(",".join([_FMT] * 3).__mod__, rows)]  # one % per row, _fmt's text in each cell
+    lines = [CSV_HEADER, *map(",".join([_FMT] * 3).__mod__, rows)]  # one % per row, _FMT's text in each cell
     features = [("transition", (t,)) for t in result.transitions] + [("maximum", m) for m in result.maxima]
     for kind, values in features:
-        lines.append(f"# {kind} " + " ".join(f"{n} = {_fmt(v)}" for n, v in zip(_FEATURES[kind], values)))
+        lines.append(f"# {kind} " + " ".join(f"{n} = {_FMT % v}" for n, v in zip(_FEATURES[kind], values)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -259,7 +255,7 @@ def write_criterion_report(report: CriterionReport, initial_state: str, path: st
     lines = ["mode = qutrit-criterion", f"initial_state = {ket}"]
     # CriterionReport's declared field order is the file's line order.
     for name, value in asdict(report).items():
-        text = str(value).lower() if isinstance(value, bool) else _fmt(value)
+        text = str(value).lower() if isinstance(value, bool) else _FMT % value
         lines.append(f"{name} = {text}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

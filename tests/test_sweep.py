@@ -3,6 +3,8 @@ import inspect
 import io
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import weakref
@@ -210,9 +212,9 @@ def test_write_csv_rows_are_the_fmt_of_each_cell(tmp_path_factory, columns):
     result = SweepResult(np.array(gamma_t), np.array(concurrence), np.array(mutual_information))
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_csv(result, str(path))
-    fmt = sweep_module._fmt
+    fmt = sweep_module._FMT
     rows = zip(result.gamma_t, result.concurrence, result.mutual_information)
-    want = [f"{fmt(g)},{fmt(c)},{fmt(m)}" for g, c, m in rows]
+    want = [f"{fmt % g},{fmt % c},{fmt % m}" for g, c, m in rows]
     assert path.read_text(encoding="utf-8").splitlines()[1:] == want
 
 
@@ -1014,22 +1016,148 @@ def test_cli_help_exits_0_and_shows_the_minus_sign_form(monkeypatch, capsys):
         assert '--initial-state="-|10>"' in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "config, flags, message",
-    [
-        ("initial_state = |00>\nsamples 5\n", ["--output", "x.csv"],
-         "{config}:2: expected 'key = value', got 'samples 5'"),
-        ("initial_state = |00>\n", [], "an output path is required (flag --output or config file)"),
-        ("output = x.csv\n", [],
-         "an initial state is required (flag --initial-state or config file)"),
-    ],
-    ids=["line-without-equals", "no-output", "no-initial-state"],
-)
-def test_cli_config_usage_faults(tmp_path, capsys, config, flags, message):
-    config_path = tmp_path / "c.cfg"
-    config_path.write_text(config)
-    assert main(["sweep", "--config", str(config_path), *flags]) == 1
-    assert capsys.readouterr().err == f"dephasim: {message.format(config=config_path)}\n"
+@pytest.fixture(scope="module")
+def cli_fault_inputs(tmp_path_factory):
+    """A directory of the files the CLI-fault rows read: two grids that differ, malformed CSVs, Latin-1 inputs."""
+    inputs = tmp_path_factory.mktemp("cli_fault_inputs")
+    for name, samples in (("good.csv", 10), ("longer.csv", 12)):
+        config = SweepConfig("|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=samples)
+        write_csv(run_sweep(config), str(inputs / name))
+    header = sweep_module.CSV_HEADER
+    (inputs / "header_only.csv").write_text(f"{header}\n")
+    (inputs / "short_row.csv").write_text(f"{header}\n0,1,2\n0.5,1\n")
+    (inputs / "nan_row.csv").write_text(f"{header}\n0,nan,0.1\n")
+    (inputs / "latin1.csv").write_bytes((inputs / "good.csv").read_bytes() + "# r\xe9sum\xe9\n".encode("latin-1"))
+    (inputs / "latin1.cfg").write_bytes("# r\xe9sum\xe9\ninitial_state = |00>\n".encode("latin-1"))
+    return inputs
+
+
+_TYPED = "initial_state = |00>\n# typed values follow\n"
+# Each CLI fault: its argv, split as a shell splits it; its config file's text, or None; its exit
+# code; and its one stderr line after "dephasim: ". Each text is formatted with the row's directory
+# {tmp}, which holds cli_fault_inputs' files, its config file {config} and its output path {out}.
+# A line that ends in "..." is checked up to there: the rest is text that numpy or Python writes.
+_CLI_FAULTS = {
+    "unknown-flag": ("sweep --bogus", None, 1, "unrecognized arguments: '--bogus'"),
+    "removed-workers": ("sweep --initial-state |00> --output {out} --workers 2", None, 1,
+                        "unrecognized arguments: '--workers 2'"),
+    "removed-threshold": ("compare --a {out} --b {out} --threshold 0.1", None, 1,
+                          "unrecognized arguments: '--threshold 0.1'"),
+    "no-initial-state": ("sweep --output {out}", None, 1,
+                         "an initial state is required (flag --initial-state or config file)"),
+    "config-no-initial-state": ("sweep --config {config}", "output = {out}\n", 1,
+                                "an initial state is required (flag --initial-state or config file)"),
+    "config-no-output": ("sweep --config {config}", "initial_state = |00>\n", 1,
+                         "an output path is required (flag --output or config file)"),
+    "config-line-without-equals": ("sweep --config {config} --output {out}", "initial_state = |00>\nsamples 5\n", 1,
+                                   "{config}:2: expected 'key = value', got 'samples 5'"),
+    "unclosed-ket": ("sweep --initial-state (|10> --output {out} --samples 10", None, 1, "unclosed '(' (at position 0)"),
+    "sweep-cancelled-ket": ("sweep --initial-state '|10> - |10>' --output {out}", None, 1,
+                            "all amplitudes cancel (at position 0)"),
+    "qutrit-cancelled-ket": ("qutrit --initial-state '|0,0> - |0,0>' --output {out}", None, 1,
+                             "all amplitudes cancel (at position 0)"),
+    **{
+        f"flag-{flag}-{value}": (f"sweep --initial-state |00> --{flag}={value} --output {{out}}", None, 1,
+                                 f"{flag.replace('-', '_')} must be finite and {sign}, got {value}")
+        for flag, sign in (("omega-ratio", "nonnegative"), ("gamma-t-max", "positive"))
+        for value in ("nan", "inf", "-inf")
+    },
+    "flag-samples-1": ("sweep --initial-state |00> --samples=1 --output {out}", None, 1,
+                       "samples must be at least 2, got 1"),
+    "flag-gamma-t-max--1": ("sweep --initial-state |00> --gamma-t-max=-1 --output {out}", None, 1,
+                            "gamma_t_max must be finite and positive, got -1.0"),
+    # 10**18 samples exceed the address space, so the grid fails at once
+    # without taking memory; never try a count that could be allocated.
+    "samples-too-many-to-allocate": ("sweep --initial-state |10> --samples 1000000000000000000 --output {out}", None,
+                                     1, "Unable to allocate ..."),
+    "overflowing-drive": ("sweep --initial-state |10> --omega-ratio 1e300 --samples 3 --gamma-t-max 1 --output {out}",
+                          None, 2, "matrix is not Hermitian (magnitude nan)"),
+    "unwritable-output": ("sweep --initial-state |00> --omega-ratio 0 --samples 10 --output {tmp}/missing/x.csv", None,
+                          3, "[Errno 2] No such file or directory: ..."),
+    "qutrit-config-mode-key": ("qutrit --config {config} --output {out}",
+                               "initial_state = |0,0>\nmode = qutrit-criterion\n", 1,
+                               "{config}:2: unknown config key 'mode'"),
+    # qutrit has no flag for the sweep-only keys, so its config file may not set them
+    **{
+        f"qutrit-config-{key}": ("qutrit --config {config} --output {out}", f"initial_state = |0,0>\n{key} = 2\n", 1,
+                                 f"{{config}}:2: unknown config key '{key}'")
+        for key in ("omega_ratio", "gamma_t_max", "samples")
+    },
+    # neither a later line with the same key nor a flag excuses an earlier line
+    "repeated-out-of-range": ("sweep --config {config} --initial-state |10> --output {out}",
+                              "samples = 1\nsamples = 20\n", 1,
+                              "{config}:1: samples: samples must be at least 2, got 1"),
+    "repeated-wrong-type": ("sweep --config {config} --initial-state |10> --output {out}",
+                            "samples = x\nsamples = 20\n", 1,
+                            "{config}:1: samples: invalid literal for int() with base 10: 'x'"),
+    "repeated-sweep-ket": ("sweep --config {config} --initial-state |10> --output {out}",
+                           "initial_state = |1x>\ninitial_state = |10>\n", 1,
+                           "{config}:1: initial_state: ket label '1x' is outside the 2x2 level alphabet (at position 0)"),
+    "repeated-qutrit-ket": ("qutrit --config {config} --initial-state |1,0> --output {out}",
+                            "initial_state = |1,2>\ninitial_state = |1,0>\n", 1,
+                            "{config}:1: initial_state: ket label '1,2' is outside the 3x3 level alphabet (at position 0)"),
+    "config-samples-x": ("sweep --config {config} --output {out}", _TYPED + "samples = x\n", 1,
+                         "{config}:3: samples: invalid literal for int() with base 10: 'x'"),
+    "config-samples-1.5": ("sweep --config {config} --output {out}", _TYPED + "samples = 1.5\n", 1,
+                           "{config}:3: samples: invalid literal for int() with base 10: '1.5'"),
+    "config-omega-ratio-fast": ("sweep --config {config} --output {out}", _TYPED + "omega_ratio = fast\n", 1,
+                                "{config}:3: omega_ratio: could not convert string to float: 'fast'"),
+    "config-samples-x-under-flag": ("sweep --config {config} --output {out} --samples 5", _TYPED + "samples = x\n", 1,
+                                    "{config}:3: samples: invalid literal for int() with base 10: 'x'"),
+    "config-samples-1": ("sweep --config {config} --output {out}", "initial_state = |00>\nsamples = 1\n", 1,
+                         "{config}:2: samples: samples must be at least 2, got 1"),
+    "config-gamma-t-max--1": ("sweep --config {config} --output {out}", "initial_state = |00>\ngamma_t_max = -1\n", 1,
+                              "{config}:2: gamma_t_max: gamma_t_max must be finite and positive, got -1.0"),
+    "config-omega-ratio-nan": ("sweep --config {config} --output {out}", "initial_state = |00>\nomega_ratio = nan\n", 1,
+                               "{config}:2: omega_ratio: omega_ratio must be finite and nonnegative, got nan"),
+    "config-samples-1-under-flag": ("sweep --config {config} --output {out} --samples 5",
+                                    "initial_state = |00>\nsamples = 1\n", 1,
+                                    "{config}:2: samples: samples must be at least 2, got 1"),
+    "config-sweep-ket": ("sweep --config {config} --output {out}",
+                         '# the sweep ket\ninitial_state = "(|10> - |01>)/sqrt(2)"\n', 1,
+                         "{config}:2: initial_state: unexpected character '\"' (at position 0)"),
+    "config-sweep-ket-under-flag": ("sweep --config {config} --output {out} --initial-state |10>",
+                                    '# the sweep ket\ninitial_state = "(|10> - |01>)/sqrt(2)"\n', 1,
+                                    "{config}:2: initial_state: unexpected character '\"' (at position 0)"),
+    "config-qutrit-ket": ("qutrit --config {config} --output {out}", "# the qutrit ket\ninitial_state = |1,2>\n", 1,
+                          "{config}:2: initial_state: ket label '1,2' is outside the 3x3 level alphabet (at position 0)"),
+    "config-qutrit-ket-under-flag": ("qutrit --config {config} --output {out} --initial-state |1,0>",
+                                     "# the qutrit ket\ninitial_state = |1,2>\n", 1,
+                                     "{config}:2: initial_state: ket label '1,2' is outside the 3x3 level alphabet "
+                                     "(at position 0)"),
+    "config-latin1": ("sweep --config {tmp}/latin1.cfg --output {out}", None, 1,
+                      "{tmp}/latin1.cfg: 'utf-8' codec can't decode ..."),
+    "compare-grid-mismatch": ("compare --a {tmp}/good.csv --b {tmp}/longer.csv", None, 1,
+                              "sweeps do not share the same gamma_T grid"),
+    "compare-header-only": ("compare --a {tmp}/good.csv --b {tmp}/header_only.csv", None, 1,
+                            "{tmp}/header_only.csv: no data rows"),
+    "compare-short-row": ("compare --a {tmp}/good.csv --b {tmp}/short_row.csv", None, 1,
+                          "{tmp}/short_row.csv:3: expected 3 cells, got 2"),
+    "compare-nan-row": ("compare --a {tmp}/good.csv --b {tmp}/nan_row.csv", None, 1,
+                        "{tmp}/nan_row.csv:2: non-finite value 'nan'"),
+    "compare-latin1": ("compare --a {tmp}/good.csv --b {tmp}/latin1.csv", None, 1,
+                       "{tmp}/latin1.csv: 'utf-8' codec can't decode ..."),
+}
+
+
+@pytest.mark.parametrize("argv, config, code, text", _CLI_FAULTS.values(), ids=_CLI_FAULTS)
+def test_a_cli_fault_exits_with_its_code_and_one_line_and_writes_nothing(
+    tmp_path, capsys, cli_fault_inputs, argv, config, code, text
+):
+    shutil.copytree(cli_fault_inputs, tmp_path, dirs_exist_ok=True)
+    names = dict(tmp=tmp_path, config=tmp_path / "c.cfg", out=tmp_path / "out")
+    if config is not None:
+        names["config"].write_text(config.format(**names))
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert main([arg.format(**names) for arg in shlex.split(argv)]) == code
+    captured = capsys.readouterr()
+    line = f"dephasim: {text.format(**names)}\n"
+    if text.endswith("..."):
+        assert captured.err.startswith(line[:-4]) and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    else:
+        assert captured.err == line
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
 
 
 @pytest.mark.parametrize("overlap", [0, 1, 20, 21])
@@ -1043,44 +1171,6 @@ def test_cli_compare_lists_at_most_20_overlap_points(tmp_path, capsys, overlap):
     listed = [line for line in capsys.readouterr().out.splitlines() if "overlap at" in line]
     want = [f"  overlap at gamma_T = {g:.12g}" for g in grid[both_on]] if overlap <= 20 else []
     assert listed == want
-
-
-def test_cli_exit_codes(tmp_path):
-    # usage error: unknown flag
-    assert main(["sweep", "--bogus"]) == 1
-    # usage error: missing initial state
-    assert main(["sweep", "--output", str(tmp_path / "x.csv")]) == 1
-    # parse error in the ket expression
-    assert (
-        main(
-            ["sweep", "--initial-state", "(|10>", "--output", str(tmp_path / "x.csv"), "--samples", "10"]
-        )
-        == 1
-    )
-    # input error: mismatching grids
-    short = SweepConfig(initial_state="|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=10)
-    longer = SweepConfig(initial_state="|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=12)
-    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run_sweep(short), str(a_path))
-    write_csv(run_sweep(longer), str(b_path))
-    assert main(["compare", "--a", str(a_path), "--b", str(b_path)]) == 1
-    # i/o failure: unwritable output directory
-    assert (
-        main(
-            [
-                "sweep",
-                "--initial-state",
-                "|00>",
-                "--omega-ratio",
-                "0",
-                "--samples",
-                "10",
-                "--output",
-                str(tmp_path / "missing" / "x.csv"),
-            ]
-        )
-        == 3
-    )
 
 
 @pytest.mark.parametrize("command, ket", [("sweep", "|10>"), ("qutrit", "|1,0>")])
@@ -1162,31 +1252,6 @@ def test_a_long_argument_is_shown_on_one_short_line(tmp_path, capsys, argv, name
 
 
 @pytest.mark.parametrize(
-    "command, ket",
-    [("sweep", "|10> - |10>"), ("qutrit", "|0,0> - |0,0>")],
-)
-def test_cli_reports_a_cancelled_ket(tmp_path, capsys, command, ket):
-    out = tmp_path / "out"
-    assert main([command, "--initial-state", ket, "--output", str(out)]) == 1
-    assert capsys.readouterr().err == "dephasim: all amplitudes cancel (at position 0)\n"
-    assert not out.exists()
-
-
-def test_cli_rejects_removed_options(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    assert main(["sweep", "--initial-state", "|00>", "--output", out, "--workers", "2"]) == 1
-    assert main(["compare", "--a", out, "--b", out, "--threshold", "0.1"]) == 1
-    assert capsys.readouterr().err.count("unrecognized arguments") == 2
-
-
-def test_cli_overflowing_drive_is_a_numerical_error(tmp_path, capsys):
-    argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--samples", "3"]
-    argv += ["--gamma-t-max", "1", "--output", str(tmp_path / "x.csv")]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("dephasim: ")
-
-
-@pytest.mark.parametrize(
     "run", [lambda: run_sweep(SweepConfig(5)), lambda: run_qutrit_scan(None)], ids=["sweep", "qutrit"]
 )
 def test_a_ket_that_is_not_a_str_is_a_usage_error(run):
@@ -1207,17 +1272,6 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
     assert capsys.readouterr().err == f"dephasim: {point_by_point.value}\n"
 
 
-def test_cli_sample_count_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
-    # 10**18 samples exceed the address space, so the grid fails at once
-    # without taking memory; never try a count that could be allocated.
-    out = tmp_path / "x.csv"
-    argv = ["sweep", "--initial-state", "|10>", "--samples", str(10**18), "--output", str(out)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dephasim: Unable to allocate") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_cli_grid_too_fine_for_floats_is_refused_by_name_before_any_propagation(tmp_path, capsys, monkeypatch):
     # np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does
     # not increase; the sweep names both inputs and propagates no point.
@@ -1227,154 +1281,6 @@ def test_cli_grid_too_fine_for_floats_is_refused_by_name_before_any_propagation(
     assert main(argv) == 1
     assert capsys.readouterr().err == "dephasim: gamma_t_max 1e-322 is too small for 100 distinct samples\n"
     assert not out.exists()
-
-
-def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    for flag in ("--omega-ratio", "--gamma-t-max"):
-        for value in ("nan", "inf", "-inf"):
-            argv = ["sweep", "--initial-state", "|00>", f"{flag}={value}", "--output", out]
-            assert main(argv) == 1
-            field = flag[2:].replace("-", "_")
-            assert f"dephasim: {field} must be finite" in capsys.readouterr().err
-
-
-def test_cli_compare_rejects_malformed_csv(tmp_path, capsys):
-    good = tmp_path / "good.csv"
-    write_csv(run_sweep(SweepConfig("|00>", omega_ratio=0.0, samples=10)), str(good))
-    header_only = tmp_path / "header_only.csv"
-    header_only.write_text("gamma_T,concurrence,mutual_information\n")
-    short_row = tmp_path / "short_row.csv"
-    short_row.write_text("gamma_T,concurrence,mutual_information\n0,1,2\n0.5,1\n")
-    for bad, where in ((header_only, f"{header_only}:"), (short_row, f"{short_row}:3:")):
-        assert main(["compare", "--a", str(good), "--b", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith(f"dephasim: {where}")
-    nan_row = tmp_path / "nan_row.csv"
-    nan_row.write_text("gamma_T,concurrence,mutual_information\n0,nan,0.1\n")
-    assert main(["compare", "--a", str(good), "--b", str(nan_row)]) == 1
-    assert capsys.readouterr().err == f"dephasim: {nan_row}:2: non-finite value 'nan'\n"
-
-
-def test_cli_config_file_rejects_mode_key(tmp_path, capsys):
-    config_path = tmp_path / "qutrit.cfg"
-    config_path.write_text("initial_state = |0,0>\nmode = qutrit-criterion\n")
-    argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"dephasim: {config_path}:2: ")
-    assert "unknown config key 'mode'" in err
-
-
-@pytest.mark.parametrize("key", ["omega_ratio", "gamma_t_max", "samples"])
-def test_cli_qutrit_config_file_rejects_sweep_only_keys(tmp_path, capsys, key):
-    # qutrit has no flag for the sweep-only keys, so its config file may not set them
-    config_path = tmp_path / "qutrit.cfg"
-    config_path.write_text(f"initial_state = |0,0>\n{key} = 2\n")
-    argv = ["qutrit", "--config", str(config_path), "--output", str(tmp_path / "r.txt")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"dephasim: {config_path}:2: ")
-    assert f"unknown config key {key!r}" in err
-
-
-@pytest.mark.parametrize(
-    "command, first, last, reason",
-    [
-        ("sweep", "samples = 1", "samples = 20", "samples: samples must be at least 2, got 1"),
-        ("sweep", "samples = x", "samples = 20", "samples: invalid literal for int() with base 10: 'x'"),
-        ("sweep", "initial_state = |1x>", "initial_state = |10>", "initial_state: "),
-        ("qutrit", "initial_state = |1,2>", "initial_state = |1,0>", "initial_state: "),
-    ],
-    ids=["out-of-range", "wrong-type", "sweep-ket", "qutrit-ket"],
-)
-def test_cli_config_checks_each_line_of_a_repeated_key(tmp_path, capsys, command, first, last, reason):
-    # neither a later line with the same key nor a flag excuses an earlier line
-    config_path = tmp_path / "c.cfg"
-    config_path.write_text(f"{first}\n{last}\n")
-    out = tmp_path / "out"
-    ket = {"sweep": "|10>", "qutrit": "|1,0>"}[command]
-    argv = [command, "--config", str(config_path), "--initial-state", ket, "--output", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"dephasim: {config_path}:1: {reason}")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, value, reason, flags",
-    [
-        ("samples", "x", "invalid literal for int() with base 10: 'x'", []),
-        ("samples", "1.5", "invalid literal for int() with base 10: '1.5'", []),
-        ("omega_ratio", "fast", "could not convert string to float: 'fast'", []),
-        # a flag that overrides the value does not excuse it
-        ("samples", "x", "invalid literal for int() with base 10: 'x'", ["--samples", "5"]),
-    ],
-)
-def test_cli_config_value_of_wrong_type_names_file_and_line(
-    tmp_path, capsys, key, value, reason, flags
-):
-    config_path = tmp_path / "sweep.cfg"
-    config_path.write_text(f"initial_state = |00>\n# typed values follow\n{key} = {value}\n")
-    argv = ["sweep", "--config", str(config_path), "--output", str(tmp_path / "x.csv"), *flags]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"dephasim: {config_path}:3: {key}: {reason}\n"
-
-
-@pytest.mark.parametrize(
-    "key, value, reason, flags",
-    [
-        ("samples", "1", "samples must be at least 2, got 1", []),
-        ("gamma_t_max", "-1", "gamma_t_max must be finite and positive, got -1.0", []),
-        ("omega_ratio", "nan", "omega_ratio must be finite and nonnegative, got nan", []),
-        # a flag that overrides the value does not excuse it
-        ("samples", "1", "samples must be at least 2, got 1", ["--samples", "5"]),
-    ],
-)
-def test_cli_config_value_out_of_range_names_file_and_line(
-    tmp_path, capsys, key, value, reason, flags
-):
-    config_path = tmp_path / "c.cfg"
-    config_path.write_text(f"initial_state = |00>\n{key} = {value}\n")
-    out = str(tmp_path / "x.csv")
-    assert main(["sweep", "--config", str(config_path), "--output", out, *flags]) == 1
-    assert capsys.readouterr().err == f"dephasim: {config_path}:2: {key}: {reason}\n"
-    # the same value from a flag keeps the plain message
-    flag = f"--{key.replace('_', '-')}={value}"
-    assert main(["sweep", "--initial-state", "|00>", flag, "--output", out]) == 1
-    assert capsys.readouterr().err == f"dephasim: {reason}\n"
-
-
-@pytest.mark.parametrize(
-    "command, dims, ket, flag_ket",
-    [("sweep", (2, 2), '"(|10> - |01>)/sqrt(2)"', "|10>"), ("qutrit", (3, 3), "|1,2>", "|1,0>")],
-    ids=["sweep", "qutrit"],
-)
-def test_cli_config_ket_that_does_not_parse_names_file_and_line(
-    tmp_path, capsys, command, dims, ket, flag_ket
-):
-    config_path = tmp_path / "c.cfg"
-    config_path.write_text(f"# the {command} ket\ninitial_state = {ket}\n")
-    with pytest.raises(errors.ParseError) as parsed:
-        parse_ket_expression(ket, dims)
-    out = tmp_path / "out"
-    # a flag that overrides the value does not excuse it
-    for flags in ([], ["--initial-state", flag_ket]):
-        assert main([command, "--config", str(config_path), "--output", str(out), *flags]) == 1
-        assert capsys.readouterr().err == f"dephasim: {config_path}:2: initial_state: {parsed.value}\n"
-    assert not out.exists()
-
-
-def test_cli_undecodable_inputs_name_their_file(tmp_path, capsys):
-    good = tmp_path / "good.csv"
-    write_csv(run_sweep(SweepConfig("|00>", omega_ratio=0.0, samples=10)), str(good))
-    latin1_csv = tmp_path / "latin1.csv"
-    latin1_csv.write_bytes(good.read_bytes() + "# r\xe9sum\xe9\n".encode("latin-1"))
-    assert main(["compare", "--a", str(good), "--b", str(latin1_csv)]) == 1
-    assert capsys.readouterr().err.startswith(f"dephasim: {latin1_csv}: 'utf-8' codec can't decode")
-    latin1_cfg = tmp_path / "sweep.cfg"
-    latin1_cfg.write_bytes("# r\xe9sum\xe9\ninitial_state = |00>\n".encode("latin-1"))
-    argv = ["sweep", "--config", str(latin1_cfg), "--output", str(tmp_path / "x.csv")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"dephasim: {latin1_cfg}: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize(

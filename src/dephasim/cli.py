@@ -205,6 +205,7 @@ def run() -> NoReturn:
     stderr where stderr itself can still be written; a run that already
     failed keeps its own code, even when its report could not be written.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # scipy's OpenBLAS loads in main; 16x16 work needs one thread
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -31,6 +31,7 @@ from oracles import (
     ConcurrenceMargin, concurrence, mutual_information, per_point_xforms, random_xform_entries, rk4_stationary_grid
 )
 from test_measures import embed_xform
+from test_package import _cli_process
 
 OMEGA_RATIO = 31.25
 ROBUST = ["(|10> + |01>)/sqrt(2)", "(|10> - |01>)/sqrt(2)"]
@@ -194,6 +195,18 @@ PAPER_GOLDEN = {
 def test_paper_sweeps_write_the_golden_bytes(tmp_path, label, config):
     path = tmp_path / f"{label}.csv"
     write_csv(sweep_cached(config), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GOLDEN[label]
+
+
+@pytest.mark.parametrize("label, config", [("robust", ROBUST_SWEEP), ("fragile", FRAGILE_SWEEP)])
+def test_a_cold_paper_sweep_with_no_blas_thread_count_set_writes_the_golden_bytes(tmp_path, monkeypatch, label, config):
+    # the command then runs scipy's OpenBLAS on one thread, and numpy's on its default
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    path = tmp_path / f"{label}.csv"
+    argv = ["sweep", "--initial-state", config.initial_state, "--omega-ratio", str(config.omega_ratio),
+            "--gamma-t-max", str(config.gamma_t_max), "--samples", str(config.samples), "--output", str(path)]
+    proc = _cli_process(argv, tmp_path, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GOLDEN[label]
 
 

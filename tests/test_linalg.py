@@ -11,7 +11,6 @@ import scipy.linalg
 
 import dephasim
 from dephasim import (
-    DimensionMismatchError,
     SweepConfig,
     parse_ket_expression,
     partial_transpose,
@@ -110,22 +109,6 @@ def test_partial_trace_oracle_gives_each_party_its_expectation_values():
             g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             op = g + g.conj().T
             assert abs(np.trace(reduced @ op) - np.trace(rho @ embed(op))) <= 1e-12
-
-
-# 10**5000 has more digits than repr prints; the message prints its pair as a placeholder.
-@pytest.mark.parametrize(
-    "matrix, dims, message",
-    [
-        (np.eye(4), (3, 3), r"shape \(4, 4\) does not match subsystem dims \(3, 3\)"),
-        (np.eye(6), (2, 3), r"supported pairs are \(2, 2\) and \(3, 3\), got \(2, 3\)"),
-        (np.eye(4), (10**5000, 1), r"supported pairs are \(2, 2\) and \(3, 3\), got <tuple too long to print>"),
-        (np.eye(4), (-2, -2), r"supported pairs are \(2, 2\) and \(3, 3\), got \(-2, -2\)"),
-    ],
-    ids=["3x3", "2x3", "1e5000", "-2x-2"],
-)
-def test_partial_transpose_rejects_bad_dims(matrix, dims, message):
-    with pytest.raises(DimensionMismatchError, match=rf"^{message}$"):
-        partial_transpose(matrix, dims)
 
 
 def test_expm_of_a_stack_is_the_expm_of_each_slice():

@@ -196,6 +196,29 @@ def test_cold_sweep_loads_only_the_pade_kernels_and_matches_in_process_bytes(tmp
     assert cold.read_bytes() == warm.read_bytes()
 
 
+# Prints the BLAS thread count after importing the CLI and again inside main, run by the
+# command's entry point.
+_BLAS_PROBE = """
+import os
+from dephasim import cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+cli.main = lambda: print(os.environ.get("OPENBLAS_NUM_THREADS")) or 0
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "None\n1\n"), ("2", "2\n2\n")], ids=["unset", "user-set"])
+def test_the_command_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch, preset, seen):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, seen, "")
+
+
 def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
     # A fresh process uses Python's default warning filters, so any numpy
     # RuntimeWarning would reach stderr ahead of the typed error.

@@ -70,56 +70,10 @@ def test_parse_is_whitespace_insensitive():
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_parse_unclosed_parenthesis():
-    with pytest.raises(ParseError) as excinfo:
-        parse_ket_expression("(|11> + |00>", (2, 2))
-    assert excinfo.value.position == 0
-
-
-def test_parse_deep_nesting_is_a_parse_error():
-    nested = lambda depth: "(" * depth + "|10>" + ")" * depth
-    flat = parse_ket_expression("|10>", (2, 2)).matrix
-    assert np.array_equal(parse_ket_expression(nested(100), (2, 2)).matrix, flat)
-    with pytest.raises(ParseError) as excinfo:
-        parse_ket_expression(nested(1000), (2, 2))
-    assert str(excinfo.value) == "parentheses nested more than 200 deep (at position 200)"
-    assert excinfo.value.position == 200
-
-
-def test_parse_label_errors():
-    with pytest.raises(ParseError, match="is outside the 3x3 level alphabet"):
-        parse_ket_expression("|2,0>", (3, 3))
-    with pytest.raises(ParseError, match="is outside the 2x2 level alphabet"):
-        parse_ket_expression("|12>", (2, 2))
-    with pytest.raises(ParseError, match="needs two levels"):
-        parse_ket_expression("|1>", (2, 2))
-    with pytest.raises(ParseError, match="must name exactly two subsystems"):
-        parse_ket_expression("|1,0,1>", (3, 3))
-
-
-# An int of more than 4300 digits, which repr refuses: a message prints its pair as this.
-_HUGE, _TOO_LONG = 10**5000, "<tuple too long to print>"
-
-
-# Only the two pairs the paper studies parse; a mixed qubit-qutrit pair is refused too.
-@pytest.mark.parametrize(
-    "dims, shown",
-    [((2, 4), "(2, 4)"), ((3, 2), "(3, 2)"), ((_HUGE, 2), _TOO_LONG)],
-    ids=["2x4", "3x2", "1e5000"],
-)
-def test_parse_rejects_unsupported_dims(dims, shown):
-    message = rf"^supported pairs are \(2, 2\) and \(3, 3\), got {re.escape(shown)}$"
-    with pytest.raises(DimensionMismatchError, match=message):
-        parse_ket_expression("|1,0>", dims)
-
-
-_CANCELLED = r"^all amplitudes cancel \(at position 0\)$"
-
-
-def test_parse_zero_norm():
-    with pytest.raises(ParseError, match=_CANCELLED) as excinfo:
-        parse_ket_expression("|10> - |10>", (2, 2))
-    assert excinfo.value.position == 0
+def test_parse_reads_parentheses_nested_100_deep():
+    # 1000 deep is a ParseError at position 200: test_faults.py's ket-nested-1000-deep
+    nested = "(" * 100 + "|10>" + ")" * 100
+    assert np.array_equal(parse_ket_expression(nested, (2, 2)).matrix, parse_ket_expression("|10>", (2, 2)).matrix)
 
 
 _BIG = "1" + "0" * 200  # 1e200: its square overflows a float
@@ -144,20 +98,6 @@ def test_parse_normalizes_extreme_amplitudes(text, expected):
     assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-15
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "0.1|10> + 0.2|10> - 0.3|10>",
-        "0.0000000000001*(|10> - |10>)",
-        "0|10>",
-        "(" + _B300 + "|10> - " + _B300 + "|10>)*10000000000",
-    ],
-)
-def test_parse_cancellation_is_relative_to_the_summed_terms(text):
-    with pytest.raises(ParseError, match=_CANCELLED):
-        parse_ket_expression(text, (2, 2))
-
-
 def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
     # Each amplitude is judged against the terms summed into it, not the largest term;
     # a scale that overflows a float (1e300 * 1e10) marks its amplitude cancelled, with no warning.
@@ -167,37 +107,6 @@ def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
     ):
         psi = parse_ket_expression(text, (2, 2))
         assert np.array_equal(psi.matrix, _projector([0, 0, 1, 0]))
-
-
-def test_parse_rejects_garbage():
-    for text in ("", "0.5", "|10> |01>", "|10> + 2", "foo", "|10", "1/0*|10>", "(|10>))"):
-        with pytest.raises(ParseError):
-            parse_ket_expression(text, (2, 2))
-
-
-@pytest.mark.parametrize(
-    "text, position",
-    [
-        ("9" * 400 + "|10>", 0),  # the numeral itself does not fit a float
-        ("sqrt(" + "9" * 400 + ")|10>", 5),
-        ("1" + "0" * 300 + "*" + "1" + "0" * 300 + "|10>", 301),  # the product overflows at '*'
-        ("9" * 308 + "|10> + " + "9" * 308 + "|10>", 313),  # the ket sum overflows at '+'
-        ("0." + "0" * 400 + "1|10>", 0),  # a nonzero numeral that underflows to 0.0
-        ("sqrt(0." + "0" * 400 + "1)|10>", 5),
-        ("|11> + 0." + "0" * 400 + "1|10>", 7),
-        # a coefficient times a summed ket: the amplitudes overflow at the operator
-        ("(" + _B300 + "|10> + " + _B300 + "|01>)*10000000000", 615),
-        ("(" + _B300 + "|10>+|01>)/0." + "0" * 299 + "1", 312),
-        ("(" + _B300 + "|10> + " + _B300 + "|01>)*10000000000/10000000000", 615),
-    ],
-    ids=["numeral", "sqrt-numeral", "product", "ket-sum",
-         "underflow-numeral", "underflow-sqrt-numeral", "underflow-second-term",
-         "times-ket-sum", "ket-sum-over", "times-ket-sum-over"],
-)
-def test_parse_rejects_unrepresentable_coefficients(text, position):
-    with pytest.raises(ParseError, match="does not fit a float") as excinfo:
-        parse_ket_expression(text, (2, 2))
-    assert excinfo.value.position == position
 
 
 def _numerals():
@@ -249,23 +158,6 @@ def test_parse_arithmetic_of_long_numerals_is_a_state_or_a_parse_error(text):
     assert abs(np.trace(psi.matrix) - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "text, message, position",
-    [
-        ("\u00b2|10>", "unexpected character '\u00b2'", 0),  # superscript two: a digit, not a decimal
-        ("|10> + \u00e9", "unexpected character '\u00e9'", 7),  # a letter outside A-Z
-        ("sqrt\u00e9|10>", "unexpected character '\u00e9'", 4),
-        ("1/|10>", "expected a number or sqrt(...), found '|10>'", 2),  # a ket token quotes its bars
-    ],
-    ids=["superscript-digit", "accented-letter", "letter-after-sqrt", "ket-divisor"],
-)
-def test_parse_rejects_non_ascii_characters_at_their_position(text, message, position):
-    with pytest.raises(ParseError) as excinfo:
-        parse_ket_expression(text, (2, 2))
-    assert str(excinfo.value) == f"{message} (at position {position})"
-    assert excinfo.value.position == position
-
-
 def test_parse_reads_any_decimal_digit():
     # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit, so it is a coefficient
     psi = parse_ket_expression("\u0663|10>", (2, 2))
@@ -313,19 +205,6 @@ def test_parse_round_trips_printed_real_states(dims, data):
     assert np.max(np.abs(psi.matrix - _projector(expected / norm))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "matrix, dims, shape, shown",
-    [(np.eye(4) / 4, (3, 3), "(4, 4)", "(3, 3)"), (np.eye(9) / 9, np.array([2, 2]), "(9, 9)", "(2, 2)")],
-    ids=["4x4-as-3x3", "9x9-as-2x2"],
-)
-def test_density_matrix_rejects_a_shape_that_does_not_match_dims(matrix, dims, shape, shown):
-    with pytest.raises(
-        DimensionMismatchError,
-        match=rf"^shape {re.escape(shape)} does not match subsystem dims {re.escape(shown)}$",
-    ):
-        DensityMatrix(matrix, dims)
-
-
 @pytest.mark.parametrize("dims", [[2, 2], (np.int64(2), 2), np.array([2, 2])])
 def test_density_matrix_stores_any_integer_pair_as_a_tuple(dims):
     rho = DensityMatrix(np.eye(4) / 4, dims)
@@ -334,10 +213,16 @@ def test_density_matrix_stores_any_integer_pair_as_a_tuple(dims):
     assert np.array_equal(collective_jz(dims), collective_jz((2, 2)))  # the same dims check
 
 
+# An int of more than 4300 digits, which repr refuses: a message prints its pair as this.
+_HUGE, _TOO_LONG = 10**5000, "<tuple too long to print>"
 # Dims that are not one of the two pairs the paper studies, each with the size
-# of a matrix it would otherwise describe and the text the message shows.
+# of a matrix it would otherwise describe and the text the message shows. A
+# mixed qubit-qutrit pair is refused too.
 _UNSUPPORTED_DIMS = {
     "2x3": ((2, 3), 6, "(2, 3)"),
+    "2x4": ((2, 4), 8, "(2, 4)"),
+    "3x2": ((3, 2), 6, "(3, 2)"),
+    "4x4": ((4, 4), 16, "(4, 4)"),
     "2x3-array": (np.array([2, 3]), 6, "(2, 3)"),
     "1x4-list": ([np.int64(1), 4], 4, "(1, 4)"),
     "-2x-2": ((-2, -2), 4, "(-2, -2)"),
@@ -351,6 +236,7 @@ _UNSUPPORTED_DIMS = {
     "float-and-int": ((2.0, 2), 4, "(2.0, 2)"),
     "1e5000": ((_HUGE,), 4, _TOO_LONG),  # refused as it unpacks
     "1e5000x1": ((_HUGE, 1), 4, _TOO_LONG),  # unpacks, refused at the table lookup
+    "1e5000x2": ((_HUGE, 2), 4, _TOO_LONG),
 }
 
 
@@ -388,13 +274,6 @@ def test_an_endless_dims_iterable_is_refused_at_its_third_item(entry):
     assert next(dims) == 5  # the third item was taken and refused; no more
 
 
-@pytest.mark.parametrize("text, kind", [(5, "int"), (None, "NoneType"), (b"|10>", "bytes")])
-def test_parse_rejects_a_ket_that_is_not_a_str(text, kind):
-    with pytest.raises(ParseError, match=rf"ket expression must be a str, got {kind}") as info:
-        parse_ket_expression(text, (2, 2))
-    assert isinstance(info.value, ValueError)
-
-
 def test_parse_singlet_is_its_projector_block():
     rho = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
     m = rho.matrix
@@ -411,41 +290,6 @@ def test_parse_basis_ket_is_its_diagonal_projector():
 def test_validate_accepts_maximally_mixed():
     rho = validate(np.eye(4) / 4, (2, 2))
     assert rho.dims == (2, 2)
-
-
-def test_validate_rejects_negative_eigenvalue():
-    with pytest.raises(StateValidationError, match="negative eigenvalue"):
-        validate(np.diag([1.2, -0.2, 0.0, 0.0]), (2, 2))
-
-
-def test_validate_rejects_wrong_trace():
-    with pytest.raises(StateValidationError, match="trace differs from one"):
-        validate(np.diag([0.6, 0.6, 0.0, 0.0]), (2, 2))
-
-
-def test_validate_rejects_non_hermitian():
-    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    m[0, 1] = 1e-3
-    with pytest.raises(StateValidationError, match="not Hermitian"):
-        validate(m, (2, 2))
-
-
-def _with_infinite_pair():
-    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    m[0, 1] = m[1, 0] = np.inf
-    return m
-
-
-# inf - inf in the Hermiticity defect is NaN; the typed error must be the only signal,
-# which the suite's warnings-as-errors filter enforces.
-@pytest.mark.parametrize(
-    "matrix",
-    [np.diag([np.nan, 0.5, 0.5, 0.0]), np.diag([np.inf, 0.0, 0.0, 0.0]), _with_infinite_pair()],
-    ids=["nan-diagonal", "infinite-diagonal", "infinite-off-diagonal-pair"],
-)
-def test_validate_rejects_a_non_finite_entry_with_only_the_typed_error(matrix):
-    with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian \(magnitude nan\)$"):
-        validate(matrix, (2, 2))
 
 
 def test_parse_pure_validate_round_trip():

@@ -199,13 +199,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def _feature_values(words: list[str], names: tuple[str, ...]) -> tuple[float, ...]:
-    """The values of a feature comment's words, which must read `name = value` for each of names, in order."""
-    values = words[2::3]
+def _feature_values(kind: str, words: list[str]) -> tuple[float, ...]:
+    """The values of a `kind` comment's words, which must read `name = value` for each of its names, in order."""
+    names, values = _FEATURES[kind], words[2::3]
     if len(values) != len(names):
-        raise ValueError(f"expected {len(names)} values, got {len(values)}")
+        raise ValueError(f"{kind}: expected {len(names)} value{'s' * (len(names) != 1)}, got {len(values)}")
     if words[0::3] != list(names) or words[1::3] != ["="] * len(names):
-        raise ValueError("expected " + " ".join(f"{name} = <value>" for name in names))
+        raise ValueError(f"{kind}: expected " + " ".join(f"{name} = <value>" for name in names))
     return tuple(_finite(value) for value in values)
 
 
@@ -226,7 +226,7 @@ def read_csv(path: str) -> SweepResult:
             if line.startswith("#"):
                 kind, *words = line[1:].split() or [None]  # a comment is a feature only by its first word
                 if kind in _FEATURES:
-                    features[kind].append(_feature_values(words, _FEATURES[kind]))
+                    features[kind].append(_feature_values(kind, words))
                 continue
             cells = line.split(",")
             if len(cells) != 3:

@@ -387,6 +387,15 @@ def bisect_transitions(gamma_t, concurrence, concurrence_at, threshold=1e-9, tol
     return transitions
 
 
+def seeded_sweep(seed: int) -> tuple[str, float, float, int]:
+    """Sweep `seed` of the seeded population: (ket, omega_ratio, gamma_t_max, samples) of a real ket, with
+    omega_ratio 0.5 to 1e4, gamma_t_max 4 to 100 and 20 to 400 samples, its grid often too coarse for its drive."""
+    rng = np.random.default_rng(seed)
+    ket = "".join(f"{a:+.6f}|{label}>" for a, label in zip(rng.standard_normal(4), ("11", "10", "01", "00")))
+    samples = int(rng.choice([20, 50, 100, 400]))
+    return ket, float(0.5 * 2e4 ** rng.uniform()), float(rng.uniform(4.0, 100.0)), samples
+
+
 def reads_as_number(value, complex_ok: bool = False) -> bool:
     """Whether the package reads one value from outside as a number: a Python or numpy int or
     float, or a complex number where complex_ok. Never a bool, and an int only where numpy

@@ -44,14 +44,9 @@ FRAGILE_SWEEP = SweepConfig(
     initial_state="(|11> + |00>)/sqrt(2)", omega_ratio=OMEGA_RATIO, gamma_t_max=4.0, samples=2000
 )
 
-_SWEEP_CACHE = {}
-
-
-def sweep_cached(config, workers=1):
-    key = (config, workers)
-    if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = run_sweep(config, workers=workers)
-    return _SWEEP_CACHE[key]
+@functools.cache
+def sweep_cached(config):
+    return run_sweep(config)
 
 
 class Criterion:

@@ -8,6 +8,7 @@ unsupported dims of every state and operator are `_UNSUPPORTED_DIMS` in
 test_states.py.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from dephasim import (
     partial_transpose,
     qutrit_sufficient_entangled,
     read_csv,
+    run_qutrit_scan,
     run_sweep,
     stationary_xforms,
     validate,
@@ -41,6 +43,22 @@ _QUTRITS = parse_ket_expression("|0,0>", (3, 3))
 _CANCELLED = "all amplitudes cancel (at position 0)"
 _NOT_A_FLOAT = "coefficient does not fit a float (at position {})"
 _TRIPLE = "every maximum must be a (gamma_T, concurrence, mutual_information) triple"
+# Values that are not one real number that fits a float: the row id, the value, its text in a message and the
+# dtype of a list that holds it. math.isfinite would raise OverflowError on the ints, and repr raises
+# ValueError on an int of more than sys.get_int_max_str_digits() digits.
+_NOT_REAL = [
+    ("5", "5", "'5'", "<U1"),
+    ("1j", 1j, "1j", "complex128"),
+    ("None", None, "None", "object"),
+    ("True", True, "True", "bool"),
+    ("np.True_", np.True_, repr(np.True_), "bool"),  # 'np.True_' from numpy 2, 'True' before
+    ("Fraction", Fraction(1, 2), "Fraction(1, 2)", "object"),
+    ("1e400", 10**400, str(10**400), "object"),
+    ("-1e400", -(10**400), str(-(10**400)), "object"),
+    ("2max", 2 * int(sys.float_info.max), str(2 * int(sys.float_info.max)), "object"),
+    ("1e5000", 10**5000, "<int too long to print>", "object"),
+    ("-1e5000", -(10**5000), "<int too long to print>", "object"),
+]
 
 
 def _parse(text, dims=(2, 2)):
@@ -80,6 +98,10 @@ _FAULTS = {
     "ket-not-a-str-int": (_parse(5), ParseError, "ket expression must be a str, got int (at position 0)"),
     "ket-not-a-str-None": (_parse(None), ParseError, "ket expression must be a str, got NoneType (at position 0)"),
     "ket-not-a-str-bytes": (_parse(b"|10>"), ParseError, "ket expression must be a str, got bytes (at position 0)"),
+    "sweep-ket-not-a-str": (lambda _: run_sweep(SweepConfig(5)), ParseError,
+                            "ket expression must be a str, got int (at position 0)"),
+    "qutrit-scan-ket-not-a-str": (lambda _: run_qutrit_scan(None), ParseError,
+                                  "ket expression must be a str, got NoneType (at position 0)"),
     "ket-unclosed-parenthesis": (_parse("(|11> + |00>"), ParseError, "unclosed '(' (at position 0)"),
     "ket-nested-1000-deep": (_parse("(" * 1000 + "|10>" + ")" * 1000), ParseError,
                              "parentheses nested more than 200 deep (at position 200)"),
@@ -168,6 +190,22 @@ _FAULTS = {
         f"time-{value}": (lambda _, value=value: stationary_xforms(_SINGLET, 1.0, [0.5, value]), ValueError,
                           f"time must be finite and nonnegative, got {value}")
         for value in (np.nan, np.inf, -np.inf, -1.0)
+    },
+    # each parameter that takes one real number refuses every value in _NOT_REAL; a list of times holding
+    # one is refused by its dtype
+    **{
+        f"{check}-{name}": (lambda _, call=call, value=value: call(value), ValueError,
+                            message.format(shown=shown, dtype=dtype))
+        for check, call, message in (
+            ("config-omega_ratio", lambda v: SweepConfig("|00>", omega_ratio=v),
+             "omega_ratio must be finite and nonnegative, got {shown}"),
+            ("config-gamma_t_max", lambda v: SweepConfig("|00>", gamma_t_max=v),
+             "gamma_t_max must be finite and positive, got {shown}"),
+            ("drive", lambda v: stationary_xforms(_SINGLET, v, [0.5]),
+             "drive ratio omega1 must be finite and nonnegative, got {shown}"),
+            ("time", lambda v: stationary_xforms(_SINGLET, 1.0, [v]), "times must be real, got dtype {dtype}"),
+        )
+        for name, value, shown, dtype in _NOT_REAL
     },
     # checked before any array is sized from len(times)
     "times-scalar": (lambda _: stationary_xforms(_SINGLET, 1.0, 0.5), ValueError,
@@ -328,25 +366,26 @@ _FAULTS = {
     "csv-infinite-transition": (_read("0,1,2\n# transition gamma_T = inf\n"), ValueError,
                                 "{path}:3: non-finite value 'inf'"),
     "csv-transition-without-value": (_read("0,1,2\n# transition gamma_T\n"), ValueError,
-                                     "{path}:3: expected 1 values, got 0"),
+                                     "{path}:3: transition: expected 1 value, got 0"),
     "csv-transition-equals-without-value": (_read("0,1,2\n# transition gamma_T =\n"), ValueError,
-                                            "{path}:3: expected 1 values, got 0"),
+                                            "{path}:3: transition: expected 1 value, got 0"),
     "csv-maximum-with-one-value": (_read("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5\n"), ValueError,
-                                   "{path}:4: expected 3 values, got 1"),
+                                   "{path}:4: maximum: expected 3 values, got 1"),
     "csv-maximum-with-four-values": (
         _read("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 1 mutual_information = 2 x = 3\n"),
-        ValueError, "{path}:4: expected 3 values, got 4"),
+        ValueError, "{path}:4: maximum: expected 3 values, got 4"),
     "csv-maximum-equals-without-value": (
         _read("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 1 mutual_information =\n"),
-        ValueError, "{path}:4: expected 3 values, got 2"),
+        ValueError, "{path}:4: maximum: expected 3 values, got 2"),
     # feature values are read by the names write_csv writes, in its order
     "csv-transition-other-name": (_read("0,1,2\n0.5,1,2\n# transition foo = 0.3\n"), ValueError,
-                                  "{path}:4: expected gamma_T = <value>"),
+                                  "{path}:4: transition: expected gamma_T = <value>"),
     "csv-transition-misplaced-equals": (_read("0,1,2\n0.5,1,2\n# transition gamma_T 0.3 =\n"), ValueError,
-                                        "{path}:4: expected gamma_T = <value>"),
+                                        "{path}:4: transition: expected gamma_T = <value>"),
     "csv-maximum-out-of-order": (
         _read("0,1,2\n0.5,1,2\n# maximum concurrence = 0.25 gamma_T = 0.5 mutual_information = 0.75\n"),
-        ValueError, "{path}:4: expected gamma_T = <value> concurrence = <value> mutual_information = <value>"),
+        ValueError,
+        "{path}:4: maximum: expected gamma_T = <value> concurrence = <value> mutual_information = <value>"),
     "csv-maximum-outside-every-window": (
         _read("0,1,2\n0.5,1,2\n# maximum gamma_T = 0.5 concurrence = 0 mutual_information = 2\n"),
         ValueError, "{path}: every maximum must lie inside an entangled window"),

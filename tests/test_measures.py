@@ -1,8 +1,10 @@
 import collections
 import dataclasses
 import itertools
+import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -31,14 +33,6 @@ from oracles import (
     von_neumann_entropy,
 )
 
-BELL_EXPRESSIONS = [
-    "(|10> - |01>)/sqrt(2)",
-    "(|10> + |01>)/sqrt(2)",
-    "(|11> + |00>)/sqrt(2)",
-    "(|11> - |00>)/sqrt(2)",
-]
-
-
 def embed_xform(x: StationaryXForm) -> np.ndarray:
     m = np.diag([x.a, x.b, x.c, x.d]).astype(complex)
     m[1, 2] = x.f
@@ -47,7 +41,7 @@ def embed_xform(x: StationaryXForm) -> np.ndarray:
 
 
 def werner(p: float) -> np.ndarray:
-    singlet = parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2)).matrix
+    singlet = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2)).matrix
     return p * singlet + (1 - p) * np.eye(4) / 4
 
 
@@ -80,20 +74,47 @@ def with_edges(test):
     return test
 
 
-def test_concurrence_of_bell_states_is_one():
-    for text in BELL_EXPRESSIONS:
-        rho = parse_ket_expression(text, (2, 2))
-        assert abs(concurrence(rho) - 1.0) <= 1e-9
+def _ket(text, dims=(2, 2)):
+    return parse_ket_expression(text, dims)
 
 
-def test_concurrence_of_maximally_mixed_is_zero():
-    assert concurrence(validate(np.eye(4) / 4, (2, 2))) == 0.0
+# Each known state, a DensityMatrix or an X-form; its concurrence (None for qutrits), mutual information in bits
+# and least partial-transpose eigenvalue; and how far the general forms may be from them (0: exact). The closed
+# forms of an X-form are exact. Werner p: concurrence max(0, (3p - 1) / 2), least eigenvalue (1 - 3p) / 4.
+_KNOWN_STATES = {
+    "bell-10-minus-01": (_ket("(|10> - |01>)/sqrt(2)"), 1.0, 2.0, -0.5, 1e-12),
+    "bell-10-plus-01": (_ket("(|10> + |01>)/sqrt(2)"), 1.0, 2.0, -0.5, 1e-12),
+    "bell-11-plus-00": (_ket("(|11> + |00>)/sqrt(2)"), 1.0, 2.0, -0.5, 1e-12),
+    "bell-11-minus-00": (_ket("(|11> - |00>)/sqrt(2)"), 1.0, 2.0, -0.5, 1e-12),
+    # spectrum 5/8, 1/8, 1/8, 1/8 and maximally mixed marginals
+    "werner-1/2": (validate(werner(0.5), (2, 2)), 0.25, 7 / 8 + 5 / 8 * math.log2(5 / 8), -0.125, 1e-10),
+    # spectrum 1/2, 1/6, 1/6, 1/6
+    "werner-1/3": (validate(werner(1 / 3), (2, 2)), 0.0, 1.5 - 0.5 * math.log2(6), 0.0, 1e-10),
+    "xform-singlet": (StationaryXForm(0.0, 0.5, 0.5, 0.0, -0.5), 1.0, 2.0, -0.5, 1e-12),
+    "xform-maximally-mixed": (StationaryXForm(0.25, 0.25, 0.25, 0.25, 0.0), 0.0, 0.0, 0.25, 0),
+    # equal populations on |11> and |00> form a classically correlated pair
+    "xform-classical-pair": (StationaryXForm(0.5, 0.0, 0.0, 0.5, 0.0), 0.0, 1.0, 0.0, 1e-12),
+    "qutrits-maximally-mixed": (validate(np.eye(9) / 9, (3, 3)), None, 0.0, 1 / 9, 1e-12),
+    "qutrits-maximally-entangled": (_ket("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3)), None, 2 * math.log2(3), -1 / 3,
+                                    1e-12),
+    "qutrits-central-sector": (_ket("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3)), None, 2 * math.log2(3), -1 / 3,
+                               1e-12),
+    "qutrits-single-excitation": (_ket("(|1,0> + |0,1>)/sqrt(2)", (3, 3)), None, 2.0, -0.5, 1e-12),
+    "qutrits-plus-block": (_ket("(|1,-1> + |0,0>)/sqrt(2)", (3, 3)), None, 2.0, -0.5, 1e-12),
+    "qutrits-minus-block": (_ket("(|0,0> + |-1,1>)/sqrt(2)", (3, 3)), None, 2.0, -0.5, 1e-12),
+    "qutrits-product": (_ket("|0,0>", (3, 3)), None, 0.0, 0.0, 1e-12),
+}
 
 
-def test_concurrence_of_werner_states():
-    # analytic diagonalization of the spin-flipped product gives max(0, (3p-1)/2)
-    assert abs(concurrence(validate(werner(0.5), (2, 2))) - 0.25) <= 1e-10
-    assert concurrence(validate(werner(1.0 / 3.0), (2, 2))) <= 1e-10
+@pytest.mark.parametrize("state, c, i, least, tol", _KNOWN_STATES.values(), ids=_KNOWN_STATES)
+def test_a_known_state_has_its_concurrence_mutual_information_and_least_pt_eigenvalue(state, c, i, least, tol):
+    if isinstance(state, StationaryXForm):
+        assert concurrence_xform(state) == c and mutual_information_xform(state) == i
+        state = validate(embed_xform(state), (2, 2))
+    if c is not None:
+        assert abs(concurrence(state) - c) <= tol
+    assert abs(mutual_information(state) - i) <= tol
+    assert abs(min_pt_eigenvalue(state) - least) <= tol
 
 
 def test_concurrence_local_unitary_invariance():
@@ -106,11 +127,6 @@ def test_concurrence_local_unitary_invariance():
         c1 = concurrence(validate(rotated, (2, 2)))
         assert abs(c0 - c1) <= 1e-9
         assert 0.0 <= c0 <= 1.0
-
-
-def test_concurrence_xform_closed_form_values():
-    assert concurrence_xform(StationaryXForm(0.0, 0.5, 0.5, 0.0, -0.5)) == 1.0
-    assert concurrence_xform(StationaryXForm(0.25, 0.25, 0.25, 0.25, 0.0)) == 0.0
 
 
 # A Wootters root of sqrt(a d) = 3.3e-8: its square sits below the noise
@@ -142,7 +158,7 @@ def test_closed_forms_of_a_stack_have_the_bits_of_the_scalar_forms(points):
 
 
 def test_entropy_values():
-    pure = parse_ket_expression(BELL_EXPRESSIONS[2], (2, 2))
+    pure = _KNOWN_STATES["bell-11-plus-00"][0]
     assert von_neumann_entropy(pure) <= 1e-10
     assert abs(von_neumann_entropy(validate(np.eye(4) / 4, (2, 2))) - 2.0) <= 1e-12
     rho = validate(np.diag([0.5, 0.25, 0.25, 0.0]), (2, 2))
@@ -153,18 +169,6 @@ def test_mutual_information_product_state():
     rng = np.random.default_rng(43)
     rho = np.kron(random_density(rng, 2), random_density(rng, 2))
     assert mutual_information(validate(rho, (2, 2))) <= 1e-10
-
-
-def test_mutual_information_of_bell_states():
-    for text in BELL_EXPRESSIONS:
-        rho = parse_ket_expression(text, (2, 2))
-        assert abs(mutual_information(rho) - 2.0) <= 1e-9
-
-
-def test_mutual_information_xform_values():
-    assert abs(mutual_information_xform(StationaryXForm(0.0, 0.5, 0.5, 0.0, -0.5)) - 2.0) <= 1e-12
-    # equal populations on |11> and |00> form a classically correlated pair
-    assert abs(mutual_information_xform(StationaryXForm(0.5, 0.0, 0.0, 0.5, 0.0)) - 1.0) <= 1e-12
 
 
 @with_edges
@@ -187,36 +191,38 @@ def test_min_pt_eigenvalue_separable_mixture():
     assert min_pt_eigenvalue(validate(rho, (2, 2))) >= -1e-10
 
 
-def test_min_pt_eigenvalue_entangled_states():
-    singlet = parse_ket_expression(BELL_EXPRESSIONS[0], (2, 2))
-    assert abs(min_pt_eigenvalue(singlet) + 0.5) <= 1e-12
-    qutrit_pair = parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3))
-    assert abs(min_pt_eigenvalue(qutrit_pair) + 1.0 / 3.0) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Qutrit criterion
 # ---------------------------------------------------------------------------
 
 
-def test_cubic_coefficients_maximally_mixed():
-    report = qutrit_sufficient_entangled(validate(np.eye(9) / 9, (3, 3)))
-    xi, zeta, eta = report.xi, report.zeta, report.eta
-    assert abs(xi - 1.0 / 3.0) <= 1e-12
-    assert abs(zeta - 1.0 / 27.0) <= 1e-12
-    assert abs(eta + 1.0 / 729.0) <= 1e-12
+# Each qutrit row of _KNOWN_STATES: its report's flags (the cubic, the plus and minus blocks, sufficient) and
+# the cubic's coefficients xi, zeta, eta, within the row's tolerance.
+_CRITERION = {
+    "qutrits-maximally-mixed": ((False, False, False, False), (1 / 3, 1 / 27, -1 / 729)),
+    # the central partial-transpose block is I / 3, so the cubic is (x - 1/3)^3
+    "qutrits-maximally-entangled": ((False, False, False, False), (1.0, 1 / 3, -1 / 27)),
+    "qutrits-central-sector": ((True, True, True, True), (1 / 3, -1 / 9, 1 / 27)),
+    "qutrits-single-excitation": ((True, False, False, True), (0.0, -0.25, 0.0)),
+    "qutrits-plus-block": ((False, True, False, True), (0.5, 0.0, 0.0)),
+    "qutrits-minus-block": ((False, False, True, True), (0.5, 0.0, 0.0)),
+    "qutrits-product": ((False, False, False, False), (1.0, 0.0, 0.0)),
+}
 
 
-def test_cubic_coefficients_maximally_entangled_projector():
-    # central partial-transpose block of sum_i |ii> / sqrt(3) is (1/3) * identity,
-    # so the cubic is (x - 1/3)^3
-    rho = parse_ket_expression("(|1,1> + |0,0> + |-1,-1>)/sqrt(3)", (3, 3))
+@pytest.mark.parametrize("name", _CRITERION)
+def test_a_known_qutrit_state_has_its_criterion_report(name):
+    rho, _, _, least, tol = _KNOWN_STATES[name]
+    flags, coefficients = _CRITERION[name]
     report = qutrit_sufficient_entangled(rho)
-    xi, zeta, eta = report.xi, report.zeta, report.eta
-    assert abs(xi - 1.0) <= 1e-12
-    assert abs(zeta - 1.0 / 3.0) <= 1e-12
-    assert abs(eta + 1.0 / 27.0) <= 1e-12
-    block = central_block_oracle(rho.matrix)
+    got = (report.cubic_has_negative_root, report.pt_block_plus_negative, report.pt_block_minus_negative)
+    assert (*got, report.sufficient_entangled) == flags
+    assert all(abs(g - w) <= tol for g, w in zip((report.xi, report.zeta, report.eta), coefficients))
+    assert abs(report.min_pt_eigenvalue - least) <= tol
+
+
+def test_the_central_block_of_the_maximally_entangled_qutrits_is_a_third_of_the_identity():
+    block = central_block_oracle(_KNOWN_STATES["qutrits-maximally-entangled"][0].matrix)
     assert np.max(np.abs(block - np.eye(3) / 3.0)) <= 1e-12
 
 
@@ -301,43 +307,6 @@ def test_cubic_sign_verdict_matches_block_eigensolver(matrix):
     assume(abs(block_min + 1e-12) > 1e-13)
     report = qutrit_sufficient_entangled(validate(matrix, (3, 3)))
     assert report.cubic_has_negative_root == (block_min < -1e-12)
-
-
-def test_criterion_maximally_mixed_not_detected():
-    report = qutrit_sufficient_entangled(validate(np.eye(9) / 9, (3, 3)))
-    assert not report.sufficient_entangled
-    assert report.min_pt_eigenvalue >= -1e-12
-
-
-def test_criterion_detects_central_sector_entanglement():
-    rho = parse_ket_expression("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3))
-    report = qutrit_sufficient_entangled(rho)
-    assert report.cubic_has_negative_root
-    assert report.sufficient_entangled
-    assert abs(report.min_pt_eigenvalue + 1.0 / 3.0) <= 1e-12
-
-
-def test_criterion_detects_single_excitation_entanglement():
-    rho = parse_ket_expression("(|1,0> + |0,1>)/sqrt(2)", (3, 3))
-    report = qutrit_sufficient_entangled(rho)
-    assert report.cubic_has_negative_root
-    assert report.sufficient_entangled
-    assert abs(report.min_pt_eigenvalue + 0.5) <= 1e-12
-
-
-def test_criterion_coherence_blocks_fire_separately():
-    plus = parse_ket_expression("(|1,-1> + |0,0>)/sqrt(2)", (3, 3))
-    report = qutrit_sufficient_entangled(plus)
-    assert report.pt_block_plus_negative and not report.cubic_has_negative_root
-    assert report.sufficient_entangled
-    minus = parse_ket_expression("(|0,0> + |-1,1>)/sqrt(2)", (3, 3))
-    report = qutrit_sufficient_entangled(minus)
-    assert report.pt_block_minus_negative and report.sufficient_entangled
-
-
-def test_criterion_product_state_not_detected():
-    report = qutrit_sufficient_entangled(parse_ket_expression("|0,0>", (3, 3)))
-    assert not report.sufficient_entangled
 
 
 def test_criterion_dephased_products_not_detected():

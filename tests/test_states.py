@@ -31,82 +31,61 @@ def _projector(amplitudes):
     return np.outer(amp, amp.conj())
 
 
-def test_parse_bell_singlet():
-    psi = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
-    expected = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-12
-
-
-def test_parse_qutrit_basis_state():
-    psi = parse_ket_expression("|0,0>", (3, 3))
-    expected = np.zeros(9)
-    expected[4] = 1.0
-    assert np.array_equal(psi.matrix, _projector(expected))
-
-
-def test_parse_qutrit_negative_labels():
-    psi = parse_ket_expression("|1,-1>", (3, 3))
-    assert psi.matrix[2, 2] == 1.0
-    psi = parse_ket_expression("|-1,1>", (3, 3))
-    assert psi.matrix[6, 6] == 1.0
-
-
-def test_parse_coefficient_forms():
-    psi = parse_ket_expression("0.5*|11> + 1/sqrt(2)*|10> + 0.5|00>", (2, 2))
-    expected = np.array([0.5, 1.0 / np.sqrt(2), 0.0, 0.5])
-    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-12
-    psi2 = parse_ket_expression("sqrt(2)/2 * |11> + sqrt(2)/2*|00>", (2, 2))
-    assert np.max(np.abs(psi2.matrix - _projector(np.array([1, 0, 0, 1]) / np.sqrt(2)))) <= 1e-12
-
-
-def test_parse_normalizes_unnormalized_input():
-    psi = parse_ket_expression("|11> + |00>", (2, 2))
-    assert np.max(np.abs(psi.matrix - _projector(np.array([1, 0, 0, 1]) / np.sqrt(2)))) <= 1e-12
-
-
-def test_parse_is_whitespace_insensitive():
-    a = parse_ket_expression("( |10>   -|01> ) / sqrt( 2 )", (2, 2))
-    b = parse_ket_expression("(|10>-|01>)/sqrt(2)", (2, 2))
-    assert np.array_equal(a.matrix, b.matrix)
-
-
-def test_parse_reads_parentheses_nested_100_deep():
-    # 1000 deep is a ParseError at position 200: test_faults.py's ket-nested-1000-deep
-    nested = "(" * 100 + "|10>" + ")" * 100
-    assert np.array_equal(parse_ket_expression(nested, (2, 2)).matrix, parse_ket_expression("|10>", (2, 2)).matrix)
-
-
 _BIG = "1" + "0" * 200  # 1e200: its square overflows a float
 _B300 = "1" + "0" * 300
 
 
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        (_BIG + "|10>", [0, 1, 0, 0]),
-        (_BIG + "|10> + " + _BIG + "|01>", [0, 1, 1, 0]),
-        ("0.0000000000001|10>", [0, 1, 0, 0]),
-        ("0." + "0" * 320 + "1|10>", [0, 1, 0, 0]),  # subnormal: its square underflows
-        # 1e-9 of its terms' scale survives, although that scale (1e310) overflows a float
-        ("(" + _B300 + "|10> - 0.999999999*" + _B300 + "|10>)*10000000000", [0, 1, 0, 0]),
-    ],
-    ids=["1e200", "1e200-pair", "1e-13", "subnormal", "overflowing-scale"],
-)
-def test_parse_normalizes_extreme_amplitudes(text, expected):
-    psi = parse_ket_expression(text, (2, 2))
-    expected = np.array(expected) / np.linalg.norm(expected)
-    assert np.max(np.abs(psi.matrix - _projector(expected))) <= 1e-15
+# Basis labels in lexicographic order, so a label's position is its amplitude index.
+_LABELS = {
+    (2, 2): ["11", "10", "01", "00"],
+    (3, 3): [f"{a},{b}" for a in ("1", "0", "-1") for b in ("1", "0", "-1")],
+}
+# Each known parse: a ket's text and dims; then its amplitudes by basis label, normalized by the test, or another
+# spelling of the same state; and the largest entry by which the parsed projector may differ from that (0: exact).
+_PARSED = {
+    "singlet": ("(|10> - |01>)/sqrt(2)", (2, 2), {"10": 1, "01": -1}, 1e-12),
+    "triplet": ("(|10> + |01>)/sqrt(2)", (2, 2), {"10": 1, "01": 1}, 1e-12),
+    "bell-11-plus-00": ("(|11> + |00>)/sqrt(2)", (2, 2), {"11": 1, "00": 1}, 1e-12),
+    "real-pair": ("0.6*|11> + 0.8*|00>", (2, 2), {"11": 0.6, "00": 0.8}, 1e-12),
+    "unnormalized": ("|11> + |00>", (2, 2), {"11": 1, "00": 1}, 1e-12),
+    "coefficient-forms": ("0.5*|11> + 1/sqrt(2)*|10> + 0.5|00>", (2, 2), {"11": 0.5, "10": 2**-0.5, "00": 0.5}, 1e-12),
+    "sqrt-over-2": ("sqrt(2)/2 * |11> + sqrt(2)/2*|00>", (2, 2), {"11": 1, "00": 1}, 1e-12),
+    "basis-00": ("|00>", (2, 2), {"00": 1}, 0),
+    "qutrit-basis-0-0": ("|0,0>", (3, 3), {"0,0": 1}, 0),
+    "qutrit-basis-1-minus-1": ("|1,-1>", (3, 3), {"1,-1": 1}, 0),
+    "qutrit-basis-minus-1-1": ("|-1,1>", (3, 3), {"-1,1": 1}, 0),
+    "qutrit-central-sector": ("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3), {"1,-1": 1, "0,0": 1, "-1,1": 1}, 1e-12),
+    "qutrit-single-excitation": ("(|1,0> + |0,1>)/sqrt(2)", (3, 3), {"1,0": 1, "0,1": 1}, 1e-12),
+    "1e200": (_BIG + "|10>", (2, 2), {"10": 1}, 1e-15),
+    "1e200-pair": (_BIG + "|10> + " + _BIG + "|01>", (2, 2), {"10": 1, "01": 1}, 1e-15),
+    "1e-13": ("0.0000000000001|10>", (2, 2), {"10": 1}, 1e-15),
+    "subnormal": ("0." + "0" * 320 + "1|10>", (2, 2), {"10": 1}, 1e-15),  # its square underflows
+    # 1e-9 of its terms' scale survives, although that scale (1e310) overflows a float
+    "overflowing-scale": ("(" + _B300 + "|10> - 0.999999999*" + _B300 + "|10>)*10000000000", (2, 2), {"10": 1}, 1e-15),
+    # Each amplitude is judged against the terms summed into it, not the largest term; a scale
+    # that overflows a float (1e300 * 1e10) marks its amplitude cancelled, with no warning.
+    "beside-cancelled": (_BIG + "|10> - " + _BIG + "|10> + |01>", (2, 2), {"01": 1}, 0),
+    "beside-cancelled-overflowing-scale": ("(" + _B300 + "|10> - " + _B300 + "|10> + |01>)*10000000000", (2, 2),
+                                           {"01": 1}, 0),
+    "whitespace": ("( |10>   -|01> ) / sqrt( 2 )", (2, 2), "(|10>-|01>)/sqrt(2)", 0),
+    # 1000 deep is a ParseError at position 200: test_faults.py's ket-nested-1000-deep
+    "nested-100-deep": ("(" * 100 + "|10>" + ")" * 100, (2, 2), "|10>", 0),
+    "arabic-indic-digit": ("\u0663|10>", (2, 2), "|10>", 0),  # U+0663 is a decimal digit, so a coefficient
+}
 
 
-def test_parse_keeps_an_amplitude_beside_a_cancelled_one():
-    # Each amplitude is judged against the terms summed into it, not the largest term;
-    # a scale that overflows a float (1e300 * 1e10) marks its amplitude cancelled, with no warning.
-    for text in (
-        _BIG + "|10> - " + _BIG + "|10> + |01>",
-        "(" + _B300 + "|10> - " + _B300 + "|10> + |01>)*10000000000",
-    ):
-        psi = parse_ket_expression(text, (2, 2))
-        assert np.array_equal(psi.matrix, _projector([0, 0, 1, 0]))
+@pytest.mark.parametrize("text, dims, expected, tol", _PARSED.values(), ids=_PARSED)
+def test_a_ket_parses_to_its_known_state(text, dims, expected, tol):
+    rho = parse_ket_expression(text, dims)
+    if isinstance(expected, str):
+        want = parse_ket_expression(expected, dims).matrix
+    else:
+        amplitudes = np.zeros(len(_LABELS[dims]))
+        for label, value in expected.items():
+            amplitudes[_LABELS[dims].index(label)] = value
+        want = _projector(amplitudes / np.linalg.norm(amplitudes))
+    assert np.max(np.abs(rho.matrix - want)) <= tol
+    assert validate(rho.matrix, dims).dims == dims  # the parsed state passes the checks as it is
 
 
 def _numerals():
@@ -158,12 +137,6 @@ def test_parse_arithmetic_of_long_numerals_is_a_state_or_a_parse_error(text):
     assert abs(np.trace(psi.matrix) - 1.0) <= 1e-10
 
 
-def test_parse_reads_any_decimal_digit():
-    # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit, so it is a coefficient
-    psi = parse_ket_expression("\u0663|10>", (2, 2))
-    assert np.array_equal(psi.matrix, parse_ket_expression("|10>", (2, 2)).matrix)
-
-
 def test_parser_is_total_on_random_garbage():
     rng = np.random.default_rng(21)
     # ASCII grammar characters plus a superscript digit, a non-Latin digit, a
@@ -176,13 +149,6 @@ def test_parser_is_total_on_random_garbage():
         except ParseError:
             continue
         assert abs(np.trace(psi.matrix) - 1.0) <= 1e-10
-
-
-# Basis labels in lexicographic order, so a label's position is its amplitude index.
-_LABELS = {
-    (2, 2): ["11", "10", "01", "00"],
-    (3, 3): [f"{a},{b}" for a in ("1", "0", "-1") for b in ("1", "0", "-1")],
-}
 
 
 @given(dims=st.sampled_from(list(_LABELS)), data=st.data())
@@ -272,39 +238,6 @@ def test_an_endless_dims_iterable_is_refused_at_its_third_item(entry):
     with pytest.raises(DimensionMismatchError, match=r"^supported pairs are \(2, 2\) and \(3, 3\), got count\(5\)$"):
         entry(dims)
     assert next(dims) == 5  # the third item was taken and refused; no more
-
-
-def test_parse_singlet_is_its_projector_block():
-    rho = parse_ket_expression("(|10> - |01>)/sqrt(2)", (2, 2))
-    m = rho.matrix
-    assert abs(m[1, 1] - 0.5) <= 1e-12 and abs(m[2, 2] - 0.5) <= 1e-12
-    assert abs(m[1, 2] + 0.5) <= 1e-12 and abs(m[2, 1] + 0.5) <= 1e-12
-    assert abs(m[0, 0]) <= 1e-12 and abs(m[3, 3]) <= 1e-12
-
-
-def test_parse_basis_ket_is_its_diagonal_projector():
-    rho = parse_ket_expression("|00>", (2, 2))
-    assert np.array_equal(rho.matrix, np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
-
-
-def test_validate_accepts_maximally_mixed():
-    rho = validate(np.eye(4) / 4, (2, 2))
-    assert rho.dims == (2, 2)
-
-
-def test_parse_pure_validate_round_trip():
-    expressions = [
-        ("(|10> - |01>)/sqrt(2)", (2, 2)),
-        ("(|10> + |01>)/sqrt(2)", (2, 2)),
-        ("(|11> + |00>)/sqrt(2)", (2, 2)),
-        ("0.6*|11> + 0.8*|00>", (2, 2)),
-        ("|0,0>", (3, 3)),
-        ("(|1,-1> + |0,0> + |-1,1>)/sqrt(3)", (3, 3)),
-        ("(|1,0> + |0,1>)/sqrt(2)", (3, 3)),
-    ]
-    for text, dims in expressions:
-        rho = parse_ket_expression(text, dims)
-        validate(rho.matrix, dims)
 
 
 # Entries the propagation path can meet when a propagator overflows.

@@ -31,7 +31,7 @@ from oracles import (
     ConcurrenceMargin, concurrence, mutual_information, per_point_xforms, random_xform_entries, rk4_stationary_grid
 )
 from test_measures import embed_xform
-from test_package import _cli_process
+from test_package import _KERNELS, _cold
 
 OMEGA_RATIO = 31.25
 ROBUST = ["(|10> + |01>)/sqrt(2)", "(|10> - |01>)/sqrt(2)"]
@@ -200,8 +200,8 @@ def test_a_cold_paper_sweep_with_no_blas_thread_count_set_writes_the_golden_byte
     path = tmp_path / f"{label}.csv"
     argv = ["sweep", "--initial-state", config.initial_state, "--omega-ratio", str(config.omega_ratio),
             "--gamma-t-max", str(config.gamma_t_max), "--samples", str(config.samples), "--output", str(path)]
-    proc = _cli_process(argv, tmp_path, capture_output=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    proc, loaded = _cold(argv, tmp_path)
+    assert (proc.returncode, proc.stderr, loaded) == (0, "", [_KERNELS])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_GOLDEN[label]
 
 

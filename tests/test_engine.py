@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +20,7 @@ import dephasim.engine as engine_module
 from oracles import (
     kronecker_liouvillian, per_point_xforms, random_density, random_pure, rk4_stationary, taylor_expm, xform_reference
 )
+from test_package import SRC, _fresh
 
 
 def bell(which: str):
@@ -247,21 +243,15 @@ def test_long_pulses_reach_the_long_time_limit(ket, driven_limit):
     reason="known defect: on OpenBLAS's Haswell kernel evolve's trace rescale leaves the "
     "robust and fragile kets up to 1.4e-8 from the limit at omega1 = 1e4, T >= 1e5",
 )
-def test_long_pulses_reach_the_long_time_limit_on_the_haswell_kernel():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(root / "src"))
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True, timeout=300
-        )
-
-    cores = run(str(root / "tests" / "openblas_cores.py"))
+def test_long_pulses_reach_the_long_time_limit_on_the_haswell_kernel(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    root = SRC.parent
+    cores = _fresh([str(root / "tests" / "openblas_cores.py")], root)
     if cores.stdout.split() != ["Haswell", "Haswell"]:
         pytest.skip(f"OpenBLAS does not select its Haswell kernel here: {cores.stdout.split()}")
     case = f"{__file__}::test_long_pulses_reach_the_long_time_limit"
     cases = [f"{case}[robust]", f"{case}[fragile]"]
-    tests = run("-m", "pytest", "-q", "-p", "no:cacheprovider", *cases)
+    tests = _fresh(["-m", "pytest", "-q", "-p", "no:cacheprovider", *cases], root)
     assert tests.returncode == 0, tests.stdout
 
 

@@ -1,8 +1,6 @@
 import importlib.machinery
 import importlib.util
 import itertools
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -22,7 +20,7 @@ from dephasim.engine import build_liouvillian
 import dephasim.linalg as linalg_module
 from dephasim.linalg import _pade_kernels, matrix_exponential
 from oracles import diagonal_slices_oracle, partial_trace_oracle, random_density, taylor_expm
-from test_package import _KERNELS, SRC
+from test_package import _KERNELS, _fresh
 
 
 def test_matrix_exponential_is_not_public():
@@ -341,14 +339,7 @@ print("same bits", flush=True)
 
 
 def test_cold_expm_loads_the_pade_kernels_alone_with_the_bits_of_scipy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_EXPM],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _fresh(["-c", _COLD_EXPM], tmp_path)
     assert proc.returncode == 0, proc.stderr
     generic, triangular, verdict = proc.stdout.splitlines()
     assert generic.split() == triangular.split() == [_KERNELS]

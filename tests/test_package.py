@@ -17,15 +17,32 @@ from dephasim.sweep import CSV_HEADER
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def _fresh(args, cwd, **kwargs):
+    """Run `python args` on this source tree in text mode; stdout and stderr are piped unless kwargs name them.
+
+    The environment is read at call time, so a test sets its own variables
+    with monkeypatch. PYTHONUNBUFFERED would make a write to a full device
+    fail inside main, which already exits 3, instead of at the final flush.
+    COLUMNS fixes the width argparse wraps --help to.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True, timeout=120, **kwargs)
+
+
 # Runs the CLI in a fresh interpreter exactly as `python -m dephasim.cli` does
-# (or, with no arguments, only imports the package), then prints the exit code
-# and the names of the loaded scipy modules as the last line of stdout. The CLI
-# ends its process with os._exit, so the probe prints from inside that call.
+# (or, with no arguments, only imports the package), then writes the exit code
+# and the names of the loaded scipy modules to the file named by its first
+# argument, so stdout and stderr hold only the command's own bytes. The CLI
+# ends its process with os._exit, so the probe writes from inside that call.
 _PROBE = """
 import os, runpy, sys
-real_exit = os._exit
+report, real_exit = sys.argv.pop(1), os._exit
 def probe_exit(code):
-    print(code, *sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), flush=True)
+    with open(report, "w") as file:
+        print(code, *sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), file=file)
     real_exit(code)
 os._exit = probe_exit
 if len(sys.argv) > 1:
@@ -39,41 +56,15 @@ else:
 _KERNELS = "scipy.linalg._matfuncs_expm"
 
 
-def _fresh(args, cwd):
-    """Exit code, loaded scipy modules and stdout of one cold dephasim process."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert "Traceback" not in proc.stderr, proc.stderr
-    *output, last = proc.stdout.splitlines()
-    code, *loaded = last.split()
+def _cold(argv, cwd, **kwargs):
+    """One fresh `dephasim argv` process through _PROBE, and the scipy modules it loaded."""
+    report = cwd / "probe"
+    proc = _fresh(["-c", _PROBE, str(report), *argv], cwd, **kwargs)
+    assert report.exists(), proc.stderr  # the process ended through os._exit
+    code, *loaded = report.read_text().split()
+    report.unlink()
     assert proc.returncode == int(code)
-    return int(code), loaded, "\n".join(output)
-
-
-def _cli_process(argv, cwd, **kwargs):
-    """Run `python -m dephasim.cli argv` on this source tree with buffered stdout.
-
-    PYTHONUNBUFFERED would make a write to a full device fail inside main,
-    which already exits 3, instead of at the final flush. COLUMNS fixes the
-    width argparse wraps --help to.
-    """
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
-    return subprocess.run(
-        [sys.executable, "-m", "dephasim.cli", *argv],
-        cwd=cwd,
-        env=env,
-        text=True,
-        timeout=120,
-        **kwargs,
-    )
+    return proc, loaded
 
 
 def test_every_public_name_resolves():
@@ -151,49 +142,8 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    assert _fresh([], tmp_path) == (0, [], "")
-
-
-def test_cold_qutrit_leaves_scipy_unloaded(tmp_path):
-    report = tmp_path / "report.txt"
-    code, loaded, _ = _fresh(
-        ["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(report)],
-        tmp_path,
-    )
-    assert (code, loaded) == (0, [])
-    assert "sufficient_entangled = true" in report.read_text()
-
-
-def test_cold_compare_leaves_scipy_unloaded(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n")
-    b.write_text(f"{CSV_HEADER}\n0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n")
-    code, loaded, out = _fresh(["compare", "--a", str(a), "--b", str(b)], tmp_path)
-    assert (code, loaded) == (0, [])
-    assert "simultaneously entangled: 1" in out
-
-
-def test_cold_sweep_with_malformed_ket_leaves_scipy_unloaded(tmp_path):
-    out = tmp_path / "never.csv"
-    code, loaded, _ = _fresh(
-        ["sweep", "--initial-state", "(|10> - |01>", "--omega-ratio", "31.25",
-         "--gamma-t-max", "1", "--samples", "3", "--output", str(out)],
-        tmp_path,
-    )
-    assert (code, loaded) == (1, [])
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("ket", ["(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"])
-def test_cold_sweep_loads_only_the_pade_kernels_and_matches_in_process_bytes(tmp_path, ket):
-    args = ["sweep", "--initial-state", ket, "--omega-ratio", "31.25",
-            "--gamma-t-max", "4", "--samples", "3", "--output"]
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    code, loaded, _ = _fresh(args + [str(cold)], tmp_path)
-    assert code == 0
-    assert _KERNELS in loaded and "scipy.linalg" not in loaded
-    assert main(args + [str(warm)]) == 0
-    assert cold.read_bytes() == warm.read_bytes()
+    proc, loaded = _cold([], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr, loaded) == (0, "", "", [])
 
 
 # Prints the BLAS thread count after importing the CLI and again inside main, run by the
@@ -212,83 +162,88 @@ def test_the_command_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, 
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     if preset is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _fresh(["-c", _BLAS_PROBE], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, seen, "")
 
 
-def test_cold_overflowing_sweep_prints_one_error_line(tmp_path):
-    # A fresh process uses Python's default warning filters, so any numpy
-    # RuntimeWarning would reach stderr ahead of the typed error.
-    proc = _cli_process(
-        ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e10", "--gamma-t-max", "1e10",
-         "--samples", "3", "--output", str(tmp_path / "x.csv")],
-        tmp_path,
-        capture_output=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("dephasim: ")
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-
-
 _B300 = "1" + "0" * 300  # 1e300 in digits
+_NESTED = "(" * 400 + "{}" + ")" * 400
+# Each command-line run: its argv, split as a shell splits it and run in cli_dir; its exit code;
+# the number of lines it writes to `out`, None where it writes no file; the scipy modules a fresh
+# process loads for it; and, in some rows, one line that its stdout or stderr holds.
+_CLI_RUNS = {
+    "help": ("--help", 0, None, []),
+    # the robust ket's sweep crosses the threshold once between its samples: one transition line
+    **{
+        label: (f"sweep --initial-state '{ket}' --omega-ratio 31.25 --gamma-t-max 4 --samples 3 --output out", 0,
+                lines, [_KERNELS])
+        for label, ket, lines in (("robust", "(|10> - |01>)/sqrt(2)", 5), ("fragile", "(|11> + |00>)/sqrt(2)", 4))
+    },
+    "malformed-ket": ("sweep --initial-state (|10> --samples 3 --output out", 1, None, []),
+    "overflowing-drive": ("sweep --initial-state |10> --omega-ratio 1e300 --gamma-t-max 1 --samples 3 --output out", 2,
+                          None, [_KERNELS]),
+    # a fresh process keeps Python's default warning filters, so a numpy
+    # RuntimeWarning would reach stderr ahead of the typed error
+    "overflowing-sweep": ("sweep --initial-state |10> --omega-ratio 1e10 --gamma-t-max 1e10 --samples 3 --output out",
+                          2, None, [_KERNELS], "dephasim: matrix is not Hermitian (magnitude nan)"),
+    "unwritable-output": ("sweep --initial-state |10> --samples 3 --output missing/x.csv", 3, None, [_KERNELS]),
+    "output-is-a-directory": ("sweep --initial-state |10> --samples 3 --output .", 3, None, [_KERNELS]),
+    # long pulses drift the propagated trace; evolve rescales it
+    "long-pulse": ("sweep --initial-state |11> --omega-ratio 1e4 --gamma-t-max 1e6 --samples 5 --output out", 0, 6,
+                   [_KERNELS]),
+    # a coefficient times a summed ket that overflows is a parse error at the '*'
+    "overflowing-ket-product": (f"sweep --initial-state '({_B300}|10> + {_B300}|01>)*10000000000' --samples 3 "
+                                "--output out", 1, None, []),
+    # an amplitude 1e-9 of its terms' scale is kept where that scale times 1e10 overflows
+    "cancellation-scale": (f"sweep --initial-state '({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000' --samples 3 "
+                           "--output out", 0, 4, [_KERNELS]),
+    "cancelled-ket": ("sweep --initial-state '|10> - |10>' --samples 3 --output out", 1, None, []),
+    "ket-found": ("sweep --initial-state=1/|" + "1" * 5000 + "> --output out", 1, None, [],
+                  "dephasim: expected a number or sqrt(...), found <str too long to print> (at position 2)"),
+    **{
+        f"nested-{command}": (f"{command} '--initial-state={_NESTED.format(ket)}' --output out", 1, None, [],
+                              "dephasim: parentheses nested more than 200 deep (at position 200)")
+        for command, ket in (("sweep", "|10>"), ("qutrit", "|1,0>"))
+    },
+    "qutrit": ("qutrit --initial-state '(|1,0> + |0,1>)/sqrt(2)' --output out", 0, 11, [],
+               "wrote out (stationary state entangled, min PT eigenvalue -0.5)"),
+    "compare": ("compare --a a.csv --b b.csv", 0, None, [], "simultaneously entangled: 1"),
+}
 
 
-# Each case runs in this process, where filterwarnings = error fails any numpy
+@pytest.fixture
+def cli_dir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding the two sweep CSVs a.csv and b.csv."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n")
+    (tmp_path / "b.csv").write_text(f"{CSV_HEADER}\n0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n")
+    return tmp_path
+
+
+# Each row runs in this process, where filterwarnings = error fails any numpy
 # warning, then in a fresh one: exit code, stdout, stderr and output bytes
-# must agree. `lines` counts the lines of the output file, None where none is written.
-@pytest.mark.parametrize(
-    "argv, expected, lines",
-    [
-        (["--help"], 0, None),
-        (["sweep", "--initial-state", "|10>", "--omega-ratio", "31.25", "--gamma-t-max", "4",
-          "--samples", "3", "--output", "{out}"], 0, 4),
-        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1, None),
-        (["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--gamma-t-max", "1",
-          "--samples", "3", "--output", "{out}"], 2, None),
-        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{missing}"], 3, None),
-        # long pulses drift the propagated trace; evolve rescales it
-        (["sweep", "--initial-state", "|11>", "--omega-ratio", "1e4", "--gamma-t-max", "1e6",
-          "--samples", "5", "--output", "{out}"], 0, 6),
-        # a coefficient times a summed ket that overflows is a parse error at the '*'
-        (["sweep", "--initial-state", f"({_B300}|10> + {_B300}|01>)*10000000000",
-          "--samples", "3", "--output", "{out}"], 1, None),
-        # an amplitude 1e-9 of its terms' scale is kept where that scale times 1e10 overflows
-        (["sweep", "--initial-state", f"({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000",
-          "--samples", "3", "--output", "{out}"], 0, 4),
-        (["sweep", "--initial-state", "|10> - |10>", "--samples", "3", "--output", "{out}"], 1, None),
-    ],
-    ids=["help", "sweep", "malformed-ket", "overflowing-drive", "unwritable-output",
-         "long-pulse", "overflowing-ket-product", "cancellation-scale", "cancelled-ket"],
-)
-def test_cli_process_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, expected, lines):
-    out = tmp_path / "out.csv"
-    argv = [arg.format(out=out, missing=tmp_path / "missing" / "x.csv") for arg in argv]
+# must agree, and the fresh one loads exactly the row's scipy modules.
+@pytest.mark.parametrize("row", _CLI_RUNS.values(), ids=_CLI_RUNS)
+def test_cli_process_matches_in_process_main(cli_dir, monkeypatch, capsys, row):
+    argv, code, lines, loaded, *held = row
+    argv, out = shlex.split(argv), cli_dir / "out"
     monkeypatch.setenv("COLUMNS", "80")
-    assert main(argv) == expected
+    assert main(argv) == code
     captured = capsys.readouterr()
     # a failure is one "dephasim: " line on stderr; a success writes none
-    assert re.fullmatch(r"dephasim: [^\n]*\n" if expected else "", captured.err), captured.err
+    assert re.fullmatch(r"dephasim: [^\n]*\n" if code else "", captured.err), captured.err
+    assert [line for line in held if line not in (captured.out + captured.err).splitlines()] == []
     written = out.read_bytes() if out.exists() else None
     assert (None if written is None else written.count(b"\n")) == lines
     out.unlink(missing_ok=True)
-    proc = _cli_process(argv, tmp_path, capture_output=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (expected, captured.out, captured.err)
+    proc, cold_loaded = _cold(argv, cli_dir)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     assert (out.read_bytes() if out.exists() else None) == written
+    assert cold_loaded == loaded
 
 
-_ERROR_RUNS = pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["sweep", "--initial-state", "(|10>", "--samples", "3", "--output", "{out}"], 1),
-        (["sweep", "--initial-state", "|10>", "--omega-ratio", "1e300", "--gamma-t-max", "1",
-          "--samples", "3", "--output", "{out}"], 2),
-        (["sweep", "--initial-state", "|10>", "--samples", "3", "--output", "{dir}"], 3),
-    ],
-    ids=["malformed-ket", "overflowing-drive", "output-is-a-directory"],
-)
+_ERRORS = ("malformed-ket", "overflowing-drive", "output-is-a-directory")
+_ERROR_RUNS = pytest.mark.parametrize("argv, expected", [_CLI_RUNS[name][:2] for name in _ERRORS], ids=_ERRORS)
 
 
 class _UnwritableStream:
@@ -297,33 +252,26 @@ class _UnwritableStream:
 
 
 @_ERROR_RUNS
-def test_main_returns_its_error_code_when_stderr_cannot_be_written(tmp_path, monkeypatch, argv, expected):
-    argv = [arg.format(out=tmp_path / "out.csv", dir=tmp_path) for arg in argv]
+def test_main_returns_its_error_code_when_stderr_cannot_be_written(cli_dir, monkeypatch, argv, expected):
     monkeypatch.setattr(sys, "stderr", _UnwritableStream())
-    assert main(argv) == expected
+    assert main(shlex.split(argv)) == expected
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @_ERROR_RUNS
-def test_cli_process_exits_with_its_error_code_when_stderr_is_full(tmp_path, argv, expected):
-    argv = [arg.format(out=tmp_path / "out.csv", dir=tmp_path) for arg in argv]
+def test_cli_process_exits_with_its_error_code_when_stderr_is_full(cli_dir, argv, expected):
     with open("/dev/full", "w") as full:
-        proc = _cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=full)
+        proc, _ = _cold(shlex.split(argv), cli_dir, stderr=full)
     assert (proc.returncode, proc.stdout) == (expected, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("command", ["compare", "qutrit"])
 @pytest.mark.parametrize("stderr_full", [False, True], ids=["stderr-pipe", "stderr-full"])
-def test_cli_output_that_cannot_be_flushed_exits_3(tmp_path, command, stderr_full):
-    csv = tmp_path / "a.csv"
-    csv.write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n")
-    argv = {
-        "compare": ["compare", "--a", str(csv), "--b", str(csv)],
-        "qutrit": ["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(tmp_path / "r.txt")],
-    }[command]
+def test_cli_output_that_cannot_be_flushed_exits_3(cli_dir, command, stderr_full):
     with open("/dev/full", "w") as full:
-        proc = _cli_process(argv, tmp_path, stdout=full, stderr=full if stderr_full else subprocess.PIPE)
+        stderr = full if stderr_full else subprocess.PIPE
+        proc, _ = _cold(shlex.split(_CLI_RUNS[command][0]), cli_dir, stdout=full, stderr=stderr)
     if not stderr_full:
         # one dephasim line, with no traceback and no "Exception ignored" from teardown
         assert proc.stderr == f"dephasim: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import operator
+import os
 import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -101,11 +103,27 @@ class WindowOverlapReport:
     overlap_gamma_t: list[float]
 
 
+def _refuse_unwritable(path) -> None:
+    """Raise open(path, "w")'s OSError for a path that is a directory or whose directory is missing; create nothing.
+
+    A path that passes can still fail when it is written.
+    """
+    path = os.fspath(path)
+    try:  # "file/." fails as a path through a file does
+        os.stat(os.path.join(os.path.dirname(path.rstrip(os.sep)), "."))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Sweep gamma_T over a uniform grid and detect transitions and maxima.
 
     The sweep runs in this process; `workers` is accepted for callers that
-    pass 1, and any other value raises ValueError.
+    pass 1, and any other value raises ValueError. An `output_path` that is a
+    directory, or whose directory is missing, raises open()'s OSError after
+    the inputs are checked and before any propagation.
     """
     if workers != 1:
         raise ValueError(f"run_sweep is serial; workers must be 1, got {_shown(workers)}")
@@ -113,6 +131,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     grid = np.linspace(0.0, config.gamma_t_max, config.samples)
     if not np.all(np.diff(grid) > 0):  # written so that a NaN fails it
         raise ValueError(f"gamma_t_max {_shown(config.gamma_t_max)} is too small for {config.samples} distinct samples")
+    if config.output_path is not None:
+        _refuse_unwritable(config.output_path)
     x = stationary_xforms(rho0, config.omega_ratio, grid)
     c, mi = concurrence_xform(x), mutual_information_xform(x)
     midpoint_xforms = _bisection_xforms(rho0, config.omega_ratio)

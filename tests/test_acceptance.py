@@ -28,7 +28,13 @@ from dephasim import (
 from dephasim.engine import _propagators, evolve, stationary_state
 from dephasim.sweep import _FMT
 from oracles import (
-    ConcurrenceMargin, concurrence, mutual_information, per_point_xforms, random_xform_entries, rk4_stationary_grid
+    ConcurrenceMargin,
+    concurrence,
+    mutual_information,
+    per_point_xforms,
+    random_xform_entries,
+    rk4_stationary_grid,
+    seeded_sweep,
 )
 from test_measures import embed_xform
 from test_package import _KERNELS, _cold
@@ -206,46 +212,51 @@ def test_a_cold_paper_sweep_with_no_blas_thread_count_set_writes_the_golden_byte
 
 
 @functools.cache
-def concurrence_margin(ket: str) -> ConcurrenceMargin:
-    return ConcurrenceMargin(parse_ket_expression(ket, (2, 2)).matrix, OMEGA_RATIO)
+def margin_roots(config: SweepConfig) -> tuple[ConcurrenceMargin, list]:
+    """The concurrence margin of a sweep's ket and drive, and its roots on the sweep's range."""
+    margin = ConcurrenceMargin(parse_ket_expression(config.initial_state, (2, 2)).matrix, config.omega_ratio)
+    return margin, margin.roots(config.gamma_t_max)
 
 
-@functools.cache
-def margin_roots(ket: str, gamma_t_max: float) -> list:
-    return concurrence_margin(ket).roots(gamma_t_max)
+# The paper sweeps, the fragile one at 100 samples, and sweeps of the seeded population (ROADMAP item 18) whose
+# roots take tier-1 about 4 s: seed-N is oracles.seeded_sweep(N). Each drive period spans over 200 root-scan steps.
+_SWEEPS = {
+    "robust": ROBUST_SWEEP,
+    "fragile": FRAGILE_SWEEP,
+    "fragile-100": replace(FRAGILE_SWEEP, samples=100),
+    **{f"seed-{seed}": SweepConfig(*seeded_sweep(seed)) for seed in (74, 130, 147, 151)},
+}
+# Each sweep known to miss entanglement windows: the transitions it reports, and its roots.
+_MISSES = {"fragile-100": (18, 20), "seed-74": (3, 25), "seed-151": (8, 14)}
 
 
-@pytest.mark.parametrize("config", [ROBUST_SWEEP, FRAGILE_SWEEP], ids=["robust", "fragile"])
-def test_paper_sweep_transitions_lie_within_5e_10_of_their_40_digit_roots(config):
+@pytest.mark.parametrize("label", _SWEEPS)
+def test_sweep_transitions_lie_within_5e_10_of_their_40_digit_roots(label):
     # Bisection stops once its bracket is below 1e-9 and returns the midpoint, which is printed
     # at 12 significant digits: within half the bracket of the root, plus half a unit of the 12th digit.
-    margin = concurrence_margin(config.initial_state)
-    for t in sweep_cached(config).transitions:
+    margin, roots = margin_roots(_SWEEPS[label])
+    transitions = sweep_cached(_SWEEPS[label]).transitions
+    for t in transitions:
         printed = float(_FMT % t)
         rounding = 0.5 * 10.0 ** (math.floor(math.log10(printed)) - 11)
         assert abs(printed - margin.root_in(printed - 2e-9, printed + 2e-9)) <= 5e-10 + rounding, t
+    assert len(transitions) <= len(roots)
 
 
 @pytest.mark.parametrize(
-    "config",
+    "label",
     [
-        ROBUST_SWEEP,
-        FRAGILE_SWEEP,
-        pytest.param(
-            replace(FRAGILE_SWEEP, samples=100),
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="known defect: at 100 samples the fragile ket reports 18 of its 20 transitions; "
-                "two entanglement windows fall between grid points (ROADMAP item 6 certifies each cell)",
-            ),
-        ),
+        pytest.param(label, marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason=f"known defect 4: {label} reports {_MISSES[label][0]} of its {_MISSES[label][1]} transitions; "
+            "entanglement windows fall between grid points (ROADMAP item 6 certifies each cell)",
+        )) if label in _MISSES else label
+        for label in _SWEEPS
     ],
-    ids=["robust", "fragile", "fragile-100"],
 )
-def test_a_sweep_reports_every_root_of_the_concurrence_margin(config):
-    roots = margin_roots(config.initial_state, config.gamma_t_max)
-    assert len(sweep_cached(config).transitions) == len(roots)
+def test_a_sweep_reports_every_root_of_the_concurrence_margin(label):
+    assert len(sweep_cached(_SWEEPS[label]).transitions) == len(margin_roots(_SWEEPS[label])[1])
 
 
 @pytest.mark.parametrize("omega_ratio", [OMEGA_RATIO, 20.0, 50.0])

@@ -3,9 +3,9 @@
 The boundaries are the paper's objects: the ket of the initial state, a
 checked density matrix, the drive omega1 and the pulse time gamma T, the
 X-form of the stationary state, a sweep's configuration and result, and its
-CSV file. The command line's faults are `_CLI_FAULTS` in test_sweep.py; the
-unsupported dims of every state and operator are `_UNSUPPORTED_DIMS` in
-test_states.py.
+CSV file. The command line's faults are rows of `_CLI_RUNS` in
+test_package.py; the unsupported dims of every state and operator are
+`_UNSUPPORTED_DIMS` in test_states.py.
 """
 
 import sys
@@ -309,6 +309,17 @@ _FAULTS = {
             ValueError, f"run_sweep is serial; workers must be 1, got {shown}")
         for name, workers, shown in (
             ("0", 0, "0"), ("2", 2, "2"), ("3", 3, "3"), ("int-too-long", 10**5000, "<int too long to print>")
+        )
+    },
+    # an output that open() could not write is refused, with open()'s message, before the sweep propagates
+    **{
+        f"run-sweep-output-{name}": (
+            lambda path, output=output: run_sweep(SweepConfig("|00>", output_path=output.format(path=path))),
+            kind, f"{error}: '{output}'")
+        for name, output, kind, error in (
+            ("in-missing-directory", "{path}/x.csv", FileNotFoundError, "[Errno 2] No such file or directory"),
+            ("is-a-directory", "{path.parent}", IsADirectoryError, "[Errno 21] Is a directory"),
+            ("through-a-file", f"{__file__}/x.csv", NotADirectoryError, "[Errno 20] Not a directory"),
         )
     },
     # --- a sweep's result: what write_csv could not write or read_csv could not read back ---

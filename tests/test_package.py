@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -168,78 +169,292 @@ def test_the_command_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, 
 
 _B300 = "1" + "0" * 300  # 1e300 in digits
 _NESTED = "(" * 400 + "{}" + ")" * 400
-# Each command-line run: its argv, split as a shell splits it and run in cli_dir; its exit code;
-# the number of lines it writes to `out`, None where it writes no file; the scipy modules a fresh
-# process loads for it; and, in some rows, one line that its stdout or stderr holds.
+_LONG = "x" * 5000
+_TYPED = "initial_state = |00>\n# typed values follow\n"
+
+
+class _Run(NamedTuple):
+    """One command-line run in cli_dir. A failure writes only its stderr line `dephasim: <err>`, checked up to an
+    ending "..." where numpy or Python write the rest; a success writes no stderr, and its stdout holds `stdout`.
+    The run changes no file but `out`, which holds `lines` lines (None: no `out`). A row that names the scipy
+    modules a fresh process loads also runs in one, which must give the same bytes."""
+
+    argv: str  # split as a shell splits it
+    code: int
+    err: str | None = None
+    input: str | None = None  # the text of the file `input`, written into cli_dir before the run
+    stdout: tuple[str, ...] = ()
+    lines: int | None = None
+    loaded: list[str] | None = None
+
+
 _CLI_RUNS = {
-    "help": ("--help", 0, None, []),
+    "help": _Run("--help", 0, stdout=(
+        "usage: dephasim [-h] {sweep,qutrit,compare} ...",
+        "    compare             compare entangled windows (C > 1e-09) of two CSVs",
+    ), loaded=[]),
+    # a ket that starts with "-" needs the = form, which each command's help shows
+    **{
+        f"{command}-help": _Run(f"{command} --help", 0,
+                                stdout=('                        "-" needs the = form: --initial-state="-|10>"',))
+        for command in ("sweep", "qutrit")
+    },
     # the robust ket's sweep crosses the threshold once between its samples: one transition line
     **{
-        label: (f"sweep --initial-state '{ket}' --omega-ratio 31.25 --gamma-t-max 4 --samples 3 --output out", 0,
-                lines, [_KERNELS])
-        for label, ket, lines in (("robust", "(|10> - |01>)/sqrt(2)", 5), ("fragile", "(|11> + |00>)/sqrt(2)", 4))
+        label: _Run(f"sweep --initial-state '{ket}' --omega-ratio 31.25 --gamma-t-max 4 --samples 3 --output out", 0,
+                    stdout=(f"wrote out (3 samples, {transitions} transitions, 0 maxima)",), lines=lines,
+                    loaded=[_KERNELS])
+        for label, ket, transitions, lines in (
+            ("robust", "(|10> - |01>)/sqrt(2)", 1, 5), ("fragile", "(|11> + |00>)/sqrt(2)", 0, 4)
+        )
     },
-    "malformed-ket": ("sweep --initial-state (|10> --samples 3 --output out", 1, None, []),
-    "overflowing-drive": ("sweep --initial-state |10> --omega-ratio 1e300 --gamma-t-max 1 --samples 3 --output out", 2,
-                          None, [_KERNELS]),
+    "malformed-ket": _Run("sweep --initial-state (|10> --samples 3 --output out", 1, "unclosed '(' (at position 0)",
+                          loaded=[]),
+    # every input fault is reported before an output that cannot be written
+    "malformed-ket-and-unwritable-output": _Run("sweep --initial-state (|10> --samples 3 --output missing/x.csv", 1,
+                                                "unclosed '(' (at position 0)"),
+    "overflowing-drive": _Run("sweep --initial-state |10> --omega-ratio 1e300 --gamma-t-max 1 --samples 3 --output out",
+                              2, "matrix is not Hermitian (magnitude nan)", loaded=[_KERNELS]),
     # a fresh process keeps Python's default warning filters, so a numpy
     # RuntimeWarning would reach stderr ahead of the typed error
-    "overflowing-sweep": ("sweep --initial-state |10> --omega-ratio 1e10 --gamma-t-max 1e10 --samples 3 --output out",
-                          2, None, [_KERNELS], "dephasim: matrix is not Hermitian (magnitude nan)"),
-    "unwritable-output": ("sweep --initial-state |10> --samples 3 --output missing/x.csv", 3, None, [_KERNELS]),
-    "output-is-a-directory": ("sweep --initial-state |10> --samples 3 --output .", 3, None, [_KERNELS]),
+    "overflowing-sweep": _Run("sweep --initial-state |10> --omega-ratio 1e10 --gamma-t-max 1e10 --samples 3 "
+                              "--output out", 2, "matrix is not Hermitian (magnitude nan)", loaded=[_KERNELS]),
+    # an output that cannot be written is refused before any propagation, so scipy stays unloaded
+    "unwritable-output": _Run("sweep --initial-state |10> --samples 3 --output missing/x.csv", 3,
+                              "[Errno 2] No such file or directory: 'missing/x.csv'", loaded=[]),
+    "output-is-a-directory": _Run("sweep --initial-state |10> --samples 3 --output .", 3,
+                                  "[Errno 21] Is a directory: '.'", loaded=[]),
     # long pulses drift the propagated trace; evolve rescales it
-    "long-pulse": ("sweep --initial-state |11> --omega-ratio 1e4 --gamma-t-max 1e6 --samples 5 --output out", 0, 6,
-                   [_KERNELS]),
+    "long-pulse": _Run("sweep --initial-state |11> --omega-ratio 1e4 --gamma-t-max 1e6 --samples 5 --output out", 0,
+                       stdout=("wrote out (5 samples, 0 transitions, 0 maxima)",), lines=6, loaded=[_KERNELS]),
     # a coefficient times a summed ket that overflows is a parse error at the '*'
-    "overflowing-ket-product": (f"sweep --initial-state '({_B300}|10> + {_B300}|01>)*10000000000' --samples 3 "
-                                "--output out", 1, None, []),
+    "overflowing-ket-product": _Run(f"sweep --initial-state '({_B300}|10> + {_B300}|01>)*10000000000' --samples 3 "
+                                    "--output out", 1, "coefficient does not fit a float (at position 615)", loaded=[]),
     # an amplitude 1e-9 of its terms' scale is kept where that scale times 1e10 overflows
-    "cancellation-scale": (f"sweep --initial-state '({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000' --samples 3 "
-                           "--output out", 0, 4, [_KERNELS]),
-    "cancelled-ket": ("sweep --initial-state '|10> - |10>' --samples 3 --output out", 1, None, []),
-    "ket-found": ("sweep --initial-state=1/|" + "1" * 5000 + "> --output out", 1, None, [],
-                  "dephasim: expected a number or sqrt(...), found <str too long to print> (at position 2)"),
+    "cancellation-scale": _Run(f"sweep --initial-state '({_B300}|10> - 0.999999999*{_B300}|10>)*10000000000' "
+                               "--samples 3 --output out", 0,
+                               stdout=("wrote out (3 samples, 0 transitions, 0 maxima)",), lines=4, loaded=[_KERNELS]),
+    "cancelled-ket": _Run("sweep --initial-state '|10> - |10>' --samples 3 --output out", 1,
+                          "all amplitudes cancel (at position 0)", loaded=[]),
+    "ket-found": _Run(f"sweep --initial-state=1/|{'1' * 5000}> --output out", 1,
+                      "expected a number or sqrt(...), found <str too long to print> (at position 2)", loaded=[]),
     **{
-        f"nested-{command}": (f"{command} '--initial-state={_NESTED.format(ket)}' --output out", 1, None, [],
-                              "dephasim: parentheses nested more than 200 deep (at position 200)")
+        f"nested-{command}": _Run(f"{command} '--initial-state={_NESTED.format(ket)}' --output out", 1,
+                                  "parentheses nested more than 200 deep (at position 200)", loaded=[])
         for command, ket in (("sweep", "|10>"), ("qutrit", "|1,0>"))
     },
-    "qutrit": ("qutrit --initial-state '(|1,0> + |0,1>)/sqrt(2)' --output out", 0, 11, [],
-               "wrote out (stationary state entangled, min PT eigenvalue -0.5)"),
-    "compare": ("compare --a a.csv --b b.csv", 0, None, [], "simultaneously entangled: 1"),
+    "qutrit": _Run("qutrit --initial-state '(|1,0> + |0,1>)/sqrt(2)' --output out", 0,
+                   stdout=("wrote out (stationary state entangled, min PT eigenvalue -0.5)",), lines=11, loaded=[]),
+    "compare": _Run("compare --a a.csv --b b.csv", 0, stdout=(
+        "grid points: 3", "entangled in a.csv: 2", "entangled in b.csv: 2", "simultaneously entangled: 1",
+        "  overlap at gamma_T = 0.2",
+    ), loaded=[]),
+    # The rows from here on run in this process only.
+    # a config or CSV file may start with a UTF-8 byte order mark
+    "config-byte-order-mark": _Run("sweep --config input --output out", 0, None,
+                                   "\ufeffinitial_state = |10>\nsamples = 3\n",
+                                   stdout=("wrote out (3 samples, 0 transitions, 0 maxima)",), lines=4),
+    "csv-byte-order-mark": _Run("compare --a a.csv --b input", 0, None,
+                                f"\ufeff{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n",
+                                stdout=("grid points: 3", "simultaneously entangled: 2")),
+    "unknown-flag": _Run("sweep --bogus", 1, "unrecognized arguments: '--bogus'"),
+    "removed-workers": _Run("sweep --initial-state |00> --output out --workers 2", 1,
+                            "unrecognized arguments: '--workers 2'"),
+    "removed-threshold": _Run("compare --a a.csv --b b.csv --threshold 0.1", 1,
+                              "unrecognized arguments: '--threshold 0.1'"),
+    **{
+        name: _Run(argv, 1, "an initial state is required (flag --initial-state or config file)", text)
+        for name, argv, text in (("no-initial-state", "sweep --output out", None),
+                                 ("config-no-initial-state", "sweep --config input", "output = out\n"))
+    },
+    "config-no-output": _Run("sweep --config input", 1, "an output path is required (flag --output or config file)",
+                             "initial_state = |00>\n"),
+    "config-line-without-equals": _Run("sweep --config input --output out", 1,
+                                       "input:2: expected 'key = value', got 'samples 5'",
+                                       "initial_state = |00>\nsamples 5\n"),
+    "qutrit-cancelled-ket": _Run("qutrit --initial-state '|0,0> - |0,0>' --output out", 1,
+                                 "all amplitudes cancel (at position 0)"),
+    **{
+        f"flag-{flag}-{value}": _Run(f"sweep --initial-state |00> --{flag}={value} --output out", 1,
+                                     f"{flag.replace('-', '_')} must be finite and {sign}, got {value}")
+        for flag, sign in (("omega-ratio", "nonnegative"), ("gamma-t-max", "positive"))
+        for value in ("nan", "inf", "-inf")
+    },
+    "flag-samples-1": _Run("sweep --initial-state |00> --samples=1 --output out", 1,
+                           "samples must be at least 2, got 1"),
+    "flag-gamma-t-max--1": _Run("sweep --initial-state |00> --gamma-t-max=-1 --output out", 1,
+                                "gamma_t_max must be finite and positive, got -1.0"),
+    # 10**18 samples exceed the address space, so the grid fails at once
+    # without taking memory; never try a count that could be allocated.
+    "samples-too-many-to-allocate": _Run("sweep --initial-state |10> --samples 1000000000000000000 --output out", 1,
+                                         "Unable to allocate ..."),
+    "qutrit-config-mode-key": _Run("qutrit --config input --output out", 1, "input:2: unknown config key 'mode'",
+                                   "initial_state = |0,0>\nmode = qutrit-criterion\n"),
+    # qutrit has no flag for the sweep-only keys, so its config file may not set them
+    **{
+        f"qutrit-config-{key}": _Run("qutrit --config input --output out", 1, f"input:2: unknown config key '{key}'",
+                                     f"initial_state = |0,0>\n{key} = 2\n")
+        for key in ("omega_ratio", "gamma_t_max", "samples")
+    },
+    # neither a later line with the same key nor a flag excuses an earlier line
+    **{
+        f"repeated-{name}": _Run(f"{command} --config input --initial-state {ket} --output out", 1, f"input:1: {err}",
+                                 f"{key} = {first}\n{key} = {second}\n")
+        for name, command, ket, key, first, second, err in (
+            ("out-of-range", "sweep", "|10>", "samples", 1, 20, "samples: samples must be at least 2, got 1"),
+            ("wrong-type", "sweep", "|10>", "samples", "x", 20,
+             "samples: invalid literal for int() with base 10: 'x'"),
+            ("sweep-ket", "sweep", "|10>", "initial_state", "|1x>", "|10>",
+             "initial_state: ket label '1x' is outside the 2x2 level alphabet (at position 0)"),
+            ("qutrit-ket", "qutrit", "|1,0>", "initial_state", "|1,2>", "|1,0>",
+             "initial_state: ket label '1,2' is outside the 3x3 level alphabet (at position 0)"),
+        )
+    },
+    # a value is checked on its own line, also where a flag overrides it
+    **{
+        f"config-{name}{under}": _Run(f"sweep --config input --output out{flag}", 1, f"input:{lineno}: {err}", text)
+        for name, text, lineno, err, over in (  # over: also under a --samples flag
+            ("samples-x", _TYPED + "samples = x\n", 3, "samples: invalid literal for int() with base 10: 'x'", True),
+            ("samples-1.5", _TYPED + "samples = 1.5\n", 3, "samples: invalid literal for int() with base 10: '1.5'",
+             False),
+            ("omega-ratio-fast", _TYPED + "omega_ratio = fast\n", 3,
+             "omega_ratio: could not convert string to float: 'fast'", False),
+            ("samples-1", "initial_state = |00>\nsamples = 1\n", 2, "samples: samples must be at least 2, got 1", True),
+            ("gamma-t-max--1", "initial_state = |00>\ngamma_t_max = -1\n", 2,
+             "gamma_t_max: gamma_t_max must be finite and positive, got -1.0", False),
+            ("omega-ratio-nan", "initial_state = |00>\nomega_ratio = nan\n", 2,
+             "omega_ratio: omega_ratio must be finite and nonnegative, got nan", False),
+        )
+        for under, flag in (("", ""), ("-under-flag", " --samples 5")) if over or not flag
+    },
+    **{
+        f"config-{command}-ket{under}": _Run(f"{command} --config input --output out{flag}", 1,
+                                             f"input:2: initial_state: {err}",
+                                             f"# the {command} ket\ninitial_state = {ket}\n")
+        for command, ket, err, flag_ket in (
+            ("sweep", '"(|10> - |01>)/sqrt(2)"', "unexpected character '\"' (at position 0)", "|10>"),
+            ("qutrit", "|1,2>", "ket label '1,2' is outside the 3x3 level alphabet (at position 0)", "|1,0>"),
+        )
+        for under, flag in (("", ""), ("-under-flag", f" --initial-state {flag_ket}"))
+    },
+    "config-latin1": _Run("sweep --config latin1.cfg --output out", 1, "latin1.cfg: 'utf-8' codec can't decode ..."),
+    "compare-grid-mismatch": _Run("compare --a good.csv --b longer.csv", 1,
+                                  "sweeps do not share the same gamma_T grid"),
+    "compare-header-only": _Run("compare --a good.csv --b header_only.csv", 1, "header_only.csv: no data rows"),
+    "compare-short-row": _Run("compare --a good.csv --b short_row.csv", 1, "short_row.csv:3: expected 3 cells, got 2"),
+    "compare-nan-row": _Run("compare --a good.csv --b nan_row.csv", 1, "nan_row.csv:2: non-finite value 'nan'"),
+    "compare-latin1": _Run("compare --a good.csv --b latin1.csv", 1, "latin1.csv: 'utf-8' codec can't decode ..."),
+    # an input file that cannot be read is an I/O error
+    "compare-absent-csv": _Run("compare --a absent.csv --b good.csv", 3,
+                               "[Errno 2] No such file or directory: 'absent.csv'"),
+    "sweep-absent-config": _Run("sweep --config absent.cfg --output out", 3,
+                                "[Errno 2] No such file or directory: 'absent.cfg'"),
+    "compare-csv-is-a-directory": _Run("compare --a . --b good.csv", 3, "[Errno 21] Is a directory: '.'"),
+    "qutrit-config-is-a-directory": _Run("qutrit --config . --output out", 3, "[Errno 21] Is a directory: '.'"),
+    # 5000 characters of the user's text, each where its message shows it
+    **{
+        f"long-csv-{name}": _Run("compare --a input --b input", 1, f"input:2: {err}", f"{CSV_HEADER}\n{row}\n")
+        for name, row, err in (
+            ("cell", f"0,1,{_LONG}", "could not convert string to float: <str too long to print>"),
+            ("non-finite", f"0,1,{'1' * 5000}", "non-finite value <str too long to print>"),  # inf
+        )
+    },
+    **{
+        f"long-config-{name}": _Run("sweep --config input --initial-state |10> --output out", 1, f"input:1: {err}",
+                                    config)
+        for name, config, err in (
+            ("int", f"samples = {_LONG}", "samples: invalid literal for int() with base 10: <str too long to print>"),
+            ("float", f"omega_ratio = {_LONG}",
+             "omega_ratio: could not convert string to float: <str too long to print>"),
+            ("no-equals", _LONG, "expected 'key = value', got <str too long to print>"),
+            ("key", f"{'k' * 5000} = 1", "unknown config key <str too long to print>"),
+        )
+    },
+    **{
+        f"long-ket-{name}": _Run(f"sweep --initial-state={ket} --output out", 1, err)
+        for name, ket, err in (
+            ("subsystems", f"|{','.join('1' * 2500)}>",
+             "ket label <str too long to print> must name exactly two subsystems (at position 0)"),
+            ("levels", f"|{'1' * 5000}>",
+             "ket label <str too long to print> needs two levels (use a comma for multi-character levels) "
+             "(at position 0)"),
+            ("alphabet", f"|{'2' * 5000},1>",
+             "ket label <str too long to print> is outside the 2x2 level alphabet (at position 0)"),
+            ("word", "a" * 5000, "unknown word <str too long to print> (at position 0)"),
+        )
+    },
+    # argparse's own errors: a value of each typed flag, a stray argument, an unknown command, an abbreviation
+    # that could match two flags (also with spaces in its value), and a value given to --help
+    **{
+        f"long-argument-{name}": _Run(f"{argv} --initial-state |10> --output out", 1, err)
+        for name, argv, err in (
+            *((flag, f"sweep --{flag}={_LONG}", f"argument --{flag}: {error}: <str too long to print>")
+              for flag, error in (("omega-ratio", "could not convert string to float"),
+                                  ("gamma-t-max", "could not convert string to float"),
+                                  ("samples", "invalid literal for int() with base 10"))),
+            ("stray", f"sweep {_LONG}", "unrecognized arguments: <str too long to print>"),
+            # Python 3.12 and later print the choices without quotes
+            ("command", _LONG, "argument command: invalid choice: <str too long to print> (choose from ..."),
+            *((name, f"sweep '--o={value}'",
+               "ambiguous option: <str too long to print> could match --omega-ratio, --output")
+              for name, value in (("ambiguous", _LONG), ("ambiguous-spaces", "x " * 2500))),
+            ("help", f"sweep --help={_LONG}", "argument -h/--help: ignored explicit argument <str too long to print>"),
+        )
+    },
 }
+
+
+def _tree(root):
+    """Each path under root, with its bytes, or None for a directory."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.fixture
 def cli_dir(tmp_path, monkeypatch):
-    """tmp_path as the working directory, holding the two sweep CSVs a.csv and b.csv."""
+    """tmp_path as the working directory, holding every input file the _CLI_RUNS rows read: sweep CSVs on one grid
+    (a.csv, b.csv) and on two others (good.csv, longer.csv), malformed CSVs and Latin-1 inputs."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "a.csv").write_text(f"{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n")
-    (tmp_path / "b.csv").write_text(f"{CSV_HEADER}\n0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n")
+    monkeypatch.setenv("COLUMNS", "80")
+    rows = {
+        "a.csv": "0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n",
+        "b.csv": "0,0,0.1\n0.1,0.4,0.2\n0.2,0.3,0.3\n",
+        **{name: "".join(f"{k / (n - 1):.12g},0,0\n" for k in range(n))
+           for name, n in (("good.csv", 10), ("longer.csv", 12))},
+        "header_only.csv": "",
+        "short_row.csv": "0,1,2\n0.5,1\n",
+        "nan_row.csv": "0,nan,0.1\n",
+    }
+    for name, text in rows.items():
+        (tmp_path / name).write_text(f"{CSV_HEADER}\n{text}")
+    (tmp_path / "latin1.csv").write_bytes(f"{CSV_HEADER}\n{rows['good.csv']}# r\xe9sum\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.cfg").write_bytes("# r\xe9sum\xe9\ninitial_state = |00>\n".encode("latin-1"))
     return tmp_path
 
 
-# Each row runs in this process, where filterwarnings = error fails any numpy
-# warning, then in a fresh one: exit code, stdout, stderr and output bytes
-# must agree, and the fresh one loads exactly the row's scipy modules.
-@pytest.mark.parametrize("row", _CLI_RUNS.values(), ids=_CLI_RUNS)
-def test_cli_process_matches_in_process_main(cli_dir, monkeypatch, capsys, row):
-    argv, code, lines, loaded, *held = row
-    argv, out = shlex.split(argv), cli_dir / "out"
-    monkeypatch.setenv("COLUMNS", "80")
-    assert main(argv) == code
+# Each row runs in this process, where filterwarnings = error fails any numpy warning; a row that names its
+# scipy modules then runs in a fresh one, which must give the same exit code, stdout, stderr and files.
+@pytest.mark.parametrize("run", _CLI_RUNS.values(), ids=_CLI_RUNS)
+def test_a_cli_run_gives_its_code_lines_and_files(cli_dir, capsys, run):
+    if run.input is not None:
+        (cli_dir / "input").write_text(run.input, encoding="utf-8")
+    argv, out, before = shlex.split(run.argv), cli_dir / "out", _tree(cli_dir)
+    assert main(argv) == run.code
     captured = capsys.readouterr()
-    # a failure is one "dephasim: " line on stderr; a success writes none
-    assert re.fullmatch(r"dephasim: [^\n]*\n" if code else "", captured.err), captured.err
-    assert [line for line in held if line not in (captured.out + captured.err).splitlines()] == []
-    written = out.read_bytes() if out.exists() else None
-    assert (None if written is None else written.count(b"\n")) == lines
-    out.unlink(missing_ok=True)
-    proc, cold_loaded = _cold(argv, cli_dir)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
-    assert (out.read_bytes() if out.exists() else None) == written
-    assert cold_loaded == loaded
+    if run.code:
+        head, dots, _ = f"dephasim: {run.err}\n".partition("...\n")
+        assert re.fullmatch(re.escape(head) + ("[^\n]*\n" if dots else ""), captured.err), captured.err[:600]
+        assert captured.out == ""
+    else:
+        assert (captured.err, run.err) == ("", None)
+        assert [line for line in run.stdout if line not in captured.out.splitlines()] == []
+    after = _tree(cli_dir)
+    assert {path: data for path, data in after.items() if path != out} == before
+    assert (after[out].count(b"\n") if out in after else None) == run.lines
+    if run.loaded is not None:
+        out.unlink(missing_ok=True)
+        proc, loaded = _cold(argv, cli_dir)
+        assert (proc.returncode, proc.stdout, proc.stderr, loaded) == (run.code, captured.out, captured.err, run.loaded)
+        assert _tree(cli_dir) == after
 
 
 _ERRORS = ("malformed-ket", "overflowing-drive", "output-is-a-directory")
@@ -271,7 +486,7 @@ def test_cli_process_exits_with_its_error_code_when_stderr_is_full(cli_dir, argv
 def test_cli_output_that_cannot_be_flushed_exits_3(cli_dir, command, stderr_full):
     with open("/dev/full", "w") as full:
         stderr = full if stderr_full else subprocess.PIPE
-        proc, _ = _cold(shlex.split(_CLI_RUNS[command][0]), cli_dir, stdout=full, stderr=stderr)
+        proc, _ = _cold(shlex.split(_CLI_RUNS[command].argv), cli_dir, stdout=full, stderr=stderr)
     if not stderr_full:
         # one dephasim line, with no traceback and no "Exception ignored" from teardown
         assert proc.stderr == f"dephasim: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"

@@ -1,8 +1,6 @@
 import contextlib
 import inspect
 import io
-import shlex
-import shutil
 import weakref
 from dataclasses import replace
 
@@ -625,13 +623,6 @@ def test_cli_sweep_and_compare(tmp_path, capsys):
     assert "simultaneously entangled: 0" in captured
 
 
-def test_cli_qutrit_report(tmp_path):
-    path = tmp_path / "crit.txt"
-    code = main(["qutrit", "--initial-state", "(|1,0> + |0,1>)/sqrt(2)", "--output", str(path)])
-    assert code == 0
-    assert "sufficient_entangled = true" in path.read_text()
-
-
 def test_cli_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "sweep.cfg"
     out = tmp_path / "from_config.csv"
@@ -656,17 +647,6 @@ def test_cli_config_keeps_a_hash_inside_a_value(tmp_path):
     config_path.write_text(f"initial_state = |10>  # comment\nsamples = 3\noutput = {out}\n")
     assert main(["sweep", "--config", str(config_path)]) == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == ["hash.cfg", "res#1.csv"]
-
-
-def test_cli_reads_config_and_csv_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
-    out = tmp_path / "bom.csv"
-    config_path = tmp_path / "bom.cfg"
-    config_path.write_text(f"initial_state = |10>\nsamples = 3\noutput = {out}\n", encoding="utf-8-sig")
-    assert main(["sweep", "--config", str(config_path)]) == 0
-    marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
-    assert main(["compare", "--a", str(out), "--b", str(marked)]) == 0
-    assert capsys.readouterr().err == ""
 
 
 @settings(max_examples=200, deadline=None)
@@ -694,170 +674,6 @@ def test_cli_reads_a_ket_that_starts_with_a_minus_sign(tmp_path):
     assert flag.read_bytes() == want.read_bytes() == from_file.read_bytes()
 
 
-def test_cli_help_exits_0_and_shows_the_minus_sign_form(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "200")  # one line per option, so no flag is wrapped
-    assert main(["--help"]) == 0
-    out = capsys.readouterr().out
-    assert "{sweep,qutrit,compare}" in out
-    assert f"compare entangled windows (C > {sweep_module.ENTANGLEMENT_THRESHOLD:g})" in out
-    for command in ("sweep", "qutrit"):
-        assert main([command, "--help"]) == 0
-        assert '--initial-state="-|10>"' in capsys.readouterr().out
-
-
-@pytest.fixture(scope="module")
-def cli_fault_inputs(tmp_path_factory):
-    """A directory of the files the CLI-fault rows read: two grids that differ, malformed CSVs, Latin-1 inputs."""
-    inputs = tmp_path_factory.mktemp("cli_fault_inputs")
-    for name, samples in (("good.csv", 10), ("longer.csv", 12)):
-        config = SweepConfig("|00>", omega_ratio=0.0, gamma_t_max=1.0, samples=samples)
-        write_csv(run_sweep(config), str(inputs / name))
-    header = sweep_module.CSV_HEADER
-    (inputs / "header_only.csv").write_text(f"{header}\n")
-    (inputs / "short_row.csv").write_text(f"{header}\n0,1,2\n0.5,1\n")
-    (inputs / "nan_row.csv").write_text(f"{header}\n0,nan,0.1\n")
-    (inputs / "latin1.csv").write_bytes((inputs / "good.csv").read_bytes() + "# r\xe9sum\xe9\n".encode("latin-1"))
-    (inputs / "latin1.cfg").write_bytes("# r\xe9sum\xe9\ninitial_state = |00>\n".encode("latin-1"))
-    return inputs
-
-
-_TYPED = "initial_state = |00>\n# typed values follow\n"
-# Each CLI fault: its argv, split as a shell splits it; its config file's text, or None; its exit
-# code; and its one stderr line after "dephasim: ". Each text is formatted with the row's directory
-# {tmp}, which holds cli_fault_inputs' files, its config file {config} and its output path {out}.
-# A line that ends in "..." is checked up to there: the rest is text that numpy or Python writes.
-_CLI_FAULTS = {
-    "unknown-flag": ("sweep --bogus", None, 1, "unrecognized arguments: '--bogus'"),
-    "removed-workers": ("sweep --initial-state |00> --output {out} --workers 2", None, 1,
-                        "unrecognized arguments: '--workers 2'"),
-    "removed-threshold": ("compare --a {out} --b {out} --threshold 0.1", None, 1,
-                          "unrecognized arguments: '--threshold 0.1'"),
-    "no-initial-state": ("sweep --output {out}", None, 1,
-                         "an initial state is required (flag --initial-state or config file)"),
-    "config-no-initial-state": ("sweep --config {config}", "output = {out}\n", 1,
-                                "an initial state is required (flag --initial-state or config file)"),
-    "config-no-output": ("sweep --config {config}", "initial_state = |00>\n", 1,
-                         "an output path is required (flag --output or config file)"),
-    "config-line-without-equals": ("sweep --config {config} --output {out}", "initial_state = |00>\nsamples 5\n", 1,
-                                   "{config}:2: expected 'key = value', got 'samples 5'"),
-    "unclosed-ket": ("sweep --initial-state (|10> --output {out} --samples 10", None, 1, "unclosed '(' (at position 0)"),
-    "sweep-cancelled-ket": ("sweep --initial-state '|10> - |10>' --output {out}", None, 1,
-                            "all amplitudes cancel (at position 0)"),
-    "qutrit-cancelled-ket": ("qutrit --initial-state '|0,0> - |0,0>' --output {out}", None, 1,
-                             "all amplitudes cancel (at position 0)"),
-    **{
-        f"flag-{flag}-{value}": (f"sweep --initial-state |00> --{flag}={value} --output {{out}}", None, 1,
-                                 f"{flag.replace('-', '_')} must be finite and {sign}, got {value}")
-        for flag, sign in (("omega-ratio", "nonnegative"), ("gamma-t-max", "positive"))
-        for value in ("nan", "inf", "-inf")
-    },
-    "flag-samples-1": ("sweep --initial-state |00> --samples=1 --output {out}", None, 1,
-                       "samples must be at least 2, got 1"),
-    "flag-gamma-t-max--1": ("sweep --initial-state |00> --gamma-t-max=-1 --output {out}", None, 1,
-                            "gamma_t_max must be finite and positive, got -1.0"),
-    # 10**18 samples exceed the address space, so the grid fails at once
-    # without taking memory; never try a count that could be allocated.
-    "samples-too-many-to-allocate": ("sweep --initial-state |10> --samples 1000000000000000000 --output {out}", None,
-                                     1, "Unable to allocate ..."),
-    "overflowing-drive": ("sweep --initial-state |10> --omega-ratio 1e300 --samples 3 --gamma-t-max 1 --output {out}",
-                          None, 2, "matrix is not Hermitian (magnitude nan)"),
-    "unwritable-output": ("sweep --initial-state |00> --omega-ratio 0 --samples 10 --output {tmp}/missing/x.csv", None,
-                          3, "[Errno 2] No such file or directory: ..."),
-    "qutrit-config-mode-key": ("qutrit --config {config} --output {out}",
-                               "initial_state = |0,0>\nmode = qutrit-criterion\n", 1,
-                               "{config}:2: unknown config key 'mode'"),
-    # qutrit has no flag for the sweep-only keys, so its config file may not set them
-    **{
-        f"qutrit-config-{key}": ("qutrit --config {config} --output {out}", f"initial_state = |0,0>\n{key} = 2\n", 1,
-                                 f"{{config}}:2: unknown config key '{key}'")
-        for key in ("omega_ratio", "gamma_t_max", "samples")
-    },
-    # neither a later line with the same key nor a flag excuses an earlier line
-    "repeated-out-of-range": ("sweep --config {config} --initial-state |10> --output {out}",
-                              "samples = 1\nsamples = 20\n", 1,
-                              "{config}:1: samples: samples must be at least 2, got 1"),
-    "repeated-wrong-type": ("sweep --config {config} --initial-state |10> --output {out}",
-                            "samples = x\nsamples = 20\n", 1,
-                            "{config}:1: samples: invalid literal for int() with base 10: 'x'"),
-    "repeated-sweep-ket": ("sweep --config {config} --initial-state |10> --output {out}",
-                           "initial_state = |1x>\ninitial_state = |10>\n", 1,
-                           "{config}:1: initial_state: ket label '1x' is outside the 2x2 level alphabet (at position 0)"),
-    "repeated-qutrit-ket": ("qutrit --config {config} --initial-state |1,0> --output {out}",
-                            "initial_state = |1,2>\ninitial_state = |1,0>\n", 1,
-                            "{config}:1: initial_state: ket label '1,2' is outside the 3x3 level alphabet (at position 0)"),
-    "config-samples-x": ("sweep --config {config} --output {out}", _TYPED + "samples = x\n", 1,
-                         "{config}:3: samples: invalid literal for int() with base 10: 'x'"),
-    "config-samples-1.5": ("sweep --config {config} --output {out}", _TYPED + "samples = 1.5\n", 1,
-                           "{config}:3: samples: invalid literal for int() with base 10: '1.5'"),
-    "config-omega-ratio-fast": ("sweep --config {config} --output {out}", _TYPED + "omega_ratio = fast\n", 1,
-                                "{config}:3: omega_ratio: could not convert string to float: 'fast'"),
-    "config-samples-x-under-flag": ("sweep --config {config} --output {out} --samples 5", _TYPED + "samples = x\n", 1,
-                                    "{config}:3: samples: invalid literal for int() with base 10: 'x'"),
-    "config-samples-1": ("sweep --config {config} --output {out}", "initial_state = |00>\nsamples = 1\n", 1,
-                         "{config}:2: samples: samples must be at least 2, got 1"),
-    "config-gamma-t-max--1": ("sweep --config {config} --output {out}", "initial_state = |00>\ngamma_t_max = -1\n", 1,
-                              "{config}:2: gamma_t_max: gamma_t_max must be finite and positive, got -1.0"),
-    "config-omega-ratio-nan": ("sweep --config {config} --output {out}", "initial_state = |00>\nomega_ratio = nan\n", 1,
-                               "{config}:2: omega_ratio: omega_ratio must be finite and nonnegative, got nan"),
-    "config-samples-1-under-flag": ("sweep --config {config} --output {out} --samples 5",
-                                    "initial_state = |00>\nsamples = 1\n", 1,
-                                    "{config}:2: samples: samples must be at least 2, got 1"),
-    "config-sweep-ket": ("sweep --config {config} --output {out}",
-                         '# the sweep ket\ninitial_state = "(|10> - |01>)/sqrt(2)"\n', 1,
-                         "{config}:2: initial_state: unexpected character '\"' (at position 0)"),
-    "config-sweep-ket-under-flag": ("sweep --config {config} --output {out} --initial-state |10>",
-                                    '# the sweep ket\ninitial_state = "(|10> - |01>)/sqrt(2)"\n', 1,
-                                    "{config}:2: initial_state: unexpected character '\"' (at position 0)"),
-    "config-qutrit-ket": ("qutrit --config {config} --output {out}", "# the qutrit ket\ninitial_state = |1,2>\n", 1,
-                          "{config}:2: initial_state: ket label '1,2' is outside the 3x3 level alphabet (at position 0)"),
-    "config-qutrit-ket-under-flag": ("qutrit --config {config} --output {out} --initial-state |1,0>",
-                                     "# the qutrit ket\ninitial_state = |1,2>\n", 1,
-                                     "{config}:2: initial_state: ket label '1,2' is outside the 3x3 level alphabet "
-                                     "(at position 0)"),
-    "config-latin1": ("sweep --config {tmp}/latin1.cfg --output {out}", None, 1,
-                      "{tmp}/latin1.cfg: 'utf-8' codec can't decode ..."),
-    "compare-grid-mismatch": ("compare --a {tmp}/good.csv --b {tmp}/longer.csv", None, 1,
-                              "sweeps do not share the same gamma_T grid"),
-    "compare-header-only": ("compare --a {tmp}/good.csv --b {tmp}/header_only.csv", None, 1,
-                            "{tmp}/header_only.csv: no data rows"),
-    "compare-short-row": ("compare --a {tmp}/good.csv --b {tmp}/short_row.csv", None, 1,
-                          "{tmp}/short_row.csv:3: expected 3 cells, got 2"),
-    "compare-nan-row": ("compare --a {tmp}/good.csv --b {tmp}/nan_row.csv", None, 1,
-                        "{tmp}/nan_row.csv:2: non-finite value 'nan'"),
-    "compare-latin1": ("compare --a {tmp}/good.csv --b {tmp}/latin1.csv", None, 1,
-                       "{tmp}/latin1.csv: 'utf-8' codec can't decode ..."),
-    # an input file that cannot be read is an I/O error
-    "compare-absent-csv": ("compare --a {tmp}/absent.csv --b {tmp}/good.csv", None, 3,
-                           "[Errno 2] No such file or directory: '{tmp}/absent.csv'"),
-    "sweep-absent-config": ("sweep --config {tmp}/absent.cfg --output {out}", None, 3,
-                            "[Errno 2] No such file or directory: '{tmp}/absent.cfg'"),
-    "compare-csv-is-a-directory": ("compare --a {tmp} --b {tmp}/good.csv", None, 3,
-                                   "[Errno 21] Is a directory: '{tmp}'"),
-    "qutrit-config-is-a-directory": ("qutrit --config {tmp} --output {out}", None, 3,
-                                     "[Errno 21] Is a directory: '{tmp}'"),
-}
-
-
-@pytest.mark.parametrize("argv, config, code, text", _CLI_FAULTS.values(), ids=_CLI_FAULTS)
-def test_a_cli_fault_exits_with_its_code_and_one_line_and_writes_nothing(
-    tmp_path, capsys, cli_fault_inputs, argv, config, code, text
-):
-    shutil.copytree(cli_fault_inputs, tmp_path, dirs_exist_ok=True)
-    names = dict(tmp=tmp_path, config=tmp_path / "c.cfg", out=tmp_path / "out")
-    if config is not None:
-        names["config"].write_text(config.format(**names))
-    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
-    assert main([arg.format(**names) for arg in shlex.split(argv)]) == code
-    captured = capsys.readouterr()
-    line = f"dephasim: {text.format(**names)}\n"
-    if text.endswith("..."):
-        assert captured.err.startswith(line[:-4]) and captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    else:
-        assert captured.err == line
-    assert captured.out == ""
-    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
-
-
 @pytest.mark.parametrize("overlap", [0, 1, 20, 21])
 def test_cli_compare_lists_at_most_20_overlap_points(tmp_path, capsys, overlap):
     grid = np.linspace(0.0, 1.0, 30)
@@ -869,62 +685,6 @@ def test_cli_compare_lists_at_most_20_overlap_points(tmp_path, capsys, overlap):
     listed = [line for line in capsys.readouterr().out.splitlines() if "overlap at" in line]
     want = [f"  overlap at gamma_T = {g:.12g}" for g in grid[both_on]] if overlap <= 20 else []
     assert listed == want
-
-
-# Each input puts 5000 characters of the user's text where its message shows it.
-@pytest.mark.parametrize(
-    "kind, text",
-    [
-        ("csv", "0,1," + "x" * 5000),
-        ("csv", "0,1," + "1" * 5000),  # reads as inf
-        ("config", "samples = " + "x" * 5000),
-        ("config", "omega_ratio = " + "x" * 5000),
-        ("config", "x" * 5000),
-        ("config", "k" * 5000 + " = 1"),
-        ("ket", "|" + ",".join("1" * 2500) + ">"),
-        ("ket", "|" + "1" * 5000 + ">"),
-        ("ket", "|" + "2" * 5000 + ",1>"),
-        ("ket", "a" * 5000),
-        ("ket", "1/|" + "1" * 5000 + ">"),
-    ],
-    ids=["csv-cell", "csv-non-finite", "config-int", "config-float", "config-no-equals", "config-key",
-         "ket-subsystems", "ket-levels", "ket-alphabet", "ket-word", "ket-found"],
-)
-def test_a_long_input_is_shown_on_one_short_line(tmp_path, capsys, kind, text):
-    path, out = tmp_path / "input", str(tmp_path / "out")
-    path.write_text(f"{sweep_module.CSV_HEADER}\n{text}\n" if kind == "csv" else text)
-    argv = {
-        "csv": ["compare", "--a", str(path), "--b", str(path)],
-        "config": ["sweep", "--config", str(path), "--initial-state", "|10>", "--output", out],
-        "ket": ["sweep", f"--initial-state={text}", "--output", out],
-    }[kind]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n")
-    assert "<str too long to print>" in err and len(err) <= 600, err[:600]
-
-
-# argparse's own errors: a value of each typed flag, a stray argument, an unknown command, an
-# abbreviation that could match two flags (also with spaces in its value), and a value given to --help.
-@pytest.mark.parametrize(
-    "argv, names",
-    [
-        (["sweep", "--omega-ratio=" + "x" * 5000], "argument --omega-ratio: "),
-        (["sweep", "--gamma-t-max=" + "x" * 5000], "argument --gamma-t-max: "),
-        (["sweep", "--samples=" + "x" * 5000], "argument --samples: "),
-        (["sweep", "x" * 5000], "unrecognized arguments: "),
-        (["x" * 5000], "invalid choice: "),
-        (["sweep", "--o=" + "x" * 5000], "ambiguous option: "),
-        (["sweep", "--help=" + "x" * 5000], "argument -h/--help: ignored explicit argument "),
-        (["sweep", "--o=" + "x " * 2500], "ambiguous option: "),
-    ],
-    ids=["omega-ratio", "gamma-t-max", "samples", "stray", "command", "ambiguous", "help", "ambiguous-spaces"],
-)
-def test_a_long_argument_is_shown_on_one_short_line(tmp_path, capsys, argv, names):
-    assert main([*argv, "--initial-state", "|10>", "--output", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dephasim: ") and err.count("\n") == 1 and err.endswith("\n")
-    assert names in err and "<str too long to print>" in err and len(err) < 600, err[:600]
 
 
 def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
@@ -940,15 +700,23 @@ def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
     assert capsys.readouterr().err == f"dephasim: {point_by_point.value}\n"
 
 
-def test_cli_grid_too_fine_for_floats_is_refused_by_name_before_any_propagation(tmp_path, capsys, monkeypatch):
-    # np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does
-    # not increase; the sweep names both inputs and propagates no point.
+# np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does not increase: the sweep names both
+# inputs. An output in a missing directory is refused before a 2000-sample sweep computes.
+@pytest.mark.parametrize(
+    "args, code, err",
+    [
+        ("--gamma-t-max 1e-322 --samples 100 --output t.csv", 1,
+         "gamma_t_max 1e-322 is too small for 100 distinct samples"),
+        ("--samples 2000 --output missing/x.csv", 3, "[Errno 2] No such file or directory: 'missing/x.csv'"),
+    ],
+    ids=["grid-too-fine-for-floats", "unwritable-output"],
+)
+def test_a_cli_sweep_fault_is_refused_by_name_before_any_propagation(tmp_path, capsys, monkeypatch, args, code, err):
     monkeypatch.setattr(sweep_module, "stationary_xforms", None)
-    out = tmp_path / "t.csv"
-    argv = ["sweep", "--initial-state", "|10>", "--gamma-t-max", "1e-322", "--samples", "100", "--output", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "dephasim: gamma_t_max 1e-322 is too small for 100 distinct samples\n"
-    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--initial-state", "|10>", *args.split()]) == code
+    assert capsys.readouterr().err == f"dephasim: {err}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,7 @@ _QUTRIT_KEYS = ("initial_state", "output")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # Every argparse message ends here; one may quote an argument, or its part after "=", whole.
-        for text in (part for arg in self._argv for part in (arg, arg.partition("=")[2])):
+        for text in (part for arg in self._argv for part in (arg.partition("=")[2], arg)):
             if _shown(text) != repr(text):
                 message = message.replace(repr(text), _shown(text)).replace(text, _shown(text))
         raise ValueError(message)

@@ -23,14 +23,16 @@ from oracles import (
 from test_package import SRC, _fresh
 
 
+_BELL = {
+    "phi-": "(|10> - |01>)/sqrt(2)",
+    "phi+": "(|10> + |01>)/sqrt(2)",
+    "psi+": "(|11> + |00>)/sqrt(2)",
+    "psi-": "(|11> - |00>)/sqrt(2)",
+}
+
+
 def bell(which: str):
-    text = {
-        "phi-": "(|10> - |01>)/sqrt(2)",
-        "phi+": "(|10> + |01>)/sqrt(2)",
-        "psi+": "(|11> + |00>)/sqrt(2)",
-        "psi-": "(|11> - |00>)/sqrt(2)",
-    }[which]
-    return parse_ket_expression(text, (2, 2))
+    return parse_ket_expression(_BELL[which], (2, 2))
 
 
 @pytest.mark.parametrize(
@@ -268,15 +270,54 @@ def _bits(x: StationaryXForm) -> list[np.ndarray]:
     return [np.ascontiguousarray(getattr(x, name)).view(np.uint64) for name in "abcdf"]
 
 
-@pytest.mark.parametrize("which", ["phi-", "psi+"])
-def test_stationary_xforms_have_the_bits_of_the_per_point_path(which):
-    rho0 = bell(which)
-    grid = np.linspace(0.0, 4.0, 2000)
-    shuffled = np.random.default_rng(60).uniform(0.0, 4.0, 500)
-    for times in (grid, shuffled):
-        per_point = per_point_xforms(rho0, 31.25, times)
-        stacked = stationary_xforms(rho0, 31.25, times)
-        assert all(map(np.array_equal, _bits(stacked), _bits(per_point)))
+def _assert_parity(rho0, omega1, times):
+    """stationary_xforms gives the bits of the per-point path at float64 values, or the exact type and
+    message of its first failing time's error."""
+    try:
+        per_point = per_point_xforms(rho0, float(omega1), [float(t) for t in times])
+    except StateValidationError as error:
+        with pytest.raises(StateValidationError) as stacked:
+            stationary_xforms(rho0, omega1, times)
+        assert (type(stacked.value), str(stacked.value)) == (type(error), str(error))
+    else:
+        assert all(map(np.array_equal, _bits(stationary_xforms(rho0, omega1, times)), _bits(per_point)))
+
+
+# Each row: a ket, a drive, pulse times, and the index of the first time whose state fails (None: none fails).
+_PARITY = {
+    **{
+        f"{which}-{name}": (_BELL[which], 31.25, times, None)
+        for which in ("phi-", "psi+")
+        for name, times in (("grid", np.linspace(0.0, 4.0, 2000)),
+                            ("shuffled", np.random.default_rng(60).uniform(0.0, 4.0, 500)))
+    },
+    # Blocks of 64: a partial first block, a full one, one more time, and a partial third block; shuffled, so no
+    # block is sorted by time. A narrower float drive and times give the bits of their float64 values.
+    **{
+        f"block-edge-{count}-{dtype.__name__}": (
+            _BELL["phi-"], dtype(31.25),
+            np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count)).astype(dtype), None)
+        for count in (1, 63, 64, 65, 129)
+        for dtype in (np.float64, np.float32, np.float16)
+    },
+    # At omega1 = 1e17 point 1 is the first whose propagator overflows; the later points of its block of 64
+    # overflow too.
+    "overflow-in-the-first-block": ("|10>", 1e17, np.linspace(0.0, 1e4, 200), 1),
+    # Index 64 is the first slot of the second block; its propagator overflows.
+    "overflow-in-the-second-block": (
+        _BELL["phi-"], 31.25, np.where(np.arange(129) == 64, 1e30, np.random.default_rng(64).uniform(0.0, 4.0, 129)),
+        64),
+}
+
+
+@pytest.mark.parametrize("ket, omega1, times, fails_at", _PARITY.values(), ids=_PARITY)
+def test_stationary_xforms_have_the_bits_or_the_first_error_of_the_per_point_path(ket, omega1, times, fails_at):
+    rho0 = parse_ket_expression(ket, (2, 2))
+    if fails_at is not None:  # every earlier time passes on its own, and the row's time overflows
+        per_point_xforms(rho0, omega1, times[:fails_at])
+        with pytest.raises(StateValidationError, match=r"^matrix is not Hermitian"):
+            per_point_xforms(rho0, omega1, times[fails_at:fails_at + 1])
+    _assert_parity(rho0, omega1, times)
 
 
 _SEVENTY_TIMES = np.linspace(0.0, 4.0, 70).tolist()  # past the first block edge
@@ -295,9 +336,7 @@ _SEVENTY_TIMES = np.linspace(0.0, 4.0, 70).tolist()  # past the first block edge
 @example(which="phi-", omega1=1.0 / 3.0, times=_SEVENTY_TIMES)
 @example(which="psi+", omega1=1.5e-323, times=_SEVENTY_TIMES)  # subnormal drive
 def test_stationary_xforms_have_the_bits_of_the_per_point_path_at_any_drive(which, omega1, times):
-    rho0 = bell(which)
-    per_point = per_point_xforms(rho0, omega1, times)
-    assert all(map(np.array_equal, _bits(stationary_xforms(rho0, omega1, times)), _bits(per_point)))
+    _assert_parity(bell(which), omega1, times)
 
 
 @pytest.mark.parametrize("which", ["phi-", "psi+"])
@@ -395,40 +434,3 @@ def test_a_state_within_drift_tol_carries_its_defects_through_stationary_xforms(
 def test_stationary_xforms_of_no_times_are_empty():
     x = stationary_xforms(bell("phi-"), 31.25, [])
     assert [np.shape(getattr(x, name)) for name in "abcdf"] == [(0,)] * 5
-
-
-def test_stationary_xforms_raise_the_first_failing_times_error():
-    # At omega1 = 1e17 point 1 is the first whose propagator overflows; the
-    # later points of its block of 64 overflow too.
-    rho0 = parse_ket_expression("|10>", (2, 2))
-    times = np.linspace(0.0, 1e4, 200)
-    with pytest.raises(StateValidationError, match="not Hermitian") as per_point:
-        per_point_xforms(rho0, 1e17, times)
-    with pytest.raises(StateValidationError) as stacked:
-        stationary_xforms(rho0, 1e17, times)
-    assert str(stacked.value) == str(per_point.value)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16], ids=lambda dtype: dtype.__name__)
-@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
-def test_stationary_xforms_at_the_block_edges_have_the_bits_of_the_per_point_path(count, dtype):
-    # Blocks of 64: a partial first block, a full one, one more time, and a
-    # partial third block; shuffled, so no block is sorted by time. A narrower
-    # float drive and times give the bits of their float64 values.
-    rho0 = bell("phi-")
-    times = np.random.default_rng(count).permutation(np.linspace(0.0, 4.0, count)).astype(dtype)
-    per_point = per_point_xforms(rho0, 31.25, times.tolist())
-    assert all(map(np.array_equal, _bits(stationary_xforms(rho0, dtype(31.25), times)), _bits(per_point)))
-
-
-def test_a_time_that_fails_first_in_the_second_block_raises_its_own_error():
-    # Index 64 is the first slot of the second block; its propagator overflows.
-    rho0 = bell("phi-")
-    times = np.random.default_rng(64).uniform(0.0, 4.0, 129)
-    times[64] = 1e30
-    per_point_xforms(rho0, 31.25, times[:64])  # every earlier time passes on its own
-    with pytest.raises(StateValidationError) as alone:
-        per_point_xforms(rho0, 31.25, times[64:65])
-    with pytest.raises(StateValidationError) as stacked:
-        stationary_xforms(rho0, 31.25, times)
-    assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))

@@ -320,6 +320,7 @@ _FAULTS = {
             ("in-missing-directory", "{path}/x.csv", FileNotFoundError, "[Errno 2] No such file or directory"),
             ("is-a-directory", "{path.parent}", IsADirectoryError, "[Errno 21] Is a directory"),
             ("through-a-file", f"{__file__}/x.csv", NotADirectoryError, "[Errno 20] Not a directory"),
+            ("ends-with-a-separator", "{path.parent}/new/", IsADirectoryError, "[Errno 21] Is a directory"),
         )
     },
     # --- a sweep's result: what write_csv could not write or read_csv could not read back ---

@@ -210,6 +210,10 @@ _CLI_RUNS = {
     },
     "malformed-ket": _Run("sweep --initial-state (|10> --samples 3 --output out", 1, "unclosed '(' (at position 0)",
                           loaded=[]),
+    # np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does not increase: the sweep names both
+    # inputs before any propagation, so scipy stays unloaded
+    "grid-too-fine-for-floats": _Run("sweep --initial-state |10> --gamma-t-max 1e-322 --samples 100 --output out", 1,
+                                     "gamma_t_max 1e-322 is too small for 100 distinct samples", loaded=[]),
     # every input fault is reported before an output that cannot be written
     "malformed-ket-and-unwritable-output": _Run("sweep --initial-state (|10> --samples 3 --output missing/x.csv", 1,
                                                 "unclosed '(' (at position 0)"),
@@ -257,6 +261,17 @@ _CLI_RUNS = {
     "csv-byte-order-mark": _Run("compare --a a.csv --b input", 0, None,
                                 f"\ufeff{CSV_HEADER}\n0,0.5,0.1\n0.1,0,0.2\n0.2,0.3,0.3\n",
                                 stdout=("grid points: 3", "simultaneously entangled: 2")),
+    # a flag overrides the file, and a repeated key takes its last line: gamma_t_max 0.25 would give 3 transitions
+    # and 1 maximum
+    "config-flag-override": _Run("sweep --config input --samples 80", 0, None,
+                                 "# fig-style sweep\ninitial_state = (|10> - |01>)/sqrt(2)\nomega_ratio = 31.25\n"
+                                 "gamma_t_max = 0.25\nsamples = 200\noutput = out\n"
+                                 "gamma_t_max = 0.5  # a repeated key takes its last line\n",
+                                 stdout=("wrote out (80 samples, 5 transitions, 2 maxima)",), lines=88),
+    # point 1 is the first to overflow, inside a block of 64 whose later propagators overflow too; the sweep
+    # stops with point 1's own error (test_engine.py's _PARITY checks it against the per-point path)
+    "overflowing-mid-block": _Run("sweep --initial-state |10> --omega-ratio 1e17 --gamma-t-max 1e4 --samples 200 "
+                                  "--output out", 2, "matrix is not Hermitian (magnitude 2.086e+00)"),
     "unknown-flag": _Run("sweep --bogus", 1, "unrecognized arguments: '--bogus'"),
     "removed-workers": _Run("sweep --initial-state |00> --output out --workers 2", 1,
                             "unrecognized arguments: '--workers 2'"),
@@ -396,7 +411,7 @@ _CLI_RUNS = {
             # Python 3.12 and later print the choices without quotes
             ("command", _LONG, "argument command: invalid choice: <str too long to print> (choose from ..."),
             *((name, f"sweep '--o={value}'",
-               "ambiguous option: <str too long to print> could match --omega-ratio, --output")
+               "ambiguous option: --o=<str too long to print> could match --omega-ratio, --output")
               for name, value in (("ambiguous", _LONG), ("ambiguous-spaces", "x " * 2500))),
             ("help", f"sweep --help={_LONG}", "argument -h/--help: ignored explicit argument <str too long to print>"),
         )

@@ -3,6 +3,7 @@ import inspect
 import io
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,77 +309,80 @@ def _recorded_bisection(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize(
-    "ket, midpoints", [("(|10> - |01>)/sqrt(2)", 399), ("(|11> + |00>)/sqrt(2)", 420)], ids=["robust", "fragile"]
-)
-def test_composed_midpoints_are_fresh_ones_to_rounding_at_a_third_of_the_exponentials(monkeypatch, ket, midpoints):
-    made, propagators = [], engine_module._propagators
-    monkeypatch.setattr(engine_module, "_propagators", lambda w, ts: made.append(len(ts)) or propagators(w, ts))
-    steps = _recorded_bisection(monkeypatch)
-    run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
-    assert made[0] == 2000 and len(made) == 1 + len(steps)  # the grid, then one call per step
-    assert sum(made[1:]) < midpoints / 3
-    mids, composed = map(np.concatenate, zip(*steps))
-    fresh = concurrence_xform(stationary_xforms(parse_ket_expression(ket, (2, 2)), 31.25, mids))
-    assert len(mids) == midpoints
-    assert np.max(np.abs(composed - fresh)) <= 1e-13
+_PAPER_KETS = {"robust": "(|10> - |01>)/sqrt(2)", "fragile": "(|11> + |00>)/sqrt(2)"}
 
 
-def test_bisection_keeps_two_propagators_per_open_bracket_and_none_past_its_sweep(monkeypatch):
-    helper, refs, sizes = engine_module._bisection_xforms, [], []
+def _instrumented_sweep(ket):
+    """One paper sweep (omega 31.25, gamma_T up to 4, 2000 samples), with what it handed its propagators,
+    its bisection steps and evolve."""
+    propagators, helper, evolve = engine_module._propagators, engine_module._bisection_xforms, engine_module.evolve
+    run = SimpleNamespace(made=[], handed=[], kept=[], steppers=[], drifts=[])
 
-    def watched(*args):
+    def watched_helper(*args):
         step = helper(*args)
-        refs.append(weakref.ref(step))
+        run.steppers.append(weakref.ref(step))
         kept = lambda: inspect.getclosurevars(inspect.unwrap(step)).nonlocals["kept"]
 
         def watching(lows, mids):
+            run.handed.append((lows, mids))
             xforms = step(lows, mids)
-            sizes.append((len(kept()), len(mids)))
+            run.kept.append((len(kept()), len(mids)))
             return xforms
 
         return watching
 
-    monkeypatch.setattr(sweep_module, "_bisection_xforms", watched)
-    run_sweep(SweepConfig("(|11> + |00>)/sqrt(2)", 31.25, 4.0, 2000))
-    assert sizes and all(kept <= 2 * brackets for kept, brackets in sizes)
-    assert [ref() for ref in refs] == [None]
-
-
-@pytest.mark.parametrize(
-    "ket, crossings, midpoints", [("(|10> - |01>)/sqrt(2)", 19, 399), ("(|11> + |00>)/sqrt(2)", 20, 420)],
-    ids=["robust", "fragile"],
-)
-def test_each_bisection_step_is_handed_its_brackets_low_ends(monkeypatch, ket, crossings, midpoints):
-    helper, calls = engine_module._bisection_xforms, []
-
-    def watched(*args):
-        step = helper(*args)
-        return lambda lows, mids: calls.append((lows, mids)) or step(lows, mids)
-
-    monkeypatch.setattr(sweep_module, "_bisection_xforms", watched)
-    result = run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
-    entangled = result.concurrence > sweep_module.ENTANGLEMENT_THRESHOLD
-    starts = result.gamma_t[np.flatnonzero(entangled[:-1] != entangled[1:])]
-    assert len(starts) == crossings and np.array_equal(calls[0][0], starts)
-    for (lows, mids), (later, _) in zip(calls, calls[1:]):
-        assert np.isin(later, np.concatenate([lows, mids])).all()
-    assert all(np.all(lows < mids) for lows, mids in calls)
-    assert len(calls) == 21 and sum(len(mids) for _, mids in calls) == midpoints
-
-
-def test_no_paper_sweep_state_reaches_the_trace_rescale(monkeypatch):
-    # evolve rescales a trace drifted past DRIFT_TOL; on both paper sweeps no state drifts that far.
-    evolve, drifts = engine_module.evolve, []
-
-    def watched(rho0, propagator, tol):
+    def watched_evolve(rho0, propagator, tol):
         out = (propagator @ rho0.reshape(-1, order="F")).reshape(rho0.shape, order="F")
-        drifts.append(abs(out.trace().real - 1.0))
+        run.drifts.append(abs(out.trace().real - 1.0))
         return evolve(rho0, propagator, tol)
 
-    monkeypatch.setattr(engine_module, "evolve", watched)
-    for ket in ("(|10> - |01>)/sqrt(2)", "(|11> + |00>)/sqrt(2)"):
-        run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_propagators", lambda w, ts: run.made.append(len(ts)) or propagators(w, ts))
+        patch.setattr(sweep_module, "_bisection_xforms", watched_helper)
+        patch.setattr(engine_module, "evolve", watched_evolve)
+        run.steps = _recorded_bisection(patch)
+        run.result = run_sweep(SweepConfig(ket, 31.25, 4.0, 2000))
+    return run
+
+
+@pytest.fixture(scope="module")
+def paper_sweeps():
+    """Each paper sweep, run once for the structural tests below."""
+    return {name: _instrumented_sweep(ket) for name, ket in _PAPER_KETS.items()}
+
+
+@pytest.mark.parametrize("name, midpoints", [("robust", 399), ("fragile", 420)], ids=_PAPER_KETS)
+def test_composed_midpoints_are_fresh_ones_to_rounding_at_a_third_of_the_exponentials(paper_sweeps, name, midpoints):
+    run = paper_sweeps[name]
+    assert run.made[0] == 2000 and len(run.made) == 1 + len(run.steps)  # the grid, then one call per step
+    assert sum(run.made[1:]) < midpoints / 3
+    mids, composed = map(np.concatenate, zip(*run.steps))
+    fresh = concurrence_xform(stationary_xforms(parse_ket_expression(_PAPER_KETS[name], (2, 2)), 31.25, mids))
+    assert len(mids) == midpoints
+    assert np.max(np.abs(composed - fresh)) <= 1e-13
+
+
+def test_bisection_keeps_two_propagators_per_open_bracket_and_none_past_its_sweep(paper_sweeps):
+    for run in paper_sweeps.values():
+        assert run.kept and all(kept <= 2 * brackets for kept, brackets in run.kept)
+        assert [ref() for ref in run.steppers] == [None]
+
+
+@pytest.mark.parametrize("name, crossings, midpoints", [("robust", 19, 399), ("fragile", 20, 420)], ids=_PAPER_KETS)
+def test_each_bisection_step_is_handed_its_brackets_low_ends(paper_sweeps, name, crossings, midpoints):
+    run = paper_sweeps[name]
+    entangled = run.result.concurrence > sweep_module.ENTANGLEMENT_THRESHOLD
+    starts = run.result.gamma_t[np.flatnonzero(entangled[:-1] != entangled[1:])]
+    assert len(starts) == crossings and np.array_equal(run.handed[0][0], starts)
+    for (lows, mids), (later, _) in zip(run.handed, run.handed[1:]):
+        assert np.isin(later, np.concatenate([lows, mids])).all()
+    assert all(np.all(lows < mids) for lows, mids in run.handed)
+    assert len(run.handed) == 21 and sum(len(mids) for _, mids in run.handed) == midpoints
+
+
+def test_no_paper_sweep_state_reaches_the_trace_rescale(paper_sweeps):
+    # evolve rescales a trace drifted past DRIFT_TOL; on both paper sweeps no state drifts that far.
+    drifts = [drift for run in paper_sweeps.values() for drift in run.drifts]
     assert len(drifts) == 4819  # 2399 + 2420 propagated states
     assert max(drifts) <= DRIFT_TOL
 
@@ -490,7 +494,7 @@ def test_transitions_stable_under_grid_refinement():
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
 
 
-_REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
+_REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = "
 
 
 @pytest.mark.parametrize(
@@ -498,6 +502,7 @@ _REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
     [
         (
             "(|1,0> + |0,1>)/sqrt(2)",
+            "(|1,0> + |0,1>)/sqrt(2)\n"
             "xi = 0\nzeta = -0.25\neta = 0\nxi_population_squares = 0\n"
             "cubic_has_negative_root = true\npt_block_plus_negative = false\n"
             "pt_block_minus_negative = false\nsufficient_entangled = true\n"
@@ -505,6 +510,7 @@ _REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
         ),
         (
             "(|1,1> + |-1,-1>)/sqrt(2)",
+            "(|1,1> + |-1,-1>)/sqrt(2)\n"
             "xi = 1\nzeta = 0.25\neta = 0\nxi_population_squares = 0.5\n"
             "cubic_has_negative_root = false\npt_block_plus_negative = false\n"
             "pt_block_minus_negative = false\nsufficient_entangled = false\n"
@@ -512,6 +518,7 @@ _REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
         ),
         (
             "0.3|1,-1> - 0.7|0,0> + 0.2|-1,1>",
+            "0.3|1,-1> - 0.7|0,0> + 0.2|-1,1>\n"
             "xi = 0.790322580645\nzeta = -0.00936524453694\neta = 0.00740156423081\n"
             "xi_population_squares = 0.624609781478\ncubic_has_negative_root = true\n"
             "pt_block_plus_negative = true\npt_block_minus_negative = true\n"
@@ -519,18 +526,28 @@ _REPORT_HEAD = "mode = qutrit-criterion\ninitial_state = {}\n"
         ),
         (
             "|0,0>",
+            "|0,0>\n"
             "xi = 1\nzeta = 0\neta = 0\nxi_population_squares = 1\n"
             "cubic_has_negative_root = false\npt_block_plus_negative = false\n"
             "pt_block_minus_negative = false\nsufficient_entangled = false\n"
             "min_pt_eigenvalue = 0\n",
         ),
+        # a ket's line break is written as a space, so the ket stays on its line
+        (
+            "|0,0> +\n|1,1>",
+            "|0,0> + |1,1>\n"
+            "xi = 1\nzeta = 0.25\neta = 0\nxi_population_squares = 0.5\n"
+            "cubic_has_negative_root = false\npt_block_plus_negative = false\n"
+            "pt_block_minus_negative = false\nsufficient_entangled = false\n"
+            "min_pt_eigenvalue = 0\n",
+        ),
     ],
-    ids=["coherent-pair", "dephased-pair", "three-term", "product"],
+    ids=["coherent-pair", "dephased-pair", "three-term", "product", "multiline-ket"],
 )
 def test_qutrit_report_bytes(tmp_path, ket, body):
     path = tmp_path / "report.txt"
     write_criterion_report(run_qutrit_scan(ket), ket, str(path))
-    assert path.read_bytes() == (_REPORT_HEAD.format(ket) + body).encode("utf-8")
+    assert path.read_bytes() == (_REPORT_HEAD + body).encode("utf-8")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16], ids=lambda dtype: dtype.__name__)
@@ -600,45 +617,9 @@ def test_sweep_result_takes_integer_rows_and_no_features(tmp_path):
     assert read_csv(str(path)).gamma_t.tolist() == [0.0, 1.0]
 
 
-def test_qutrit_report_keeps_a_multiline_ket_on_one_line(tmp_path):
-    path = tmp_path / "report.txt"
-    assert main(["qutrit", "--initial-state", "|0,0> +\n|1,1>", "--output", str(path)]) == 0
-    lines = path.read_text().split("\n")
-    assert len(lines) == 12 and lines[-1] == ""  # 11 lines, each ending in a newline
-    assert lines[1] == "initial_state = |0,0> + |1,1>"
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-def test_cli_sweep_and_compare(tmp_path, capsys):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    base = ["sweep", "--omega-ratio", "31.25", "--gamma-t-max", "0.3", "--samples", "100"]
-    assert main(base + ["--initial-state", "(|10> - |01>)/sqrt(2)", "--output", str(out_a)]) == 0
-    assert main(base + ["--initial-state", "(|11> + |00>)/sqrt(2)", "--output", str(out_b)]) == 0
-    assert main(["compare", "--a", str(out_a), "--b", str(out_b)]) == 0
-    captured = capsys.readouterr().out
-    assert "simultaneously entangled: 0" in captured
-
-
-def test_cli_config_file_with_flag_override(tmp_path):
-    config_path = tmp_path / "sweep.cfg"
-    out = tmp_path / "from_config.csv"
-    config_path.write_text(
-        "# fig-style sweep\n"
-        "initial_state = (|10> - |01>)/sqrt(2)\n"
-        "omega_ratio = 31.25\n"
-        "gamma_t_max = 0.25\n"
-        "samples = 200\n"
-        f"output = {out}\n"
-        "gamma_t_max = 0.5  # a repeated key takes its last line\n"
-    )
-    assert main(["sweep", "--config", str(config_path), "--samples", "80"]) == 0
-    gamma_t = read_csv(str(out)).gamma_t
-    assert (len(gamma_t), gamma_t[-1]) == (80, 0.5)
-
 
 def test_cli_config_keeps_a_hash_inside_a_value(tmp_path):
     # a "#" starts a comment only at the start of a line or after whitespace
@@ -685,38 +666,6 @@ def test_cli_compare_lists_at_most_20_overlap_points(tmp_path, capsys, overlap):
     listed = [line for line in capsys.readouterr().out.splitlines() if "overlap at" in line]
     want = [f"  overlap at gamma_T = {g:.12g}" for g in grid[both_on]] if overlap <= 20 else []
     assert listed == want
-
-
-def test_sweep_overflowing_mid_block_fails_as_point_by_point(tmp_path, capsys):
-    # Point 1 is the first to overflow, inside a block of 64 whose later
-    # propagators overflow too. The sweep stops with point 1's own error and,
-    # as the suite fails on RuntimeWarnings, with no warning.
-    rho0 = parse_ket_expression("|10>", (2, 2))
-    with pytest.raises(errors.StateValidationError, match="not Hermitian") as point_by_point:
-        oracles.per_point_xforms(rho0, 1e17, np.linspace(0.0, 1e4, 200))
-    argv = ["sweep", "--initial-state", "|10>", "--omega-ratio", "1e17", "--gamma-t-max", "1e4"]
-    argv += ["--samples", "200", "--output", str(tmp_path / "x.csv")]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"dephasim: {point_by_point.value}\n"
-
-
-# np.linspace(0, 1e-322, 100) repeats subnormal values, so the grid does not increase: the sweep names both
-# inputs. An output in a missing directory is refused before a 2000-sample sweep computes.
-@pytest.mark.parametrize(
-    "args, code, err",
-    [
-        ("--gamma-t-max 1e-322 --samples 100 --output t.csv", 1,
-         "gamma_t_max 1e-322 is too small for 100 distinct samples"),
-        ("--samples 2000 --output missing/x.csv", 3, "[Errno 2] No such file or directory: 'missing/x.csv'"),
-    ],
-    ids=["grid-too-fine-for-floats", "unwritable-output"],
-)
-def test_a_cli_sweep_fault_is_refused_by_name_before_any_propagation(tmp_path, capsys, monkeypatch, args, code, err):
-    monkeypatch.setattr(sweep_module, "stationary_xforms", None)
-    monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--initial-state", "|10>", *args.split()]) == code
-    assert capsys.readouterr().err == f"dephasim: {err}\n"
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
